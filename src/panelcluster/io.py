@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,6 @@ def write_estimates(path, table: EstimateTable) -> None:
 
 def read_estimates(path) -> EstimateTable:
     meta = {}
-    rows = []
     with open(path, newline="") as fh:
         lines = []
         for raw in fh:
@@ -128,6 +128,7 @@ def read_estimates(path) -> EstimateTable:
             raise ParseError(f"missing covariance columns: {missing}")
         cov_cols = tri_names
     has_weight = "weight" in header
+    upper = [(i, j) for i in range(p) for j in range(i, p)]
     idx = {name: header.index(name) for name in header}
 
     ids, betas, sigmas, weights = [], [], [], []
@@ -138,12 +139,16 @@ def read_estimates(path) -> EstimateTable:
             raise ParseError(f"row {rownum}: expected {len(header)} fields, "
                              f"got {len(fields)}")
 
-        def grab(col):
+        def grab(col, positive=False):
             try:
-                return float(fields[idx[col]])
-            except ValueError as exc:
-                raise ParseError(
-                    f"row {rownum}, column {col!r}: not a number") from exc
+                value = float(fields[idx[col]])
+                if math.isfinite(value) and (value > 0 or not positive):
+                    return value
+                problem = "must be finite" + (" and > 0" if positive else "")
+            except ValueError:
+                problem = "not a number"
+            raise ParseError(f"row {rownum} (id={ids[-1]}), column {col!r}: "
+                             f"{problem}")
 
         ids.append(fields[idx["id"]])
         betas.append([grab(c) for c in beta_cols])
@@ -151,14 +156,11 @@ def read_estimates(path) -> EstimateTable:
             sigmas.append(np.array([[grab("se") ** 2]]))
         else:
             sigma = np.zeros((p, p))
-            k = 0
-            for i in range(p):
-                for j in range(i, p):
-                    sigma[i, j] = sigma[j, i] = grab(tri_names[k])
-                    k += 1
+            for (i, j), col in zip(upper, tri_names):
+                sigma[i, j] = sigma[j, i] = grab(col)
             sigmas.append(sigma)
         if has_weight:
-            weights.append(grab("weight"))
+            weights.append(grab("weight", positive=True))
 
     scale = meta.get("scale", PER_OBSERVATION)
     if scale not in (PER_OBSERVATION, ALREADY_SCALED):

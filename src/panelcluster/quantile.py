@@ -173,9 +173,6 @@ class PooledQuantileFit:
     tau: float
     converged: bool = True
 
-    def __iter__(self):
-        return iter((self.alphas, self.beta))
-
 
 def fit_pooled_quantile(y, x, tau: float, tol: float = 1e-6) -> PooledQuantileFit:
     """Minimize the pooled check loss over (alpha_1..alpha_n, beta).

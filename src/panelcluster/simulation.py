@@ -25,8 +25,8 @@ from .quantile import (
 )
 from .spectral import build_dissimilarity, kmeans, select_num_groups, spectral_cluster
 from .types import (
-    ALREADY_SCALED,
     DegenerateOutcome,
+    DissimilarityMatrix,
     NonConvergence,
     PanelDataset,
     PerfectSeparation,
@@ -290,12 +290,6 @@ def _fit_pooled_rep(config, rng):
     return betas, uncs, truth, 0
 
 
-def _identity_uncertainties(n, s):
-    # combined pairwise covariance is exactly the identity
-    return [UncertaintyEstimate(i, 0.5 * np.eye(s), scale=ALREADY_SCALED)
-            for i in range(n)]
-
-
 def run_rep(config: SimulationConfig, rep: int) -> RepResult:
     """Run a single repetition: generate, fit, cluster, score."""
     seed = derive_seed(config.seed, rep)
@@ -313,21 +307,17 @@ def run_rep(config: SimulationConfig, rep: int) -> RepResult:
     G = config.true_groups
     if config.cluster_at_true_g:
         for method in config.methods:
-            if method == "spectral":
-                assignment, _ = spectral_cluster(V, G, seed=cluster_seed,
-                                                 restarts=config.restarts)
-                est = assignment.labels
-            elif method == "spectral_identity":
-                V0 = build_dissimilarity(
-                    betas, _identity_uncertainties(len(betas), betas.shape[1]),
-                    config.T)
-                assignment, _ = spectral_cluster(V0, G, seed=cluster_seed,
-                                                 restarts=config.restarts)
-                est = assignment.labels
-            else:  # kmeans_raw
+            if method == "kmeans_raw":
                 raw_labels, _, _ = kmeans(betas, G, restarts=config.restarts,
                                           seed=cluster_seed)
                 est = raw_labels + 1
+            else:
+                # spectral_identity: the unweighted sup-norm of differences
+                W = V if method == "spectral" else DissimilarityMatrix(
+                    np.abs(betas[:, None] - betas[None]).max(axis=2))
+                assignment, _ = spectral_cluster(W, G, seed=cluster_seed,
+                                                 restarts=config.restarts)
+                est = assignment.labels
             labels[method] = est
             scores[method] = average_match(truth, est)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .types import (
-    ALREADY_SCALED,
     PER_OBSERVATION,
     CoefficientEstimate,
     DimensionMismatch,
@@ -21,24 +20,35 @@ from .types import (
 
 EIGENGAP_DENOM_GUARD = 1e-12
 
+# Pairs per batched eigh in build_dissimilarity (~2**15 matrix entries): one
+# unchunked batch raised peak memory by ~5 MB at n=300 for no gain in speed.
+PAIR_CHUNK_ENTRIES = 2 ** 15
+
+
+def _inverse_sqrt_stack(S: np.ndarray) -> np.ndarray:
+    """matrix_inverse_sqrt of each matrix in an (m, s, s) stack."""
+    eigvals, Q = np.linalg.eigh(S)
+    norm = np.maximum(eigvals[:, -1], 1e-300)
+    negative = eigvals[:, 0] < -1e-10 * norm
+    if negative.any():
+        raise NonPositiveCombined(f"matrix has negative eigenvalue "
+                                  f"{eigvals[negative.argmax(), 0]:.3e}")
+    floored = np.maximum(eigvals, 1e-10 * norm[:, None])
+    return (Q * floored[:, None, :] ** -0.5) @ Q.swapaxes(1, 2)
+
 
 def matrix_inverse_sqrt(S: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root via eigendecomposition.
 
     Eigenvalues are floored at 1e-10 * max(eigenvalue) so that semi-definite
-    inputs produce a finite result.
+    inputs produce a finite result; one below -1e-10 * max(eigenvalue) raises
+    NonPositiveCombined.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     scale = max(np.abs(S).max(), 1.0)
     if S.shape[0] != S.shape[1] or np.abs(S - S.T).max() > 1e-10 * scale:
         raise NotSymmetric("input must be a symmetric matrix")
-    eigvals, Q = np.linalg.eigh(S)
-    norm = max(eigvals[-1], 1e-300)
-    if eigvals[0] < -1e-10 * norm:
-        raise NonPositiveCombined(
-            f"matrix has negative eigenvalue {eigvals[0]:.3e}")
-    floored = np.maximum(eigvals, 1e-10 * norm)
-    return (Q * floored ** -0.5) @ Q.T
+    return _inverse_sqrt_stack(S[None])[0]
 
 
 def _extract_beta(estimate):
@@ -55,8 +65,8 @@ def build_dissimilarity(estimates, uncertainties, T: int,
     CoefficientEstimate objects). uncertainties: matching UncertaintyEstimate
     objects with a common scale. Under per_observation scale the pairwise
     covariance is (sigma_i + sigma_j) / T, or sigma_i / w_i + sigma_j / w_j
-    when per-individual weights (sample sizes) are supplied. Under
-    already_scaled it is sigma_i + sigma_j.
+    when per-individual weights (sample sizes, finite and > 0) are supplied.
+    Under already_scaled it is sigma_i + sigma_j.
     """
     betas = [_extract_beta(e) for e in estimates]
     n = len(betas)
@@ -65,37 +75,40 @@ def build_dissimilarity(estimates, uncertainties, T: int,
     s = len(betas[0])
     if any(len(b) != s for b in betas):
         raise DimensionMismatch("coefficient vectors have mixed dimensions")
-    sigmas = []
-    scales = set()
-    for u in uncertainties:
-        if not isinstance(u, UncertaintyEstimate):
-            raise TypeError("uncertainties must be UncertaintyEstimate objects")
-        if u.sigma.shape != (s, s):
-            raise DimensionMismatch("covariance dimension does not match beta")
-        sigmas.append(u.sigma)
-        scales.add(u.scale)
+    if not all(isinstance(u, UncertaintyEstimate) for u in uncertainties):
+        raise TypeError("uncertainties must be UncertaintyEstimate objects")
+    if any(u.sigma.shape != (s, s) for u in uncertainties):
+        raise DimensionMismatch("covariance dimension does not match beta")
+    scales = {u.scale for u in uncertainties}
     if len(scales) != 1:
         raise DimensionMismatch("uncertainty scale flags disagree")
     scale = scales.pop()
+    betas = np.array(betas)
+    sigmas = np.array([u.sigma for u in uncertainties])
 
     if weights is not None:
         if scale != PER_OBSERVATION:
             raise DimensionMismatch(
                 "per-individual weights require per_observation scale")
         w = np.asarray(weights, dtype=float)
-        scaled = [sigmas[i] / w[i] for i in range(n)]
+        if w.shape != (n,) or not (np.isfinite(w) & (w > 0)).all():
+            raise ValueError("weights must be n values, finite and > 0")
+        scaled = sigmas / w[:, None, None]
     elif scale == PER_OBSERVATION:
-        scaled = [sig / T for sig in sigmas]
+        scaled = sigmas / T
     else:
         scaled = sigmas
 
     V = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            combined = scaled[i] + scaled[j]
-            whitener = matrix_inverse_sqrt(combined)
-            V[i, j] = V[j, i] = np.abs(whitener @ (betas[i] - betas[j])).max()
-    return DissimilarityMatrix(V)
+    rows, cols = np.triu_indices(n, 1)
+    chunk = max(1, PAIR_CHUNK_ENTRIES // s ** 2)
+    for start in range(0, len(rows), chunk):
+        i, j = rows[start:start + chunk], cols[start:start + chunk]
+        whitener = _inverse_sqrt_stack(scaled[i] + scaled[j])
+        d = betas[i] - betas[j]
+        V[i, j] = np.abs(whitener @ d[:, :, None]).max(axis=(1, 2))
+    # the lower triangle is zero, so adding the transpose mirrors exactly
+    return DissimilarityMatrix(V + V.T)
 
 
 def kmeans(points, k: int, restarts: int = 50, seed: int = 0,
@@ -189,8 +202,7 @@ def spectral_cluster(V: DissimilarityMatrix, G: int, seed: int = 0,
     row_norms = np.linalg.norm(Z, axis=1)
     U = Z / np.maximum(row_norms, 1e-300)[:, None]
     labels0, _, objective = kmeans(U, G, restarts=restarts, seed=seed)
-    assignment = GroupAssignment(labels0 + 1, G, kmeans_objective=objective,
-                                 restarts_used=restarts)
+    assignment = GroupAssignment(labels0 + 1, G, kmeans_objective=objective)
     decomposition = SpectralDecomposition(A, degrees, L, eigvals, Z, U)
     return assignment, decomposition
 

@@ -225,7 +225,6 @@ class GroupAssignment:
     labels: np.ndarray
     G: int
     kmeans_objective: float = 0.0
-    restarts_used: int = 0
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int)

@@ -82,6 +82,22 @@ def test_parse_error_reports_row_and_column(tmp_path):
         read_estimates(path)
 
 
+@pytest.mark.parametrize("header,row,column", [
+    ("id,beta_1,c_11", "bad,nan,1.0", "beta_1"),
+    ("id,beta_1,c_11", "bad,1.0,inf", "c_11"),
+    ("id,beta_1,beta_2,c_11,c_12,c_22", "bad,0,0,1,-inf,1", "c_12"),
+    ("id,beta_1,se", "bad,1.0,nan", "se"),
+])
+def test_non_finite_cell_names_row_and_column(tmp_path, header, row, column):
+    fine = ",".join(["ok"] + ["1"] * (header.count(",")))
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"{header}\n{fine}\n{row}\n")
+    with pytest.raises(ParseError) as info:
+        read_estimates(path)
+    message = str(info.value)
+    assert f"row 3 (id=bad), column '{column}': must be finite" in message
+
+
 def test_parse_error_on_non_psd_row(tmp_path):
     path = tmp_path / "psd.csv"
     path.write_text("id,beta_1,beta_2,c_11,c_12,c_22\n"
@@ -167,6 +183,19 @@ def test_cluster_requires_t_for_per_observation(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert "--t-periods" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", ["0", "-5", "nan"])
+def test_cluster_rejects_bad_weight(tmp_path, capsys, weight):
+    path = tmp_path / "weighted.csv"
+    path.write_text("id,beta_1,se,weight\na,0,1,50\n"
+                    f"b,1,1,{weight}\nc,2,1,50\n")
+    code = main(["cluster", str(path), "--groups", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "row 3 (id=b), column 'weight'" in err
+    assert "finite and > 0" in err
 
 
 def test_cluster_scores_against_truth(tmp_path, capsys):

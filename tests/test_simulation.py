@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from panelcluster import simulation
 from panelcluster.io import result_payload
 from panelcluster.simulation import (
     SimulationConfig,
@@ -14,6 +15,8 @@ from panelcluster.simulation import (
     run_rep,
     splitmix64,
 )
+from panelcluster.spectral import build_dissimilarity
+from panelcluster.types import ALREADY_SCALED, UncertaintyEstimate
 
 
 def test_splitmix64_is_stable():
@@ -132,6 +135,33 @@ def test_batch_replay_is_byte_identical():
     first = json.dumps(result_payload(run_batch(config)), sort_keys=True)
     second = json.dumps(result_payload(run_batch(config)), sort_keys=True)
     assert first == second
+
+
+def test_identity_method_clusters_identity_weighted_dissimilarity(monkeypatch):
+    # spectral_identity's sup-norm of the raw differences must equal, bit
+    # for bit, build_dissimilarity with a combined covariance of exactly I
+    seen = {}
+    build, cluster = simulation.build_dissimilarity, simulation.spectral_cluster
+
+    def recording_build(estimates, *args, **kwargs):
+        seen["betas"] = estimates
+        return build(estimates, *args, **kwargs)
+
+    def recording_cluster(V, *args, **kwargs):
+        seen["V"] = V.V
+        return cluster(V, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "build_dissimilarity", recording_build)
+    monkeypatch.setattr(simulation, "spectral_cluster", recording_cluster)
+    config = SimulationConfig(model="model1", n=9, T=40, reps=1, seed=3,
+                              restarts=5, methods=("spectral_identity",))
+    run_rep(config, 0)
+    betas = seen["betas"]
+    identity = [UncertaintyEstimate(i, 0.5 * np.eye(betas.shape[1]),
+                                    scale=ALREADY_SCALED)
+                for i in range(len(betas))]
+    assert np.array_equal(seen["V"],
+                          build_dissimilarity(betas, identity, T=40).V)
 
 
 def test_logistic_rep_runs_and_scores():

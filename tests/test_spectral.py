@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from panelcluster import spectral
 from panelcluster.spectral import (
     _laplacian,
     build_dissimilarity,
@@ -15,6 +16,7 @@ from panelcluster.types import (
     PER_OBSERVATION,
     DimensionMismatch,
     DissimilarityMatrix,
+    NonPositiveCombined,
     NotSymmetric,
     UncertaintyEstimate,
 )
@@ -32,6 +34,18 @@ def test_inverse_sqrt_identity():
 def test_inverse_sqrt_diagonal():
     out = matrix_inverse_sqrt(np.diag([4.0, 9.0]))
     assert np.allclose(out, np.diag([0.5, 1.0 / 3.0]))
+
+
+@pytest.mark.parametrize("small", [0.0, -1e-11])
+def test_inverse_sqrt_floors_small_eigenvalues(small):
+    # floored at 1e-10 * the largest eigenvalue
+    out = matrix_inverse_sqrt(np.diag([1.0, small]))
+    assert np.allclose(out, np.diag([1.0, 1e5]))
+
+
+def test_inverse_sqrt_rejects_negative_eigenvalue():
+    with pytest.raises(NonPositiveCombined):
+        matrix_inverse_sqrt(np.diag([1.0, -1e-9]))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -103,6 +117,82 @@ def test_dissimilarity_mixed_scales_rejected():
             UncertaintyEstimate(1, np.eye(1), scale=ALREADY_SCALED)]
     with pytest.raises(DimensionMismatch):
         build_dissimilarity([np.zeros(1), np.ones(1)], uncs, T=10)
+
+
+@pytest.mark.parametrize("weights", [[4.0, 0.0], [4.0, -5.0], [4.0, np.nan],
+                                     [4.0, np.inf], [4.0]])
+def test_dissimilarity_rejects_bad_weights(weights):
+    uncs = [UncertaintyEstimate(i, np.eye(1)) for i in range(2)]
+    with pytest.raises(ValueError, match="finite and > 0"):
+        build_dissimilarity([np.zeros(1), np.ones(1)], uncs, T=10,
+                            weights=np.array(weights))
+
+
+def reference_dissimilarity(betas, uncs, T, weights=None):
+    """The pairwise loop over matrix_inverse_sqrt that build_dissimilarity
+    batches; the batched version must reproduce it bit for bit."""
+    n = len(betas)
+    if weights is not None:
+        scaled = [u.sigma / w for u, w in zip(uncs, weights)]
+    elif uncs[0].scale == PER_OBSERVATION:
+        scaled = [u.sigma / T for u in uncs]
+    else:
+        scaled = [u.sigma for u in uncs]
+    V = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            whitener = matrix_inverse_sqrt(scaled[i] + scaled[j])
+            V[i, j] = V[j, i] = np.abs(whitener @ (betas[i] - betas[j])).max()
+    return V
+
+
+def random_estimates(n, s, scale, seed):
+    rng = np.random.default_rng(seed)
+    betas = rng.normal(size=(n, s))
+    # pairs of these rank-1 covariances have a singular combined covariance
+    # when s > 1, which exercises the eigenvalue floor
+    u = np.arange(1.0, s + 1.0)
+    uncs = []
+    for i in range(n):
+        A = rng.normal(size=(s, s))
+        sigma = np.outer(u, u) if i % 7 == 0 else A @ A.T + 0.1 * np.eye(s)
+        uncs.append(UncertaintyEstimate(i, sigma, scale=scale))
+    return betas, uncs
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("scale,weighted", [(PER_OBSERVATION, False),
+                                            (ALREADY_SCALED, False),
+                                            (PER_OBSERVATION, True)])
+def test_batched_dissimilarity_equals_pairwise_loop(monkeypatch, s, scale,
+                                                     weighted):
+    # 7 140 pairs in chunks of 1024 / s**2: several chunks, the last ragged
+    monkeypatch.setattr(spectral, "PAIR_CHUNK_ENTRIES", 2 ** 10)
+    n = 120
+    betas, uncs = random_estimates(n, s, scale, seed=10 * s + weighted)
+    weights = (np.random.default_rng(s).integers(20, 200, size=n)
+               .astype(float) if weighted else None)
+    V = build_dissimilarity(betas, uncs, T=37, weights=weights).V
+    assert np.array_equal(V, reference_dissimilarity(betas, uncs, 37, weights))
+
+
+def test_batched_dissimilarity_equals_pairwise_loop_at_default_chunk():
+    n = 300  # 44 850 pairs: six chunks at s = 2
+    assert n * (n - 1) // 2 > spectral.PAIR_CHUNK_ENTRIES // 4
+    betas, uncs = random_estimates(n, 2, PER_OBSERVATION, seed=3)
+    V = build_dissimilarity(betas, uncs, T=120).V
+    assert np.array_equal(V, reference_dissimilarity(betas, uncs, 120))
+
+
+def test_negative_combined_in_last_chunk_is_rejected(monkeypatch):
+    monkeypatch.setattr(spectral, "PAIR_CHUNK_ENTRIES", 2 ** 8)
+    n = 40  # 780 pairs in chunks of 64; only the last pair is negative
+    betas, uncs = random_estimates(n, 2, ALREADY_SCALED, seed=5)
+    for u in uncs:
+        u.sigma = 10.0 * np.eye(2)
+    uncs[-2].sigma = uncs[-1].sigma = -0.5 * np.eye(2)
+    with pytest.raises(NonPositiveCombined):
+        build_dissimilarity(betas, uncs, T=10)
 
 
 def block_dissimilarity(sizes, across=50.0):
