@@ -21,6 +21,7 @@ from .quantile import (
 )
 from .simulation import (
     SimulationConfig,
+    estimate_panel,
     gen_logistic,
     gen_model1,
     gen_model2,
@@ -38,6 +39,7 @@ from .spectral import (
 from .types import (
     CoefficientEstimate,
     DissimilarityMatrix,
+    EstimateTable,
     GroupAssignment,
     GroupCountSelection,
     MatchScore,
@@ -50,6 +52,7 @@ from .types import (
 __all__ = [
     "CoefficientEstimate",
     "DissimilarityMatrix",
+    "EstimateTable",
     "GroupAssignment",
     "GroupCountSelection",
     "MatchScore",
@@ -60,6 +63,7 @@ __all__ = [
     "UncertaintyEstimate",
     "average_match",
     "build_dissimilarity",
+    "estimate_panel",
     "fit_logistic",
     "fit_pooled_quantile",
     "fit_quantile",

@@ -7,28 +7,19 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .io import (
-    EstimateTable,
     FORMAT_VERSION,
     read_estimates,
     read_panel_csv,
+    read_truth,
     result_payload,
     write_estimates,
     write_json,
 )
-from .logistic import fit_logistic, logistic_covariance
 from .metrics import average_match
-from .quantile import (
-    fit_pooled_quantile,
-    fit_quantile_bundle,
-    hall_sheather_bandwidth,
-    hk_covariance,
-    intercept_variance,
-)
-from .simulation import SimulationConfig, run_batch
+from .simulation import (PANEL_MODELS, SimulationConfig, estimate_panel,
+                         run_batch)
 from .spectral import build_dissimilarity, select_num_groups, spectral_cluster
 from .types import EstimationError, ParseError, PER_OBSERVATION
 
@@ -47,8 +38,7 @@ def build_parser():
     est = sub.add_parser("estimate", help="fit per-individual models on a "
                                           "long-format panel CSV")
     est.add_argument("panel_csv")
-    est.add_argument("--model", required=True,
-                     choices=["logistic", "qr-slopes", "qr-pooled"])
+    est.add_argument("--model", required=True, choices=PANEL_MODELS)
     est.add_argument("--tau", type=float, default=0.5)
     est.add_argument("--out", required=True)
 
@@ -59,7 +49,7 @@ def build_parser():
     group.add_argument("--select-g", action="store_true")
     clu.add_argument("--t-periods", type=int,
                      help="common T for per_observation tables without a "
-                          "weight column")
+                          "weight column; required by --select-g")
     clu.add_argument("--gmax", type=int, default=10)
     clu.add_argument("--seed", type=int, default=0)
     clu.add_argument("--truth",
@@ -74,76 +64,12 @@ def build_parser():
 
 def cmd_estimate(args) -> int:
     ids, panel = read_panel_csv(args.panel_csv)
-    dropped = []
-    kept_ids, betas, sigmas = [], [], []
-    d_T = None
-
-    if args.model == "logistic":
-        if panel.kind != "binary":
-            raise ParseError("logistic model requires a binary panel")
-        for i, ident in enumerate(ids):
-            X = panel.design(i)
-            try:
-                est = fit_logistic(X, panel.responses[i])
-                unc = logistic_covariance(X, est, slopes_only=True)
-            except EstimationError as exc:
-                dropped.append((ident, type(exc).__name__))
-                continue
-            kept_ids.append(ident)
-            betas.append(est.slopes)
-            sigmas.append(unc.sigma)
-    elif args.model == "qr-slopes":
-        d_T = hall_sheather_bandwidth(panel.T, args.tau)
-        for i, ident in enumerate(ids):
-            X = panel.design(i)
-            try:
-                bundle = fit_quantile_bundle(X, panel.responses[i], args.tau,
-                                             d_T=d_T, individual=i)
-                unc = hk_covariance(bundle, X, slopes_only=True)
-            except EstimationError as exc:
-                dropped.append((ident, type(exc).__name__))
-                continue
-            kept_ids.append(ident)
-            betas.append(bundle.center.slopes)
-            sigmas.append(unc.sigma)
-    else:  # qr-pooled
-        d_T = hall_sheather_bandwidth(panel.T, args.tau)
-        y, x = panel.responses, panel.covariates
-        center = fit_pooled_quantile(y, x, args.tau)
-        upper = fit_pooled_quantile(y, x, args.tau + d_T)
-        lower = fit_pooled_quantile(y, x, args.tau - d_T)
-        for i, ident in enumerate(ids):
-            unc = intercept_variance(upper.alphas[i], lower.alphas[i],
-                                     args.tau, d_T, individual=i)
-            kept_ids.append(ident)
-            betas.append(np.array([center.alphas[i]]))
-            sigmas.append(unc.sigma)
-
-    if not kept_ids:
-        raise ParseError("no individual could be estimated")
-    table = EstimateTable(kept_ids, np.array(betas), sigmas,
-                          scale=PER_OBSERVATION, d_T=d_T)
+    table = estimate_panel(panel, args.model, args.tau, ids)
     write_estimates(args.out, table)
-    print(f"estimated {len(kept_ids)} individuals -> {args.out}")
-    for ident, reason in dropped:
+    print(f"estimated {table.n} individuals -> {args.out}")
+    for ident, reason in table.dropped:
         print(f"dropped {ident}: {reason}")
     return 0
-
-
-def _read_truth(path, ids):
-    import csv
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = [h.strip() for h in rows[0]]
-    if "id" not in header or "label" not in header:
-        raise ParseError("truth file needs columns id,label")
-    mapping = {r[header.index("id")]: int(r[header.index("label")])
-               for r in rows[1:] if r}
-    missing = [i for i in ids if i not in mapping]
-    if missing:
-        raise ParseError(f"truth file is missing ids: {missing[:5]}")
-    return np.array([mapping[i] for i in ids])
 
 
 def cmd_cluster(args) -> int:
@@ -153,20 +79,23 @@ def cmd_cluster(args) -> int:
     if args.select_g and n < 3:
         raise ParseError("n >= 3 required for selection; n >= 1 for "
                          "clustering at G = 1")
+    T = args.t_periods
+    if args.select_g and T is None:
+        raise ParseError("--select-g requires --t-periods, the T of the "
+                         "selection's shrink factor")
     if args.groups is not None and not 1 <= args.groups <= n:
         raise ParseError(f"--groups must lie in 1..{n}")
 
-    T = args.t_periods
     if (table.scale == PER_OBSERVATION and table.weights is None
             and T is None):
         raise ParseError("--t-periods is required for per_observation "
                          "tables without a weight column")
-    V = build_dissimilarity(table.betas, _uncertainties(table), T or 1,
-                            weights=table.weights)
+    V = build_dissimilarity(table.betas, table.sigmas, T or 1,
+                            weights=table.weights, scale=table.scale)
 
     selection = None
     if args.select_g:
-        selection = select_num_groups(V, n, T or n, G_max=args.gmax)
+        selection = select_num_groups(V, n, T, G_max=args.gmax)
         G = selection.G_hat
     else:
         G = args.groups
@@ -196,7 +125,7 @@ def cmd_cluster(args) -> int:
             "ratios": [float(v) for v in selection.ratios],
         }
     if args.truth:
-        truth = _read_truth(args.truth, table.ids)
+        truth = read_truth(args.truth, table.ids)
         score = average_match(truth, assignment.labels)
         report["scores"] = {"perfect": score.perfect,
                             "average": score.average}
@@ -210,13 +139,6 @@ def cmd_cluster(args) -> int:
     print(f"report written to {args.out} "
           f"({time.time() - started:.2f}s)")
     return 0
-
-
-def _uncertainties(table):
-    from .types import UncertaintyEstimate
-
-    return [UncertaintyEstimate(i, sigma, scale=table.scale)
-            for i, sigma in enumerate(table.sigmas)]
 
 
 def cmd_simulate(args) -> int:

@@ -12,56 +12,31 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .types import (
     ALREADY_SCALED,
     PER_OBSERVATION,
+    EstimateTable,
     PanelDataset,
     ParseError,
-    validate_covariance,
 )
 
 FORMAT_VERSION = "1"
 
 
-@dataclass
-class EstimateTable:
-    """Per-individual coefficient estimates with covariances."""
-
-    ids: list
-    betas: np.ndarray  # n x p
-    sigmas: list  # n matrices of shape p x p
-    scale: str = PER_OBSERVATION
-    weights: np.ndarray | None = None  # per-individual T_i
-    d_T: float | None = None
-
-    def __post_init__(self):
-        self.betas = np.atleast_2d(np.asarray(self.betas, dtype=float))
-        if len(self.ids) != len(set(self.ids)):
-            raise ParseError("estimate ids must be unique")
-        if len(self.ids) != self.betas.shape[0] or len(self.sigmas) != len(self.ids):
-            raise ParseError("row counts of ids/betas/covariances differ")
-        p = self.betas.shape[1]
-        for row, sigma in enumerate(self.sigmas):
-            sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-            if sigma.shape != (p, p):
-                raise ParseError(f"row {row}: covariance dimension != {p}")
-            try:
-                validate_covariance(sigma)
-            except Exception as exc:
-                raise ParseError(f"row {row} (id={self.ids[row]}): {exc}") from exc
-            self.sigmas[row] = sigma
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    @property
-    def p(self) -> int:
-        return self.betas.shape[1]
+def _cell(fields, idx, col, row, ident, positive=False):
+    """Column `col` of a CSV row as a finite float (> 0 if `positive`); a bad
+    cell is a ParseError naming its row, id and column."""
+    try:
+        value = float(fields[idx[col]])
+        if math.isfinite(value) and (value > 0 or not positive):
+            return value
+        problem = "must be finite" + (" and > 0" if positive else "")
+    except ValueError:
+        problem = "not a number"
+    raise ParseError(f"row {row} (id={ident}), column {col!r}: {problem}")
 
 
 def _fmt(x: float) -> str:
@@ -138,29 +113,20 @@ def read_estimates(path) -> EstimateTable:
         if len(fields) != len(header):
             raise ParseError(f"row {rownum}: expected {len(header)} fields, "
                              f"got {len(fields)}")
-
-        def grab(col, positive=False):
-            try:
-                value = float(fields[idx[col]])
-                if math.isfinite(value) and (value > 0 or not positive):
-                    return value
-                problem = "must be finite" + (" and > 0" if positive else "")
-            except ValueError:
-                problem = "not a number"
-            raise ParseError(f"row {rownum} (id={ids[-1]}), column {col!r}: "
-                             f"{problem}")
-
-        ids.append(fields[idx["id"]])
-        betas.append([grab(c) for c in beta_cols])
+        ident = fields[idx["id"]]
+        ids.append(ident)
+        betas.append([_cell(fields, idx, c, rownum, ident) for c in beta_cols])
         if use_se:
-            sigmas.append(np.array([[grab("se") ** 2]]))
+            sigmas.append([[_cell(fields, idx, "se", rownum, ident) ** 2]])
         else:
             sigma = np.zeros((p, p))
             for (i, j), col in zip(upper, tri_names):
-                sigma[i, j] = sigma[j, i] = grab(col)
+                sigma[i, j] = sigma[j, i] = _cell(fields, idx, col, rownum,
+                                                  ident)
             sigmas.append(sigma)
         if has_weight:
-            weights.append(grab("weight", positive=True))
+            weights.append(_cell(fields, idx, "weight", rownum, ident,
+                                 positive=True))
 
     scale = meta.get("scale", PER_OBSERVATION)
     if scale not in (PER_OBSERVATION, ALREADY_SCALED):
@@ -174,7 +140,8 @@ def read_estimates(path) -> EstimateTable:
 def read_panel_csv(path):
     """Read a long-format panel (id, t, y, x_1..x_p) into a PanelDataset.
 
-    The panel must be balanced; returns (ids, PanelDataset).
+    Every t, y and x_k cell must be finite, each (id, t) must occur once and
+    the panel must be balanced; returns (ids, PanelDataset).
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -188,39 +155,68 @@ def read_panel_csv(path):
                     key=lambda h: int(h[2:]))
     idx = {name: header.index(name) for name in header}
 
-    per_id: dict = {}
-    order = []
+    per_id: dict = {}  # id -> {t: (y, [x_1..x_p])}, ids in order of appearance
     for rownum, fields in enumerate(rows[1:], start=2):
         if not fields:
             continue
         if len(fields) != len(header):
             raise ParseError(f"row {rownum}: expected {len(header)} fields")
         ident = fields[idx["id"]]
-        try:
-            t = float(fields[idx["t"]])
-            y = float(fields[idx["y"]])
-            xs = [float(fields[idx[c]]) for c in x_cols]
-        except ValueError as exc:
-            raise ParseError(f"row {rownum}: non-numeric value") from exc
-        if ident not in per_id:
-            per_id[ident] = []
-            order.append(ident)
-        per_id[ident].append((t, y, xs))
+        t, y, *xs = (_cell(fields, idx, col, rownum, ident)
+                     for col in ("t", "y", *x_cols))
+        periods = per_id.setdefault(ident, {})
+        if t in periods:
+            raise ParseError(f"row {rownum} (id={ident}), column 't': "
+                             f"duplicate period {fields[idx['t']]}")
+        periods[t] = (y, xs)
 
+    if not per_id:
+        raise ParseError("panel has no data rows")
     lengths = {len(v) for v in per_id.values()}
     if len(lengths) != 1:
         raise ParseError("panel is unbalanced: per-id observation counts differ")
     T = lengths.pop()
-    n, p = len(order), len(x_cols)
+    n, p = len(per_id), len(x_cols)
     covs = np.empty((n, T, p))
     ys = np.empty((n, T))
-    for i, ident in enumerate(order):
-        obs = sorted(per_id[ident], key=lambda r: r[0])
-        ys[i] = [r[1] for r in obs]
-        covs[i] = [r[2] for r in obs]
+    for i, periods in enumerate(per_id.values()):
+        obs = [periods[t] for t in sorted(periods)]
+        ys[i] = [r[0] for r in obs]
+        covs[i] = [r[1] for r in obs]
     values = np.unique(ys)
     kind = "binary" if np.isin(values, (0.0, 1.0)).all() else "continuous"
-    return order, PanelDataset(covs, ys, kind)
+    return list(per_id), PanelDataset(covs, ys, kind)
+
+
+def read_truth(path, ids):
+    """Read a truth CSV (columns id,label; integer labels, one row per id)
+    and return the labels of `ids` in that order."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError("empty truth file")
+    header = [h.strip() for h in rows[0]]
+    if "id" not in header or "label" not in header:
+        raise ParseError("truth file needs columns id,label")
+    idx = {name: header.index(name) for name in header}
+    mapping = {}
+    for rownum, fields in enumerate(rows[1:], start=2):
+        if not fields:
+            continue
+        if len(fields) != len(header):
+            raise ParseError(f"row {rownum}: expected {len(header)} fields")
+        ident = fields[idx["id"]]
+        if ident in mapping:
+            raise ParseError(f"row {rownum} (id={ident}): duplicate id")
+        try:
+            mapping[ident] = int(fields[idx["label"]])
+        except ValueError:
+            raise ParseError(f"row {rownum} (id={ident}), column 'label': "
+                             "not an integer") from None
+    missing = [i for i in ids if i not in mapping]
+    if missing:
+        raise ParseError(f"truth file is missing ids: {missing[:5]}")
+    return np.array([mapping[i] for i in ids])
 
 
 def write_json(path, payload: dict) -> None:

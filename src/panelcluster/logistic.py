@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .types import (
-    PER_OBSERVATION,
     CoefficientEstimate,
     DegenerateOutcome,
     PerfectSeparation,
@@ -113,5 +112,4 @@ def logistic_covariance(X, estimate: CoefficientEstimate,
     sigma = 0.5 * (sigma + sigma.T)
     if slopes_only:
         sigma = sigma[1:, 1:]
-    return UncertaintyEstimate(estimate.individual, sigma,
-                               scale=PER_OBSERVATION)
+    return UncertaintyEstimate(estimate.individual, sigma)

@@ -17,7 +17,6 @@ from scipy.optimize import linprog
 from scipy.stats import norm
 
 from .types import (
-    PER_OBSERVATION,
     CoefficientEstimate,
     NonConvergence,
     QuantileFitBundle,
@@ -160,7 +159,6 @@ def hk_covariance(bundle: QuantileFitBundle, X,
     if slopes_only:
         sigma = sigma[1:, 1:]
     return UncertaintyEstimate(bundle.center.individual, sigma,
-                               scale=PER_OBSERVATION,
                                degenerate=bool(crossed.any()))
 
 
@@ -211,4 +209,4 @@ def intercept_variance(alpha_plus: float, alpha_minus: float, tau: float,
     diff = (alpha_plus - alpha_minus) / (2.0 * d_T)
     sigma = tau * (1.0 - tau) * diff ** 2
     return UncertaintyEstimate(individual, np.array([[sigma]]),
-                               scale=PER_OBSERVATION, degenerate=sigma == 0.0)
+                               degenerate=sigma == 0.0)

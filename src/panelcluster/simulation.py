@@ -26,11 +26,13 @@ from .quantile import (
 from .spectral import build_dissimilarity, kmeans, select_num_groups, spectral_cluster
 from .types import (
     DegenerateOutcome,
+    DimensionMismatch,
     DissimilarityMatrix,
+    EstimateTable,
+    EstimationError,
     NonConvergence,
     PanelDataset,
     PerfectSeparation,
-    UncertaintyEstimate,
 )
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -45,6 +47,9 @@ MODEL_GROUPS = {
 }
 
 METHODS = ("spectral", "spectral_identity", "kmeans_raw")
+
+# per-individual estimators of estimate_panel
+PANEL_MODELS = ("logistic", "qr-slopes", "qr-pooled")
 
 _BETAS = {
     "logistic": np.array([[-4.0, 1.0], [0.0, 1.0], [4.0, 1.0]]),
@@ -222,7 +227,7 @@ class RepResult:
     labels: dict  # method -> estimated labels
     scores: dict  # method -> MatchScore
     G_hat: int | None = None
-    dropped: int = 0
+    dropped: int = 0  # logistic draws resampled, or fits left out
 
 
 @dataclass
@@ -234,74 +239,111 @@ class SimulationResult:
     aggregates: dict = field(default_factory=dict)
 
 
-def _fit_logistic_rep(config, rng):
-    """Draw and fit n individuals, resampling on degenerate outcomes or
-    perfect separation so the sample size is preserved."""
-    n, T = config.n, config.T
-    betas, uncs, truth = [], [], []
-    dropped = 0
-    budget = 100 * n
-    while len(betas) < n:
-        x, y, group = _draw_logistic_individual(rng, T)
-        X = np.column_stack([np.ones(T), x])
+def fit_individual(model, X, y, tau=0.5, d_T=None, individual=0):
+    """Fit one individual's T x (p+1) design: (slopes, UncertaintyEstimate).
+
+    model is "logistic" (Newton MLE and plug-in covariance) or "qr-slopes"
+    (quantile fits at tau and tau +/- d_T with the HK sandwich).
+    """
+    if model == "logistic":
+        est = fit_logistic(X, y)
+        return est.slopes, logistic_covariance(X, est, slopes_only=True)
+    bundle = fit_quantile_bundle(X, y, tau, d_T=d_T, individual=individual)
+    return bundle.center.slopes, hk_covariance(bundle, X, slopes_only=True)
+
+
+def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
+                   ids=None) -> EstimateTable:
+    """Fit every individual of a panel into a per_observation EstimateTable.
+
+    model is "logistic" or "qr-slopes" (see fit_individual), or "qr-pooled":
+    the intercepts of pooled quantile fits with common slopes. ids label the
+    rows (default 0..n-1). An individual whose fit raises EstimationError is
+    left out and listed in `dropped` with the error's class name.
+    """
+    ids = list(range(panel.n)) if ids is None else list(ids)
+    if len(ids) != panel.n:
+        raise DimensionMismatch("one id per individual required")
+    if model not in PANEL_MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if model == "logistic" and panel.kind != "binary":
+        raise ValueError("logistic model requires a binary panel")
+    d_T = None if model == "logistic" else hall_sheather_bandwidth(panel.T, tau)
+    if model == "qr-pooled":
+        y, x = panel.responses, panel.covariates
+        center, upper, lower = (fit_pooled_quantile(y, x, level)
+                                for level in (tau, tau + d_T, tau - d_T))
+
+        def fit(i):
+            return center.alphas[i:i + 1], intercept_variance(
+                upper.alphas[i], lower.alphas[i], tau, d_T, individual=i)
+    else:
+        def fit(i):
+            return fit_individual(model, panel.design(i), panel.responses[i],
+                                  tau, d_T, individual=i)
+
+    kept, betas, sigmas, dropped = [], [], [], []
+    for i, ident in enumerate(ids):
         try:
-            est = fit_logistic(X, y)
-            unc = logistic_covariance(X, est, slopes_only=True)
-        except (DegenerateOutcome, PerfectSeparation):
-            dropped += 1
-            if dropped > budget:
+            beta, unc = fit(i)
+        except EstimationError as exc:
+            dropped.append((ident, type(exc).__name__))
+            continue
+        kept.append(ident)
+        betas.append(beta)
+        sigmas.append(unc.sigma)
+    if not kept:
+        raise ValueError("no individual could be estimated")
+    return EstimateTable(kept, np.array(betas), np.array(sigmas), d_T=d_T,
+                         dropped=dropped)
+
+
+def _fit_logistic_rep(config, rng):
+    """Draw and fit individuals until n are kept, resampling on degenerate
+    outcomes or perfect separation so the sample size is preserved. Rows
+    are labelled by draw number."""
+    T = config.T
+    kept, betas, sigmas, truth, dropped = [], [], [], [], []
+    while len(kept) < config.n:
+        draw = len(kept) + len(dropped)
+        x, y, group = _draw_logistic_individual(rng, T)
+        try:
+            beta, unc = fit_individual("logistic",
+                                       np.column_stack([np.ones(T), x]), y)
+        except (DegenerateOutcome, PerfectSeparation) as exc:
+            dropped.append((draw, type(exc).__name__))
+            if len(dropped) > 100 * config.n:
                 raise NonConvergence(
                     "resampling budget exhausted for logistic repetition")
             continue
-        betas.append(est.slopes)
-        uncs.append(UncertaintyEstimate(len(betas) - 1, unc.sigma))
+        kept.append(draw)
+        betas.append(beta)
+        sigmas.append(unc.sigma)
         truth.append(group)
-    return np.array(betas), uncs, np.array(truth), dropped
+    table = EstimateTable(kept, np.array(betas), np.array(sigmas),
+                          dropped=dropped)
+    return table, np.array(truth)
 
 
-def _fit_slope_rep(config, rng):
-    gen = {"model1": gen_model1, "model2": gen_model2, "model4": gen_model4}
+def _fit_panel_rep(config, rng):
+    gen = {"model1": gen_model1, "model2": gen_model2, "model3": gen_model3,
+           "model4": gen_model4}[config.model]
     seed = int(rng.integers(0, _MASK, dtype=np.uint64))
-    panel, truth = gen[config.model](config.n, config.T, config.error_dist,
-                                     seed)
-    d_T = hall_sheather_bandwidth(config.T, config.tau)
-    betas, uncs = [], []
-    for i in range(panel.n):
-        X = panel.design(i)
-        bundle = fit_quantile_bundle(X, panel.responses[i], config.tau,
-                                     d_T=d_T, individual=i)
-        unc = hk_covariance(bundle, X, slopes_only=True)
-        betas.append(bundle.center.slopes)
-        uncs.append(unc)
-    return np.array(betas), uncs, truth, 0
-
-
-def _fit_pooled_rep(config, rng):
-    seed = int(rng.integers(0, _MASK, dtype=np.uint64))
-    panel, truth = gen_model3(config.n, config.T, config.error_dist, seed)
-    d_T = hall_sheather_bandwidth(config.T, config.tau)
-    y, x = panel.responses, panel.covariates
-    center = fit_pooled_quantile(y, x, config.tau)
-    upper = fit_pooled_quantile(y, x, config.tau + d_T)
-    lower = fit_pooled_quantile(y, x, config.tau - d_T)
-    betas = center.alphas[:, None]
-    uncs = [intercept_variance(upper.alphas[i], lower.alphas[i], config.tau,
-                               d_T, individual=i) for i in range(panel.n)]
-    return betas, uncs, truth, 0
+    panel, truth = gen(config.n, config.T, config.error_dist, seed)
+    model = "qr-pooled" if config.model == "model3" else "qr-slopes"
+    table = estimate_panel(panel, model, config.tau)
+    return table, truth[table.ids]
 
 
 def run_rep(config: SimulationConfig, rep: int) -> RepResult:
     """Run a single repetition: generate, fit, cluster, score."""
     seed = derive_seed(config.seed, rep)
     rng = make_rng(seed)
-    if config.model == "logistic":
-        betas, uncs, truth, dropped = _fit_logistic_rep(config, rng)
-    elif config.model == "model3":
-        betas, uncs, truth, dropped = _fit_pooled_rep(config, rng)
-    else:
-        betas, uncs, truth, dropped = _fit_slope_rep(config, rng)
+    fit_rep = _fit_logistic_rep if config.model == "logistic" else _fit_panel_rep
+    table, truth = fit_rep(config, rng)
+    betas = table.betas
 
-    V = build_dissimilarity(betas, uncs, config.T)
+    V = build_dissimilarity(betas, table.sigmas, config.T)
     cluster_seed = derive_seed(seed, 1)
     labels, scores = {}, {}
     G = config.true_groups
@@ -323,8 +365,9 @@ def run_rep(config: SimulationConfig, rep: int) -> RepResult:
 
     G_hat = None
     if config.select_groups:
-        G_hat = select_num_groups(V, config.n, config.T, config.G_max).G_hat
-    return RepResult(rep, seed, truth, labels, scores, G_hat, dropped)
+        G_hat = select_num_groups(V, table.n, config.T, config.G_max).G_hat
+    return RepResult(rep, seed, truth, labels, scores, G_hat,
+                     len(table.dropped))
 
 
 def run_batch(config: SimulationConfig) -> SimulationResult:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .types import (
+    ALREADY_SCALED,
     PER_OBSERVATION,
-    CoefficientEstimate,
     DimensionMismatch,
     DissimilarityMatrix,
     EigenFailure,
@@ -15,7 +15,7 @@ from .types import (
     NonPositiveCombined,
     NotSymmetric,
     SpectralDecomposition,
-    UncertaintyEstimate,
+    validate_covariance,
 )
 
 EIGENGAP_DENOM_GUARD = 1e-12
@@ -51,40 +51,22 @@ def matrix_inverse_sqrt(S: np.ndarray) -> np.ndarray:
     return _inverse_sqrt_stack(S[None])[0]
 
 
-def _extract_beta(estimate):
-    if isinstance(estimate, CoefficientEstimate):
-        return estimate.gamma
-    return np.atleast_1d(np.asarray(estimate, dtype=float))
-
-
-def build_dissimilarity(estimates, uncertainties, T: int,
-                        weights=None) -> DissimilarityMatrix:
+def build_dissimilarity(estimates, sigmas, T: int, weights=None,
+                        scale: str = PER_OBSERVATION) -> DissimilarityMatrix:
     """Pairwise sup-norm of the covariance-whitened coefficient differences.
 
-    estimates: per-individual coefficient vectors (arrays or
-    CoefficientEstimate objects). uncertainties: matching UncertaintyEstimate
-    objects with a common scale. Under per_observation scale the pairwise
-    covariance is (sigma_i + sigma_j) / T, or sigma_i / w_i + sigma_j / w_j
-    when per-individual weights (sample sizes, finite and > 0) are supplied.
-    Under already_scaled it is sigma_i + sigma_j.
+    estimates: (n, s) coefficient vectors; sigmas: their (n, s, s)
+    covariances, checked by validate_covariance. Under per_observation scale
+    the pairwise covariance is (sigma_i + sigma_j) / T, or sigma_i / w_i +
+    sigma_j / w_j when per-individual weights (sample sizes, finite and > 0)
+    are supplied. Under already_scaled it is sigma_i + sigma_j.
     """
-    betas = [_extract_beta(e) for e in estimates]
-    n = len(betas)
-    if n != len(uncertainties):
-        raise DimensionMismatch("estimates and uncertainties length differ")
-    s = len(betas[0])
-    if any(len(b) != s for b in betas):
-        raise DimensionMismatch("coefficient vectors have mixed dimensions")
-    if not all(isinstance(u, UncertaintyEstimate) for u in uncertainties):
-        raise TypeError("uncertainties must be UncertaintyEstimate objects")
-    if any(u.sigma.shape != (s, s) for u in uncertainties):
-        raise DimensionMismatch("covariance dimension does not match beta")
-    scales = {u.scale for u in uncertainties}
-    if len(scales) != 1:
-        raise DimensionMismatch("uncertainty scale flags disagree")
-    scale = scales.pop()
-    betas = np.array(betas)
-    sigmas = np.array([u.sigma for u in uncertainties])
+    betas = np.asarray(estimates, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
+    if betas.ndim != 2 or sigmas.shape != betas.shape + betas.shape[1:]:
+        raise DimensionMismatch("estimates must be (n, s) and sigmas (n, s, s)")
+    validate_covariance(sigmas)
+    n, s = betas.shape
 
     if weights is not None:
         if scale != PER_OBSERVATION:
@@ -96,8 +78,10 @@ def build_dissimilarity(estimates, uncertainties, T: int,
         scaled = sigmas / w[:, None, None]
     elif scale == PER_OBSERVATION:
         scaled = sigmas / T
-    else:
+    elif scale == ALREADY_SCALED:
         scaled = sigmas
+    else:
+        raise ValueError(f"unknown scale {scale!r}")
 
     V = np.zeros((n, n))
     rows, cols = np.triu_indices(n, 1)
@@ -193,7 +177,7 @@ def spectral_cluster(V: DissimilarityMatrix, G: int, seed: int = 0,
     n = Vm.shape[0]
     if not 1 <= G <= n:
         raise ValueError("G must lie in 1..n")
-    A, degrees, L = _laplacian(Vm)
+    _, _, L = _laplacian(Vm)
     try:
         eigvals, eigvecs = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:
@@ -203,8 +187,7 @@ def spectral_cluster(V: DissimilarityMatrix, G: int, seed: int = 0,
     U = Z / np.maximum(row_norms, 1e-300)[:, None]
     labels0, _, objective = kmeans(U, G, restarts=restarts, seed=seed)
     assignment = GroupAssignment(labels0 + 1, G, kmeans_objective=objective)
-    decomposition = SpectralDecomposition(A, degrees, L, eigvals, Z, U)
-    return assignment, decomposition
+    return assignment, SpectralDecomposition(eigvals, U)
 
 
 def select_num_groups(V: DissimilarityMatrix, n: int, T: int,

@@ -124,7 +124,7 @@ class CoefficientEstimate:
         return self.gamma[1:]
 
 
-# scale conventions for UncertaintyEstimate.sigma
+# scale conventions of EstimateTable.sigmas and build_dissimilarity
 PER_OBSERVATION = "per_observation"
 ALREADY_SCALED = "already_scaled"
 
@@ -133,37 +133,93 @@ ALREADY_SCALED = "already_scaled"
 class UncertaintyEstimate:
     """Symmetric covariance estimate attached to one individual.
 
-    With scale == "per_observation", sigma estimates the asymptotic variance
-    and the pairwise combination is (sigma_i + sigma_j) / T. With
-    "already_scaled", sigma is Var(beta_i) directly and pairs combine by
-    plain addition. degenerate flags floored/zero density estimates.
+    degenerate flags floored/zero density estimates.
     """
 
     individual: int
     sigma: np.ndarray
-    scale: str = PER_OBSERVATION
     degenerate: bool = False
 
     def __post_init__(self):
         self.sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        if self.scale not in (PER_OBSERVATION, ALREADY_SCALED):
-            raise ValueError(f"unknown scale {self.scale!r}")
         validate_covariance(self.sigma)
 
 
+def _reject(bad: np.ndarray, error: type, message: str) -> None:
+    """Raise `error` carrying `index`, the first True position of `bad`."""
+    if bad.any():
+        exc = error(message)
+        exc.index = int(bad.argmax())
+        raise exc
+
+
 def validate_covariance(sigma: np.ndarray, rtol: float = 1e-10) -> None:
-    """Check symmetry and positive semidefiniteness of a covariance matrix."""
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+    """Check that sigma, one (s, s) matrix or an (..., s, s) stack, holds
+    finite, symmetric, positive semidefinite covariances.
+
+    The error carries `index`, the flat stack position of the first bad
+    matrix. Finiteness is checked before any eigendecomposition.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2]:
         raise NotSymmetric("covariance must be square")
-    scale = max(np.abs(sigma).max(), 1.0)
-    if np.abs(sigma - sigma.T).max() > rtol * scale:
-        raise NotSymmetric("covariance is not symmetric")
-    eigvals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
-    norm = max(abs(eigvals[0]), abs(eigvals[-1]), 1e-300)
-    if eigvals[0] < -1e-10 * norm:
-        raise NonPositiveCombined(
-            f"covariance has negative eigenvalue {eigvals[0]:.3e}"
-        )
+    S = sigma.reshape(-1, *sigma.shape[-2:])
+    _reject(~np.isfinite(S).all(axis=(1, 2)), ValueError,
+            "covariance has non-finite entries")
+    S_T = S.swapaxes(1, 2)
+    scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
+    _reject(np.abs(S - S_T).max(axis=(1, 2)) > rtol * scale,
+            NotSymmetric, "covariance is not symmetric")
+    eigvals = np.linalg.eigvalsh(0.5 * (S + S_T))
+    norm = np.maximum(np.abs(eigvals).max(axis=1), 1e-300)
+    negative = eigvals[:, 0] < -1e-10 * norm
+    smallest = eigvals[negative.argmax(), 0] if negative.any() else 0.0
+    _reject(negative, NonPositiveCombined,
+            f"covariance has negative eigenvalue {smallest:.3e}")
+
+
+@dataclass
+class EstimateTable:
+    """Per-individual estimates stacked for the dissimilarity: betas (n, s)
+    and their covariances sigmas (n, s, s), rows labelled by ids.
+
+    With scale == "per_observation", sigmas estimate the asymptotic variance
+    and a pair combines as (sigma_i + sigma_j) / T, or as sigma_i / w_i +
+    sigma_j / w_j with per-individual weights (sample sizes T_i). With
+    "already_scaled", sigma is Var(beta_i) and pairs combine by plain
+    addition. dropped lists (id, reason) of individuals left out.
+    """
+
+    ids: list
+    betas: np.ndarray
+    sigmas: np.ndarray
+    scale: str = PER_OBSERVATION
+    weights: np.ndarray | None = None
+    d_T: float | None = None
+    dropped: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.betas = np.atleast_2d(np.asarray(self.betas, dtype=float))
+        self.sigmas = np.asarray(self.sigmas, dtype=float)
+        n, p = self.betas.shape
+        if len(self.ids) != len(set(self.ids)):
+            raise ParseError("estimate ids must be unique")
+        if len(self.ids) != n or self.sigmas.shape != (n, p, p):
+            raise ParseError(f"ids, betas and covariances must have shapes "
+                             f"(n,), (n, {p}) and (n, {p}, {p})")
+        try:
+            validate_covariance(self.sigmas)
+        except (ValueError, EstimationError) as exc:
+            row = exc.index
+            raise ParseError(f"row {row} (id={self.ids[row]}): {exc}") from exc
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    @property
+    def p(self) -> int:
+        return self.betas.shape[1]
 
 
 @dataclass
@@ -210,12 +266,8 @@ class DissimilarityMatrix:
 class SpectralDecomposition:
     """Intermediate quantities of the spectral clustering pipeline."""
 
-    adjacency: np.ndarray
-    degrees: np.ndarray
-    laplacian: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # n x G, the retained columns
-    embedding: np.ndarray  # row-normalized eigenvectors
+    embedding: np.ndarray  # row-normalized first G eigenvectors
 
 
 @dataclass

@@ -26,7 +26,7 @@ from panelcluster.spectral import (
     kmeans,
     select_num_groups,
 )
-from panelcluster.types import ALREADY_SCALED, UncertaintyEstimate
+from panelcluster.types import ALREADY_SCALED
 
 REPS = 100
 
@@ -165,9 +165,7 @@ def test_criterion_5_dissimilarity_scale_invariance_and_symmetry():
         sigmas.append(A @ A.T + 0.1 * np.eye(3))
 
     def table(bs, ss):
-        uncs = [UncertaintyEstimate(i, s, scale=ALREADY_SCALED)
-                for i, s in enumerate(ss)]
-        return build_dissimilarity(bs, uncs, T=10).V
+        return build_dissimilarity(bs, ss, T=10, scale=ALREADY_SCALED).V
 
     base = table(betas, sigmas)
     c = 7.0

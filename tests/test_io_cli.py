@@ -124,11 +124,42 @@ def test_read_panel_roundtrip(tmp_path):
     assert back.kind == "continuous"
 
 
+def test_read_panel_rejects_header_only_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("id,t,y,x_1\n")
+    with pytest.raises(ParseError, match="no data rows"):
+        read_panel_csv(path)
+
+
 def test_read_panel_rejects_unbalanced(tmp_path):
     path = tmp_path / "unbalanced.csv"
     path.write_text("id,t,y,x_1\na,0,1,0\na,1,0,0\nb,0,1,0\n")
     with pytest.raises(ParseError, match="unbalanced"):
         read_panel_csv(path)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("b,1,nan,0.5", "row 4 (id=b), column 'y': must be finite"),
+    ("b,1,inf,0.5", "row 4 (id=b), column 'y': must be finite"),
+    ("b,1,1.0,-inf", "row 4 (id=b), column 'x_1': must be finite"),
+    ("b,1,1.0,oops", "row 4 (id=b), column 'x_1': not a number"),
+    ("b,0,1.0,0.5", "row 4 (id=b), column 't': duplicate period 0"),
+])
+def test_estimate_names_bad_panel_cell(tmp_path, capsys, row, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(f"id,t,y,x_1\na,0,1.0,0.5\nb,0,2.0,0.1\n{row}\n")
+    code = main(["estimate", str(path), "--model", "qr-slopes",
+                 "--out", str(tmp_path / "est.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_estimate_table_names_non_finite_covariance_row():
+    sigmas = [np.eye(1), np.full((1, 1), np.nan)]
+    with pytest.raises(ParseError, match=r"row 1 \(id=b\): .*non-finite"):
+        EstimateTable(["a", "b"], np.zeros((2, 1)), sigmas)
 
 
 def two_cluster_scalar_table(tmp_path):
@@ -164,6 +195,14 @@ def test_cluster_single_row_selection_is_rejected(tmp_path, capsys):
     code = main(["cluster", str(path), "--select-g", "--out", str(out)])
     assert code == 1
     assert "n >= 3" in capsys.readouterr().err
+
+
+def test_cluster_select_g_requires_t_periods(tmp_path, capsys):
+    est = two_cluster_scalar_table(tmp_path)
+    code = main(["cluster", str(est), "--select-g",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "--select-g requires --t-periods" in capsys.readouterr().err
 
 
 def test_cluster_reports_are_byte_identical(tmp_path, capsys):
@@ -210,6 +249,26 @@ def test_cluster_scores_against_truth(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["scores"]["perfect"] is True
     assert report["scores"]["average"] == 1.0
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty truth file"),
+    ("id,group\nlo0,1\n", "truth file needs columns id,label"),
+    ("id,label\nlo0,1\nlo1,one\n",
+     "row 3 (id=lo1), column 'label': not an integer"),
+    ("id,label\nlo0,1\nlo1,1.5\n",
+     "row 3 (id=lo1), column 'label': not an integer"),
+    ("id,label\nlo0,1\nlo0,2\n", "row 3 (id=lo0): duplicate id"),
+    ("id,label\nlo0\n", "row 2: expected 2 fields"),
+])
+def test_cluster_rejects_bad_truth_file(tmp_path, capsys, text, message):
+    est = two_cluster_scalar_table(tmp_path)
+    truth = tmp_path / "truth.csv"
+    truth.write_text(text)
+    code = main(["cluster", str(est), "--groups", "2", "--truth", str(truth),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_estimate_logistic_lists_dropped_individuals(tmp_path, capsys):
@@ -268,7 +327,7 @@ def test_estimate_then_cluster_matches_in_process_pipeline(tmp_path, capsys):
                                      individual=i)
         betas.append(bundle.center.slopes)
         uncs.append(hk_covariance(bundle, X, slopes_only=True))
-    V = build_dissimilarity(np.array(betas), uncs, panel.T)
+    V = build_dissimilarity(np.array(betas), [u.sigma for u in uncs], panel.T)
     assignment, _ = spectral_cluster(V, 3, seed=7)
     expected = {f"u{i}": int(lab)
                 for i, lab in enumerate(assignment.labels)}

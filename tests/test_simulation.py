@@ -16,7 +16,7 @@ from panelcluster.simulation import (
     splitmix64,
 )
 from panelcluster.spectral import build_dissimilarity
-from panelcluster.types import ALREADY_SCALED, UncertaintyEstimate
+from panelcluster.types import ALREADY_SCALED, SingularDesign
 
 
 def test_splitmix64_is_stable():
@@ -157,11 +157,39 @@ def test_identity_method_clusters_identity_weighted_dissimilarity(monkeypatch):
                               restarts=5, methods=("spectral_identity",))
     run_rep(config, 0)
     betas = seen["betas"]
-    identity = [UncertaintyEstimate(i, 0.5 * np.eye(betas.shape[1]),
-                                    scale=ALREADY_SCALED)
-                for i in range(len(betas))]
+    identity = [0.5 * np.eye(betas.shape[1])] * len(betas)
     assert np.array_equal(seen["V"],
-                          build_dissimilarity(betas, identity, T=40).V)
+                          build_dissimilarity(betas, identity, T=40,
+                                              scale=ALREADY_SCALED).V)
+
+
+def test_quantile_rep_drops_a_failed_fit(monkeypatch):
+    fit = simulation.fit_quantile_bundle
+
+    def failing_for_third(X, y, tau, d_T=None, individual=0):
+        if individual == 2:
+            raise SingularDesign("forced failure")
+        return fit(X, y, tau, d_T=d_T, individual=individual)
+
+    monkeypatch.setattr(simulation, "fit_quantile_bundle", failing_for_third)
+    config = SimulationConfig(model="model1", n=9, T=40, reps=1, seed=3,
+                              restarts=5, select_groups=True)
+    rep = run_rep(config, 0)
+    assert rep.dropped == 1
+    assert len(rep.truth) == len(rep.labels["spectral"]) == 8
+
+
+def test_estimate_panel_drops_and_reports_failed_fits():
+    panel, _ = gen_logistic(6, 40, seed=3)
+    responses = panel.responses.copy()
+    responses[4] = 0.0
+    panel = type(panel)(panel.covariates, responses, "binary")
+    ids = [f"u{i}" for i in range(6)]
+    table = simulation.estimate_panel(panel, "logistic", ids=ids)
+    assert ("u4", "DegenerateOutcome") in table.dropped
+    assert table.ids == [i for i in ids
+                         if i not in dict(table.dropped)]
+    assert table.sigmas.shape == (table.n, 2, 2) and table.d_T is None
 
 
 def test_logistic_rep_runs_and_scores():

@@ -22,11 +22,6 @@ from panelcluster.types import (
 )
 
 
-def already_scaled(sigmas):
-    return [UncertaintyEstimate(i, s, scale=ALREADY_SCALED)
-            for i, s in enumerate(sigmas)]
-
-
 def test_inverse_sqrt_identity():
     assert np.allclose(matrix_inverse_sqrt(np.eye(3)), np.eye(3))
 
@@ -64,14 +59,14 @@ def test_inverse_sqrt_rejects_asymmetric():
 
 def test_dissimilarity_zero_for_equal_betas():
     betas = [np.array([1.0, 2.0])] * 3
-    uncs = already_scaled([np.eye(2)] * 3)
-    V = build_dissimilarity(betas, uncs, T=10)
+    V = build_dissimilarity(betas, [np.eye(2)] * 3, T=10, scale=ALREADY_SCALED)
     assert np.all(V.V == 0)
 
 
 def test_dissimilarity_scalar_case():
-    uncs = already_scaled([np.array([[0.5]]), np.array([[0.5]])])
-    V = build_dissimilarity([np.array([1.0]), np.array([3.0])], uncs, T=10)
+    sigmas = [np.array([[0.5]]), np.array([[0.5]])]
+    V = build_dissimilarity([np.array([1.0]), np.array([3.0])], sigmas, T=10,
+                            scale=ALREADY_SCALED)
     assert V.V[0, 1] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -82,62 +77,55 @@ def test_dissimilarity_joint_rescale_invariance():
     for _ in range(4):
         A = rng.normal(size=(2, 2))
         sigmas.append(A @ A.T + 0.2 * np.eye(2))
-    base = build_dissimilarity(betas, already_scaled(sigmas), T=5).V
+    base = build_dissimilarity(betas, sigmas, T=5, scale=ALREADY_SCALED).V
     c = 7.0
     scaled = build_dissimilarity([c * b for b in betas],
-                                 already_scaled([c ** 2 * s for s in sigmas]),
-                                 T=5).V
+                                 [c ** 2 * s for s in sigmas],
+                                 T=5, scale=ALREADY_SCALED).V
     assert np.abs(base - scaled).max() <= 1e-12
 
 
 def test_dissimilarity_two_dimensional_hand_case():
     # combined covariance diag(4, 0.04); whitened difference (1, 1)
-    uncs = already_scaled([np.diag([2.0, 0.02]), np.diag([2.0, 0.02])])
-    V = build_dissimilarity([np.zeros(2), np.array([2.0, 0.2])], uncs, T=3)
+    sigmas = [np.diag([2.0, 0.02]), np.diag([2.0, 0.02])]
+    V = build_dissimilarity([np.zeros(2), np.array([2.0, 0.2])], sigmas, T=3,
+                            scale=ALREADY_SCALED)
     assert V.V[0, 1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_dissimilarity_per_observation_divides_by_T():
-    uncs = [UncertaintyEstimate(i, np.array([[50.0]]),
-                                scale=PER_OBSERVATION) for i in range(2)]
-    V = build_dissimilarity([np.array([0.0]), np.array([1.0])], uncs, T=100)
+    sigmas = [np.array([[50.0]])] * 2
+    V = build_dissimilarity([np.array([0.0]), np.array([1.0])], sigmas, T=100,
+                            scale=PER_OBSERVATION)
     assert V.V[0, 1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_dissimilarity_weights_override_common_T():
-    uncs = [UncertaintyEstimate(i, np.array([[1.0]]),
-                                scale=PER_OBSERVATION) for i in range(2)]
-    V = build_dissimilarity([np.array([0.0]), np.array([1.0])], uncs, T=999,
-                            weights=np.array([4.0, 4.0]))
+    sigmas = [np.array([[1.0]])] * 2
+    V = build_dissimilarity([np.array([0.0]), np.array([1.0])], sigmas, T=999,
+                            weights=np.array([4.0, 4.0]),
+                            scale=PER_OBSERVATION)
     assert V.V[0, 1] == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
-
-def test_dissimilarity_mixed_scales_rejected():
-    uncs = [UncertaintyEstimate(0, np.eye(1), scale=PER_OBSERVATION),
-            UncertaintyEstimate(1, np.eye(1), scale=ALREADY_SCALED)]
-    with pytest.raises(DimensionMismatch):
-        build_dissimilarity([np.zeros(1), np.ones(1)], uncs, T=10)
 
 
 @pytest.mark.parametrize("weights", [[4.0, 0.0], [4.0, -5.0], [4.0, np.nan],
                                      [4.0, np.inf], [4.0]])
 def test_dissimilarity_rejects_bad_weights(weights):
-    uncs = [UncertaintyEstimate(i, np.eye(1)) for i in range(2)]
     with pytest.raises(ValueError, match="finite and > 0"):
-        build_dissimilarity([np.zeros(1), np.ones(1)], uncs, T=10,
+        build_dissimilarity([np.zeros(1), np.ones(1)], [np.eye(1)] * 2, T=10,
                             weights=np.array(weights))
 
 
-def reference_dissimilarity(betas, uncs, T, weights=None):
+def reference_dissimilarity(betas, sigmas, T, scale, weights=None):
     """The pairwise loop over matrix_inverse_sqrt that build_dissimilarity
     batches; the batched version must reproduce it bit for bit."""
     n = len(betas)
     if weights is not None:
-        scaled = [u.sigma / w for u, w in zip(uncs, weights)]
-    elif uncs[0].scale == PER_OBSERVATION:
-        scaled = [u.sigma / T for u in uncs]
+        scaled = [sigma / w for sigma, w in zip(sigmas, weights)]
+    elif scale == PER_OBSERVATION:
+        scaled = [sigma / T for sigma in sigmas]
     else:
-        scaled = [u.sigma for u in uncs]
+        scaled = list(sigmas)
     V = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -146,18 +134,17 @@ def reference_dissimilarity(betas, uncs, T, weights=None):
     return V
 
 
-def random_estimates(n, s, scale, seed):
+def random_estimates(n, s, seed):
     rng = np.random.default_rng(seed)
     betas = rng.normal(size=(n, s))
     # pairs of these rank-1 covariances have a singular combined covariance
     # when s > 1, which exercises the eigenvalue floor
     u = np.arange(1.0, s + 1.0)
-    uncs = []
+    sigmas = np.empty((n, s, s))
     for i in range(n):
         A = rng.normal(size=(s, s))
-        sigma = np.outer(u, u) if i % 7 == 0 else A @ A.T + 0.1 * np.eye(s)
-        uncs.append(UncertaintyEstimate(i, sigma, scale=scale))
-    return betas, uncs
+        sigmas[i] = np.outer(u, u) if i % 7 == 0 else A @ A.T + 0.1 * np.eye(s)
+    return betas, sigmas
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -169,30 +156,71 @@ def test_batched_dissimilarity_equals_pairwise_loop(monkeypatch, s, scale,
     # 7 140 pairs in chunks of 1024 / s**2: several chunks, the last ragged
     monkeypatch.setattr(spectral, "PAIR_CHUNK_ENTRIES", 2 ** 10)
     n = 120
-    betas, uncs = random_estimates(n, s, scale, seed=10 * s + weighted)
+    betas, sigmas = random_estimates(n, s, seed=10 * s + weighted)
     weights = (np.random.default_rng(s).integers(20, 200, size=n)
                .astype(float) if weighted else None)
-    V = build_dissimilarity(betas, uncs, T=37, weights=weights).V
-    assert np.array_equal(V, reference_dissimilarity(betas, uncs, 37, weights))
+    V = build_dissimilarity(betas, sigmas, T=37, weights=weights,
+                            scale=scale).V
+    assert np.array_equal(V, reference_dissimilarity(betas, sigmas, 37, scale,
+                                                     weights))
 
 
 def test_batched_dissimilarity_equals_pairwise_loop_at_default_chunk():
     n = 300  # 44 850 pairs: six chunks at s = 2
     assert n * (n - 1) // 2 > spectral.PAIR_CHUNK_ENTRIES // 4
-    betas, uncs = random_estimates(n, 2, PER_OBSERVATION, seed=3)
-    V = build_dissimilarity(betas, uncs, T=120).V
-    assert np.array_equal(V, reference_dissimilarity(betas, uncs, 120))
+    betas, sigmas = random_estimates(n, 2, seed=3)
+    V = build_dissimilarity(betas, sigmas, T=120, scale=PER_OBSERVATION).V
+    assert np.array_equal(V, reference_dissimilarity(betas, sigmas, 120,
+                                                     PER_OBSERVATION))
 
 
 def test_negative_combined_in_last_chunk_is_rejected(monkeypatch):
     monkeypatch.setattr(spectral, "PAIR_CHUNK_ENTRIES", 2 ** 8)
     n = 40  # 780 pairs in chunks of 64; only the last pair is negative
-    betas, uncs = random_estimates(n, 2, ALREADY_SCALED, seed=5)
-    for u in uncs:
-        u.sigma = 10.0 * np.eye(2)
-    uncs[-2].sigma = uncs[-1].sigma = -0.5 * np.eye(2)
+    betas, sigmas = random_estimates(n, 2, seed=5)
+    sigmas[:] = 10.0 * np.eye(2)
+    sigmas[-2:] = -0.5 * np.eye(2)
     with pytest.raises(NonPositiveCombined):
-        build_dissimilarity(betas, uncs, T=10)
+        build_dissimilarity(betas, sigmas, T=10, scale=ALREADY_SCALED)
+
+
+NON_FINITE_COVARIANCES = [[[np.nan]], [[1.0, np.inf], [np.inf, 1.0]]]
+
+
+@pytest.mark.parametrize("sigma", NON_FINITE_COVARIANCES)
+def test_uncertainty_rejects_non_finite_covariance(sigma):
+    with pytest.raises(ValueError, match="non-finite"):
+        UncertaintyEstimate(0, sigma)
+
+
+@pytest.mark.parametrize("sigma", NON_FINITE_COVARIANCES)
+def test_dissimilarity_rejects_non_finite_sigmas_before_eigh(monkeypatch,
+                                                              sigma):
+    def no_eigendecomposition(*args, **kwargs):
+        raise AssertionError("eigendecomposition reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigendecomposition)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigendecomposition)
+    s = len(sigma)
+    sigmas = np.array([np.eye(s), sigma, np.eye(s)])
+    with pytest.raises(ValueError, match="non-finite"):
+        build_dissimilarity(np.zeros((3, s)), sigmas, T=10)
+
+
+@pytest.mark.parametrize("betas,sigmas", [
+    (np.zeros(3), np.ones((3, 1, 1))),
+    (np.zeros((3, 2)), np.ones((3, 1, 1))),
+    (np.zeros((3, 1)), np.ones((2, 1, 1))),
+])
+def test_dissimilarity_rejects_mismatched_shapes(betas, sigmas):
+    with pytest.raises(DimensionMismatch):
+        build_dissimilarity(betas, sigmas, T=10)
+
+
+def test_dissimilarity_rejects_unknown_scale():
+    with pytest.raises(ValueError, match="unknown scale"):
+        build_dissimilarity(np.zeros((2, 1)), np.ones((2, 1, 1)), T=10,
+                            scale="per_period")
 
 
 def block_dissimilarity(sizes, across=50.0):
