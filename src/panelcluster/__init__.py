@@ -45,7 +45,6 @@ from .types import (
     MatchScore,
     PanelDataset,
     QuantileFitBundle,
-    SpectralDecomposition,
     UncertaintyEstimate,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "PanelDataset",
     "QuantileFitBundle",
     "SimulationConfig",
-    "SpectralDecomposition",
     "UncertaintyEstimate",
     "average_match",
     "build_dissimilarity",

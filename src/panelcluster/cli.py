@@ -21,7 +21,7 @@ from .metrics import average_match
 from .simulation import (PANEL_MODELS, SimulationConfig, estimate_panel,
                          run_batch)
 from .spectral import build_dissimilarity, select_num_groups, spectral_cluster
-from .types import EstimationError, ParseError, PER_OBSERVATION
+from .types import EstimationError, ParseError
 
 CONFIG_FIELDS = ("model", "n", "T", "reps", "seed", "tau", "error_dist",
                  "restarts", "G_max", "methods", "select_groups",
@@ -85,21 +85,24 @@ def cmd_cluster(args) -> int:
                          "selection's shrink factor")
     if args.groups is not None and not 1 <= args.groups <= n:
         raise ParseError(f"--groups must lie in 1..{n}")
+    for flag, value, low in (("--gmax", args.gmax, 1),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            raise ParseError(f"{flag} must be >= {low}, got {value}")
 
-    if (table.scale == PER_OBSERVATION and table.weights is None
-            and T is None):
-        raise ParseError("--t-periods is required for per_observation "
-                         "tables without a weight column")
-    V = build_dissimilarity(table.betas, table.sigmas, T or 1,
-                            weights=table.weights, scale=table.scale)
+    try:
+        variances = table.variances(T)
+    except ValueError as exc:
+        raise ParseError(f"--t-periods: {exc}") from exc
+    V = build_dissimilarity(table.betas, variances)
 
     selection = None
     if args.select_g:
-        selection = select_num_groups(V, n, T, G_max=args.gmax)
+        selection = select_num_groups(V, T, G_max=args.gmax)
         G = selection.G_hat
     else:
         G = args.groups
-    assignment, _ = spectral_cluster(V, G, seed=args.seed)
+    assignment = spectral_cluster(V, G, seed=args.seed)
 
     report = {
         "format_version": FORMAT_VERSION,
@@ -176,7 +179,7 @@ def main(argv=None) -> int:
                 "simulate": cmd_simulate}
     try:
         return handlers[args.command](args)
-    except (ParseError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EstimationError as exc:

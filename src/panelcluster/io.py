@@ -2,9 +2,9 @@
 
 Estimate tables are CSV with `# key=value` metadata lines before the header.
 Covariances are stored as the upper triangle in row-major order
-(c_11, c_12, ..., c_pp); scalar tables may carry an `se` column instead,
-which is squared on ingestion. Floats are written with 17 significant
-digits so a written table reads back value-identical.
+(c_11, c_12, ..., c_pp); scalar tables may carry an `se` column (>= 0)
+instead, which is squared on ingestion. Floats are written with 17
+significant digits so a written table reads back value-identical.
 """
 
 from __future__ import annotations
@@ -15,25 +15,25 @@ import math
 
 import numpy as np
 
-from .types import (
-    ALREADY_SCALED,
-    PER_OBSERVATION,
-    EstimateTable,
-    PanelDataset,
-    ParseError,
-)
+from .types import PER_OBSERVATION, EstimateTable, PanelDataset, ParseError
 
 FORMAT_VERSION = "1"
 
 
-def _cell(fields, idx, col, row, ident, positive=False):
-    """Column `col` of a CSV row as a finite float (> 0 if `positive`); a bad
-    cell is a ParseError naming its row, id and column."""
+# the bounds a _cell may require beyond finiteness
+_RULES = {"": lambda v: True, "> 0": lambda v: v > 0,
+          ">= 0": lambda v: v >= 0}
+
+
+def _cell(fields, idx, col, row, ident, rule=""):
+    """Column `col` of a CSV row as a finite float that also meets `rule`
+    ("> 0" or ">= 0"); a bad cell is a ParseError naming its row, id and
+    column."""
     try:
         value = float(fields[idx[col]])
-        if math.isfinite(value) and (value > 0 or not positive):
+        if math.isfinite(value) and _RULES[rule](value):
             return value
-        problem = "must be finite" + (" and > 0" if positive else "")
+        problem = "must be finite" + (f" and {rule}" if rule else "")
     except ValueError:
         problem = "not a number"
     raise ParseError(f"row {row} (id={ident}), column {col!r}: {problem}")
@@ -82,6 +82,10 @@ def read_estimates(path) -> EstimateTable:
             else:
                 lines.append(raw)
         rows = list(csv.reader(lines))
+    version = meta.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ParseError(f"metadata key 'format_version' must be "
+                         f"{FORMAT_VERSION}, got {version!r}")
     if not rows:
         raise ParseError("empty estimate table")
     header = [h.strip() for h in rows[0]]
@@ -117,7 +121,8 @@ def read_estimates(path) -> EstimateTable:
         ids.append(ident)
         betas.append([_cell(fields, idx, c, rownum, ident) for c in beta_cols])
         if use_se:
-            sigmas.append([[_cell(fields, idx, "se", rownum, ident) ** 2]])
+            sigmas.append([[_cell(fields, idx, "se", rownum, ident,
+                                  ">= 0") ** 2]])
         else:
             sigma = np.zeros((p, p))
             for (i, j), col in zip(upper, tri_names):
@@ -125,14 +130,19 @@ def read_estimates(path) -> EstimateTable:
                                                   ident)
             sigmas.append(sigma)
         if has_weight:
-            weights.append(_cell(fields, idx, "weight", rownum, ident,
-                                 positive=True))
+            weights.append(_cell(fields, idx, "weight", rownum, ident, "> 0"))
 
-    scale = meta.get("scale", PER_OBSERVATION)
-    if scale not in (PER_OBSERVATION, ALREADY_SCALED):
-        raise ParseError(f"unknown scale {scale!r} in metadata")
-    d_T = float(meta["d_T"]) if "d_T" in meta else None
-    return EstimateTable(ids, np.array(betas), sigmas, scale=scale,
+    d_T = meta.get("d_T")
+    if d_T is not None:
+        try:
+            d_T = float(d_T)
+        except ValueError:
+            d_T = math.nan
+        if not math.isfinite(d_T):
+            raise ParseError(f"metadata key 'd_T' must be a finite number, "
+                             f"got {meta['d_T']!r}")
+    return EstimateTable(ids, np.array(betas), sigmas,
+                         scale=meta.get("scale", PER_OBSERVATION),
                          weights=np.array(weights) if has_weight else None,
                          d_T=d_T)
 

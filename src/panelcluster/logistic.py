@@ -43,8 +43,8 @@ def _check_separation(X, y, gamma, margin: float = 1e-6):
             "all outcomes fitted exactly; outcomes are separable")
 
 
-def fit_logistic(X, y, max_iter: int = 100, tol: float = 1e-8,
-                 individual: int = 0) -> CoefficientEstimate:
+def fit_logistic(X, y, max_iter: int = 100,
+                 tol: float = 1e-8) -> CoefficientEstimate:
     """Maximize the average log-likelihood by Newton steps with halving.
 
     Raises DegenerateOutcome when y is constant, PerfectSeparation when the
@@ -63,7 +63,7 @@ def fit_logistic(X, y, max_iter: int = 100, tol: float = 1e-8,
         grad, hess = _gradient_hessian(X, y, gamma)
         if np.max(np.abs(grad)) <= tol:
             _check_separation(X, y, gamma)
-            return CoefficientEstimate(individual, gamma, converged=True,
+            return CoefficientEstimate(gamma, converged=True,
                                        iterations=it - 1)
         if np.linalg.cond(hess) > MAX_CONDITION:
             raise PerfectSeparation("Hessian became numerically singular")
@@ -83,7 +83,7 @@ def fit_logistic(X, y, max_iter: int = 100, tol: float = 1e-8,
                 "estimate diverged; outcomes are likely separable")
     grad, _ = _gradient_hessian(X, y, gamma)
     converged = np.max(np.abs(grad)) <= tol
-    return CoefficientEstimate(individual, gamma, converged=converged,
+    return CoefficientEstimate(gamma, converged=converged,
                                iterations=max_iter)
 
 
@@ -112,4 +112,4 @@ def logistic_covariance(X, estimate: CoefficientEstimate,
     sigma = 0.5 * (sigma + sigma.T)
     if slopes_only:
         sigma = sigma[1:, 1:]
-    return UncertaintyEstimate(estimate.individual, sigma)
+    return UncertaintyEstimate(sigma)

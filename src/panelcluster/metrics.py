@@ -33,9 +33,7 @@ def average_match(truth, estimate) -> MatchScore:
     rows, cols = linear_sum_assignment(counts, maximize=True)
     n = len(np.asarray(truth))
     average = float(counts[rows, cols].sum() / n)
-    mapping = {int(r) + 1: int(c) + 1 for r, c in zip(rows, cols)}
-    return MatchScore(perfect=average == 1.0, average=average,
-                      best_permutation=mapping, padded=padded)
+    return MatchScore(perfect=average == 1.0, average=average, padded=padded)
 
 
 def perfect_match(truth, estimate) -> bool:

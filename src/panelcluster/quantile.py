@@ -82,8 +82,7 @@ def _solve_qr_dual(X, y, tau: float):
     return -np.asarray(res.eqlin.marginals, dtype=float)
 
 
-def fit_quantile(X, y, tau: float, tol: float = 1e-6,
-                 individual: int = 0) -> CoefficientEstimate:
+def fit_quantile(X, y, tau: float, tol: float = 1e-6) -> CoefficientEstimate:
     """Minimize the average check loss over coefficients."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -99,7 +98,7 @@ def fit_quantile(X, y, tau: float, tol: float = 1e-6,
     else:
         gamma = _solve_qr_dual(X, y, tau)
     ok = subgradient_certificate(X, y, gamma, tau, tol=tol)
-    return CoefficientEstimate(individual, gamma, tau=tau, converged=ok)
+    return CoefficientEstimate(gamma, tau=tau, converged=ok)
 
 
 def hall_sheather_bandwidth(T: int, tau: float, alpha_level: float = 0.05) -> float:
@@ -114,14 +113,14 @@ def hall_sheather_bandwidth(T: int, tau: float, alpha_level: float = 0.05) -> fl
     return float(max(min(d, tau - 0.01, 0.99 - tau), 0.0))
 
 
-def fit_quantile_bundle(X, y, tau: float, d_T: float | None = None,
-                        individual: int = 0) -> QuantileFitBundle:
+def fit_quantile_bundle(X, y, tau: float,
+                        d_T: float | None = None) -> QuantileFitBundle:
     """Fit at tau and tau +/- d_T (Hall-Sheather default bandwidth)."""
     if d_T is None:
         d_T = hall_sheather_bandwidth(len(y), tau)
-    center = fit_quantile(X, y, tau, individual=individual)
-    upper = fit_quantile(X, y, tau + d_T, individual=individual)
-    lower = fit_quantile(X, y, tau - d_T, individual=individual)
+    center = fit_quantile(X, y, tau)
+    upper = fit_quantile(X, y, tau + d_T)
+    lower = fit_quantile(X, y, tau - d_T)
     return QuantileFitBundle(center, upper, lower, d_T)
 
 
@@ -158,8 +157,7 @@ def hk_covariance(bundle: QuantileFitBundle, X,
     sigma = 0.5 * (sigma + sigma.T)
     if slopes_only:
         sigma = sigma[1:, 1:]
-    return UncertaintyEstimate(bundle.center.individual, sigma,
-                               degenerate=bool(crossed.any()))
+    return UncertaintyEstimate(sigma, degenerate=bool(crossed.any()))
 
 
 @dataclass
@@ -201,12 +199,11 @@ def fit_pooled_quantile(y, x, tau: float, tol: float = 1e-6) -> PooledQuantileFi
 
 
 def intercept_variance(alpha_plus: float, alpha_minus: float, tau: float,
-                       d_T: float, individual: int = 0) -> UncertaintyEstimate:
+                       d_T: float) -> UncertaintyEstimate:
     """Sample-quantile asymptotic variance from the intercept difference
     quotient: tau(1-tau) * ((alpha_plus - alpha_minus) / (2 d_T))^2."""
     if d_T <= 0:
         raise ValueError("bandwidth must be positive")
     diff = (alpha_plus - alpha_minus) / (2.0 * d_T)
     sigma = tau * (1.0 - tau) * diff ** 2
-    return UncertaintyEstimate(individual, np.array([[sigma]]),
-                               degenerate=sigma == 0.0)
+    return UncertaintyEstimate(np.array([[sigma]]), degenerate=sigma == 0.0)

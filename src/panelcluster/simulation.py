@@ -239,7 +239,7 @@ class SimulationResult:
     aggregates: dict = field(default_factory=dict)
 
 
-def fit_individual(model, X, y, tau=0.5, d_T=None, individual=0):
+def fit_individual(model, X, y, tau=0.5, d_T=None):
     """Fit one individual's T x (p+1) design: (slopes, UncertaintyEstimate).
 
     model is "logistic" (Newton MLE and plug-in covariance) or "qr-slopes"
@@ -248,7 +248,7 @@ def fit_individual(model, X, y, tau=0.5, d_T=None, individual=0):
     if model == "logistic":
         est = fit_logistic(X, y)
         return est.slopes, logistic_covariance(X, est, slopes_only=True)
-    bundle = fit_quantile_bundle(X, y, tau, d_T=d_T, individual=individual)
+    bundle = fit_quantile_bundle(X, y, tau, d_T=d_T)
     return bundle.center.slopes, hk_covariance(bundle, X, slopes_only=True)
 
 
@@ -276,11 +276,11 @@ def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
 
         def fit(i):
             return center.alphas[i:i + 1], intercept_variance(
-                upper.alphas[i], lower.alphas[i], tau, d_T, individual=i)
+                upper.alphas[i], lower.alphas[i], tau, d_T)
     else:
         def fit(i):
             return fit_individual(model, panel.design(i), panel.responses[i],
-                                  tau, d_T, individual=i)
+                                  tau, d_T)
 
     kept, betas, sigmas, dropped = [], [], [], []
     for i, ident in enumerate(ids):
@@ -343,7 +343,7 @@ def run_rep(config: SimulationConfig, rep: int) -> RepResult:
     table, truth = fit_rep(config, rng)
     betas = table.betas
 
-    V = build_dissimilarity(betas, table.sigmas, config.T)
+    V = build_dissimilarity(betas, table.variances(config.T))
     cluster_seed = derive_seed(seed, 1)
     labels, scores = {}, {}
     G = config.true_groups
@@ -357,15 +357,14 @@ def run_rep(config: SimulationConfig, rep: int) -> RepResult:
                 # spectral_identity: the unweighted sup-norm of differences
                 W = V if method == "spectral" else DissimilarityMatrix(
                     np.abs(betas[:, None] - betas[None]).max(axis=2))
-                assignment, _ = spectral_cluster(W, G, seed=cluster_seed,
-                                                 restarts=config.restarts)
-                est = assignment.labels
+                est = spectral_cluster(W, G, seed=cluster_seed,
+                                       restarts=config.restarts).labels
             labels[method] = est
             scores[method] = average_match(truth, est)
 
     G_hat = None
     if config.select_groups:
-        G_hat = select_num_groups(V, table.n, config.T, config.G_max).G_hat
+        G_hat = select_num_groups(V, config.T, config.G_max).G_hat
     return RepResult(rep, seed, truth, labels, scores, G_hat,
                      len(table.dropped))
 

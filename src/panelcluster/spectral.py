@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .types import (
-    ALREADY_SCALED,
-    PER_OBSERVATION,
     DimensionMismatch,
     DissimilarityMatrix,
     EigenFailure,
@@ -14,7 +12,6 @@ from .types import (
     GroupCountSelection,
     NonPositiveCombined,
     NotSymmetric,
-    SpectralDecomposition,
     validate_covariance,
 )
 
@@ -51,44 +48,27 @@ def matrix_inverse_sqrt(S: np.ndarray) -> np.ndarray:
     return _inverse_sqrt_stack(S[None])[0]
 
 
-def build_dissimilarity(estimates, sigmas, T: int, weights=None,
-                        scale: str = PER_OBSERVATION) -> DissimilarityMatrix:
+def build_dissimilarity(estimates, variances) -> DissimilarityMatrix:
     """Pairwise sup-norm of the covariance-whitened coefficient differences.
 
-    estimates: (n, s) coefficient vectors; sigmas: their (n, s, s)
-    covariances, checked by validate_covariance. Under per_observation scale
-    the pairwise covariance is (sigma_i + sigma_j) / T, or sigma_i / w_i +
-    sigma_j / w_j when per-individual weights (sample sizes, finite and > 0)
-    are supplied. Under already_scaled it is sigma_i + sigma_j.
+    estimates: (n, s) coefficient vectors; variances: their (n, s, s)
+    Var(beta_i), e.g. EstimateTable.variances(T), checked by
+    validate_covariance. A pair is whitened by (Var_i + Var_j)^(-1/2).
     """
     betas = np.asarray(estimates, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    if betas.ndim != 2 or sigmas.shape != betas.shape + betas.shape[1:]:
-        raise DimensionMismatch("estimates must be (n, s) and sigmas (n, s, s)")
-    validate_covariance(sigmas)
+    variances = np.asarray(variances, dtype=float)
+    if betas.ndim != 2 or variances.shape != betas.shape + betas.shape[1:]:
+        raise DimensionMismatch(
+            "estimates must be (n, s) and variances (n, s, s)")
+    validate_covariance(variances)
     n, s = betas.shape
-
-    if weights is not None:
-        if scale != PER_OBSERVATION:
-            raise DimensionMismatch(
-                "per-individual weights require per_observation scale")
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,) or not (np.isfinite(w) & (w > 0)).all():
-            raise ValueError("weights must be n values, finite and > 0")
-        scaled = sigmas / w[:, None, None]
-    elif scale == PER_OBSERVATION:
-        scaled = sigmas / T
-    elif scale == ALREADY_SCALED:
-        scaled = sigmas
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
 
     V = np.zeros((n, n))
     rows, cols = np.triu_indices(n, 1)
     chunk = max(1, PAIR_CHUNK_ENTRIES // s ** 2)
     for start in range(0, len(rows), chunk):
         i, j = rows[start:start + chunk], cols[start:start + chunk]
-        whitener = _inverse_sqrt_stack(scaled[i] + scaled[j])
+        whitener = _inverse_sqrt_stack(variances[i] + variances[j])
         d = betas[i] - betas[j]
         V[i, j] = np.abs(whitener @ d[:, :, None]).max(axis=(1, 2))
     # the lower triangle is zero, so adding the transpose mirrors exactly
@@ -157,40 +137,38 @@ def _lloyd(points, centers, max_iter):
     return labels, centers, objective
 
 
-def _laplacian(V: np.ndarray):
+def _laplacian(V: np.ndarray) -> np.ndarray:
+    """Symmetric normalized Laplacian of the affinity exp(-V), unit diagonal."""
     A = np.exp(-V)
     np.fill_diagonal(A, 1.0)
     degrees = A.sum(axis=1)
     inv_sqrt_d = degrees ** -0.5
     L = inv_sqrt_d[:, None] * (np.diag(degrees) - A) * inv_sqrt_d[None, :]
-    L = 0.5 * (L + L.T)
-    return A, degrees, L
+    return 0.5 * (L + L.T)
 
 
 def spectral_cluster(V: DissimilarityMatrix, G: int, seed: int = 0,
                      restarts: int = 50):
     """Normalized-Laplacian spectral clustering into G groups.
 
-    Returns (GroupAssignment, SpectralDecomposition); labels are 1-based.
+    Labels of the returned GroupAssignment are 1-based.
     """
     Vm = V.V if isinstance(V, DissimilarityMatrix) else np.asarray(V, float)
     n = Vm.shape[0]
     if not 1 <= G <= n:
         raise ValueError("G must lie in 1..n")
-    _, _, L = _laplacian(Vm)
     try:
-        eigvals, eigvecs = np.linalg.eigh(L)
+        _, eigvecs = np.linalg.eigh(_laplacian(Vm))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     Z = eigvecs[:, :G]
     row_norms = np.linalg.norm(Z, axis=1)
     U = Z / np.maximum(row_norms, 1e-300)[:, None]
-    labels0, _, objective = kmeans(U, G, restarts=restarts, seed=seed)
-    assignment = GroupAssignment(labels0 + 1, G, kmeans_objective=objective)
-    return assignment, SpectralDecomposition(eigvals, U)
+    labels0, _, _ = kmeans(U, G, restarts=restarts, seed=seed)
+    return GroupAssignment(labels0 + 1, G)
 
 
-def select_num_groups(V: DissimilarityMatrix, n: int, T: int,
+def select_num_groups(V: DissimilarityMatrix, T: int,
                       G_max: int = 10) -> GroupCountSelection:
     """Relative eigen-gap heuristic on the scaled Laplacian.
 
@@ -200,12 +178,12 @@ def select_num_groups(V: DissimilarityMatrix, n: int, T: int,
     min(G_max, n - 1).
     """
     Vm = V.V if isinstance(V, DissimilarityMatrix) else np.asarray(V, float)
+    n = Vm.shape[0]
     if n < 3 or T < 2:
         raise ValueError("selection requires n >= 3 and T >= 2")
     scaled = 2.0 / np.sqrt(np.log(n) * np.log(T)) * Vm
-    _, _, L = _laplacian(scaled)
     try:
-        eigvals = np.linalg.eigvalsh(L)
+        eigvals = np.linalg.eigvalsh(_laplacian(scaled))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     lambda_tilde = 1.0 - eigvals

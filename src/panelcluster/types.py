@@ -105,7 +105,6 @@ class CoefficientEstimate:
     logistic fits.
     """
 
-    individual: int
     gamma: np.ndarray
     tau: float | None = None
     converged: bool = True
@@ -124,7 +123,7 @@ class CoefficientEstimate:
         return self.gamma[1:]
 
 
-# scale conventions of EstimateTable.sigmas and build_dissimilarity
+# scale conventions of EstimateTable.sigmas (see EstimateTable.variances)
 PER_OBSERVATION = "per_observation"
 ALREADY_SCALED = "already_scaled"
 
@@ -136,7 +135,6 @@ class UncertaintyEstimate:
     degenerate flags floored/zero density estimates.
     """
 
-    individual: int
     sigma: np.ndarray
     degenerate: bool = False
 
@@ -184,10 +182,10 @@ class EstimateTable:
     and their covariances sigmas (n, s, s), rows labelled by ids.
 
     With scale == "per_observation", sigmas estimate the asymptotic variance
-    and a pair combines as (sigma_i + sigma_j) / T, or as sigma_i / w_i +
-    sigma_j / w_j with per-individual weights (sample sizes T_i). With
-    "already_scaled", sigma is Var(beta_i) and pairs combine by plain
-    addition. dropped lists (id, reason) of individuals left out.
+    and Var(beta_i) is sigma_i / T, or sigma_i / w_i with per-individual
+    weights (sample sizes T_i, finite and > 0). With "already_scaled",
+    sigma_i is Var(beta_i). dropped lists (id, reason) of individuals left
+    out.
     """
 
     ids: list
@@ -212,6 +210,29 @@ class EstimateTable:
         except (ValueError, EstimationError) as exc:
             row = exc.index
             raise ParseError(f"row {row} (id={self.ids[row]}): {exc}") from exc
+        if self.scale not in (PER_OBSERVATION, ALREADY_SCALED):
+            raise ParseError(f"unknown scale {self.scale!r}")
+        if self.weights is not None:
+            self.weights = np.asarray(self.weights, dtype=float)
+            if self.scale != PER_OBSERVATION:
+                raise ParseError("weights require per_observation scale")
+            if self.weights.shape != (n,) or not (
+                    np.isfinite(self.weights) & (self.weights > 0)).all():
+                raise ParseError("weights must be n values, finite and > 0")
+
+    def variances(self, T: int | None = None) -> np.ndarray:
+        """Var(beta_i) of every row, an (n, s, s) stack: sigmas / weights
+        when there is a weight column, sigmas / T under per_observation
+        scale (T an integer >= 1) and sigmas as given when already_scaled.
+        """
+        if self.weights is not None:
+            return self.sigmas / self.weights[:, None, None]
+        if self.scale == ALREADY_SCALED:
+            return self.sigmas
+        if not isinstance(T, (int, np.integer)) or T < 1:
+            raise ValueError(f"per_observation estimates without weights "
+                             f"need T, an integer >= 1; got T={T!r}")
+        return self.sigmas / T
 
     @property
     def n(self) -> int:
@@ -263,20 +284,11 @@ class DissimilarityMatrix:
 
 
 @dataclass
-class SpectralDecomposition:
-    """Intermediate quantities of the spectral clustering pipeline."""
-
-    eigenvalues: np.ndarray
-    embedding: np.ndarray  # row-normalized first G eigenvectors
-
-
-@dataclass
 class GroupAssignment:
     """Cluster labels in 1..G for each individual."""
 
     labels: np.ndarray
     G: int
-    kmeans_objective: float = 0.0
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int)
@@ -304,5 +316,4 @@ class MatchScore:
 
     perfect: bool
     average: float
-    best_permutation: dict = field(default_factory=dict)
     padded: bool = False

@@ -26,7 +26,6 @@ from panelcluster.spectral import (
     kmeans,
     select_num_groups,
 )
-from panelcluster.types import ALREADY_SCALED
 
 REPS = 100
 
@@ -143,13 +142,13 @@ def test_criterion_5_laplacian_spectrum_and_block_multiplicity():
     for _ in range(20):
         M = np.abs(rng.normal(size=(12, 12)))
         V = np.triu(M, 1) + np.triu(M, 1).T
-        eig = np.linalg.eigvalsh(_laplacian(V)[2])
+        eig = np.linalg.eigvalsh(_laplacian(V))
         ok &= eig.min() > -1e-8 and eig.max() < 2 + 1e-8
     V = np.full((12, 12), 1e4)
     for block in (slice(0, 3), slice(3, 7), slice(7, 12)):
         V[block, block] = 0.0
     np.fill_diagonal(V, 0.0)
-    eig = np.sort(np.linalg.eigvalsh(_laplacian(V)[2]))
+    eig = np.sort(np.linalg.eigvalsh(_laplacian(V)))
     ok &= np.abs(eig[:3]).max() < 1e-10
     ok &= np.abs(eig[3:] - 1.0).max() < 1e-10
     check("5a Laplacian spectrum in [0,2]; zero eigenvalue multiplicity = "
@@ -165,7 +164,7 @@ def test_criterion_5_dissimilarity_scale_invariance_and_symmetry():
         sigmas.append(A @ A.T + 0.1 * np.eye(3))
 
     def table(bs, ss):
-        return build_dissimilarity(bs, ss, T=10, scale=ALREADY_SCALED).V
+        return build_dissimilarity(bs, ss).V
 
     base = table(betas, sigmas)
     c = 7.0

@@ -237,6 +237,50 @@ def test_cluster_rejects_bad_weight(tmp_path, capsys, weight):
     assert "finite and > 0" in err
 
 
+@pytest.mark.parametrize("meta,row,flags,message", [
+    pytest.param("", "b,1,-0.5", [],
+                 "row 3 (id=b), column 'se': must be finite and >= 0",
+                 id="negative-se"),
+    pytest.param("", "b,1,1", ["--gmax", "0"], "--gmax must be >= 1, got 0",
+                 id="gmax-0"),
+    pytest.param("", "b,1,1", ["--seed", "-1"], "--seed must be >= 0, got -1",
+                 id="seed-negative"),
+    pytest.param("# d_T=abc\n", "b,1,1", [],
+                 "metadata key 'd_T' must be a finite number, got 'abc'",
+                 id="d_T-not-a-number"),
+    pytest.param("# format_version=99\n", "b,1,1", [],
+                 "metadata key 'format_version' must be 1, got '99'",
+                 id="format-version-99"),
+    pytest.param("", "b,1,1", ["--t-periods", "0"], "--t-periods: ", id="T-0"),
+    pytest.param("", "b,1,1", ["--t-periods", "-5"], "got T=-5", id="T-neg"),
+])
+def test_cluster_rejects_bad_values_at_ingestion(tmp_path, capsys, meta, row,
+                                                 flags, message):
+    path = tmp_path / "est.csv"
+    path.write_text(f"{meta}id,beta_1,se\na,0,1\n{row}\nc,2,1\n")
+    code = main(["cluster", str(path), "--groups", "2", "--t-periods", "50",
+                 *flags, "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--model", "qr-slopes"],
+    ["cluster", "--groups", "2", "--t-periods", "50"],
+    ["simulate"],
+])
+def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys,
+                                                        command):
+    missing = tmp_path / "missing.csv"
+    code = main([command[0], str(missing), *command[1:],
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_cluster_scores_against_truth(tmp_path, capsys):
     est = two_cluster_scalar_table(tmp_path)
     truth = tmp_path / "truth.csv"
@@ -323,12 +367,12 @@ def test_estimate_then_cluster_matches_in_process_pipeline(tmp_path, capsys):
     betas, uncs = [], []
     for i in range(panel.n):
         X = panel.design(i)
-        bundle = fit_quantile_bundle(X, panel.responses[i], 0.5, d_T=d_T,
-                                     individual=i)
+        bundle = fit_quantile_bundle(X, panel.responses[i], 0.5, d_T=d_T)
         betas.append(bundle.center.slopes)
         uncs.append(hk_covariance(bundle, X, slopes_only=True))
-    V = build_dissimilarity(np.array(betas), [u.sigma for u in uncs], panel.T)
-    assignment, _ = spectral_cluster(V, 3, seed=7)
+    table = EstimateTable(list(range(panel.n)), betas, [u.sigma for u in uncs])
+    V = build_dissimilarity(table.betas, table.variances(panel.T))
+    assignment = spectral_cluster(V, 3, seed=7)
     expected = {f"u{i}": int(lab)
                 for i, lab in enumerate(assignment.labels)}
     assert report["labels"] == expected

@@ -126,9 +126,9 @@ def test_hk_collapses_for_constant_density():
     # z_t' (gamma_plus - gamma_minus) == 2 d / c for every t
     T, d, c, tau = 10, 0.1, 0.5, 0.5
     X = np.ones((T, 1))
-    center = CoefficientEstimate(0, [0.0], tau=tau)
-    upper = CoefficientEstimate(0, [d / c], tau=tau + d)
-    lower = CoefficientEstimate(0, [-d / c], tau=tau - d)
+    center = CoefficientEstimate([0.0], tau=tau)
+    upper = CoefficientEstimate([d / c], tau=tau + d)
+    lower = CoefficientEstimate([-d / c], tau=tau - d)
     bundle = QuantileFitBundle(center, upper, lower, d)
     unc = hk_covariance(bundle, X)
     assert unc.sigma[0, 0] == pytest.approx(tau * (1 - tau) / c ** 2, rel=1e-12)
@@ -140,9 +140,9 @@ def test_hk_crossed_observation_is_dropped_not_inflated():
     T, d, c, tau = 8, 0.1, 0.4, 0.5
     X = np.ones((T, 1))
     X[0, 0] = -1.0  # denominator -c for this row, +c for the rest
-    center = CoefficientEstimate(0, [0.0], tau=tau)
-    upper = CoefficientEstimate(0, [c / 2], tau=tau + d)
-    lower = CoefficientEstimate(0, [-c / 2], tau=tau - d)
+    center = CoefficientEstimate([0.0], tau=tau)
+    upper = CoefficientEstimate([c / 2], tau=tau + d)
+    lower = CoefficientEstimate([-c / 2], tau=tau - d)
     unc = hk_covariance(QuantileFitBundle(center, upper, lower, d), X)
     f = 2 * d / c
     B = f * (T - 1) / T  # crossed row drops out; x_t^2 = 1 throughout
@@ -154,11 +154,11 @@ def test_hk_crossed_observation_is_dropped_not_inflated():
 def test_hk_crossing_is_floored_and_flagged():
     T, d, tau = 10, 0.1, 0.5
     X = np.ones((T, 1))
-    same = CoefficientEstimate(0, [1.0], tau=tau)
+    same = CoefficientEstimate([1.0], tau=tau)
     bundle = QuantileFitBundle(
         same,
-        CoefficientEstimate(0, [1.0], tau=tau + d),
-        CoefficientEstimate(0, [1.0], tau=tau - d),
+        CoefficientEstimate([1.0], tau=tau + d),
+        CoefficientEstimate([1.0], tau=tau - d),
         d)
     unc = hk_covariance(bundle, X)
     assert np.isfinite(unc.sigma).all()

@@ -16,7 +16,7 @@ from panelcluster.simulation import (
     splitmix64,
 )
 from panelcluster.spectral import build_dissimilarity
-from panelcluster.types import ALREADY_SCALED, SingularDesign
+from panelcluster.types import SingularDesign
 
 
 def test_splitmix64_is_stable():
@@ -159,17 +159,19 @@ def test_identity_method_clusters_identity_weighted_dissimilarity(monkeypatch):
     betas = seen["betas"]
     identity = [0.5 * np.eye(betas.shape[1])] * len(betas)
     assert np.array_equal(seen["V"],
-                          build_dissimilarity(betas, identity, T=40,
-                                              scale=ALREADY_SCALED).V)
+                          build_dissimilarity(betas, identity).V)
 
 
 def test_quantile_rep_drops_a_failed_fit(monkeypatch):
     fit = simulation.fit_quantile_bundle
+    calls = []
 
-    def failing_for_third(X, y, tau, d_T=None, individual=0):
-        if individual == 2:
+    def failing_for_third(X, y, tau, d_T=None):
+        # individuals are fit in order, one bundle each: call 3 is index 2
+        calls.append(None)
+        if len(calls) == 3:
             raise SingularDesign("forced failure")
-        return fit(X, y, tau, d_T=d_T, individual=individual)
+        return fit(X, y, tau, d_T=d_T)
 
     monkeypatch.setattr(simulation, "fit_quantile_bundle", failing_for_third)
     config = SimulationConfig(model="model1", n=9, T=40, reps=1, seed=3,
