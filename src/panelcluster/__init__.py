@@ -38,9 +38,7 @@ from .spectral import (
 )
 from .types import (
     CoefficientEstimate,
-    DissimilarityMatrix,
     EstimateTable,
-    GroupAssignment,
     GroupCountSelection,
     MatchScore,
     PanelDataset,
@@ -50,9 +48,7 @@ from .types import (
 
 __all__ = [
     "CoefficientEstimate",
-    "DissimilarityMatrix",
     "EstimateTable",
-    "GroupAssignment",
     "GroupCountSelection",
     "MatchScore",
     "PanelDataset",

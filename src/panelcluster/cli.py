@@ -85,15 +85,16 @@ def cmd_cluster(args) -> int:
                          "selection's shrink factor")
     if args.groups is not None and not 1 <= args.groups <= n:
         raise ParseError(f"--groups must lie in 1..{n}")
-    for flag, value, low in (("--gmax", args.gmax, 1),
-                             ("--seed", args.seed, 0)):
-        if value < low:
-            raise ParseError(f"{flag} must be >= {low}, got {value}")
-
     try:
         variances = table.variances(T)
     except ValueError as exc:
         raise ParseError(f"--t-periods: {exc}") from exc
+    # variances() reads T only for some tables; check a given T for all
+    for flag, value, low in (("--gmax", args.gmax, 1),
+                             ("--seed", args.seed, 0),
+                             ("--t-periods", 1 if T is None else T, 1)):
+        if value < low:
+            raise ParseError(f"{flag} must be >= {low}, got {value}")
     V = build_dissimilarity(table.betas, variances)
 
     selection = None
@@ -102,7 +103,7 @@ def cmd_cluster(args) -> int:
         G = selection.G_hat
     else:
         G = args.groups
-    assignment = spectral_cluster(V, G, seed=args.seed)
+    labels = spectral_cluster(V, G, seed=args.seed)
 
     report = {
         "format_version": FORMAT_VERSION,
@@ -119,7 +120,7 @@ def cmd_cluster(args) -> int:
         "n": n,
         "G": G,
         "labels": {ident: int(lab)
-                   for ident, lab in zip(table.ids, assignment.labels)},
+                   for ident, lab in zip(table.ids, labels)},
     }
     if selection is not None:
         report["selection"] = {
@@ -129,13 +130,13 @@ def cmd_cluster(args) -> int:
         }
     if args.truth:
         truth = read_truth(args.truth, table.ids)
-        score = average_match(truth, assignment.labels)
+        score = average_match(truth, labels)
         report["scores"] = {"perfect": score.perfect,
                             "average": score.average}
     write_json(args.out, report)
 
     print(f"{'id':<20} label")
-    for ident, lab in zip(table.ids, assignment.labels):
+    for ident, lab in zip(table.ids, labels):
         print(f"{ident:<20} {lab}")
     if selection is not None:
         print(f"selected G = {G}")

@@ -39,6 +39,20 @@ def _cell(fields, idx, col, row, ident, rule=""):
     raise ParseError(f"row {row} (id={ident}), column {col!r}: {problem}")
 
 
+def _header(rows, what):
+    """The stripped header row of a CSV file's rows and the column index of
+    each name; an empty file or a name given twice is a ParseError."""
+    if not rows:
+        raise ParseError(f"empty {what}")
+    header = [h.strip() for h in rows[0]]
+    idx = {}
+    for col, name in enumerate(header):
+        if name in idx:
+            raise ParseError(f"header names column {name!r} twice")
+        idx[name] = col
+    return header, idx
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -86,9 +100,7 @@ def read_estimates(path) -> EstimateTable:
     if version != FORMAT_VERSION:
         raise ParseError(f"metadata key 'format_version' must be "
                          f"{FORMAT_VERSION}, got {version!r}")
-    if not rows:
-        raise ParseError("empty estimate table")
-    header = [h.strip() for h in rows[0]]
+    header, idx = _header(rows, "estimate table")
     if not header or header[0] != "id":
         raise ParseError("header row must start with 'id'")
     beta_cols = [h for h in header if h.startswith("beta_")]
@@ -108,7 +120,6 @@ def read_estimates(path) -> EstimateTable:
         cov_cols = tri_names
     has_weight = "weight" in header
     upper = [(i, j) for i in range(p) for j in range(i, p)]
-    idx = {name: header.index(name) for name in header}
 
     ids, betas, sigmas, weights = [], [], [], []
     for rownum, fields in enumerate(rows[1:], start=2):
@@ -121,8 +132,12 @@ def read_estimates(path) -> EstimateTable:
         ids.append(ident)
         betas.append([_cell(fields, idx, c, rownum, ident) for c in beta_cols])
         if use_se:
-            sigmas.append([[_cell(fields, idx, "se", rownum, ident,
-                                  ">= 0") ** 2]])
+            se = _cell(fields, idx, "se", rownum, ident, ">= 0")
+            try:
+                sigmas.append([[se ** 2]])
+            except OverflowError:
+                raise ParseError(f"row {rownum} (id={ident}), column 'se': "
+                                 f"its square overflows") from None
         else:
             sigma = np.zeros((p, p))
             for (i, j), col in zip(upper, tri_names):
@@ -155,15 +170,15 @@ def read_panel_csv(path):
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError("empty panel file")
-    header = [h.strip() for h in rows[0]]
+    header, idx = _header(rows, "panel file")
     for required in ("id", "t", "y"):
-        if required not in header:
+        if required not in idx:
             raise ParseError(f"panel header must contain column {required!r}")
-    x_cols = sorted((h for h in header if h.startswith("x_")),
-                    key=lambda h: int(h[2:]))
-    idx = {name: header.index(name) for name in header}
+    x_cols = [h for h in header if h.startswith("x_")]
+    for col in x_cols:
+        if not col[2:].isdecimal():
+            raise ParseError(f"panel column {col!r} is not x_<integer>")
+    x_cols.sort(key=lambda h: int(h[2:]))
 
     per_id: dict = {}  # id -> {t: (y, [x_1..x_p])}, ids in order of appearance
     for rownum, fields in enumerate(rows[1:], start=2):
@@ -199,16 +214,13 @@ def read_panel_csv(path):
 
 
 def read_truth(path, ids):
-    """Read a truth CSV (columns id,label; integer labels, one row per id)
-    and return the labels of `ids` in that order."""
+    """Read a truth CSV (columns id,label; integer labels in 1..len(ids),
+    one row per id) and return the labels of `ids` in that order."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError("empty truth file")
-    header = [h.strip() for h in rows[0]]
-    if "id" not in header or "label" not in header:
+    header, idx = _header(rows, "truth file")
+    if "id" not in idx or "label" not in idx:
         raise ParseError("truth file needs columns id,label")
-    idx = {name: header.index(name) for name in header}
     mapping = {}
     for rownum, fields in enumerate(rows[1:], start=2):
         if not fields:
@@ -219,10 +231,14 @@ def read_truth(path, ids):
         if ident in mapping:
             raise ParseError(f"row {rownum} (id={ident}): duplicate id")
         try:
-            mapping[ident] = int(fields[idx["label"]])
+            label = int(fields[idx["label"]])
         except ValueError:
+            label = 0
+        # the match score builds a label x label table: bound the labels
+        if not 1 <= label <= len(ids):
             raise ParseError(f"row {rownum} (id={ident}), column 'label': "
-                             "not an integer") from None
+                             f"not an integer in 1..{len(ids)}")
+        mapping[ident] = label
     missing = [i for i in ids if i not in mapping]
     if missing:
         raise ParseError(f"truth file is missing ids: {missing[:5]}")

@@ -20,7 +20,7 @@ def _confusion(truth, estimate):
     G = max(g_true, g_est)
     counts = np.zeros((G, G), dtype=int)
     np.add.at(counts, (truth - 1, estimate - 1), 1)
-    return counts, g_true != g_est
+    return counts, bool(g_true != g_est)
 
 
 def average_match(truth, estimate) -> MatchScore:

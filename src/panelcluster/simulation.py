@@ -27,7 +27,6 @@ from .spectral import build_dissimilarity, kmeans, select_num_groups, spectral_c
 from .types import (
     DegenerateOutcome,
     DimensionMismatch,
-    DissimilarityMatrix,
     EstimateTable,
     EstimationError,
     NonConvergence,
@@ -268,6 +267,8 @@ def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
         raise ValueError(f"unknown model {model!r}")
     if model == "logistic" and panel.kind != "binary":
         raise ValueError("logistic model requires a binary panel")
+    if model != "qr-pooled" and panel.p == 0:
+        raise ValueError(f"model {model!r} fits slopes: it needs x_k columns")
     d_T = None if model == "logistic" else hall_sheather_bandwidth(panel.T, tau)
     if model == "qr-pooled":
         y, x = panel.responses, panel.covariates
@@ -355,10 +356,10 @@ def run_rep(config: SimulationConfig, rep: int) -> RepResult:
                 est = raw_labels + 1
             else:
                 # spectral_identity: the unweighted sup-norm of differences
-                W = V if method == "spectral" else DissimilarityMatrix(
-                    np.abs(betas[:, None] - betas[None]).max(axis=2))
+                W = V if method == "spectral" else np.abs(
+                    betas[:, None] - betas[None]).max(axis=2)
                 est = spectral_cluster(W, G, seed=cluster_seed,
-                                       restarts=config.restarts).labels
+                                       restarts=config.restarts)
             labels[method] = est
             scores[method] = average_match(truth, est)
 

@@ -6,12 +6,9 @@ import numpy as np
 
 from .types import (
     DimensionMismatch,
-    DissimilarityMatrix,
     EigenFailure,
-    GroupAssignment,
     GroupCountSelection,
     NonPositiveCombined,
-    NotSymmetric,
     validate_covariance,
 )
 
@@ -37,42 +34,65 @@ def _inverse_sqrt_stack(S: np.ndarray) -> np.ndarray:
 def matrix_inverse_sqrt(S: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root via eigendecomposition.
 
-    Eigenvalues are floored at 1e-10 * max(eigenvalue) so that semi-definite
-    inputs produce a finite result; one below -1e-10 * max(eigenvalue) raises
-    NonPositiveCombined.
+    S is checked by validate_covariance. Eigenvalues are floored at
+    1e-10 * max(eigenvalue) so that semi-definite inputs produce a finite
+    result; one below -1e-10 * max(eigenvalue) raises NonPositiveCombined.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
-    scale = max(np.abs(S).max(), 1.0)
-    if S.shape[0] != S.shape[1] or np.abs(S - S.T).max() > 1e-10 * scale:
-        raise NotSymmetric("input must be a symmetric matrix")
+    validate_covariance(S)
     return _inverse_sqrt_stack(S[None])[0]
 
 
-def build_dissimilarity(estimates, variances) -> DissimilarityMatrix:
+def build_dissimilarity(estimates, variances) -> np.ndarray:
     """Pairwise sup-norm of the covariance-whitened coefficient differences.
 
-    estimates: (n, s) coefficient vectors; variances: their (n, s, s)
+    estimates: (n, s) finite coefficient vectors; variances: their (n, s, s)
     Var(beta_i), e.g. EstimateTable.variances(T), checked by
     validate_covariance. A pair is whitened by (Var_i + Var_j)^(-1/2).
+    Returns the symmetric (n, n) dissimilarity V.
     """
     betas = np.asarray(estimates, dtype=float)
     variances = np.asarray(variances, dtype=float)
     if betas.ndim != 2 or variances.shape != betas.shape + betas.shape[1:]:
         raise DimensionMismatch(
             "estimates must be (n, s) and variances (n, s, s)")
+    if not np.isfinite(betas).all():
+        raise ValueError("estimates contain non-finite entries")
     validate_covariance(variances)
     n, s = betas.shape
 
     V = np.zeros((n, n))
     rows, cols = np.triu_indices(n, 1)
     chunk = max(1, PAIR_CHUNK_ENTRIES // s ** 2)
-    for start in range(0, len(rows), chunk):
-        i, j = rows[start:start + chunk], cols[start:start + chunk]
-        whitener = _inverse_sqrt_stack(variances[i] + variances[j])
-        d = betas[i] - betas[j]
-        V[i, j] = np.abs(whitener @ d[:, :, None]).max(axis=(1, 2))
+    # the inputs are finite, so only an overflow can make V non-finite
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for start in range(0, len(rows), chunk):
+                i, j = rows[start:start + chunk], cols[start:start + chunk]
+                whitener = _inverse_sqrt_stack(variances[i] + variances[j])
+                d = betas[i] - betas[j]
+                V[i, j] = np.abs(whitener @ d[:, :, None]).max(axis=(1, 2))
+    except FloatingPointError as exc:
+        raise ValueError(f"non-finite dissimilarity: {exc}") from None
     # the lower triangle is zero, so adding the transpose mirrors exactly
-    return DissimilarityMatrix(V + V.T)
+    return V + V.T
+
+
+def _check_dissimilarity(V) -> np.ndarray:
+    """V as a float array, checked to be a square, finite, non-negative
+    and symmetric dissimilarity with a zero diagonal."""
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[0] != V.shape[1]:
+        raise DimensionMismatch("dissimilarity matrix must be square")
+    if not np.isfinite(V).all():
+        raise ValueError("dissimilarity contains non-finite entries")
+    if (V < 0).any():
+        raise ValueError("dissimilarity entries must be non-negative")
+    if np.abs(np.diag(V)).max(initial=0.0) > 0:
+        raise ValueError("dissimilarity diagonal must be zero")
+    if np.abs(V - V.T).max(initial=0.0) > 1e-12 * max(V.max(initial=0.0), 1.0):
+        raise ValueError("dissimilarity must be symmetric")
+    return V
 
 
 def kmeans(points, k: int, restarts: int = 50, seed: int = 0,
@@ -147,29 +167,27 @@ def _laplacian(V: np.ndarray) -> np.ndarray:
     return 0.5 * (L + L.T)
 
 
-def spectral_cluster(V: DissimilarityMatrix, G: int, seed: int = 0,
-                     restarts: int = 50):
-    """Normalized-Laplacian spectral clustering into G groups.
-
-    Labels of the returned GroupAssignment are 1-based.
+def spectral_cluster(V, G: int, seed: int = 0,
+                     restarts: int = 50) -> np.ndarray:
+    """Normalized-Laplacian spectral clustering of the (n, n)
+    dissimilarity V into G groups; returns the (n,) labels, 1-based.
     """
-    Vm = V.V if isinstance(V, DissimilarityMatrix) else np.asarray(V, float)
-    n = Vm.shape[0]
+    V = _check_dissimilarity(V)
+    n = V.shape[0]
     if not 1 <= G <= n:
         raise ValueError("G must lie in 1..n")
     try:
-        _, eigvecs = np.linalg.eigh(_laplacian(Vm))
+        _, eigvecs = np.linalg.eigh(_laplacian(V))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     Z = eigvecs[:, :G]
     row_norms = np.linalg.norm(Z, axis=1)
     U = Z / np.maximum(row_norms, 1e-300)[:, None]
     labels0, _, _ = kmeans(U, G, restarts=restarts, seed=seed)
-    return GroupAssignment(labels0 + 1, G)
+    return labels0 + 1
 
 
-def select_num_groups(V: DissimilarityMatrix, T: int,
-                      G_max: int = 10) -> GroupCountSelection:
+def select_num_groups(V, T: int, G_max: int = 10) -> GroupCountSelection:
     """Relative eigen-gap heuristic on the scaled Laplacian.
 
     The dissimilarity is shrunk by 2 / sqrt(log n * log T), the Laplacian
@@ -177,11 +195,13 @@ def select_num_groups(V: DissimilarityMatrix, T: int,
     count maximizes |gap| / max(next value, guard) over g up to
     min(G_max, n - 1).
     """
-    Vm = V.V if isinstance(V, DissimilarityMatrix) else np.asarray(V, float)
-    n = Vm.shape[0]
+    V = _check_dissimilarity(V)
+    n = V.shape[0]
     if n < 3 or T < 2:
         raise ValueError("selection requires n >= 3 and T >= 2")
-    scaled = 2.0 / np.sqrt(np.log(n) * np.log(T)) * Vm
+    # an entry overflowing to inf gets affinity exp(-inf) = 0 all the same
+    with np.errstate(over="ignore"):
+        scaled = 2.0 / np.sqrt(np.log(n) * np.log(T)) * V
     try:
         eigvals = np.linalg.eigvalsh(_laplacian(scaled))
     except np.linalg.LinAlgError as exc:

@@ -164,11 +164,12 @@ def validate_covariance(sigma: np.ndarray, rtol: float = 1e-10) -> None:
     S = sigma.reshape(-1, *sigma.shape[-2:])
     _reject(~np.isfinite(S).all(axis=(1, 2)), ValueError,
             "covariance has non-finite entries")
-    S_T = S.swapaxes(1, 2)
+    half = 0.5 * S  # halved first, so no difference or sum overflows
+    half_T = half.swapaxes(1, 2)
     scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
-    _reject(np.abs(S - S_T).max(axis=(1, 2)) > rtol * scale,
+    _reject(np.abs(half - half_T).max(axis=(1, 2)) > 0.5 * rtol * scale,
             NotSymmetric, "covariance is not symmetric")
-    eigvals = np.linalg.eigvalsh(0.5 * (S + S_T))
+    eigvals = np.linalg.eigvalsh(half + half_T)
     norm = np.maximum(np.abs(eigvals).max(axis=1), 1e-300)
     negative = eigvals[:, 0] < -1e-10 * norm
     smallest = eigvals[negative.argmax(), 0] if negative.any() else 0.0
@@ -226,7 +227,9 @@ class EstimateTable:
         scale (T an integer >= 1) and sigmas as given when already_scaled.
         """
         if self.weights is not None:
-            return self.sigmas / self.weights[:, None, None]
+            # an overflow to inf is left to validate_covariance downstream
+            with np.errstate(over="ignore"):
+                return self.sigmas / self.weights[:, None, None]
         if self.scale == ALREADY_SCALED:
             return self.sigmas
         if not isinstance(T, (int, np.integer)) or T < 1:
@@ -256,44 +259,6 @@ class QuantileFitBundle:
         tau = self.center.tau
         if not (0.0 < tau - self.bandwidth and tau + self.bandwidth < 1.0):
             raise ValueError("bandwidth pushes tau +/- d_T outside (0, 1)")
-
-
-@dataclass
-class DissimilarityMatrix:
-    """Symmetric n x n matrix of covariance-whitened sup-norm distances."""
-
-    V: np.ndarray
-
-    def __post_init__(self):
-        self.V = np.asarray(self.V, dtype=float)
-        V = self.V
-        if V.ndim != 2 or V.shape[0] != V.shape[1]:
-            raise DimensionMismatch("dissimilarity matrix must be square")
-        if not np.isfinite(V).all():
-            raise ValueError("dissimilarity contains non-finite entries")
-        if (V < 0).any():
-            raise ValueError("dissimilarity entries must be non-negative")
-        if np.abs(np.diag(V)).max(initial=0.0) > 0:
-            raise ValueError("dissimilarity diagonal must be zero")
-        if np.abs(V - V.T).max(initial=0.0) > 1e-12 * max(V.max(initial=0.0), 1.0):
-            raise ValueError("dissimilarity must be symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.V.shape[0]
-
-
-@dataclass
-class GroupAssignment:
-    """Cluster labels in 1..G for each individual."""
-
-    labels: np.ndarray
-    G: int
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.labels.min(initial=1) < 1 or self.labels.max(initial=1) > self.G:
-            raise ValueError("labels must lie in 1..G")
 
 
 @dataclass

@@ -164,7 +164,7 @@ def test_criterion_5_dissimilarity_scale_invariance_and_symmetry():
         sigmas.append(A @ A.T + 0.1 * np.eye(3))
 
     def table(bs, ss):
-        return build_dissimilarity(bs, ss).V
+        return build_dissimilarity(bs, ss)
 
     base = table(betas, sigmas)
     c = 7.0

@@ -156,6 +156,67 @@ def test_estimate_names_bad_panel_cell(tmp_path, capsys, row, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,text,column", [
+    ("cluster", "id,beta_1,c_11,c_11\na,0,1,1\nb,1,1,1\n", "c_11"),
+    ("cluster", "id,id,beta_1,c_11\na,a,0,1\nb,b,1,1\n", "id"),
+    ("estimate", "id,t,y,x_1,x_1\na,0,1,0,0\na,1,2,1,1\n", "x_1"),
+    ("estimate", "id,t,t,y\na,0,0,1\na,1,1,2\n", "t"),
+    ("truth", "id,label,label\nlo0,1,1\n", "label"),
+])
+def test_repeated_header_column_is_rejected(tmp_path, capsys, command, text,
+                                            column):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    out = str(tmp_path / "out")
+    argv = {"cluster": ["cluster", str(path), "--groups", "1",
+                        "--t-periods", "50", "--out", out],
+            "estimate": ["estimate", str(path), "--model", "qr-pooled",
+                         "--out", out],
+            "truth": ["cluster", str(two_cluster_scalar_table(tmp_path)),
+                      "--groups", "2", "--truth", str(path), "--out", out],
+            }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"header names column {column!r} twice" in err
+
+
+@pytest.mark.parametrize("column", ["x_a", "x_", "x_1b", "x_-1"])
+def test_panel_rejects_x_column_without_integer(tmp_path, capsys, column):
+    path = tmp_path / "panel.csv"
+    path.write_text(f"id,t,y,x_1,{column}\na,0,1,0,0\na,1,2,1,1\n")
+    code = main(["estimate", str(path), "--model", "qr-pooled",
+                 "--out", str(tmp_path / "est.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"panel column {column!r} is not x_<integer>" in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("model", ["logistic", "qr-slopes"])
+def test_estimate_slope_model_needs_x_columns(tmp_path, capsys, model):
+    path = tmp_path / "panel.csv"
+    rows = ["id,t,y"] + [f"u{i},{t},{(i + t) % 2}" for i in range(3)
+                         for t in range(8)]
+    path.write_text("\n".join(rows) + "\n")
+    code = main(["estimate", str(path), "--model", model,
+                 "--out", str(tmp_path / "est.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"model {model!r}" in err and "x_k columns" in err
+    assert "reshape" not in err
+
+
+def test_estimate_pooled_fits_intercepts_without_x_columns(tmp_path, capsys):
+    path = tmp_path / "panel.csv"
+    rows = ["id,t,y"] + [f"u{i},{t},{i + 0.1 * t}" for i in range(3)
+                         for t in range(30)]
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(path), "--model", "qr-pooled",
+                 "--out", str(out)]) == 0
+    assert read_estimates(out).ids == ["u0", "u1", "u2"]
+
+
 def test_estimate_table_names_non_finite_covariance_row():
     sigmas = [np.eye(1), np.full((1, 1), np.nan)]
     with pytest.raises(ParseError, match=r"row 1 \(id=b\): .*non-finite"):
@@ -241,6 +302,9 @@ def test_cluster_rejects_bad_weight(tmp_path, capsys, weight):
     pytest.param("", "b,1,-0.5", [],
                  "row 3 (id=b), column 'se': must be finite and >= 0",
                  id="negative-se"),
+    pytest.param("", "b,1,1e200", [],
+                 "row 3 (id=b), column 'se': its square overflows",
+                 id="se-square-overflows"),
     pytest.param("", "b,1,1", ["--gmax", "0"], "--gmax must be >= 1, got 0",
                  id="gmax-0"),
     pytest.param("", "b,1,1", ["--seed", "-1"], "--seed must be >= 0, got -1",
@@ -253,11 +317,24 @@ def test_cluster_rejects_bad_weight(tmp_path, capsys, weight):
                  id="format-version-99"),
     pytest.param("", "b,1,1", ["--t-periods", "0"], "--t-periods: ", id="T-0"),
     pytest.param("", "b,1,1", ["--t-periods", "-5"], "got T=-5", id="T-neg"),
+    # T is not read for these tables, but a given --t-periods is checked
+    pytest.param("", "b,1,1,50", ["--t-periods", "0"],
+                 "--t-periods must be >= 1, got 0", id="T-0-weighted"),
+    pytest.param("", "b,1,1,50", ["--t-periods", "-5"],
+                 "--t-periods must be >= 1, got -5", id="T-neg-weighted"),
+    pytest.param("# scale=already_scaled\n", "b,1,1", ["--t-periods", "0"],
+                 "--t-periods must be >= 1, got 0", id="T-0-already-scaled"),
+    pytest.param("# scale=already_scaled\n", "b,1,1", ["--t-periods", "-5"],
+                 "--t-periods must be >= 1, got -5",
+                 id="T-neg-already-scaled"),
 ])
 def test_cluster_rejects_bad_values_at_ingestion(tmp_path, capsys, meta, row,
                                                  flags, message):
+    # a row with four fields carries a weight: the table gets that column
+    weight = ",50" if row.count(",") == 3 else ""
+    header = "id,beta_1,se" + (",weight" if weight else "")
     path = tmp_path / "est.csv"
-    path.write_text(f"{meta}id,beta_1,se\na,0,1\n{row}\nc,2,1\n")
+    path.write_text(f"{meta}{header}\na,0,1{weight}\n{row}\nc,2,1{weight}\n")
     code = main(["cluster", str(path), "--groups", "2", "--t-periods", "50",
                  *flags, "--out", str(tmp_path / "r.json")])
     assert code == 1
@@ -303,6 +380,12 @@ def test_cluster_scores_against_truth(tmp_path, capsys):
     ("id,label\nlo0,1\nlo1,1.5\n",
      "row 3 (id=lo1), column 'label': not an integer"),
     ("id,label\nlo0,1\nlo0,2\n", "row 3 (id=lo0): duplicate id"),
+    ("id,label\nlo0,1\nlo1,0\n",
+     "row 3 (id=lo1), column 'label': not an integer in 1..10"),
+    ("id,label\nlo0,11\n",
+     "row 2 (id=lo0), column 'label': not an integer in 1..10"),
+    ("id,label\nlo0,99999999999999999999\n",
+     "row 2 (id=lo0), column 'label': not an integer in 1..10"),
     ("id,label\nlo0\n", "row 2: expected 2 fields"),
 ])
 def test_cluster_rejects_bad_truth_file(tmp_path, capsys, text, message):
@@ -372,9 +455,9 @@ def test_estimate_then_cluster_matches_in_process_pipeline(tmp_path, capsys):
         uncs.append(hk_covariance(bundle, X, slopes_only=True))
     table = EstimateTable(list(range(panel.n)), betas, [u.sigma for u in uncs])
     V = build_dissimilarity(table.betas, table.variances(panel.T))
-    assignment = spectral_cluster(V, 3, seed=7)
+    labels = spectral_cluster(V, 3, seed=7)
     expected = {f"u{i}": int(lab)
-                for i, lab in enumerate(assignment.labels)}
+                for i, lab in enumerate(labels)}
     assert report["labels"] == expected
 
 

@@ -148,7 +148,7 @@ def test_identity_method_clusters_identity_weighted_dissimilarity(monkeypatch):
         return build(estimates, *args, **kwargs)
 
     def recording_cluster(V, *args, **kwargs):
-        seen["V"] = V.V
+        seen["V"] = V
         return cluster(V, *args, **kwargs)
 
     monkeypatch.setattr(simulation, "build_dissimilarity", recording_build)
@@ -159,7 +159,7 @@ def test_identity_method_clusters_identity_weighted_dissimilarity(monkeypatch):
     betas = seen["betas"]
     identity = [0.5 * np.eye(betas.shape[1])] * len(betas)
     assert np.array_equal(seen["V"],
-                          build_dissimilarity(betas, identity).V)
+                          build_dissimilarity(betas, identity))
 
 
 def test_quantile_rep_drops_a_failed_fit(monkeypatch):

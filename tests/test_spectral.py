@@ -16,11 +16,11 @@ from panelcluster.types import (
     ALREADY_SCALED,
     PER_OBSERVATION,
     DimensionMismatch,
-    DissimilarityMatrix,
     EstimateTable,
     NonPositiveCombined,
     NotSymmetric,
     UncertaintyEstimate,
+    validate_covariance,
 )
 
 
@@ -62,13 +62,13 @@ def test_inverse_sqrt_rejects_asymmetric():
 def test_dissimilarity_zero_for_equal_betas():
     betas = [np.array([1.0, 2.0])] * 3
     V = build_dissimilarity(betas, [np.eye(2)] * 3)
-    assert np.all(V.V == 0)
+    assert np.all(V == 0)
 
 
 def test_dissimilarity_scalar_case():
     sigmas = [np.array([[0.5]]), np.array([[0.5]])]
     V = build_dissimilarity([np.array([1.0]), np.array([3.0])], sigmas)
-    assert V.V[0, 1] == pytest.approx(2.0, rel=1e-12)
+    assert V[0, 1] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_dissimilarity_joint_rescale_invariance():
@@ -78,10 +78,10 @@ def test_dissimilarity_joint_rescale_invariance():
     for _ in range(4):
         A = rng.normal(size=(2, 2))
         sigmas.append(A @ A.T + 0.2 * np.eye(2))
-    base = build_dissimilarity(betas, sigmas).V
+    base = build_dissimilarity(betas, sigmas)
     c = 7.0
     scaled = build_dissimilarity([c * b for b in betas],
-                                 [c ** 2 * s for s in sigmas]).V
+                                 [c ** 2 * s for s in sigmas])
     assert np.abs(base - scaled).max() <= 1e-12
 
 
@@ -89,7 +89,7 @@ def test_dissimilarity_two_dimensional_hand_case():
     # combined covariance diag(4, 0.04); whitened difference (1, 1)
     sigmas = [np.diag([2.0, 0.02]), np.diag([2.0, 0.02])]
     V = build_dissimilarity([np.zeros(2), np.array([2.0, 0.2])], sigmas)
-    assert V.V[0, 1] == pytest.approx(1.0, rel=1e-12)
+    assert V[0, 1] == pytest.approx(1.0, rel=1e-12)
 
 
 def scalar_table(sigma, **kwargs):
@@ -99,13 +99,13 @@ def scalar_table(sigma, **kwargs):
 def test_dissimilarity_per_observation_divides_by_T():
     table = scalar_table(50.0, scale=PER_OBSERVATION)
     V = build_dissimilarity(table.betas, table.variances(100))
-    assert V.V[0, 1] == pytest.approx(1.0, rel=1e-12)
+    assert V[0, 1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_dissimilarity_weights_override_common_T():
     table = scalar_table(1.0, weights=np.array([4.0, 4.0]))
     V = build_dissimilarity(table.betas, table.variances(999))
-    assert V.V[0, 1] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert V[0, 1] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("weights", [[4.0, 0.0], [4.0, -5.0], [4.0, np.nan],
@@ -172,7 +172,7 @@ def test_batched_dissimilarity_equals_pairwise_loop(monkeypatch, s, scale,
                .astype(float) if weighted else None)
     table = EstimateTable(list(range(n)), betas, sigmas, scale=scale,
                           weights=weights)
-    V = build_dissimilarity(table.betas, table.variances(37)).V
+    V = build_dissimilarity(table.betas, table.variances(37))
     assert np.array_equal(V, reference_dissimilarity(betas, sigmas, 37, scale,
                                                      weights))
 
@@ -182,7 +182,7 @@ def test_batched_dissimilarity_equals_pairwise_loop_at_default_chunk():
     assert n * (n - 1) // 2 > spectral.PAIR_CHUNK_ENTRIES // 4
     betas, sigmas = random_estimates(n, 2, seed=3)
     table = EstimateTable(list(range(n)), betas, sigmas)
-    V = build_dissimilarity(table.betas, table.variances(120)).V
+    V = build_dissimilarity(table.betas, table.variances(120))
     assert np.array_equal(V, reference_dissimilarity(betas, sigmas, 120,
                                                      PER_OBSERVATION))
 
@@ -257,38 +257,37 @@ def block_dissimilarity(sizes, across=50.0):
         V[start:start + size, start:start + size] = 0.0
         start += size
     np.fill_diagonal(V, 0.0)
-    return DissimilarityMatrix(V), np.repeat(np.arange(1, len(sizes) + 1),
-                                             sizes)
+    return V, np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
 
 def test_spectral_single_group():
     V, _ = block_dissimilarity([4])
-    assignment = spectral_cluster(V, 1)
-    assert np.all(assignment.labels == assignment.labels[0])
+    labels = spectral_cluster(V, 1)
+    assert np.all(labels == labels[0])
 
 
 def test_spectral_recovers_two_blocks():
     V, truth = block_dissimilarity([5, 5])
-    assignment = spectral_cluster(V, 2)
-    assert perfect_match(truth, assignment.labels)
-    eigenvalues = np.linalg.eigvalsh(_laplacian(V.V))
+    labels = spectral_cluster(V, 2)
+    assert perfect_match(truth, labels)
+    eigenvalues = np.linalg.eigvalsh(_laplacian(V))
     assert eigenvalues.min() > -1e-8
     assert eigenvalues.max() < 2 + 1e-8
 
 
 def test_spectral_singletons_when_k_equals_n():
-    V = DissimilarityMatrix(np.zeros((3, 3)))
-    assignment = spectral_cluster(V, 3)
-    assert sorted(assignment.labels) == [1, 2, 3]
+    V = np.zeros((3, 3))
+    labels = spectral_cluster(V, 3)
+    assert sorted(labels) == [1, 2, 3]
 
 
 def test_spectral_deterministic_given_seed():
     rng = np.random.default_rng(11)
     M = np.abs(rng.normal(size=(8, 8)))
-    V = DissimilarityMatrix(np.triu(M, 1) + np.triu(M, 1).T)
+    V = np.triu(M, 1) + np.triu(M, 1).T
     a1 = spectral_cluster(V, 3, seed=42)
     a2 = spectral_cluster(V, 3, seed=42)
-    assert np.array_equal(a1.labels, a2.labels)
+    assert np.array_equal(a1, a2)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -296,12 +295,12 @@ def test_spectral_equivariant_under_permutation(seed):
     V, truth = block_dissimilarity([4, 3, 5], across=30.0)
     base = spectral_cluster(V, 3, seed=0)
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(V.V.shape[0])
-    Vp = DissimilarityMatrix(V.V[np.ix_(perm, perm)])
+    perm = rng.permutation(V.shape[0])
+    Vp = V[np.ix_(perm, perm)]
     permuted = spectral_cluster(Vp, 3, seed=0)
     # the permuted clustering must equal the permuted base labels up to
     # renaming of the label alphabet
-    assert perfect_match(base.labels[perm], permuted.labels)
+    assert perfect_match(base[perm], permuted)
 
 
 def test_laplacian_zero_multiplicity_on_exact_blocks():
@@ -309,18 +308,18 @@ def test_laplacian_zero_multiplicity_on_exact_blocks():
     # block-diagonal: eigenvalue 0 with multiplicity = number of blocks,
     # all remaining eigenvalues 1
     V, _ = block_dissimilarity([3, 4, 5], across=1e4)
-    eigvals = np.sort(np.linalg.eigvalsh(_laplacian(V.V)))
+    eigvals = np.sort(np.linalg.eigvalsh(_laplacian(V)))
     assert np.abs(eigvals[:3]).max() < 1e-10
     assert np.abs(eigvals[3:] - 1.0).max() < 1e-10
 
 
 def test_monotone_shift_of_dissimilarity_keeps_labels():
     V, truth = block_dissimilarity([5, 5], across=8.0)
-    shifted = V.V + 2.0
+    shifted = V + 2.0
     np.fill_diagonal(shifted, 0.0)
     a1 = spectral_cluster(V, 2, seed=0)
-    a2 = spectral_cluster(DissimilarityMatrix(shifted), 2, seed=0)
-    assert perfect_match(a1.labels, a2.labels)
+    a2 = spectral_cluster(shifted, 2, seed=0)
+    assert perfect_match(a1, a2)
 
 
 def test_select_two_perfect_blocks():
@@ -338,14 +337,96 @@ def test_select_stays_in_range_on_uninformative_input():
     n = 12
     V = np.full((n, n), 1e6)
     np.fill_diagonal(V, 0.0)
-    sel = select_num_groups(DissimilarityMatrix(V), T=50)
+    sel = select_num_groups(V, T=50)
     assert 1 <= sel.G_hat <= 10
 
 
 def test_select_requires_min_sizes():
-    V = DissimilarityMatrix(np.zeros((2, 2)))
+    V = np.zeros((2, 2))
     with pytest.raises(ValueError):
         select_num_groups(V, T=50)
+
+
+def test_spectral_returns_one_based_label_array():
+    V, _ = block_dissimilarity([3, 4])
+    labels = spectral_cluster(V, 2)
+    assert isinstance(labels, np.ndarray) and labels.shape == (7,)
+    assert labels.dtype.kind == "i" and set(labels) == {1, 2}
+
+
+def bad_dissimilarity(kind):
+    V, _ = block_dissimilarity([2, 2], across=3.0)
+    if kind == "nan":
+        V[0, 2] = V[2, 0] = np.nan
+    elif kind == "negative":
+        V[0, 2] = V[2, 0] = -1.0
+    elif kind == "asymmetric":
+        V[0, 2] = 4.0
+    elif kind == "diagonal":
+        V[1, 1] = 0.5
+    else:
+        V = V[:, :3]
+    return V
+
+
+BAD_DISSIMILARITIES = [
+    ("nan", ValueError, "dissimilarity contains non-finite entries"),
+    ("negative", ValueError, "dissimilarity entries must be non-negative"),
+    ("asymmetric", ValueError, "dissimilarity must be symmetric"),
+    ("diagonal", ValueError, "dissimilarity diagonal must be zero"),
+    ("non-square", DimensionMismatch, "dissimilarity matrix must be square"),
+]
+
+
+@pytest.mark.parametrize("kind,error,message", BAD_DISSIMILARITIES)
+def test_spectral_cluster_checks_a_raw_dissimilarity(kind, error, message):
+    with pytest.raises(error, match=message):
+        spectral_cluster(bad_dissimilarity(kind), 2)
+
+
+@pytest.mark.parametrize("kind,error,message", BAD_DISSIMILARITIES)
+def test_select_num_groups_checks_a_raw_dissimilarity(kind, error, message):
+    with pytest.raises(error, match=message):
+        select_num_groups(bad_dissimilarity(kind), T=50)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dissimilarity_rejects_non_finite_estimates(bad):
+    betas = np.zeros((3, 2))
+    betas[1, 0] = bad
+    with pytest.raises(ValueError, match="estimates contain non-finite"):
+        build_dissimilarity(betas, np.ones((3, 1, 1)) * np.eye(2))
+
+
+@pytest.mark.parametrize("betas,variances,message", [
+    ([[1e308], [-1e308]], [[[1.0]], [[1.0]]], "non-finite dissimilarity"),
+    ([[1e300], [0.0]], [[[0.0]], [[0.0]]], "non-finite dissimilarity"),
+    ([[0.0], [1.0]], [[[1e308]], [[1e308]]], "non-finite dissimilarity"),
+])
+def test_dissimilarity_rejects_overflow_of_finite_inputs(betas, variances,
+                                                         message):
+    # the suite turns RuntimeWarning into an error, so a silent overflow
+    # would fail here as a warning, not as this ValueError
+    with pytest.raises(ValueError, match=message):
+        build_dissimilarity(np.array(betas), np.array(variances))
+
+
+def test_validate_covariance_halves_before_it_sums():
+    with pytest.raises(NonPositiveCombined):
+        validate_covariance(np.diag([1e308, -1e308]))
+    with pytest.raises(NotSymmetric):
+        validate_covariance(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+
+def test_weighted_variances_overflowing_are_rejected_downstream():
+    table = scalar_table(1e308, weights=np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        build_dissimilarity(table.betas, table.variances())
+
+
+def test_select_num_groups_accepts_a_huge_finite_dissimilarity():
+    V, _ = block_dissimilarity([3, 3], across=1.7e308)
+    assert select_num_groups(V, T=3).G_hat == 2
 
 
 def test_kmeans_single_cluster_is_mean():
