@@ -103,10 +103,15 @@ def read_estimates(path) -> EstimateTable:
     header, idx = _header(rows, "estimate table")
     if not header or header[0] != "id":
         raise ParseError("header row must start with 'id'")
-    beta_cols = [h for h in header if h.startswith("beta_")]
-    p = len(beta_cols)
+    found = {h for h in header if h.startswith("beta_")}
+    p = len(found)
     if p == 0:
         raise ParseError("no beta_* columns found")
+    # read by index, not header order, as the covariance cells are by name
+    beta_cols = [f"beta_{k + 1}" for k in range(p)]
+    if found != set(beta_cols):
+        raise ParseError(f"beta columns must be beta_1..beta_{p}; got "
+                         f"{sorted(found - set(beta_cols))}")
     use_se = "se" in header
     tri_names = _triangle_names(p)
     if use_se:

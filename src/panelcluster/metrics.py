@@ -17,9 +17,13 @@ def _confusion(truth, estimate):
     g_est = estimate.max(initial=1)
     if truth.min(initial=1) < 1 or estimate.min(initial=1) < 1:
         raise ValueError("labels must be 1-based positive integers")
-    G = max(g_true, g_est)
+    # compact each labeling to the labels it uses: the table then has one
+    # row or column per used label, whatever their values
+    rows = np.unique(truth, return_inverse=True)[1]
+    cols = np.unique(estimate, return_inverse=True)[1]
+    G = max(rows.max(initial=0), cols.max(initial=0)) + 1
     counts = np.zeros((G, G), dtype=int)
-    np.add.at(counts, (truth - 1, estimate - 1), 1)
+    np.add.at(counts, (rows, cols), 1)
     return counts, bool(g_true != g_est)
 
 

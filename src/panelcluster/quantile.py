@@ -1,10 +1,15 @@
 """Quantile regression fits, the density sandwich, and the pooled model.
 
-Fits solve the linear-programming dual of the check-loss problem with the
-HiGHS solver; coefficients are recovered from the equality-constraint
-marginals. Intercept-only problems are solved in closed form via the
-left-continuous sample quantile, which pins down the lower vertex whenever
-the minimizer is an interval.
+fit_quantile solves the linear-programming dual of the check-loss problem
+with the HiGHS solver; coefficients are recovered from the equality-
+constraint marginals. Intercept-only problems are solved in closed form via
+the left-continuous sample quantile, which pins down the lower vertex
+whenever the minimizer is an interval. The pooled fit uses HiGHS too.
+
+fit_quantile_bundle fits a stack of designs at three levels in one batched
+Frisch-Newton interior point, purifies each fit to a vertex and keeps it
+only when an exact basis test shows it is the unique minimizer; every other
+fit is solved alone by fit_quantile.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from scipy.stats import norm
 
 from .types import (
     CoefficientEstimate,
+    EstimationError,
     NonConvergence,
     QuantileFitBundle,
     SingularB,
@@ -28,6 +34,19 @@ from .types import (
 # floor for the difference-quotient denominator under quantile crossing
 DENSITY_DENOM_FLOOR = 1e-6
 MAX_CONDITION = 1e12
+
+# design entries (problems x T x k) one interior-point chunk holds, which
+# bounds its working set as spectral.PAIR_CHUNK_ENTRIES does for pairs
+IP_CHUNK_ENTRIES = 2 ** 16
+# iterations after which a problem is purified wherever it stands
+IP_MAX_ITER = 50
+# a problem stops once its duality gap is below IP_GAP_TOL * T * max|y|
+IP_GAP_TOL = 1e-10
+# fraction of the distance to the boundary an interior-point step takes
+IP_STEP = 0.99995
+# a purified vertex is accepted only when its basis multipliers lie this far
+# inside [tau - 1, tau], which makes it the unique minimizer
+BASIS_MARGIN = 1e-9
 
 
 def check_loss(u, tau: float):
@@ -49,18 +68,28 @@ def lower_sample_quantile(y, tau: float) -> float:
     return float(ys[max(k, 1) - 1])
 
 
-def subgradient_certificate(X, y, gamma, tau: float, tol: float = 1e-6):
+def subgradient_certificate(X, y, gamma, tau, tol: float = 1e-6):
     """Optimality check: per column j the score must be dominated by the
     interpolated observations, |sum_t x_tj (tau - 1{r_t < 0})| <=
-    sum_{t: r_t = 0} |x_tj| + tol."""
+    sum_{t: r_t = 0} |x_tj| + tol.
+
+    X is one (T, k) design (returns a bool) or an (m, T, k) stack with y
+    (m, T), gamma (m, k) and tau a scalar or (m,) (returns an (m,) mask).
+    """
     X = np.asarray(X, dtype=float)
-    r = np.asarray(y, dtype=float) - X @ gamma
-    scale = max(np.abs(np.asarray(y)).max(initial=1.0), 1.0)
+    y = np.asarray(y, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    single = X.ndim == 2
+    if single:
+        X, y, gamma = X[None], y[None], gamma[None]
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), (len(X),))[:, None]
+    r = y - (X @ gamma[..., None])[..., 0]
+    scale = np.maximum(np.abs(y).max(axis=1, initial=1.0), 1.0)[:, None]
     zero = np.abs(r) <= 1e-8 * scale
-    neg = (r < 0) & ~zero
-    score = X.T @ (tau - neg.astype(float))
-    slack = np.abs(X[zero]).sum(axis=0) if zero.any() else np.zeros(X.shape[1])
-    return bool(np.all(np.abs(score) <= slack + tol))
+    score = ((tau - ((r < 0) & ~zero))[:, None, :] @ X)[:, 0]
+    slack = (np.abs(X) * zero[..., None]).sum(axis=1)
+    ok = np.all(np.abs(score) <= slack + tol, axis=1)
+    return bool(ok[0]) if single else ok
 
 
 def _solve_qr_dual(X, y, tau: float):
@@ -115,13 +144,193 @@ def hall_sheather_bandwidth(T: int, tau: float, alpha_level: float = 0.05) -> fl
 
 def fit_quantile_bundle(X, y, tau: float,
                         d_T: float | None = None) -> QuantileFitBundle:
-    """Fit at tau and tau +/- d_T (Hall-Sheather default bandwidth)."""
+    """Fit at tau and tau +/- d_T (Hall-Sheather default bandwidth).
+
+    X is one (T, k) design with responses y (T,), or an (n, T, k) stack with
+    y (n, T); all 3n fits of a stack run as one batched solve (_fit_stack).
+    For a stack, bundle.failed maps each row that cannot be fit to its
+    EstimationError (its coefficients read 0), and bundle.certified flags
+    the rows whose three fits pass the subgradient certificate. One design
+    raises its error instead.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    single = X.ndim == 2
+    if single:
+        X, y = X[None], y[None]
+    if X.ndim != 3 or y.shape != X.shape[:2]:
+        raise SingularDesign("design/response shape mismatch")
     if d_T is None:
-        d_T = hall_sheather_bandwidth(len(y), tau)
-    center = fit_quantile(X, y, tau)
-    upper = fit_quantile(X, y, tau + d_T)
-    lower = fit_quantile(X, y, tau - d_T)
-    return QuantileFitBundle(center, upper, lower, d_T)
+        d_T = hall_sheather_bandwidth(X.shape[1], tau)
+    if not (0.0 < tau - d_T and tau + d_T < 1.0):
+        raise ValueError("bandwidth pushes tau +/- d_T outside (0, 1)")
+    n, _, k = X.shape
+    levels = (tau, tau + d_T, tau - d_T)
+    full_rank = np.linalg.matrix_rank(X) == k
+    failed = {int(i): SingularDesign("design matrix is rank deficient")
+              for i in np.flatnonzero(~full_rank)}
+    rows = np.flatnonzero(full_rank)
+    gammas = np.zeros((3, n, k))
+    certified = np.zeros((3, n), dtype=bool)
+    if len(rows):
+        problems = np.tile(rows, 3)
+        gamma, ok, errors = _fit_stack(X, y, problems,
+                                       np.repeat(levels, len(rows)))
+        gammas[:, rows] = gamma.reshape(3, len(rows), k)
+        certified[:, rows] = ok.reshape(3, len(rows))
+        for problem, exc in errors.items():
+            failed.setdefault(int(problems[problem]), exc)
+        gammas[:, list(failed)] = 0.0
+        certified[:, list(failed)] = False
+    if single:
+        if failed:
+            raise failed[0]
+        gammas, certified = gammas[:, 0], certified[:, 0]
+    fits = [CoefficientEstimate(g, tau=level, converged=bool(c.all()))
+            for g, level, c in zip(gammas, levels, certified)]
+    return QuantileFitBundle(*fits, d_T, certified=certified.all(axis=0),
+                             failed=failed)
+
+
+def _fit_stack(X, y, rows, taus):
+    """Quantile fits of problems (X[rows[j]], y[rows[j]], taus[j]).
+
+    Chunks of at most IP_CHUNK_ENTRIES design entries run the batched
+    interior point; each fit is purified to a vertex, and a fit whose vertex
+    fails the basis test is solved alone by fit_quantile (HiGHS). Returns
+    gammas (m, k), certificates (m,) and {problem: EstimationError} of the
+    fits HiGHS could not solve. Every problem's arithmetic is independent of
+    the others, so a fit is the same in any stack.
+    """
+    m = len(rows)
+    T, k = X.shape[1:]
+    gammas = np.zeros((m, k))
+    certified = np.zeros(m, dtype=bool)
+    errors = {}
+    step = max(1, IP_CHUNK_ENTRIES // (T * k))
+    for start in range(0, m, step):
+        chunk = slice(start, start + step)
+        Xc, yc, tc = X[rows[chunk]], y[rows[chunk]], taus[chunk]
+        try:
+            gamma, vertex = _purify(Xc, yc, tc, _interior_point(Xc, yc, tc))
+        except np.linalg.LinAlgError:
+            # an exactly singular normal matrix: HiGHS solves every fit
+            gamma, vertex = np.zeros((len(tc), k)), np.zeros(len(tc), bool)
+        for j in np.flatnonzero(~vertex):
+            try:
+                gamma[j] = fit_quantile(Xc[j], yc[j], tc[j]).gamma
+            except EstimationError as exc:
+                errors[start + j] = exc
+        gammas[chunk] = gamma
+        certified[chunk] = subgradient_certificate(Xc, yc, gamma, tc)
+    return gammas, certified, errors
+
+
+def _max_step(v, dv, u, du):
+    """IP_STEP times the longest step along (dv, du) that keeps v and u
+    non-negative, capped at 1; v, u > 0, one row per problem."""
+    t = np.maximum((-dv / v).max(axis=1), (-du / u).max(axis=1))
+    return (IP_STEP / np.maximum(t, IP_STEP))[:, None]
+
+
+def _interior_point(X, y, tau):
+    """Frisch-Newton interior point for a stack of quantile regressions.
+
+    Mehrotra predictor-corrector on quantreg's bounded dual (rq.fit.fnb;
+    Portnoy and Koenker 1997): max y'a subject to X'a = (1 - tau) X'1,
+    0 <= a <= 1, whose equality multipliers lambda give gamma = -lambda.
+    X is (m, T, k), y (m, T) and tau (m,). A problem stops once its duality
+    gap is below IP_GAP_TOL * T * max|y|, or after IP_MAX_ITER iterations;
+    the returned gammas (m, k) are then purified by _purify.
+    """
+    m, T, k = X.shape
+    gamma = np.zeros((m, k))
+    c = -y
+    x = np.repeat(1.0 - tau[:, None], T, axis=1)  # primal a, feasible
+    s = 1.0 - x  # slack of a <= 1
+    b = (x[:, None, :] @ X)[:, 0]
+    # dual start: least squares multipliers, with z - w = c - X lambda split
+    # into its positive and negative parts, both lifted off zero
+    lam = np.linalg.solve(X.swapaxes(1, 2) @ X, (c[:, None, :] @ X)
+                          .swapaxes(1, 2))[..., 0]
+    r = c - (X @ lam[..., None])[..., 0]
+    tol = np.abs(y).max(axis=1)
+    tol = IP_GAP_TOL * np.where(tol > 0.0, tol, 1.0)
+    z = np.maximum(r, 0.0) + tol[:, None]
+    w = np.maximum(-r, 0.0) + tol[:, None]
+    active = np.arange(m)
+    for _ in range(IP_MAX_ITER):
+        gap = (x * z).sum(axis=1) + (s * w).sum(axis=1)
+        done = gap <= T * tol
+        if done.any():
+            gamma[active[done]] = -lam[done]
+            keep = ~done
+            active = active[keep]
+            if not len(active):
+                return gamma
+            X, c, x, s, b, lam, z, w, gap, tol = (
+                a[keep] for a in (X, c, x, s, b, lam, z, w, gap, tol))
+        rp = b - (x[:, None, :] @ X)[:, 0]
+        rd = c - (X @ lam[..., None])[..., 0] - z + w
+        d = 1.0 / (z / x + w / s)
+        normal = (X * d[..., None]).swapaxes(1, 2) @ X
+
+        def direction(q):
+            rhs = rp - ((d * q)[:, None, :] @ X)[:, 0]
+            dlam = np.linalg.solve(normal, rhs[..., None])[..., 0]
+            return dlam, d * ((X @ dlam[..., None])[..., 0] + q)
+
+        # predictor: the affine scaling direction (target mu = 0)
+        dlam, dx = direction(w - z - rd)
+        dz = -z * (1.0 + dx / x)
+        dw = -w * (1.0 - dx / s)
+        ap = _max_step(x, dx, s, -dx)
+        ad = _max_step(z, dz, w, dw)
+        predicted = (((x + ap * dx) * (z + ad * dz)).sum(axis=1)
+                     + ((s - ap * dx) * (w + ad * dw)).sum(axis=1))
+        mu = (predicted / gap) ** 3 * gap / (2 * T)
+        # corrector: centring towards mu plus the second-order terms
+        rxz = mu[:, None] - x * z - dx * dz
+        rsw = mu[:, None] - s * w + dx * dw
+        dlam, dx = direction(rxz / x - rsw / s - rd)
+        dz = (rxz - z * dx) / x
+        dw = (rsw + w * dx) / s
+        ap = _max_step(x, dx, s, -dx)
+        ad = _max_step(z, dz, w, dw)
+        x = x + ap * dx
+        s = s - ap * dx
+        lam = lam + ad * dlam
+        z = z + ad * dz
+        w = w + ad * dw
+    gamma[active] = -lam
+    return gamma
+
+
+def _purify(X, y, tau, gamma):
+    """Move each approximate fit to the vertex through its k smallest
+    |residuals| and test that vertex exactly.
+
+    The vertex gamma_h solves X_h gamma = y_h. It is the unique minimizer
+    when its basis multipliers v = -X_h'^{-1} sum_{t not in h} x_t (tau -
+    1{r_t < 0}) lie strictly inside [tau - 1, tau] (by BASIS_MARGIN); then
+    it is the vertex HiGHS returns too. Returns the vertices (m, k) and the
+    (m,) mask of those that pass.
+    """
+    k = X.shape[2]
+    r = y - (X @ gamma[..., None])[..., 0]
+    h = np.sort(np.argpartition(np.abs(r), k - 1, axis=1)[:, :k], axis=1)
+    Xh = np.take_along_axis(X, h[..., None], axis=1)
+    ok = np.linalg.cond(Xh) <= MAX_CONDITION
+    Xh[~ok] = np.eye(k)
+    vertex = np.linalg.solve(Xh, np.take_along_axis(y, h, axis=1)[..., None])
+    r = y - (X @ vertex)[..., 0]
+    psi = tau[:, None] - (r < 0)
+    np.put_along_axis(psi, h, 0.0, axis=1)
+    g = (psi[:, None, :] @ X).swapaxes(1, 2)
+    v = -np.linalg.solve(Xh.swapaxes(1, 2), g)[..., 0]
+    t = tau[:, None]
+    ok &= np.all((v > t - 1.0 + BASIS_MARGIN) & (v < t - BASIS_MARGIN), axis=1)
+    return vertex[..., 0], ok
 
 
 def hk_covariance(bundle: QuantileFitBundle, X,
@@ -130,34 +339,58 @@ def hk_covariance(bundle: QuantileFitBundle, X,
 
     Denominators of the density estimates are floored at DENSITY_DENOM_FLOOR;
     a floored fit is flagged as degenerate. slopes_only extracts the lower
-    p x p submatrix of the inverted full matrix.
+    p x p submatrix of the inverted full matrix. X is one (T, k) design or
+    the (n, T, k) stack of the bundle: then sigma is (n, s, s), failed maps
+    the rows whose B is singular to SingularB, and those rows and the rows
+    the bundle failed read 0; crossed flags every other row with a crossed
+    quotient, and degenerate is crossed.any(). One design raises SingularB
+    instead.
     """
     X = np.asarray(X, dtype=float)
+    single = X.ndim == 2
+    if single:
+        X = X[None]
+    n, T, k = X.shape
     tau = bundle.center.tau
     d = bundle.bandwidth
-    T = X.shape[0]
-    denom = X @ (bundle.upper.gamma - bundle.lower.gamma)
+    delta = np.reshape(bundle.upper.gamma - bundle.lower.gamma, (n, k, 1))
+    denom = (X @ delta)[..., 0]
     crossed = denom < DENSITY_DENOM_FLOOR
+    floored = 2.0 * d / np.maximum(denom, DENSITY_DENOM_FLOOR)
     # crossed difference quotients get density 0 (the observation drops out
     # of B) rather than an enormous weight from a floored denominator
-    f_hat = np.where(crossed, 0.0,
-                     2.0 * d / np.maximum(denom, DENSITY_DENOM_FLOOR))
-    B = (X * f_hat[:, None]).T @ X / T
-    H = tau * (1.0 - tau) * X.T @ X / T
-    if np.linalg.cond(B) > MAX_CONDITION:
+    B = _density_gram(X, np.where(crossed, 0.0, floored))
+    H = tau * (1.0 - tau) * (X.swapaxes(1, 2) @ X) / T
+    lost = np.linalg.cond(B) > MAX_CONDITION
+    if lost.any():
         # so many crossings that B lost rank: floor the denominators instead
         # so pathological inputs still produce a finite covariance
-        f_hat = 2.0 * d / np.maximum(denom, DENSITY_DENOM_FLOOR)
-        B = (X * f_hat[:, None]).T @ X / T
-        if np.linalg.cond(B) > MAX_CONDITION:
-            raise SingularB(
-                "density-weighted Gram matrix is numerically singular")
+        B[lost] = _density_gram(X[lost], floored[lost])
+        lost[lost] = np.linalg.cond(B[lost]) > MAX_CONDITION
+    failed = {int(i): SingularB(
+        "density-weighted Gram matrix is numerically singular")
+        for i in np.flatnonzero(lost)}
+    if single and failed:
+        raise failed[0]
+    unusable = lost.copy()
+    unusable[list(bundle.failed)] = True
+    B[unusable] = np.eye(k)
     Binv = np.linalg.inv(B)
     sigma = Binv @ H @ Binv
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
+    sigma[unusable] = 0.0
     if slopes_only:
-        sigma = sigma[1:, 1:]
-    return UncertaintyEstimate(sigma, degenerate=bool(crossed.any()))
+        sigma = sigma[:, 1:, 1:]
+    crossed = crossed.any(axis=1) & ~unusable
+    if single:
+        return UncertaintyEstimate(sigma[0], degenerate=bool(crossed[0]))
+    return UncertaintyEstimate(sigma, degenerate=bool(crossed.any()),
+                               crossed=crossed, failed=failed)
+
+
+def _density_gram(X, f_hat):
+    """B = X' diag(f_hat) X / T of each row of an (n, T, k) stack."""
+    return (X * f_hat[..., None]).swapaxes(1, 2) @ X / X.shape[1]
 
 
 @dataclass

@@ -238,27 +238,25 @@ class SimulationResult:
     aggregates: dict = field(default_factory=dict)
 
 
-def fit_individual(model, X, y, tau=0.5, d_T=None):
-    """Fit one individual's T x (p+1) design: (slopes, UncertaintyEstimate).
-
-    model is "logistic" (Newton MLE and plug-in covariance) or "qr-slopes"
-    (quantile fits at tau and tau +/- d_T with the HK sandwich).
-    """
-    if model == "logistic":
-        est = fit_logistic(X, y)
-        return est.slopes, logistic_covariance(X, est, slopes_only=True)
-    bundle = fit_quantile_bundle(X, y, tau, d_T=d_T)
-    return bundle.center.slopes, hk_covariance(bundle, X, slopes_only=True)
+def _fit_logistic_slopes(X, y):
+    """Logistic fit of one individual's T x (p+1) design: the slopes and
+    their UncertaintyEstimate (Newton MLE and plug-in covariance)."""
+    est = fit_logistic(X, y)
+    return est.slopes, logistic_covariance(X, est, slopes_only=True)
 
 
 def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
                    ids=None) -> EstimateTable:
     """Fit every individual of a panel into a per_observation EstimateTable.
 
-    model is "logistic" or "qr-slopes" (see fit_individual), or "qr-pooled":
-    the intercepts of pooled quantile fits with common slopes. ids label the
-    rows (default 0..n-1). An individual whose fit raises EstimationError is
-    left out and listed in `dropped` with the error's class name.
+    model is "logistic" (Newton MLE and plug-in covariance per individual),
+    "qr-slopes" (the slopes of quantile fits at tau and tau +/- d_T, solved
+    for the whole panel at once, with the HK sandwich) or "qr-pooled" (the
+    intercepts of pooled quantile fits with common slopes). ids label the
+    rows (default 0..n-1). An individual whose fit raises EstimationError,
+    or whose quantile fit fails its subgradient certificate
+    (NonConvergence), is left out and listed in `dropped` with the error's
+    class name.
     """
     ids = list(range(panel.n)) if ids is None else list(ids)
     if len(ids) != panel.n:
@@ -270,33 +268,53 @@ def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
     if model != "qr-pooled" and panel.p == 0:
         raise ValueError(f"model {model!r} fits slopes: it needs x_k columns")
     d_T = None if model == "logistic" else hall_sheather_bandwidth(panel.T, tau)
-    if model == "qr-pooled":
-        y, x = panel.responses, panel.covariates
-        center, upper, lower = (fit_pooled_quantile(y, x, level)
-                                for level in (tau, tau + d_T, tau - d_T))
-
-        def fit(i):
-            return center.alphas[i:i + 1], intercept_variance(
-                upper.alphas[i], lower.alphas[i], tau, d_T)
+    if model == "qr-slopes":
+        betas, sigmas, failed = _quantile_slopes(panel, tau, d_T)
     else:
-        def fit(i):
-            return fit_individual(model, panel.design(i), panel.responses[i],
-                                  tau, d_T)
+        if model == "qr-pooled":
+            y, x = panel.responses, panel.covariates
+            center, upper, lower = (fit_pooled_quantile(y, x, level)
+                                    for level in (tau, tau + d_T, tau - d_T))
 
-    kept, betas, sigmas, dropped = [], [], [], []
-    for i, ident in enumerate(ids):
-        try:
-            beta, unc = fit(i)
-        except EstimationError as exc:
-            dropped.append((ident, type(exc).__name__))
-            continue
-        kept.append(ident)
-        betas.append(beta)
-        sigmas.append(unc.sigma)
+            def fit(i):
+                return center.alphas[i:i + 1], intercept_variance(
+                    upper.alphas[i], lower.alphas[i], tau, d_T)
+        else:
+            designs = panel.designs
+
+            def fit(i):
+                return _fit_logistic_slopes(designs[i], panel.responses[i])
+
+        betas, sigmas, failed = {}, {}, {}
+        for i in range(panel.n):
+            try:
+                betas[i], unc = fit(i)
+            except EstimationError as exc:
+                failed[i] = exc
+                continue
+            sigmas[i] = unc.sigma
+
+    kept = [i for i in range(panel.n) if i not in failed]
     if not kept:
         raise ValueError("no individual could be estimated")
-    return EstimateTable(kept, np.array(betas), np.array(sigmas), d_T=d_T,
-                         dropped=dropped)
+    return EstimateTable([ids[i] for i in kept],
+                         np.array([betas[i] for i in kept]),
+                         np.array([sigmas[i] for i in kept]), d_T=d_T,
+                         dropped=[(ids[i], type(failed[i]).__name__)
+                                  for i in sorted(failed)])
+
+
+def _quantile_slopes(panel, tau, d_T):
+    """Stacked qr-slopes fits of a panel: slopes (n, p), their HK
+    covariances (n, p, p) and {row: EstimationError} of the unusable rows."""
+    X = panel.designs
+    bundle = fit_quantile_bundle(X, panel.responses, tau, d_T=d_T)
+    unc = hk_covariance(bundle, X, slopes_only=True)
+    failed = dict(unc.failed)
+    failed.update({int(i): NonConvergence("subgradient certificate failed")
+                   for i in np.flatnonzero(~bundle.certified)})
+    failed.update(bundle.failed)
+    return bundle.center.slopes, unc.sigma, failed
 
 
 def _fit_logistic_rep(config, rng):
@@ -309,8 +327,8 @@ def _fit_logistic_rep(config, rng):
         draw = len(kept) + len(dropped)
         x, y, group = _draw_logistic_individual(rng, T)
         try:
-            beta, unc = fit_individual("logistic",
-                                       np.column_stack([np.ones(T), x]), y)
+            beta, unc = _fit_logistic_slopes(np.column_stack([np.ones(T), x]),
+                                            y)
         except (DegenerateOutcome, PerfectSeparation) as exc:
             dropped.append((draw, type(exc).__name__))
             if len(dropped) > 100 * config.n:

@@ -91,9 +91,12 @@ class PanelDataset:
     def p(self) -> int:
         return self.covariates.shape[2]
 
-    def design(self, i: int) -> np.ndarray:
-        """T x (p+1) design of individual i with a leading intercept column."""
-        return np.column_stack([np.ones(self.T), self.covariates[i]])
+    @property
+    def designs(self) -> np.ndarray:
+        """(n, T, p+1) stack of the designs: a leading intercept column and
+        the covariates of each individual."""
+        return np.concatenate([np.ones((self.n, self.T, 1)), self.covariates],
+                              axis=2)
 
 
 @dataclass
@@ -101,8 +104,9 @@ class CoefficientEstimate:
     """Fitted coefficient vector of one individual.
 
     gamma holds (intercept, slopes) when the model carries a free intercept,
-    otherwise just the slopes. tau is the quantile level, or None for
-    logistic fits.
+    otherwise just the slopes; for a stack of n fits it is (n, k) and
+    converged holds when every row does. tau is the quantile level, or None
+    for logistic fits.
     """
 
     gamma: np.ndarray
@@ -119,8 +123,8 @@ class CoefficientEstimate:
 
     @property
     def slopes(self) -> np.ndarray:
-        """Coefficient vector without the leading intercept."""
-        return self.gamma[1:]
+        """Coefficients without the leading intercept (of every row)."""
+        return self.gamma[..., 1:]
 
 
 # scale conventions of EstimateTable.sigmas (see EstimateTable.variances)
@@ -130,17 +134,23 @@ ALREADY_SCALED = "already_scaled"
 
 @dataclass
 class UncertaintyEstimate:
-    """Symmetric covariance estimate attached to one individual.
+    """Symmetric covariance estimate of one individual, checked here, or an
+    (n, s, s) stack of them, which EstimateTable checks once.
 
-    degenerate flags floored/zero density estimates.
+    degenerate flags floored/zero density estimates (of any row). A stack
+    carries per-row flags: crossed (n,) and failed, {row: EstimationError}
+    of the rows that hold no estimate.
     """
 
     sigma: np.ndarray
     degenerate: bool = False
+    crossed: np.ndarray | None = None
+    failed: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        validate_covariance(self.sigma)
+        if self.sigma.ndim == 2:
+            validate_covariance(self.sigma)
 
 
 def _reject(bad: np.ndarray, error: type, message: str) -> None:
@@ -248,12 +258,19 @@ class EstimateTable:
 
 @dataclass
 class QuantileFitBundle:
-    """Quantile fits at tau and tau +/- bandwidth, used by the sandwich."""
+    """Quantile fits at tau and tau +/- bandwidth, used by the sandwich.
+
+    For a stack of n designs each fit holds (n, k) coefficients; certified
+    (n,) flags the rows whose three fits pass the subgradient certificate,
+    and failed maps rows that could not be fit to their EstimationError.
+    """
 
     center: CoefficientEstimate
     upper: CoefficientEstimate
     lower: CoefficientEstimate
     bandwidth: float
+    certified: np.ndarray | bool = True
+    failed: dict = field(default_factory=dict)
 
     def __post_init__(self):
         tau = self.center.tau

@@ -180,6 +180,34 @@ def test_repeated_header_column_is_rejected(tmp_path, capsys, command, text,
     assert f"header names column {column!r} twice" in err
 
 
+def test_permuted_beta_columns_read_by_index(tmp_path):
+    ordered = tmp_path / "ordered.csv"
+    ordered.write_text("id,beta_1,beta_2,c_11,c_12,c_22\na,1,5,1,0,100\n")
+    permuted = tmp_path / "permuted.csv"
+    permuted.write_text("id,c_22,beta_2,c_12,beta_1,c_11\na,100,5,0,1,1\n")
+    expected, table = read_estimates(ordered), read_estimates(permuted)
+    assert np.array_equal(table.betas, [[1.0, 5.0]])
+    assert np.array_equal(table.betas, expected.betas)
+    assert np.array_equal(table.sigmas, expected.sigmas)
+
+
+@pytest.mark.parametrize("header,bad", [
+    ("id,beta_1,beta_3,c_11,c_12,c_22", "beta_3"),
+    ("id,beta_2,beta_3,c_11,c_12,c_22", "beta_3"),
+    ("id,beta_1,beta_x,c_11,c_12,c_22", "beta_x"),
+    ("id,beta_01,beta_2,c_11,c_12,c_22", "beta_01"),
+])
+def test_beta_columns_must_be_numbered_without_gaps(tmp_path, capsys, header,
+                                                    bad):
+    path = tmp_path / "est.csv"
+    path.write_text(f"{header}\na,1,5,1,0,100\nb,2,6,1,0,100\n")
+    code = main(["cluster", str(path), "--groups", "1", "--t-periods", "50",
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "beta columns must be beta_1..beta_2" in err and repr(bad) in err
+
+
 @pytest.mark.parametrize("column", ["x_a", "x_", "x_1b", "x_-1"])
 def test_panel_rejects_x_column_without_integer(tmp_path, capsys, column):
     path = tmp_path / "panel.csv"
@@ -449,7 +477,7 @@ def test_estimate_then_cluster_matches_in_process_pipeline(tmp_path, capsys):
     d_T = hall_sheather_bandwidth(panel.T, 0.5)
     betas, uncs = [], []
     for i in range(panel.n):
-        X = panel.design(i)
+        X = panel.designs[i]
         bundle = fit_quantile_bundle(X, panel.responses[i], 0.5, d_T=d_T)
         betas.append(bundle.center.slopes)
         uncs.append(hk_covariance(bundle, X, slopes_only=True))

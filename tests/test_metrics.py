@@ -45,6 +45,12 @@ def test_match_score_is_json_ready(estimate):
     json.dumps(dataclasses.asdict(score))
 
 
+@pytest.mark.parametrize("huge", [2 ** 62, 10 ** 9 + 7])
+def test_label_values_do_not_size_the_table(huge):
+    assert average_match([1, 1], [1, huge]) == average_match([1, 1], [1, 2])
+    assert average_match([huge, 3, 3], [1, 2, 2]).perfect
+
+
 def test_rejects_zero_based_labels():
     with pytest.raises(ValueError):
         average_match([0, 1], [1, 1])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from panelcluster import quantile
 from panelcluster.quantile import (
     check_loss,
     fit_pooled_quantile,
@@ -14,7 +15,13 @@ from panelcluster.quantile import (
     quantile_objective,
     subgradient_certificate,
 )
-from panelcluster.types import QuantileFitBundle, CoefficientEstimate
+from panelcluster.types import (
+    CoefficientEstimate,
+    NonConvergence,
+    QuantileFitBundle,
+    SingularB,
+    SingularDesign,
+)
 
 
 def test_median_of_three():
@@ -230,3 +237,177 @@ def test_intercept_variance_normal_errors_matches_pi_over_two():
         minus = lower_sample_quantile(e, 0.5 - d)
         values.append(intercept_variance(plus, minus, 0.5, d).sigma[0, 0])
     assert abs(np.mean(values) - np.pi / 2) < 0.25 * np.pi / 2
+
+
+def model1_stack(n=12, T=60, error_dist="t3", seed=11):
+    from panelcluster.simulation import gen_model1
+
+    panel, _ = gen_model1(n, T, error_dist, seed)
+    return panel.designs, panel.responses
+
+
+@pytest.mark.parametrize("error_dist,T", [("normal", 60), ("t3", 120)])
+def test_stacked_bundle_and_hk_equal_per_individual_calls(error_dist, T):
+    X, y = model1_stack(T=T, error_dist=error_dist)
+    d_T = hall_sheather_bandwidth(T, 0.5)
+    bundle = fit_quantile_bundle(X, y, 0.5, d_T=d_T)
+    unc = hk_covariance(bundle, X, slopes_only=True)
+    assert bundle.certified.all() and not bundle.failed and not unc.failed
+    for i in range(len(X)):
+        solo = fit_quantile_bundle(X[i], y[i], 0.5, d_T=d_T)
+        solo_unc = hk_covariance(solo, X[i], slopes_only=True)
+        for level in ("center", "upper", "lower"):
+            assert np.array_equal(getattr(bundle, level).gamma[i],
+                                  getattr(solo, level).gamma)
+        assert np.array_equal(unc.sigma[i], solo_unc.sigma)
+        assert unc.crossed[i] == solo_unc.degenerate
+
+
+def test_stack_chunks_do_not_change_fits(monkeypatch):
+    X, y = model1_stack()
+    whole = fit_quantile_bundle(X, y, 0.5)
+    # 5 problems per chunk: 36 fits in 8 chunks, the last one ragged
+    monkeypatch.setattr(quantile, "IP_CHUNK_ENTRIES", 5 * X.shape[1] * 3)
+    chunked = fit_quantile_bundle(X, y, 0.5)
+    for level in ("center", "upper", "lower"):
+        assert np.array_equal(getattr(whole, level).gamma,
+                              getattr(chunked, level).gamma)
+
+
+def test_rejected_vertex_falls_back_to_highs(monkeypatch):
+    X, y = model1_stack()
+    j = 4
+    purify = quantile._purify
+
+    def reject_row_j(Xc, yc, tau, gamma):
+        vertex, ok = purify(Xc, yc, tau, gamma)
+        return vertex, ok & ~(yc == y[j]).all(axis=1)
+
+    monkeypatch.setattr(quantile, "_purify", reject_row_j)
+    bundle = fit_quantile_bundle(X, y, 0.5)
+    for level in ("center", "upper", "lower"):
+        fit = getattr(bundle, level)
+        highs = fit_quantile(X[j], y[j], fit.tau)
+        assert np.array_equal(fit.gamma[j], highs.gamma)
+
+
+def test_failed_highs_fallback_fails_its_row_alone(monkeypatch):
+    X, y = model1_stack()
+    j = 6
+    purify = quantile._purify
+
+    def reject_row_j(Xc, yc, tau, gamma):
+        vertex, ok = purify(Xc, yc, tau, gamma)
+        return vertex, ok & ~(yc == y[j]).all(axis=1)
+
+    def failing_highs(X, y, tau, tol=1e-6):
+        raise NonConvergence("quantile LP failed")
+
+    monkeypatch.setattr(quantile, "_purify", reject_row_j)
+    monkeypatch.setattr(quantile, "fit_quantile", failing_highs)
+    bundle = fit_quantile_bundle(X, y, 0.5)
+    assert list(bundle.failed) == [j]
+    assert isinstance(bundle.failed[j], NonConvergence)
+    assert not bundle.certified[j] and np.all(bundle.upper.gamma[j] == 0.0)
+    assert bundle.certified[np.arange(12) != j].all()
+    with pytest.raises(NonConvergence):
+        fit_quantile_bundle(X[j], y[j], 0.5)
+
+
+def test_singular_normal_matrix_sends_the_chunk_to_highs(monkeypatch):
+    X, y = model1_stack(n=4)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(quantile, "_interior_point", singular)
+    bundle = fit_quantile_bundle(X, y, 0.5)
+    assert bundle.certified.all()
+    for level in ("center", "upper", "lower"):
+        fit = getattr(bundle, level)
+        for i in range(4):
+            assert np.array_equal(fit.gamma[i],
+                                  fit_quantile(X[i], y[i], fit.tau).gamma)
+
+
+def test_rank_deficient_row_fails_alone():
+    X, y = model1_stack()
+    X[3, :, 2] = 2.0 * X[3, :, 1]
+    bundle = fit_quantile_bundle(X, y, 0.5)
+    unc = hk_covariance(bundle, X)
+    assert list(bundle.failed) == [3]
+    assert isinstance(bundle.failed[3], SingularDesign)
+    others = np.arange(12) != 3
+    assert not bundle.certified[3] and bundle.certified[others].all()
+    assert np.all(bundle.center.gamma[3] == 0.0)
+    assert np.all(unc.sigma[3] == 0.0) and not unc.crossed[3]
+    with pytest.raises(SingularDesign):
+        fit_quantile_bundle(X[3], y[3], 0.5)
+
+
+def test_singular_b_row_fails_alone():
+    X, y = model1_stack()
+    bundle = fit_quantile_bundle(X, y, 0.5)
+    # a design that lost rank after its fit leaves B singular however its
+    # densities are floored
+    X[7, :, 2] = X[7, :, 1]
+    unc = hk_covariance(bundle, X)
+    assert list(unc.failed) == [7] and np.all(unc.sigma[7] == 0.0)
+    assert isinstance(unc.failed[7], SingularB)
+    solo = QuantileFitBundle(*(CoefficientEstimate(f.gamma[7], tau=f.tau)
+                               for f in (bundle.center, bundle.upper,
+                                         bundle.lower)), bundle.bandwidth)
+    with pytest.raises(SingularB):
+        hk_covariance(solo, X[7])
+
+
+def criterion_5c_instances():
+    """The 100 random instances of acceptance criterion 5c, same draws."""
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        T = int(rng.integers(20, 80))
+        s = int(rng.integers(1, 4))
+        X = np.column_stack([np.ones(T), rng.normal(size=(T, s - 1))]) \
+            if s > 1 else np.ones((T, 1))
+        y = rng.normal(size=T) + rng.standard_t(df=3, size=T)
+        yield X, y, float(rng.uniform(0.1, 0.9))
+
+
+def criterion_5d_instances():
+    """The 8 random instances of acceptance criterion 5d, same draws."""
+    rng = np.random.default_rng(3)
+    for _ in range(8):
+        T = 12
+        s = int(rng.integers(2, 4))
+        X = np.column_stack([np.ones(T), rng.normal(size=(T, s - 1))])
+        yield X, rng.normal(size=T), float(rng.uniform(0.2, 0.8))
+
+
+def stacked_engine_fits(instances):
+    """Fit the instances with the stacked engine, one stack per design
+    shape: (X, y, tau, gamma, certified) of every fit."""
+    groups = {}
+    for instance in instances:
+        groups.setdefault(instance[0].shape, []).append(instance)
+    for members in groups.values():
+        X, y, taus = (np.array(column) for column in zip(*members))
+        gammas, certified, errors = quantile._fit_stack(
+            X, y, np.arange(len(members)), taus)
+        assert not errors
+        yield from zip(X, y, taus, gammas, certified)
+
+
+def test_stacked_engine_certifies_criterion_5c_instances():
+    fits = list(stacked_engine_fits(criterion_5c_instances()))
+    assert len(fits) == 100
+    for X, y, tau, gamma, certified in fits:
+        assert certified and subgradient_certificate(X, y, gamma, tau)
+
+
+def test_stacked_engine_matches_enumeration_on_criterion_5d_instances():
+    fits = list(stacked_engine_fits(criterion_5d_instances()))
+    assert len(fits) == 8
+    for X, y, tau, gamma, certified in fits:
+        assert certified
+        assert quantile_objective(X, y, gamma, tau) == pytest.approx(
+            brute_force_objective(X, y, tau), abs=1e-9)

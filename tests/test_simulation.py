@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from panelcluster import simulation
+from panelcluster import quantile, simulation
 from panelcluster.io import result_payload
 from panelcluster.simulation import (
     SimulationConfig,
@@ -16,7 +16,6 @@ from panelcluster.simulation import (
     splitmix64,
 )
 from panelcluster.spectral import build_dissimilarity
-from panelcluster.types import SingularDesign
 
 
 def test_splitmix64_is_stable():
@@ -163,22 +162,36 @@ def test_identity_method_clusters_identity_weighted_dissimilarity(monkeypatch):
 
 
 def test_quantile_rep_drops_a_failed_fit(monkeypatch):
-    fit = simulation.fit_quantile_bundle
-    calls = []
+    gen = simulation.gen_model1
 
-    def failing_for_third(X, y, tau, d_T=None):
-        # individuals are fit in order, one bundle each: call 3 is index 2
-        calls.append(None)
-        if len(calls) == 3:
-            raise SingularDesign("forced failure")
-        return fit(X, y, tau, d_T=d_T)
+    def rank_deficient_third(n, T, error_dist, seed):
+        # individual 2's second covariate repeats its first: rank 2 of 3
+        panel, truth = gen(n, T, error_dist, seed)
+        panel.covariates[2, :, 1] = panel.covariates[2, :, 0]
+        return panel, truth
 
-    monkeypatch.setattr(simulation, "fit_quantile_bundle", failing_for_third)
+    monkeypatch.setattr(simulation, "gen_model1", rank_deficient_third)
     config = SimulationConfig(model="model1", n=9, T=40, reps=1, seed=3,
                               restarts=5, select_groups=True)
     rep = run_rep(config, 0)
     assert rep.dropped == 1
     assert len(rep.truth) == len(rep.labels["spectral"]) == 8
+
+
+def test_quantile_fit_failing_its_certificate_is_dropped(monkeypatch):
+    certificate = quantile.subgradient_certificate
+    panel, _ = gen_model1(9, 40, "normal", seed=4)
+    failing = panel.responses[5]
+
+    def failing_for_row_5(X, y, gamma, tau, tol=1e-6):
+        ok = certificate(X, y, gamma, tau, tol)
+        return ok & ~(np.asarray(y) == failing).all(axis=-1)
+
+    monkeypatch.setattr(quantile, "subgradient_certificate", failing_for_row_5)
+    ids = [f"u{i}" for i in range(9)]
+    table = simulation.estimate_panel(panel, "qr-slopes", ids=ids)
+    assert table.dropped == [("u5", "NonConvergence")]
+    assert table.ids == ids[:5] + ids[6:]
 
 
 def test_estimate_panel_drops_and_reports_failed_fits():
