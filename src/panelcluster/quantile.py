@@ -71,7 +71,9 @@ def lower_sample_quantile(y, tau: float) -> float:
 def subgradient_certificate(X, y, gamma, tau, tol: float = 1e-6):
     """Optimality check: per column j the score must be dominated by the
     interpolated observations, |sum_t x_tj (tau - 1{r_t < 0})| <=
-    sum_{t: r_t = 0} |x_tj| + tol.
+    sum_{t: r_t = 0} |x_tj| + tol. A residual counts as zero when
+    |r_t| <= 1e-8 max_t |y_t| (1e-8 for an all-zero y), so the check works at
+    any scale of y.
 
     X is one (T, k) design (returns a bool) or an (m, T, k) stack with y
     (m, T), gamma (m, k) and tau a scalar or (m,) (returns an (m,) mask).
@@ -84,7 +86,8 @@ def subgradient_certificate(X, y, gamma, tau, tol: float = 1e-6):
         X, y, gamma = X[None], y[None], gamma[None]
     tau = np.broadcast_to(np.asarray(tau, dtype=float), (len(X),))[:, None]
     r = y - (X @ gamma[..., None])[..., 0]
-    scale = np.maximum(np.abs(y).max(axis=1, initial=1.0), 1.0)[:, None]
+    scale = np.abs(y).max(axis=1, initial=0.0)
+    scale = np.where(scale > 0.0, scale, 1.0)[:, None]
     zero = np.abs(r) <= 1e-8 * scale
     score = ((tau - ((r < 0) & ~zero))[:, None, :] @ X)[:, 0]
     slack = (np.abs(X) * zero[..., None]).sum(axis=1)

@@ -18,6 +18,11 @@ EIGENGAP_DENOM_GUARD = 1e-12
 # unchunked batch raised peak memory by ~5 MB at n=300 for no gain in speed.
 PAIR_CHUNK_ENTRIES = 2 ** 15
 
+# Entries of kmeans' per-chunk working set, ~n * (k + d) per restart: every
+# restart of a small-n call runs in one chunk, and a large-n call holds a
+# few restarts at a time.
+KMEANS_CHUNK_ENTRIES = 2 ** 17
+
 
 def _inverse_sqrt_stack(S: np.ndarray) -> np.ndarray:
     """matrix_inverse_sqrt of each matrix in an (m, s, s) stack."""
@@ -99,72 +104,135 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0,
            max_iter: int = 300):
     """Lloyd iterations with greedy farthest-point seeding.
 
-    The best objective over `restarts` independent seedings is returned.
-    Empty clusters are repaired by promoting the point farthest from its
-    center. Returns (labels, centers, objective) with 0-based labels.
+    The best objective over `restarts` independent seedings is returned,
+    the first such restart on a tie. All seedings are drawn first, in
+    restart order; Lloyd is deterministic, so each distinct seeding is
+    solved once, on a stack of restarts. Empty clusters are repaired by
+    promoting the point farthest from its center. Returns (labels,
+    centers, objective) with 0-based labels.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
+    n, d = points.shape
     if k > n:
         raise ValueError("more clusters than points")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    seeds = _farthest_point_seeds(points, k, restarts, rng)
+    # distinct seedings in order of first draw, so argmin keeps the first best
+    _, first = np.unique(seeds, axis=0, return_index=True)
+    seeds = seeds[np.sort(first)]
 
     best = None
-    for _ in range(restarts):
-        centers = _farthest_point_seed(points, k, rng)
-        labels, centers, objective = _lloyd(points, centers, max_iter)
-        if best is None or objective < best[2]:
-            best = (labels, centers, objective)
+    chunk = max(1, KMEANS_CHUNK_ENTRIES // (n * (k + d)))
+    for start in range(0, len(seeds), chunk):
+        centers = points[seeds[start:start + chunk]]
+        labels, objectives = _lloyd(points, centers, max_iter)
+        i = objectives.argmin()
+        if best is None or objectives[i] < best[2]:
+            best = (labels[i].copy(), centers[i].copy(), float(objectives[i]))
     return best
 
 
-def _farthest_point_seed(points, k, rng):
+def _farthest_point_seeds(points, k, restarts, rng):
+    """(restarts, k) indices into points, drawn restart by restart."""
     n = points.shape[0]
-    centers = [points[rng.integers(n)]]
-    for _ in range(1, k):
-        d = np.min(
-            [np.sum((points - c) ** 2, axis=1) for c in centers], axis=0)
-        # RNG tie-breaking among (near-)farthest points
-        cutoff = d.max() * (1.0 - 1e-12)
-        candidates = np.flatnonzero(d >= cutoff)
-        centers.append(points[rng.choice(candidates)])
-    return np.array(centers)
+    # squared distances to each picked point, which many restarts pick
+    # again; kept for up to KMEANS_CHUNK_ENTRIES entries
+    rows = {}
+    seeds = np.empty((restarts, k), dtype=np.intp)
+    for r in range(restarts):
+        seeds[r, 0] = i = rng.integers(n)
+        d = None
+        for c in range(1, k):
+            row = rows.get(i)
+            if row is None:
+                row = np.sum((points - points[i]) ** 2, axis=1)
+                if (len(rows) + 1) * n <= KMEANS_CHUNK_ENTRIES:
+                    rows[i] = row
+            d = row if d is None else np.minimum(d, row)
+            # RNG tie-breaking among (near-)farthest points
+            cutoff = d.max() * (1.0 - 1e-12)
+            candidates = (d >= cutoff).nonzero()[0]
+            seeds[r, c] = i = candidates[rng.integers(len(candidates))]
+    return seeds
 
 
 def _lloyd(points, centers, max_iter):
-    n, k = points.shape[0], centers.shape[0]
-    prev_objective = np.inf
-    labels = np.zeros(n, dtype=int)
+    """Lloyd iterations on an (m, k, d) stack of centers, updated in place.
+
+    A restart stops once its objective no longer decreases. Returns the
+    (m, n) labels and (m,) objectives of the final centers.
+    """
+    prev_objective = np.full(len(centers), np.inf)
+    active = np.arange(len(centers))
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
-        objective = d2[np.arange(n), labels].sum()
-        assert objective <= prev_objective + 1e-9, "Lloyd objective increased"
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                centers[j] = points[members].mean(axis=0)
-            else:
-                farthest = d2[np.arange(n), labels].argmax()
-                centers[j] = points[farthest]
-                labels[farthest] = j
-        if objective >= prev_objective - 1e-12:
+        if not active.size:
             break
-        prev_objective = objective
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    objective = float(d2[np.arange(n), labels].sum())
-    return labels, centers, objective
+        d2, labels, objective = _assign(points, centers[active])
+        assert (objective <= prev_objective[active] + 1e-9).all(), \
+            "Lloyd objective increased"
+        centers[active] = _update_centers(points, d2, labels)
+        stopped = objective >= prev_objective[active] - 1e-12
+        prev_objective[active] = objective
+        active = active[~stopped]
+    _, labels, objective = _assign(points, centers)
+    return labels, objective
+
+
+def _assign(points, centers):
+    """Squared distances (m, n, k) from the points to each stack's centers,
+    the nearest-center labels (m, n) and the objectives (m,)."""
+    m, k, _ = centers.shape
+    d2 = np.empty((m, points.shape[0], k))
+    for j in range(k):
+        d2[:, :, j] = ((points - centers[:, j, None, :]) ** 2).sum(axis=2)
+    return d2, d2.argmin(axis=2), d2.min(axis=2).sum(axis=1)
+
+
+def _update_centers(points, d2, labels):
+    """Member means for each stack's (m, n) labels.
+
+    Sums accumulate in point order, as points[members].mean(axis=0) does
+    for d >= 2. A restart with an empty cluster is repaired one cluster at
+    a time, as a promoted point may leave a cluster whose mean is still to
+    be taken.
+    """
+    m, n, k = d2.shape
+    bins = (labels + k * np.arange(m)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=m * k).reshape(m, k)
+    sums = np.stack([np.bincount(bins, weights=np.tile(column, m),
+                                 minlength=m * k) for column in points.T],
+                    axis=1).reshape(m, k, -1)
+    centers = sums / np.maximum(counts, 1)[:, :, None]
+    for r in np.flatnonzero((counts == 0).any(axis=1)):
+        labels_r, d2_r = labels[r], d2[r]
+        for j in range(k):
+            members = labels_r == j
+            if members.any():
+                centers[r, j] = points[members].mean(axis=0)
+            else:
+                farthest = d2_r[np.arange(n), labels_r].argmax()
+                centers[r, j] = points[farthest]
+                labels_r[farthest] = j
+    return centers
 
 
 def _laplacian(V: np.ndarray) -> np.ndarray:
-    """Symmetric normalized Laplacian of the affinity exp(-V), unit diagonal."""
-    A = np.exp(-V)
-    np.fill_diagonal(A, 1.0)
-    degrees = A.sum(axis=1)
+    """Symmetric normalized Laplacian of the affinity exp(-V), unit diagonal.
+
+    L = I - D^{-1/2} A D^{-1/2}, formed in place in the affinity array.
+    """
+    L = np.negative(V)
+    np.exp(L, out=L)
+    np.fill_diagonal(L, 1.0)
+    degrees = L.sum(axis=1)
     inv_sqrt_d = degrees ** -0.5
-    L = inv_sqrt_d[:, None] * (np.diag(degrees) - A) * inv_sqrt_d[None, :]
-    return 0.5 * (L + L.T)
+    np.negative(L, out=L)
+    L *= inv_sqrt_d[:, None]
+    L *= inv_sqrt_d[None, :]
+    np.fill_diagonal(L, inv_sqrt_d * (degrees - 1.0) * inv_sqrt_d)
+    L += L.T
+    L *= 0.5
+    return L
 
 
 def spectral_cluster(V, G: int, seed: int = 0,

@@ -1,0 +1,224 @@
+"""The batched k-means and the in-place Laplacian against the per-restart
+reference formulas they replaced."""
+
+import numpy as np
+import pytest
+
+from panelcluster import simulation, spectral
+from panelcluster.simulation import SimulationConfig, run_rep
+
+
+# --- reference: one restart at a time, as before batching ---
+
+def reference_kmeans(points, k, restarts=50, seed=0, max_iter=300):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = points.shape[0]
+    if k > n:
+        raise ValueError("more clusters than points")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    best = None
+    for _ in range(restarts):
+        centers = reference_farthest_point_seed(points, k, rng)
+        labels, centers, objective = reference_lloyd(points, centers, max_iter)
+        if best is None or objective < best[2]:
+            best = (labels, centers, objective)
+    return best
+
+
+def reference_farthest_point_seed(points, k, rng):
+    n = points.shape[0]
+    centers = [points[rng.integers(n)]]
+    for _ in range(1, k):
+        d = np.min(
+            [np.sum((points - c) ** 2, axis=1) for c in centers], axis=0)
+        cutoff = d.max() * (1.0 - 1e-12)
+        candidates = np.flatnonzero(d >= cutoff)
+        centers.append(points[rng.choice(candidates)])
+    return np.array(centers)
+
+
+def reference_lloyd(points, centers, max_iter):
+    n, k = points.shape[0], centers.shape[0]
+    prev_objective = np.inf
+    labels = np.zeros(n, dtype=int)
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        objective = d2[np.arange(n), labels].sum()
+        assert objective <= prev_objective + 1e-9, "Lloyd objective increased"
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                centers[j] = points[members].mean(axis=0)
+            else:
+                farthest = d2[np.arange(n), labels].argmax()
+                centers[j] = points[farthest]
+                labels[farthest] = j
+        if objective >= prev_objective - 1e-12:
+            break
+        prev_objective = objective
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    objective = float(d2[np.arange(n), labels].sum())
+    return labels, centers, objective
+
+
+def reference_laplacian(V):
+    A = np.exp(-V)
+    np.fill_diagonal(A, 1.0)
+    degrees = A.sum(axis=1)
+    inv_sqrt_d = degrees ** -0.5
+    L = inv_sqrt_d[:, None] * (np.diag(degrees) - A) * inv_sqrt_d[None, :]
+    return 0.5 * (L + L.T)
+
+
+def assert_same_kmeans(points, k, restarts, seed):
+    labels, centers, objective = spectral.kmeans(points, k, restarts=restarts,
+                                                 seed=seed)
+    ref_labels, ref_centers, ref_objective = reference_kmeans(
+        points, k, restarts=restarts, seed=seed)
+    np.testing.assert_array_equal(labels, ref_labels)
+    if np.atleast_2d(points).shape[1] >= 2:
+        np.testing.assert_array_equal(centers, ref_centers)
+        assert objective == ref_objective
+    else:
+        # one column: numpy's mean sums the members pairwise, the batched
+        # update sums them in point order, so they may differ in the last ulp
+        np.testing.assert_allclose(centers, ref_centers, rtol=1e-13)
+        assert objective == pytest.approx(ref_objective, rel=1e-13)
+    assert isinstance(objective, float)
+
+
+def random_cases():
+    rng = np.random.default_rng(2024)
+    for case in range(120):
+        n = int(rng.integers(1, 60))
+        d = case % 4 + 1
+        if case % 6 == 0:
+            k = n
+        elif case % 6 == 1:
+            k = 1
+        else:
+            k = int(rng.integers(1, min(n, 6) + 1))
+        points = rng.normal(size=(n, d)) * 3.0
+        if case % 3 == 0:
+            points = np.round(points)  # ties and empty clusters
+        restarts = (1, 7, 50)[case % 3]
+        yield points, k, restarts, int(rng.integers(10_000))
+
+
+@pytest.mark.parametrize("case", list(random_cases()),
+                         ids=lambda case: f"n{len(case[0])}-d{case[0].shape[1]}"
+                         f"-k{case[1]}-r{case[2]}")
+def test_batched_kmeans_equals_reference_on_random_inputs(case):
+    assert_same_kmeans(*case)
+
+
+def test_batched_kmeans_equals_reference_on_run_rep_embeddings(monkeypatch):
+    calls = []
+    kmeans = spectral.kmeans
+
+    def recording_kmeans(points, k, restarts=50, seed=0, max_iter=300):
+        calls.append((np.array(points, dtype=float), k, restarts, seed))
+        return kmeans(points, k, restarts=restarts, seed=seed,
+                      max_iter=max_iter)
+
+    monkeypatch.setattr(spectral, "kmeans", recording_kmeans)
+    monkeypatch.setattr(simulation, "kmeans", recording_kmeans)
+    methods = ("spectral", "spectral_identity", "kmeans_raw")
+    for model, T in (("logistic", 60), ("model1", 60), ("model2", 60),
+                     ("model3", 60)):
+        config = SimulationConfig(model=model, n=30 if model != "model2"
+                                  else 24, T=T, reps=3, seed=7,
+                                  methods=methods)
+        for rep in range(config.reps):
+            run_rep(config, rep)
+    monkeypatch.undo()
+    assert len(calls) == 4 * 3 * len(methods)
+    assert {points.shape[1] for points, *_ in calls} >= {1, 2, 3, 4}
+    for call in calls:
+        assert_same_kmeans(*call)
+
+
+def test_ragged_last_chunk_with_the_best_restart_in_a_later_chunk(
+        monkeypatch):
+    rng = np.random.default_rng(5)
+    points = np.round(rng.normal(size=(40, 2)) * 2, 1)
+    k, per_chunk = 4, 3
+    monkeypatch.setattr(spectral, "KMEANS_CHUNK_ENTRIES",
+                        per_chunk * 40 * (k + 2))
+    seeds = spectral._farthest_point_seeds(
+        points, k, 50, np.random.Generator(np.random.Philox(key=5)))
+    distinct = np.unique(seeds, axis=0)
+    _, objectives = spectral._lloyd(points, points[distinct], 300)
+    first_best = min(
+        r for r in range(50)
+        if reference_lloyd(points, points[seeds[r]], 300)[2]
+        == objectives.min())
+    assert len(distinct) % per_chunk != 0
+    assert len(np.unique(seeds[:first_best], axis=0)) >= per_chunk
+    assert_same_kmeans(points, k, 50, 5)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_empty_cluster_repair_matches_reference(k):
+    # three distinct locations: seeds past the third repeat a centre, and a
+    # later copy wins no argmin tie, so every restart repairs k - 3 empty
+    # clusters in its first iteration, the second after the first's promotion
+    points = np.array([[0.0, 0.0]] * 5 + [[1.0, 0.0]] * 3 + [[0.0, 2.0]]
+                      + [[0.0, 0.0]] * 2)
+    seeds = spectral._farthest_point_seeds(
+        points, k, 20, np.random.Generator(np.random.Philox(key=3)))
+    assert all(len(np.unique(centers, axis=0)) == 3
+               for centers in points[seeds])
+    assert_same_kmeans(points, k, 20, 3)
+
+
+def test_tied_best_restarts_in_separate_chunks_keep_the_first(monkeypatch):
+    # the four corners of a square split left/right or top/bottom at the
+    # same objective; one restart per chunk
+    points = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    monkeypatch.setattr(spectral, "KMEANS_CHUNK_ENTRIES", 1)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    partitions = {tuple(reference_lloyd(
+        points, reference_farthest_point_seed(points, 2, rng), 300)[0])
+        for _ in range(20)}
+    assert len(partitions) > 1
+    assert_same_kmeans(points, 2, 20, 0)
+
+
+@pytest.mark.parametrize("max_iter", [1, 300])
+def test_stacked_lloyd_repairs_in_cluster_order_next_to_a_plain_restart(
+        max_iter):
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
+    centers = np.array([
+        # cluster 0 is empty; its promoted point leaves cluster 1 before
+        # cluster 1's mean is taken
+        [[100.0, 100.0], [0.5, 0.0], [10.5, 0.0]],
+        [[0.0, 0.0], [10.0, 0.0], [11.0, 0.0]],
+    ])
+    reference = [reference_lloyd(points, c.copy(), max_iter) for c in centers]
+    labels, objectives = spectral._lloyd(points, centers, max_iter)
+    for r, (ref_labels, ref_centers, ref_objective) in enumerate(reference):
+        np.testing.assert_array_equal(labels[r], ref_labels)
+        np.testing.assert_array_equal(centers[r], ref_centers)
+        assert objectives[r] == ref_objective
+    np.testing.assert_array_equal(reference[0][1][:2], [[0.0, 0.0],
+                                                         [1.0, 0.0]])
+
+
+def test_mixed_stack_of_repairing_and_plain_restarts_matches_reference():
+    rng = np.random.default_rng(11)
+    points = np.round(rng.normal(size=(25, 3)))
+    for seed in range(10):
+        assert_same_kmeans(points, 6, 30, seed)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_in_place_laplacian_equals_reference_formula(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 401))
+    V = np.abs(rng.normal(scale=10.0 ** rng.integers(-2, 3), size=(n, n)))
+    V = np.triu(V, 1)
+    V = V + V.T
+    assert np.array_equal(spectral._laplacian(V), reference_laplacian(V))

@@ -15,6 +15,7 @@ from panelcluster.quantile import (
     quantile_objective,
     subgradient_certificate,
 )
+from panelcluster.simulation import gen_model1
 from panelcluster.types import (
     CoefficientEstimate,
     NonConvergence,
@@ -69,6 +70,26 @@ def test_subgradient_certificate_random_instances(seed):
     est = fit_quantile(X, y, tau)
     assert est.converged
     assert subgradient_certificate(X, y, est.gamma, tau)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8])
+def test_subgradient_certificate_is_scale_free(scale):
+    panel, _ = gen_model1(30, 120, "t3", 5)
+    X = np.concatenate([np.ones((30, 120, 1)), panel.covariates], axis=2)
+    y = panel.responses
+    gamma = np.array([fit_quantile(Xi, yi, 0.5).gamma
+                      for Xi, yi in zip(X, y)])
+    off = gamma * 1.15 + 0.05 * np.abs(gamma).max()
+    assert subgradient_certificate(X, y * scale, gamma * scale, 0.5).all()
+    assert not subgradient_certificate(X, y * scale, off * scale, 0.5).any()
+
+
+def test_subgradient_certificate_on_an_all_zero_response():
+    X = np.column_stack([np.ones(8), np.arange(8.0)])
+    assert subgradient_certificate(X, np.zeros(8), np.array([1e-12, 0.0]),
+                                   0.5)
+    assert not subgradient_certificate(X, np.zeros(8), np.array([0.1, 0.0]),
+                                       0.5)
 
 
 def test_residual_sign_counts():
