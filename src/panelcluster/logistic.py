@@ -1,4 +1,5 @@
-"""Per-individual logistic regression via damped Newton iterations."""
+"""Per-individual logistic regression: one damped Newton engine over a stack
+of designs, with per-row failures."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import numpy as np
 from .types import (
     CoefficientEstimate,
     DegenerateOutcome,
+    DimensionMismatch,
+    NonConvergence,
     PerfectSeparation,
     SingularDesign,
     SingularHessian,
@@ -16,84 +19,172 @@ from .types import (
 # declare divergence (perfect separation) when the iterate leaves this ball
 DIVERGENCE_NORM = 30.0
 MAX_CONDITION = 1e12
+# design entries (rows x T x k) one Newton chunk holds, which bounds its
+# working set as quantile.IP_CHUNK_ENTRIES does for the interior point
+NEWTON_CHUNK_ENTRIES = 2 ** 16
+# halvings of a Newton step before it is taken at 0.5 ** MAX_HALVINGS
+MAX_HALVINGS = 50
+# a converged fit is separated when every outcome is predicted within this
+# of its label: the likelihood then has no interior maximum
+SEPARATION_MARGIN = 1e-6
+
+
+def _probabilities(X, gamma):
+    """Fitted probabilities (..., T) of designs (..., T, k) at (..., k)."""
+    return 1.0 / (1.0 + np.exp(-(X @ gamma[..., None])[..., 0]))
+
+
+def _weighted_gram(X, w):
+    """(1/T) X' diag(w) X of one design or of each row of a stack."""
+    return (X * w[..., None]).swapaxes(-1, -2) @ X / X.shape[-2]
 
 
 def log_likelihood(X, y, gamma):
-    """Average Bernoulli log-likelihood at gamma."""
-    eta = X @ gamma
-    return float(np.mean(y * eta - np.logaddexp(0.0, eta)))
-
-
-def _gradient_hessian(X, y, gamma):
-    eta = X @ gamma
-    mu = 1.0 / (1.0 + np.exp(-eta))
-    grad = X.T @ (y - mu) / len(y)
-    w = mu * (1.0 - mu)
-    hess = (X * w[:, None]).T @ X / len(y)
-    return grad, hess
-
-
-def _check_separation(X, y, gamma, margin: float = 1e-6):
-    """Raise when every outcome is predicted with probability within
-    ``margin`` of its label, which happens only when the classes are
-    (quasi-)separated and the likelihood has no interior maximum."""
-    mu = 1.0 / (1.0 + np.exp(-(X @ gamma)))
-    if np.max(np.abs(y - mu)) < margin:
-        raise PerfectSeparation(
-            "all outcomes fitted exactly; outcomes are separable")
+    """Average Bernoulli log-likelihood at gamma: a float for one (T, k)
+    design, an (m,) array for an (m, T, k) stack."""
+    eta = (np.asarray(X) @ np.asarray(gamma)[..., None])[..., 0]
+    ll = np.mean(y * eta - np.logaddexp(0.0, eta), axis=-1)
+    return float(ll) if ll.ndim == 0 else ll
 
 
 def fit_logistic(X, y, max_iter: int = 100,
                  tol: float = 1e-8) -> CoefficientEstimate:
     """Maximize the average log-likelihood by Newton steps with halving.
 
-    Raises DegenerateOutcome when y is constant, PerfectSeparation when the
-    iterate diverges, and SingularDesign for rank-deficient X.
+    X is one (T, k) design with outcomes y (T,), or an (n, T, k) stack with
+    y (n, T); every row runs the same iterations (_newton), in chunks of at
+    most NEWTON_CHUNK_ENTRIES design entries. A row fails with
+    DegenerateOutcome when its y is constant, SingularDesign when its X is
+    rank deficient, PerfectSeparation when its outcomes are separated or
+    its iterate diverges, and NonConvergence when its gradient is not
+    within tol after max_iter steps. For a stack, gamma is (n, k) with the
+    failed rows read 0, failed maps each failed row to its error, and
+    iterations sums the steps of the other rows. One design raises its
+    error instead, except non-convergence: it returns the last iterate
+    with converged=False.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if y.min() == y.max():
-        raise DegenerateOutcome("response is constant; drop this individual")
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        raise SingularDesign("design matrix is rank deficient")
+    single = X.ndim == 2
+    if single:
+        X, y = X[None], y[None]
+    if X.ndim != 3 or y.shape != X.shape[:2]:
+        raise DimensionMismatch("design/response shape mismatch")
+    n, T, k = X.shape
+    constant = y.min(axis=1) == y.max(axis=1)
+    deficient = ~constant & (np.linalg.matrix_rank(X) < k)
+    failed = {int(i): DegenerateOutcome(
+        "response is constant; drop this individual")
+        for i in np.flatnonzero(constant)}
+    failed.update({int(i): SingularDesign("design matrix is rank deficient")
+                   for i in np.flatnonzero(deficient)})
+    rows = np.flatnonzero(~constant & ~deficient)
+    gamma = np.zeros((n, k))
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    step = max(1, NEWTON_CHUNK_ENTRIES // (T * k))
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        gamma[chunk], iterations[chunk], converged[chunk], errors = _newton(
+            X[chunk], y[chunk], max_iter, tol)
+        failed.update({int(chunk[j]): exc for j, exc in errors.items()})
+    if single:
+        if failed:
+            raise failed[0]
+        return CoefficientEstimate(gamma[0], converged=bool(converged[0]),
+                                   iterations=int(iterations[0]))
+    failed.update({int(i): NonConvergence(
+        f"Newton iterations did not converge in {max_iter} steps")
+        for i in np.flatnonzero(~converged) if i not in failed})
+    gamma[~converged] = 0.0
+    return CoefficientEstimate(gamma, converged=not failed,
+                               iterations=int(iterations[converged].sum()),
+                               failed=failed)
 
-    gamma = np.zeros(X.shape[1])
+
+def _newton(X, y, max_iter, tol):
+    """Damped Newton iterations of a stack: X (m, T, k), y (m, T).
+
+    Each row starts at 0 and steps by H^{-1} g, halving the step up to
+    MAX_HALVINGS times until the likelihood does not fall; only the rows
+    still halving evaluate it again. A row leaves the working set once its
+    gradient is within tol or it fails (PerfectSeparation). Returns the
+    last iterates (m, k), steps taken (m,), the converged mask (m,) and
+    {row: PerfectSeparation}. Every row's arithmetic is independent of the
+    others, so a fit is the same in any stack.
+    """
+    m, T, k = X.shape
+    gamma_out = np.zeros((m, k))
+    iterations = np.full(m, max_iter)
+    converged = np.zeros(m, dtype=bool)
+    errors = {}
+    active = np.arange(m)
+    gamma = np.zeros((m, k))
     ll = log_likelihood(X, y, gamma)
     for it in range(1, max_iter + 1):
-        grad, hess = _gradient_hessian(X, y, gamma)
-        if np.max(np.abs(grad)) <= tol:
-            _check_separation(X, y, gamma)
-            return CoefficientEstimate(gamma, converged=True,
-                                       iterations=it - 1)
-        if np.linalg.cond(hess) > MAX_CONDITION:
-            raise PerfectSeparation("Hessian became numerically singular")
-        step = np.linalg.solve(hess, grad)
-        # step halving until the likelihood improves
-        scale = 1.0
-        for _ in range(50):
-            candidate = gamma + scale * step
-            ll_new = log_likelihood(X, y, candidate)
-            if ll_new >= ll:
+        mu = _probabilities(X, gamma)
+        residual = y - mu
+        grad = (X.swapaxes(1, 2) @ residual[..., None])[..., 0] / T
+        hess = _weighted_gram(X, mu * (1.0 - mu))
+        done = np.abs(grad).max(axis=1) <= tol
+        # the separation test reuses the probabilities of this iterate
+        separated = done & (np.abs(residual).max(axis=1) < SEPARATION_MARGIN)
+        ill = ~done & (np.linalg.cond(hess) > MAX_CONDITION)
+        finished = done & ~separated
+        gamma_out[active[finished]] = gamma[finished]
+        iterations[active[finished]] = it - 1
+        converged[active[finished]] = True
+        moving = ~done & ~ill
+        hess[~moving] = np.eye(k)  # rows leaving now: keep solve regular
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        # a row whose halvings all fail takes the step at 0.5 ** MAX_HALVINGS
+        scale = np.ones(len(active))
+        new_ll = np.empty(len(active))
+        halving = np.flatnonzero(moving)
+        for _ in range(MAX_HALVINGS):
+            h = halving
+            trial = log_likelihood(X[h], y[h],
+                                   gamma[h] + scale[h, None] * step[h])
+            better = trial >= ll[h]
+            new_ll[h[better]] = trial[better]
+            halving = h[~better]
+            scale[halving] *= 0.5
+            if not len(halving):
                 break
-            scale *= 0.5
-        gamma = gamma + scale * step
-        ll = log_likelihood(X, y, gamma)
-        if np.linalg.norm(gamma) > DIVERGENCE_NORM:
-            raise PerfectSeparation(
-                "estimate diverged; outcomes are likely separable")
-    grad, _ = _gradient_hessian(X, y, gamma)
-    converged = np.max(np.abs(grad)) <= tol
-    return CoefficientEstimate(gamma, converged=converged,
-                               iterations=max_iter)
+        gamma = gamma + scale[:, None] * step
+        if len(halving):
+            new_ll[halving] = log_likelihood(X[halving], y[halving],
+                                             gamma[halving])
+        ll = new_ll
+        # np.linalg.norm's sum for one vector, so the test reads the same
+        # in any stack
+        norm = np.sqrt((gamma[:, None, :] @ gamma[..., None])[:, 0, 0])
+        diverged = moving & (norm > DIVERGENCE_NORM)
+        for bad, message in (
+                (separated, "all outcomes fitted exactly; outcomes are "
+                            "separable"),
+                (ill, "Hessian became numerically singular"),
+                (diverged, "estimate diverged; outcomes are likely "
+                           "separable")):
+            errors.update({int(j): PerfectSeparation(message)
+                           for j in active[bad]})
+        keep = moving & ~diverged
+        active, X, y, gamma, ll = (a[keep] for a in (active, X, y, gamma, ll))
+        if not len(active):
+            break
+    mu = _probabilities(X, gamma)
+    grad = (X.swapaxes(1, 2) @ (y - mu)[..., None])[..., 0] / T
+    gamma_out[active] = gamma
+    converged[active] = np.abs(grad).max(axis=1) <= tol
+    return gamma_out, iterations, converged, errors
 
 
 def plugin_hessian(X, gamma):
-    """Weighted Gram matrix (1/T) sum_t w_t z_t z_t' with logistic weights."""
+    """Weighted Gram matrix (1/T) sum_t w_t z_t z_t' with logistic weights,
+    of one (T, k) design at gamma (k,) or of each row of a stack."""
     X = np.asarray(X, dtype=float)
-    eta = X @ np.asarray(gamma, dtype=float)
-    mu = 1.0 / (1.0 + np.exp(-eta))
-    w = mu * (1.0 - mu)
-    return (X * w[:, None]).T @ X / X.shape[0]
+    mu = _probabilities(X, np.asarray(gamma, dtype=float))
+    return _weighted_gram(X, mu * (1.0 - mu))
 
 
 def logistic_covariance(X, estimate: CoefficientEstimate,
@@ -101,15 +192,36 @@ def logistic_covariance(X, estimate: CoefficientEstimate,
     """Inverse of the plug-in Hessian; asymptotic variance of the MLE.
 
     slopes_only extracts the lower p x p submatrix after inverting the full
-    (p+1) x (p+1) matrix.
+    (p+1) x (p+1) matrix. X is one (T, k) design or the (n, T, k) stack of
+    a stacked estimate: then sigma is (n, s, s), failed maps the rows whose
+    plug-in Hessian is numerically singular to SingularHessian, and those
+    rows and the rows the fit failed read 0. One design raises
+    SingularHessian instead, and ValueError when its fit did not converge.
     """
-    if not estimate.converged:
-        raise ValueError("covariance requested for a non-converged fit")
-    hess = plugin_hessian(X, estimate.gamma)
-    if np.linalg.cond(hess) > MAX_CONDITION:
-        raise SingularHessian("weighted Gram matrix is numerically singular")
+    X = np.asarray(X, dtype=float)
+    single = X.ndim == 2
+    if single:
+        if not estimate.converged:
+            raise ValueError("covariance requested for a non-converged fit")
+        X = X[None]
+    n, _, k = X.shape
+    hess = plugin_hessian(X, np.reshape(estimate.gamma, (n, k)))
+    unusable = np.zeros(n, dtype=bool)
+    unusable[list(estimate.failed)] = True
+    lost = ~unusable
+    lost[lost] = np.linalg.cond(hess[lost]) > MAX_CONDITION
+    failed = {int(i): SingularHessian(
+        "weighted Gram matrix is numerically singular")
+        for i in np.flatnonzero(lost)}
+    if single and failed:
+        raise failed[0]
+    unusable |= lost
+    hess[unusable] = np.eye(k)
     sigma = np.linalg.inv(hess)
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
+    sigma[unusable] = 0.0
     if slopes_only:
-        sigma = sigma[1:, 1:]
-    return UncertaintyEstimate(sigma)
+        sigma = sigma[:, 1:, 1:]
+    if single:
+        return UncertaintyEstimate(sigma[0])
+    return UncertaintyEstimate(sigma, failed=failed)

@@ -434,12 +434,21 @@ def fit_pooled_quantile(y, x, tau: float, tol: float = 1e-6) -> PooledQuantileFi
     return PooledQuantileFit(alphas, beta, tau, converged=ok)
 
 
-def intercept_variance(alpha_plus: float, alpha_minus: float, tau: float,
+def intercept_variance(alpha_plus, alpha_minus, tau: float,
                        d_T: float) -> UncertaintyEstimate:
     """Sample-quantile asymptotic variance from the intercept difference
-    quotient: tau(1-tau) * ((alpha_plus - alpha_minus) / (2 d_T))^2."""
+    quotient: tau(1-tau) * ((alpha_plus - alpha_minus) / (2 d_T))^2.
+
+    alpha_plus and alpha_minus are floats, or (n,) arrays of n individuals:
+    then sigma is an (n, 1, 1) stack, which EstimateTable checks once.
+    degenerate flags a zero variance (of any row).
+    """
     if d_T <= 0:
         raise ValueError("bandwidth must be positive")
-    diff = (alpha_plus - alpha_minus) / (2.0 * d_T)
-    sigma = tau * (1.0 - tau) * diff ** 2
-    return UncertaintyEstimate(np.array([[sigma]]), degenerate=sigma == 0.0)
+    diff = (np.asarray(alpha_plus, dtype=float)
+            - np.asarray(alpha_minus, dtype=float)) / (2.0 * d_T)
+    # float_power squares with libm pow, as a float's ** does, so a value is
+    # the same alone or in an array (np.square can differ in the last ulp)
+    sigma = tau * (1.0 - tau) * np.float_power(diff, 2)
+    return UncertaintyEstimate(np.reshape(sigma, np.shape(sigma) + (1, 1)),
+                               degenerate=bool(np.any(sigma == 0.0)))

@@ -28,7 +28,6 @@ from .types import (
     DegenerateOutcome,
     DimensionMismatch,
     EstimateTable,
-    EstimationError,
     NonConvergence,
     PanelDataset,
     PerfectSeparation,
@@ -200,6 +199,8 @@ class SimulationConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
         if self.model in ("model3", "model4") and self.n % 3 != 0:
             raise ValueError(f"{self.model} requires n divisible by 3")
         if not 0.0 < self.tau < 1.0:
@@ -238,23 +239,17 @@ class SimulationResult:
     aggregates: dict = field(default_factory=dict)
 
 
-def _fit_logistic_slopes(X, y):
-    """Logistic fit of one individual's T x (p+1) design: the slopes and
-    their UncertaintyEstimate (Newton MLE and plug-in covariance)."""
-    est = fit_logistic(X, y)
-    return est.slopes, logistic_covariance(X, est, slopes_only=True)
-
-
 def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
                    ids=None) -> EstimateTable:
     """Fit every individual of a panel into a per_observation EstimateTable.
 
-    model is "logistic" (Newton MLE and plug-in covariance per individual),
-    "qr-slopes" (the slopes of quantile fits at tau and tau +/- d_T, solved
-    for the whole panel at once, with the HK sandwich) or "qr-pooled" (the
-    intercepts of pooled quantile fits with common slopes). ids label the
-    rows (default 0..n-1). An individual whose fit raises EstimationError,
-    or whose quantile fit fails its subgradient certificate
+    model is "logistic" (Newton MLE and plug-in covariance, solved for the
+    whole panel at once), "qr-slopes" (the slopes of quantile fits at tau
+    and tau +/- d_T, solved for the whole panel at once, with the HK
+    sandwich) or "qr-pooled" (the intercepts of pooled quantile fits with
+    common slopes). ids label the rows (default 0..n-1). An individual
+    whose fit fails with an EstimationError, whose quantile fit fails its
+    subgradient certificate or whose logistic fit does not converge
     (NonConvergence), is left out and listed in `dropped` with the error's
     class name.
     """
@@ -270,38 +265,37 @@ def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
     d_T = None if model == "logistic" else hall_sheather_bandwidth(panel.T, tau)
     if model == "qr-slopes":
         betas, sigmas, failed = _quantile_slopes(panel, tau, d_T)
+    elif model == "logistic":
+        betas, sigmas, failed = _logistic_slopes(panel.designs,
+                                                 panel.responses)
     else:
-        if model == "qr-pooled":
-            y, x = panel.responses, panel.covariates
-            center, upper, lower = (fit_pooled_quantile(y, x, level)
-                                    for level in (tau, tau + d_T, tau - d_T))
-
-            def fit(i):
-                return center.alphas[i:i + 1], intercept_variance(
-                    upper.alphas[i], lower.alphas[i], tau, d_T)
-        else:
-            designs = panel.designs
-
-            def fit(i):
-                return _fit_logistic_slopes(designs[i], panel.responses[i])
-
-        betas, sigmas, failed = {}, {}, {}
-        for i in range(panel.n):
-            try:
-                betas[i], unc = fit(i)
-            except EstimationError as exc:
-                failed[i] = exc
-                continue
-            sigmas[i] = unc.sigma
+        betas, sigmas, failed = _pooled_intercepts(panel, tau, d_T)
 
     kept = [i for i in range(panel.n) if i not in failed]
     if not kept:
         raise ValueError("no individual could be estimated")
-    return EstimateTable([ids[i] for i in kept],
-                         np.array([betas[i] for i in kept]),
-                         np.array([sigmas[i] for i in kept]), d_T=d_T,
-                         dropped=[(ids[i], type(failed[i]).__name__)
-                                  for i in sorted(failed)])
+    return EstimateTable([ids[i] for i in kept], betas[kept], sigmas[kept],
+                         d_T=d_T, dropped=[(ids[i], type(failed[i]).__name__)
+                                           for i in sorted(failed)])
+
+
+def _logistic_slopes(X, y):
+    """Stacked logistic fits of an (n, T, p+1) stack: slopes (n, p), their
+    plug-in covariances (n, p, p) and {row: EstimationError} of the unusable
+    rows."""
+    est = fit_logistic(X, y)
+    unc = logistic_covariance(X, est, slopes_only=True)
+    return est.slopes, unc.sigma, {**est.failed, **unc.failed}
+
+
+def _pooled_intercepts(panel, tau, d_T):
+    """Intercepts (n, 1) of the pooled fit at tau, their (n, 1, 1) variances
+    from the fits at tau +/- d_T, and no failed rows."""
+    y, x = panel.responses, panel.covariates
+    center, upper, lower = (fit_pooled_quantile(y, x, level)
+                            for level in (tau, tau + d_T, tau - d_T))
+    unc = intercept_variance(upper.alphas, lower.alphas, tau, d_T)
+    return center.alphas[:, None], unc.sigma, {}
 
 
 def _quantile_slopes(panel, tau, d_T):
@@ -319,26 +313,33 @@ def _quantile_slopes(panel, tau, d_T):
 
 def _fit_logistic_rep(config, rng):
     """Draw and fit individuals until n are kept, resampling on degenerate
-    outcomes or perfect separation so the sample size is preserved. Rows
-    are labelled by draw number."""
+    outcomes or perfect separation so the sample size is preserved. Each
+    round draws the individuals still needed, fits them as one stack and
+    takes them in draw order, so the draws match a one-at-a-time loop's.
+    Rows are labelled by draw number."""
     T = config.T
     kept, betas, sigmas, truth, dropped = [], [], [], [], []
     while len(kept) < config.n:
-        draw = len(kept) + len(dropped)
-        x, y, group = _draw_logistic_individual(rng, T)
-        try:
-            beta, unc = _fit_logistic_slopes(np.column_stack([np.ones(T), x]),
-                                            y)
-        except (DegenerateOutcome, PerfectSeparation) as exc:
-            dropped.append((draw, type(exc).__name__))
-            if len(dropped) > 100 * config.n:
-                raise NonConvergence(
-                    "resampling budget exhausted for logistic repetition")
-            continue
-        kept.append(draw)
-        betas.append(beta)
-        sigmas.append(unc.sigma)
-        truth.append(group)
+        draws = [_draw_logistic_individual(rng, T)
+                 for _ in range(config.n - len(kept))]
+        X = np.stack([np.column_stack([np.ones(T), x]) for x, _, _ in draws])
+        slopes, sigma, failed = _logistic_slopes(
+            X, np.stack([y for _, y, _ in draws]))
+        for j, (_, _, group) in enumerate(draws):
+            draw = len(kept) + len(dropped)
+            exc = failed.get(j)
+            if isinstance(exc, (DegenerateOutcome, PerfectSeparation)):
+                dropped.append((draw, type(exc).__name__))
+                if len(dropped) > 100 * config.n:
+                    raise NonConvergence(
+                        "resampling budget exhausted for logistic repetition")
+                continue
+            if exc is not None:
+                raise exc
+            kept.append(draw)
+            betas.append(slopes[j])
+            sigmas.append(sigma[j])
+            truth.append(group)
     table = EstimateTable(kept, np.array(betas), np.array(sigmas),
                           dropped=dropped)
     return table, np.array(truth)

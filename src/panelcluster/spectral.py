@@ -115,6 +115,8 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0,
     n, d = points.shape
     if k > n:
         raise ValueError("more clusters than points")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
     seeds = _farthest_point_seeds(points, k, restarts, rng)
     # distinct seedings in order of first draw, so argmin keeps the first best

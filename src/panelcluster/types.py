@@ -106,13 +106,15 @@ class CoefficientEstimate:
     gamma holds (intercept, slopes) when the model carries a free intercept,
     otherwise just the slopes; for a stack of n fits it is (n, k) and
     converged holds when every row does. tau is the quantile level, or None
-    for logistic fits.
+    for logistic fits. failed maps the rows of a stack that hold no
+    estimate to their EstimationError.
     """
 
     gamma: np.ndarray
     tau: float | None = None
     converged: bool = True
     iterations: int = 0
+    failed: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=float)

@@ -444,6 +444,30 @@ def test_estimate_logistic_lists_dropped_individuals(tmp_path, capsys):
     assert "u2" not in table.ids
 
 
+def test_estimate_logistic_drops_unconverged_individual(tmp_path, capsys,
+                                                       monkeypatch):
+    from functools import partial
+
+    from panelcluster import logistic, simulation
+
+    panel, _ = gen_logistic(8, 150, seed=5)
+    steps = [logistic.fit_logistic(X, y).iterations
+             for X, y in zip(panel.designs, panel.responses)]
+    slowest = int(np.argmax(steps))
+    assert sorted(steps)[-2] < steps[slowest]
+    # one step short of the slowest fit: only that individual is unconverged
+    monkeypatch.setattr(simulation, "fit_logistic", partial(
+        logistic.fit_logistic, max_iter=steps[slowest] - 1))
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(path), "--model", "logistic",
+                 "--out", str(out)]) == 0
+    assert f"dropped u{slowest}: NonConvergence" in capsys.readouterr().out
+    table = read_estimates(out)
+    assert table.ids == [f"u{i}" for i in range(8) if i != slowest]
+
+
 def test_estimate_pooled_matches_library_fit(tmp_path, capsys):
     panel, _ = gen_model3(6, 30, "normal", seed=4)
     path = tmp_path / "panel.csv"
@@ -499,6 +523,17 @@ def test_simulate_minimal_config(tmp_path, capsys):
     assert len(payload["per_rep"]) == 2
     agg = payload["aggregates"]["spectral"]
     assert set(agg) == {"perfect_match", "average_match"}
+
+
+def test_simulate_zero_restarts_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "model1", "n": 9, "T": 40,
+                               "reps": 1, "restarts": 0}))
+    assert main(["simulate", str(cfg),
+                 "--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert "restarts must be >= 1" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_missing_field_names_it(tmp_path, capsys):

@@ -1,0 +1,322 @@
+"""The stacked Newton engine against the one-fit-at-a-time reference it
+replaced: every row must get the same bits, iteration count and error, and
+the simulator's rounds must draw exactly what the one-at-a-time loop drew."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from panelcluster import logistic, simulation
+from panelcluster.logistic import fit_logistic, logistic_covariance
+from panelcluster.simulation import (
+    SimulationConfig,
+    _draw_logistic_individual,
+    _fit_logistic_rep,
+    gen_logistic,
+    make_rng,
+)
+from panelcluster.types import (
+    DegenerateOutcome,
+    NonConvergence,
+    PerfectSeparation,
+    SingularDesign,
+    SingularHessian,
+)
+
+
+# --- reference: one design at a time, as before batching ---
+
+def ref_log_likelihood(X, y, gamma):
+    eta = X @ gamma
+    return float(np.mean(y * eta - np.logaddexp(0.0, eta)))
+
+
+def ref_gradient_hessian(X, y, gamma):
+    eta = X @ gamma
+    mu = 1.0 / (1.0 + np.exp(-eta))
+    grad = X.T @ (y - mu) / len(y)
+    w = mu * (1.0 - mu)
+    hess = (X * w[:, None]).T @ X / len(y)
+    return grad, hess
+
+
+def ref_fit_logistic(X, y, max_iter=100, tol=1e-8):
+    """(gamma, converged, iterations), raising as the per-fit loop did."""
+    if y.min() == y.max():
+        raise DegenerateOutcome(
+            "response is constant; drop this individual")
+    if np.linalg.matrix_rank(X) < X.shape[1]:
+        raise SingularDesign("design matrix is rank deficient")
+    loglik = sys.modules[__name__].ref_log_likelihood
+    gamma = np.zeros(X.shape[1])
+    ll = loglik(X, y, gamma)
+    for it in range(1, max_iter + 1):
+        grad, hess = ref_gradient_hessian(X, y, gamma)
+        if np.max(np.abs(grad)) <= tol:
+            mu = 1.0 / (1.0 + np.exp(-(X @ gamma)))
+            if np.max(np.abs(y - mu)) < 1e-6:
+                raise PerfectSeparation(
+                    "all outcomes fitted exactly; outcomes are separable")
+            return gamma, True, it - 1
+        if np.linalg.cond(hess) > 1e12:
+            raise PerfectSeparation("Hessian became numerically singular")
+        step = np.linalg.solve(hess, grad)
+        scale = 1.0
+        for _ in range(50):
+            candidate = gamma + scale * step
+            ll_new = loglik(X, y, candidate)
+            if ll_new >= ll:
+                break
+            scale *= 0.5
+        gamma = gamma + scale * step
+        ll = loglik(X, y, gamma)
+        if np.linalg.norm(gamma) > 30.0:
+            raise PerfectSeparation(
+                "estimate diverged; outcomes are likely separable")
+    grad, _ = ref_gradient_hessian(X, y, gamma)
+    return gamma, np.max(np.abs(grad)) <= tol, max_iter
+
+
+def ref_covariance(X, gamma):
+    eta = X @ gamma
+    mu = 1.0 / (1.0 + np.exp(-eta))
+    w = mu * (1.0 - mu)
+    hess = (X * w[:, None]).T @ X / X.shape[0]
+    if np.linalg.cond(hess) > 1e12:
+        raise SingularHessian("singular")
+    sigma = np.linalg.inv(hess)
+    return (0.5 * (sigma + sigma.T))[1:, 1:]
+
+
+def reference_rows(X, Y, **kw):
+    """Per row: (gamma, iterations, slopes sigma), the error of the fit,
+    or NonConvergence() for an unconverged fit; sigma is SingularHessian
+    when the covariance fails."""
+    rows = []
+    for x, y in zip(X, Y):
+        try:
+            gamma, converged, iterations = ref_fit_logistic(x, y, **kw)
+        except (DegenerateOutcome, SingularDesign, PerfectSeparation) as exc:
+            rows.append(exc)
+            continue
+        if not converged:
+            rows.append(NonConvergence())
+            continue
+        try:
+            rows.append((gamma, iterations, ref_covariance(x, gamma)))
+        except SingularHessian:
+            rows.append((gamma, iterations, SingularHessian))
+    return rows
+
+
+def assert_matches_reference(X, Y, **kw):
+    est = fit_logistic(X, Y, **kw)
+    unc = logistic_covariance(X, est, slopes_only=True)
+    ref = reference_rows(X, Y, **kw)
+    iterations = 0
+    for i, row in enumerate(ref):
+        if isinstance(row, Exception):
+            assert type(est.failed.get(i)) is type(row), i
+            if not isinstance(row, NonConvergence):
+                assert str(est.failed[i]) == str(row), i
+            assert not est.gamma[i].any() and not unc.sigma[i].any()
+            assert i not in unc.failed
+            continue
+        gamma, its, sigma = row
+        assert i not in est.failed, i
+        assert np.array_equal(est.gamma[i], gamma), i
+        iterations += its
+        if sigma is SingularHessian:
+            assert type(unc.failed.get(i)) is SingularHessian, i
+            assert not unc.sigma[i].any()
+        else:
+            assert i not in unc.failed
+            assert np.array_equal(unc.sigma[i], sigma), i
+    assert est.iterations == iterations
+    assert isinstance(est.iterations, int)
+    return est, unc
+
+
+# --- rows that exercise every outcome ---
+
+def separable_row(T, rng):
+    x = rng.uniform(0.1, 1.0, size=T) * rng.choice([-1.0, 1.0], size=T)
+    x[:2] = (-0.5, 0.5)
+    X = np.column_stack([np.ones(T), x, rng.standard_normal(T)])
+    return X, (x > 0).astype(float)
+
+
+def singular_hessian_row(T):
+    """Gradient 0 at gamma = 0 (converged at once), but a plug-in Hessian
+    with nearly collinear columns: cond > 1e12 while the rank is full."""
+    pair = np.arange(T) // 2
+    s = np.where(pair % 2 == 0, 1.0, -1.0)
+    X = np.column_stack([np.ones(T), 1.0 + 1e-7 * s, pair.astype(float)])
+    y = (np.arange(T) % 2).astype(float)
+    return X, y
+
+
+def mixed_stack(T, seed, n=30):
+    panel, _ = gen_logistic(n, T, seed)
+    X, Y = panel.designs.copy(), panel.responses.copy()
+    rng = np.random.default_rng(seed)
+    Y[3] = 1.0  # constant outcome
+    X[7, :, 2] = 2.0 * X[7, :, 1]  # rank deficient
+    X[11], Y[11] = separable_row(T, rng)
+    X[17], Y[17] = singular_hessian_row(T)
+    X[23] = singular_hessian_row(T)[0]  # nonzero gradient: Newton stops
+    return X, Y
+
+
+@pytest.mark.parametrize("T,seed", [(30, 0), (30, 1), (60, 2), (150, 3),
+                                    (150, 4), (400, 5)])
+def test_stack_matches_one_fit_at_a_time(T, seed):
+    X, Y = mixed_stack(T, seed)
+    est, unc = assert_matches_reference(X, Y)
+    assert type(est.failed[3]) is DegenerateOutcome
+    assert type(est.failed[7]) is SingularDesign
+    assert type(est.failed[11]) is PerfectSeparation
+    assert type(unc.failed[17]) is SingularHessian
+    assert str(est.failed[23]) == "Hessian became numerically singular"
+    assert not est.converged
+
+
+def test_single_design_is_a_stack_of_one():
+    X, Y = mixed_stack(60, 8)
+    est = fit_logistic(X, Y)
+    unc = logistic_covariance(X, est, slopes_only=True)
+    for i in range(len(X)):
+        if i in est.failed:
+            with pytest.raises(type(est.failed[i])):
+                fit_logistic(X[i], Y[i])
+            continue
+        one = fit_logistic(X[i], Y[i])
+        assert np.array_equal(one.gamma, est.gamma[i])
+        if i in unc.failed:
+            with pytest.raises(SingularHessian):
+                logistic_covariance(X[i], one, slopes_only=True)
+            continue
+        assert np.array_equal(
+            logistic_covariance(X[i], one, slopes_only=True).sigma,
+            unc.sigma[i])
+
+
+def spoil_halvings(real):
+    """A log-likelihood that reads -inf away from gamma = 0 for designs
+    whose first entry is 7, so every halving of their first step fails."""
+    def loglik(X, y, gamma):
+        ll = np.asarray(real(X, y, gamma), dtype=float)
+        marked = ((np.asarray(X)[..., 0, 0] == 7.0)
+                  & np.any(np.asarray(gamma) != 0.0, axis=-1))
+        ll = np.where(marked, -np.inf, ll)
+        return float(ll) if ll.ndim == 0 else ll
+    return loglik
+
+
+def test_row_whose_halvings_all_fail_matches_reference(monkeypatch):
+    X, Y = mixed_stack(60, 6)
+    marked = (5, 20)
+    X[marked, 0, 0] = 7.0
+    plain = [ref_fit_logistic(X[i], Y[i])[2] for i in marked]
+    monkeypatch.setattr(logistic, "log_likelihood",
+                        spoil_halvings(logistic.log_likelihood))
+    monkeypatch.setattr(sys.modules[__name__], "ref_log_likelihood",
+                        spoil_halvings(ref_log_likelihood))
+    assert_matches_reference(X, Y)
+    # the spoiled first step is taken at 0.5 ** 50, then Newton resumes
+    assert [ref_fit_logistic(X[i], Y[i])[2] for i in marked] == [
+        its + 1 for its in plain]
+
+
+def test_unconverged_rows_fail_with_nonconvergence():
+    X, Y = mixed_stack(150, 9)
+    full = fit_logistic(X, Y)
+    est, _ = assert_matches_reference(X, Y, max_iter=6)
+    slow = [i for i in range(len(X)) if i not in full.failed
+            and type(est.failed.get(i)) is NonConvergence]
+    assert slow
+    one = fit_logistic(X[slow[0]], Y[slow[0]], max_iter=6)
+    assert not one.converged and one.iterations == 6
+    with pytest.raises(ValueError, match="non-converged"):
+        logistic_covariance(X[slow[0]], one)
+
+
+def test_ragged_last_chunk_gives_the_same_stack(monkeypatch):
+    X, Y = mixed_stack(60, 7)
+    whole = fit_logistic(X, Y)
+    whole_unc = logistic_covariance(X, whole, slopes_only=True)
+    n, T, k = X.shape
+    monkeypatch.setattr(logistic, "NEWTON_CHUNK_ENTRIES", 7 * T * k)
+    assert n % 7  # the last chunk is ragged
+    est = fit_logistic(X, Y)
+    unc = logistic_covariance(X, est, slopes_only=True)
+    assert np.array_equal(est.gamma, whole.gamma)
+    assert est.iterations == whole.iterations
+    assert np.array_equal(unc.sigma, whole_unc.sigma)
+    assert ({i: type(e) for i, e in est.failed.items()}
+            == {i: type(e) for i, e in whole.failed.items()})
+
+
+# --- the simulator's rounds against its one-at-a-time loop ---
+
+def reference_rep(config, rng):
+    """One individual at a time, as the simulator did before rounds."""
+    T = config.T
+    kept, betas, sigmas, truth, dropped = [], [], [], [], []
+    while len(kept) < config.n:
+        draw = len(kept) + len(dropped)
+        x, y, group = simulation._draw_logistic_individual(rng, T)
+        X = np.column_stack([np.ones(T), x])
+        try:
+            gamma, converged, _ = ref_fit_logistic(X, y)
+        except (DegenerateOutcome, PerfectSeparation) as exc:
+            dropped.append((draw, type(exc).__name__))
+            if len(dropped) > 100 * config.n:
+                raise NonConvergence("budget")
+            continue
+        assert converged
+        kept.append(draw)
+        betas.append(gamma[1:])
+        sigmas.append(ref_covariance(X, gamma))
+        truth.append(group)
+    return kept, np.array(betas), np.array(sigmas), truth, dropped
+
+
+@pytest.mark.parametrize("T,seed", [(30, 0), (30, 1), (30, 2), (150, 3),
+                                    (150, 4)])
+def test_rounds_match_one_at_a_time_loop(T, seed):
+    config = SimulationConfig(model="logistic", n=30, T=T, reps=1)
+    rng_ref, rng = make_rng(seed), make_rng(seed)
+    kept, betas, sigmas, truth, dropped = reference_rep(config, rng_ref)
+    table, got_truth = _fit_logistic_rep(config, rng)
+    assert table.ids == kept
+    assert table.dropped == dropped
+    assert np.array_equal(got_truth, truth)
+    assert np.array_equal(table.betas, betas)
+    assert np.array_equal(table.sigmas, sigmas)
+    assert (repr(rng.bit_generator.state)
+            == repr(rng_ref.bit_generator.state))
+    if T == 30:
+        assert len(dropped) > 5  # several resampling rounds
+
+
+def test_budget_runs_out_mid_round_as_in_the_loop(monkeypatch):
+    draws = []
+
+    def counted(rng, T):
+        draws.append(T)
+        return _draw_logistic_individual(rng, T)
+
+    monkeypatch.setattr(simulation, "_draw_logistic_individual", counted)
+    # at T = 3 almost every draw is separated or constant
+    config = SimulationConfig(model="logistic", n=4, T=3, reps=1)
+    with pytest.raises(NonConvergence):
+        reference_rep(config, make_rng(3))
+    loop_draws = len(draws)
+    draws.clear()
+    with pytest.raises(NonConvergence, match="budget exhausted") as info:
+        _fit_logistic_rep(config, make_rng(3))
+    # raised at the loop's last draw, with later rows of the round unused
+    assert info.traceback[-1].frame.f_locals["draw"] == loop_draws - 1
+    assert len(draws) > loop_draws

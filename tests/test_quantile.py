@@ -246,6 +246,24 @@ def test_intercept_variance_zero_difference_is_degenerate():
     assert unc.degenerate
 
 
+def test_intercept_variance_stack_equals_one_call_per_individual():
+    rng = np.random.default_rng(12)
+    plus = rng.normal(size=20000)
+    minus = plus - rng.uniform(0.0, 1.0, size=20000)
+    minus[5] = plus[5]  # a zero variance
+    tau, d = 0.3, 0.07
+    unc = intercept_variance(plus, minus, tau, d)
+    # each value as one float expression, the form a per-individual call had
+    one = [tau * (1.0 - tau) * ((a - b) / (2.0 * d)) ** 2
+           for a, b in zip(plus, minus)]
+    assert unc.sigma.shape == (20000, 1, 1)
+    assert np.array_equal(unc.sigma[:, 0, 0], one)
+    assert unc.degenerate
+    # squaring the array would differ in the last ulp for some values
+    assert not np.array_equal(
+        tau * (1.0 - tau) * ((plus - minus) / (2.0 * d)) ** 2, one)
+
+
 def test_intercept_variance_normal_errors_matches_pi_over_two():
     from panelcluster.quantile import lower_sample_quantile
 

@@ -106,6 +106,8 @@ def test_config_validation():
         SimulationConfig(model="nope", n=10, T=10, reps=1)
     with pytest.raises(ValueError):
         SimulationConfig(model="model1", n=10, T=10, reps=0)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        SimulationConfig(model="model1", n=9, T=40, reps=1, restarts=0)
     with pytest.raises(ValueError):
         SimulationConfig(model="model3", n=10, T=10, reps=1)
     with pytest.raises(ValueError):

@@ -459,3 +459,8 @@ def test_kmeans_duplicated_dataset_same_centers():
 def test_kmeans_rejects_too_many_clusters():
     with pytest.raises(ValueError):
         kmeans(np.zeros((2, 1)), 3)
+
+
+def test_kmeans_rejects_zero_restarts():
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        kmeans(np.zeros((4, 1)), 2, restarts=0)
