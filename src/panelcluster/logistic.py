@@ -54,9 +54,10 @@ def fit_logistic(X, y, max_iter: int = 100,
     X is one (T, k) design with outcomes y (T,), or an (n, T, k) stack with
     y (n, T); every row runs the same iterations (_newton), in chunks of at
     most NEWTON_CHUNK_ENTRIES design entries. A row fails with
-    DegenerateOutcome when its y is constant, SingularDesign when its X is
-    rank deficient, PerfectSeparation when its outcomes are separated or
-    its iterate diverges, and NonConvergence when its gradient is not
+    DegenerateOutcome when its y is constant or has an outcome other than 0
+    or 1 (NaN included), SingularDesign when its X is rank deficient,
+    PerfectSeparation when its outcomes are separated or its iterate
+    diverges, and NonConvergence when its gradient is not
     within tol after max_iter steps. For a stack, gamma is (n, k) with the
     failed rows read 0, failed maps each failed row to its error, and
     iterations sums the steps of the other rows. One design raises its
@@ -71,14 +72,18 @@ def fit_logistic(X, y, max_iter: int = 100,
     if X.ndim != 3 or y.shape != X.shape[:2]:
         raise DimensionMismatch("design/response shape mismatch")
     n, T, k = X.shape
-    constant = y.min(axis=1) == y.max(axis=1)
-    deficient = ~constant & (np.linalg.matrix_rank(X) < k)
-    failed = {int(i): DegenerateOutcome(
+    # NaN fails both comparisons, so a non-finite outcome is invalid too
+    invalid = ~np.all((y == 0.0) | (y == 1.0), axis=1)
+    constant = ~invalid & (y.min(axis=1) == y.max(axis=1))
+    deficient = ~invalid & ~constant & (np.linalg.matrix_rank(X) < k)
+    failed = {int(i): DegenerateOutcome("outcomes must be 0 or 1")
+              for i in np.flatnonzero(invalid)}
+    failed.update({int(i): DegenerateOutcome(
         "response is constant; drop this individual")
-        for i in np.flatnonzero(constant)}
+        for i in np.flatnonzero(constant)})
     failed.update({int(i): SingularDesign("design matrix is rank deficient")
                    for i in np.flatnonzero(deficient)})
-    rows = np.flatnonzero(~constant & ~deficient)
+    rows = np.flatnonzero(~invalid & ~constant & ~deficient)
     gamma = np.zeros((n, k))
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)

@@ -4,12 +4,17 @@ fit_quantile solves the linear-programming dual of the check-loss problem
 with the HiGHS solver; coefficients are recovered from the equality-
 constraint marginals. Intercept-only problems are solved in closed form via
 the left-continuous sample quantile, which pins down the lower vertex
-whenever the minimizer is an interval. The pooled fit uses HiGHS too.
+whenever the minimizer is an interval.
 
-fit_quantile_bundle fits a stack of designs at three levels in one batched
-Frisch-Newton interior point, purifies each fit to a vertex and keeps it
-only when an exact basis test shows it is the unique minimizer; every other
-fit is solved alone by fit_quantile.
+fit_quantile_bundle fits a stack of designs at three levels, and
+fit_pooled_quantile the levels of the pooled model (individual intercepts,
+common slopes; Koenker 2004), in one batched Frisch-Newton interior point.
+The design enters it only through X'a, X lambda and solves with the normal
+matrix: a dense stack supplies them directly (_Stack), the pooled design
+through its fixed-effects structure (_Pooled), which never forms the dense
+nT x (n+p) matrix. Each fit is purified to a vertex and kept only when an
+exact basis test shows it is the unique minimizer; every other fit is
+solved by HiGHS (fit_quantile alone, or the sparse pooled LP).
 """
 
 from __future__ import annotations
@@ -84,15 +89,20 @@ def subgradient_certificate(X, y, gamma, tau, tol: float = 1e-6):
     single = X.ndim == 2
     if single:
         X, y, gamma = X[None], y[None], gamma[None]
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), (len(X),))[:, None]
-    r = y - (X @ gamma[..., None])[..., 0]
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), (len(X),))
+    ok = _certified(_Stack(X), y, gamma, tau, tol)
+    return bool(ok[0]) if single else ok
+
+
+def _certified(A, y, gamma, tau, tol):
+    """subgradient_certificate of a stack of problems (m, N) on design A."""
+    r = y - A.mul(gamma)
     scale = np.abs(y).max(axis=1, initial=0.0)
     scale = np.where(scale > 0.0, scale, 1.0)[:, None]
     zero = np.abs(r) <= 1e-8 * scale
-    score = ((tau - ((r < 0) & ~zero))[:, None, :] @ X)[:, 0]
-    slack = (np.abs(X) * zero[..., None]).sum(axis=1)
-    ok = np.all(np.abs(score) <= slack + tol, axis=1)
-    return bool(ok[0]) if single else ok
+    score = A.tmul(tau[:, None] - ((r < 0) & ~zero))
+    slack = abs(A).tmul(zero.astype(float))
+    return np.all(np.abs(score) <= slack + tol, axis=1)
 
 
 def _solve_qr_dual(X, y, tau: float):
@@ -214,11 +224,7 @@ def _fit_stack(X, y, rows, taus):
     for start in range(0, m, step):
         chunk = slice(start, start + step)
         Xc, yc, tc = X[rows[chunk]], y[rows[chunk]], taus[chunk]
-        try:
-            gamma, vertex = _purify(Xc, yc, tc, _interior_point(Xc, yc, tc))
-        except np.linalg.LinAlgError:
-            # an exactly singular normal matrix: HiGHS solves every fit
-            gamma, vertex = np.zeros((len(tc), k)), np.zeros(len(tc), bool)
+        gamma, vertex = _vertex_fits(_Stack(Xc), yc, tc)
         for j in np.flatnonzero(~vertex):
             try:
                 gamma[j] = fit_quantile(Xc[j], yc[j], tc[j]).gamma
@@ -229,6 +235,160 @@ def _fit_stack(X, y, rows, taus):
     return gammas, certified, errors
 
 
+def _vertex_fits(A, y, tau):
+    """Interior point and purification of a stack of problems on design A:
+    the vertices (m, k) and the (m,) mask of those that pass the basis test.
+    A LinAlgError (an exactly singular normal matrix) fails every problem,
+    so HiGHS solves them all."""
+    try:
+        return _purify(A, y, tau, _interior_point(A, y, tau))
+    except np.linalg.LinAlgError:
+        return np.zeros((len(y), A.width)), np.zeros(len(y), dtype=bool)
+
+
+class _Stack:
+    """An (m, T, k) stack of dense designs, one per problem."""
+
+    def __init__(self, X):
+        self.X = X
+        self.width = X.shape[2]
+
+    def __abs__(self):
+        return _Stack(np.abs(self.X))
+
+    def take(self, keep):
+        return _Stack(self.X[keep])
+
+    def mul(self, lam):
+        """X lambda of each problem: (m, k) -> (m, T)."""
+        return (self.X @ lam[..., None])[..., 0]
+
+    def tmul(self, a):
+        """X'a of each problem: (m, T) -> (m, k)."""
+        return (a[:, None, :] @ self.X)[:, 0]
+
+    def solver(self, d=None):
+        """Solver of X' diag(d) X u = rhs; d None is the plain Gram X'X."""
+        X = self.X
+        normal = (X.swapaxes(1, 2) @ X if d is None
+                  else (X * d[..., None]).swapaxes(1, 2) @ X)
+        return lambda rhs: np.linalg.solve(normal, rhs[..., None])[..., 0]
+
+    def basis(self, h):
+        """Solvers of X_h u = b and X_h' v = g for the basis rows h (m, k),
+        and the mask of bases with condition number <= MAX_CONDITION (the
+        others solve against the identity)."""
+        Xh = np.take_along_axis(self.X, h[..., None], axis=1)
+        ok = np.linalg.cond(Xh) <= MAX_CONDITION
+        Xh[~ok] = np.eye(self.width)
+        return (lambda b: np.linalg.solve(Xh, b[..., None])[..., 0],
+                lambda g: np.linalg.solve(Xh.swapaxes(1, 2),
+                                          g[..., None])[..., 0], ok)
+
+
+class _Pooled:
+    """The pooled design Z = [I_n kron 1_T, x] shared by every problem.
+
+    x is (n, T, p), observations run individual-major (row i*T + t), and the
+    coefficients are (alpha_1..alpha_n, beta). Z'a is the per-individual
+    sums of a plus sum a x, Z lambda is alpha_i + x_it beta, and the normal
+    matrix Z' diag(d) Z is a diagonal n-block plus a p x p block, solved
+    through its p x p Schur complement: O(nTp^2) per solve, and no dense
+    Z is ever formed.
+    """
+
+    def __init__(self, x):
+        self.x = x
+        self.n, self.T, self.p = x.shape
+        self.flat = x.reshape(-1, self.p)
+        self.width = self.n + self.p
+
+    def __abs__(self):
+        return _Pooled(np.abs(self.x))
+
+    def take(self, keep):
+        return self  # every problem shares the design
+
+    def mul(self, lam):
+        n = self.n
+        fitted = (self.flat @ lam[:, n:, None])[..., 0]
+        return (fitted.reshape(len(lam), n, self.T)
+                + lam[:, :n, None]).reshape(len(lam), -1)
+
+    def tmul(self, a):
+        sums = a.reshape(len(a), self.n, self.T).sum(axis=2)
+        return np.concatenate([sums, a @ self.flat], axis=1)
+
+    def solver(self, d=None):
+        n, T = self.n, self.T
+        if d is None:
+            d = np.ones((1, n * T))
+        D = d.reshape(len(d), n, T).sum(axis=2)
+        B = (d.reshape(len(d), n, T, 1) * self.x).sum(axis=2)
+        C = (self.flat * d[..., None]).swapaxes(1, 2) @ self.flat
+        BD = B / D[..., None]
+        schur = C - BD.swapaxes(1, 2) @ B
+
+        def solve(rhs):
+            r1, r2 = rhs[:, :n], rhs[:, n:]
+            v = np.linalg.solve(schur, (r2 - (r1[:, None, :] @ BD)[:, 0])
+                                [..., None])[..., 0]
+            return np.concatenate([r1 / D - (BD @ v[..., None])[..., 0], v],
+                                  axis=1)
+        return solve
+
+    def basis(self, h):
+        """Solvers of Z_h u = b and Z_h' v = g for the sorted basis rows h
+        (m, n+p), and the mask of usable bases.
+
+        Each individual's intercept is eliminated with its first basis row
+        (its pivot), which leaves the p x p system M beta = q of the other p
+        rows, M's rows being x_e - x_pivot(e). A basis is usable when every
+        individual has a basis row and cond(M) <= MAX_CONDITION; the other
+        bases solve against the identity.
+        """
+        n, p = self.n, self.p
+        m = len(h)
+        who = h // self.T
+        pivot = np.ones(h.shape, dtype=bool)
+        pivot[:, 1:] = who[:, 1:] != who[:, :-1]
+        ok = pivot.sum(axis=1) == n
+        # an unusable basis gets stand-in pivots, so every basis has n
+        pivot[~ok] = np.arange(n + p) < n
+        # each basis row's pivot is the last pivot at or before it
+        ref = np.maximum.accumulate(np.where(pivot, np.arange(n + p), 0),
+                                    axis=1)
+        pos = np.nonzero(pivot)[1].reshape(m, n)
+        extra = np.nonzero(~pivot)[1].reshape(m, p)
+        ref = np.take_along_axis(ref, extra, axis=1)
+        M = (self.flat[np.take_along_axis(h, extra, axis=1)]
+             - self.flat[np.take_along_axis(h, ref, axis=1)])
+        ok[ok] = np.linalg.cond(M[ok]) <= MAX_CONDITION
+        M[~ok] = np.eye(p)
+        xp = self.flat[np.take_along_axis(h, pos, axis=1)]
+        owner = (np.take_along_axis(who, extra, axis=1)[..., None]
+                 == np.arange(n))
+
+        def solve(b):
+            q = (np.take_along_axis(b, extra, axis=1)
+                 - np.take_along_axis(b, ref, axis=1))
+            beta = np.linalg.solve(M, q[..., None])[..., 0]
+            alpha = (np.take_along_axis(b, pos, axis=1)
+                     - (xp @ beta[..., None])[..., 0])
+            return np.concatenate([alpha, beta], axis=1)
+
+        def solve_t(g):
+            ga, gb = g[:, :n], g[:, n:]
+            rhs = gb - (ga[:, None, :] @ xp)[:, 0]
+            ve = np.linalg.solve(M.swapaxes(1, 2), rhs[..., None])[..., 0]
+            v = np.empty((m, n + p))
+            np.put_along_axis(v, pos, ga - (ve[:, None, :] @ owner)[:, 0],
+                              axis=1)
+            np.put_along_axis(v, extra, ve, axis=1)
+            return v
+        return solve, solve_t, ok
+
+
 def _max_step(v, dv, u, du):
     """IP_STEP times the longest step along (dv, du) that keeps v and u
     non-negative, capped at 1; v, u > 0, one row per problem."""
@@ -236,27 +396,28 @@ def _max_step(v, dv, u, du):
     return (IP_STEP / np.maximum(t, IP_STEP))[:, None]
 
 
-def _interior_point(X, y, tau):
+def _interior_point(A, y, tau):
     """Frisch-Newton interior point for a stack of quantile regressions.
 
     Mehrotra predictor-corrector on quantreg's bounded dual (rq.fit.fnb;
     Portnoy and Koenker 1997): max y'a subject to X'a = (1 - tau) X'1,
     0 <= a <= 1, whose equality multipliers lambda give gamma = -lambda.
-    X is (m, T, k), y (m, T) and tau (m,). A problem stops once its duality
-    gap is below IP_GAP_TOL * T * max|y|, or after IP_MAX_ITER iterations;
-    the returned gammas (m, k) are then purified by _purify.
+    The design A (_Stack or _Pooled) enters only through X'a, X lambda and
+    solves with the normal matrix X' diag(d) X; y is (m, N) and tau (m,). A
+    problem stops once its duality gap is below IP_GAP_TOL * N * max|y|, or
+    after IP_MAX_ITER iterations; the returned gammas (m, k) are then
+    purified by _purify.
     """
-    m, T, k = X.shape
-    gamma = np.zeros((m, k))
+    m, N = y.shape
+    gamma = np.zeros((m, A.width))
     c = -y
-    x = np.repeat(1.0 - tau[:, None], T, axis=1)  # primal a, feasible
+    x = np.repeat(1.0 - tau[:, None], N, axis=1)  # primal a, feasible
     s = 1.0 - x  # slack of a <= 1
-    b = (x[:, None, :] @ X)[:, 0]
+    b = A.tmul(x)
     # dual start: least squares multipliers, with z - w = c - X lambda split
     # into its positive and negative parts, both lifted off zero
-    lam = np.linalg.solve(X.swapaxes(1, 2) @ X, (c[:, None, :] @ X)
-                          .swapaxes(1, 2))[..., 0]
-    r = c - (X @ lam[..., None])[..., 0]
+    lam = A.solver()(A.tmul(c))
+    r = c - A.mul(lam)
     tol = np.abs(y).max(axis=1)
     tol = IP_GAP_TOL * np.where(tol > 0.0, tol, 1.0)
     z = np.maximum(r, 0.0) + tol[:, None]
@@ -264,24 +425,24 @@ def _interior_point(X, y, tau):
     active = np.arange(m)
     for _ in range(IP_MAX_ITER):
         gap = (x * z).sum(axis=1) + (s * w).sum(axis=1)
-        done = gap <= T * tol
+        done = gap <= N * tol
         if done.any():
             gamma[active[done]] = -lam[done]
             keep = ~done
             active = active[keep]
             if not len(active):
                 return gamma
-            X, c, x, s, b, lam, z, w, gap, tol = (
-                a[keep] for a in (X, c, x, s, b, lam, z, w, gap, tol))
-        rp = b - (x[:, None, :] @ X)[:, 0]
-        rd = c - (X @ lam[..., None])[..., 0] - z + w
+            A = A.take(keep)
+            c, x, s, b, lam, z, w, gap, tol = (
+                a[keep] for a in (c, x, s, b, lam, z, w, gap, tol))
+        rp = b - A.tmul(x)
+        rd = c - A.mul(lam) - z + w
         d = 1.0 / (z / x + w / s)
-        normal = (X * d[..., None]).swapaxes(1, 2) @ X
+        solve = A.solver(d)
 
         def direction(q):
-            rhs = rp - ((d * q)[:, None, :] @ X)[:, 0]
-            dlam = np.linalg.solve(normal, rhs[..., None])[..., 0]
-            return dlam, d * ((X @ dlam[..., None])[..., 0] + q)
+            dlam = solve(rp - A.tmul(d * q))
+            return dlam, d * (A.mul(dlam) + q)
 
         # predictor: the affine scaling direction (target mu = 0)
         dlam, dx = direction(w - z - rd)
@@ -291,7 +452,7 @@ def _interior_point(X, y, tau):
         ad = _max_step(z, dz, w, dw)
         predicted = (((x + ap * dx) * (z + ad * dz)).sum(axis=1)
                      + ((s - ap * dx) * (w + ad * dw)).sum(axis=1))
-        mu = (predicted / gap) ** 3 * gap / (2 * T)
+        mu = (predicted / gap) ** 3 * gap / (2 * N)
         # corrector: centring towards mu plus the second-order terms
         rxz = mu[:, None] - x * z - dx * dz
         rsw = mu[:, None] - s * w + dx * dw
@@ -309,31 +470,29 @@ def _interior_point(X, y, tau):
     return gamma
 
 
-def _purify(X, y, tau, gamma):
+def _purify(A, y, tau, gamma):
     """Move each approximate fit to the vertex through its k smallest
     |residuals| and test that vertex exactly.
 
     The vertex gamma_h solves X_h gamma = y_h. It is the unique minimizer
     when its basis multipliers v = -X_h'^{-1} sum_{t not in h} x_t (tau -
     1{r_t < 0}) lie strictly inside [tau - 1, tau] (by BASIS_MARGIN); then
-    it is the vertex HiGHS returns too. Returns the vertices (m, k) and the
-    (m,) mask of those that pass.
+    it is the vertex HiGHS returns too. The design A supplies the basis
+    solves (A.basis). Returns the vertices (m, k) and the (m,) mask of those
+    that pass.
     """
-    k = X.shape[2]
-    r = y - (X @ gamma[..., None])[..., 0]
+    k = A.width
+    r = y - A.mul(gamma)
     h = np.sort(np.argpartition(np.abs(r), k - 1, axis=1)[:, :k], axis=1)
-    Xh = np.take_along_axis(X, h[..., None], axis=1)
-    ok = np.linalg.cond(Xh) <= MAX_CONDITION
-    Xh[~ok] = np.eye(k)
-    vertex = np.linalg.solve(Xh, np.take_along_axis(y, h, axis=1)[..., None])
-    r = y - (X @ vertex)[..., 0]
+    solve, solve_t, ok = A.basis(h)
+    vertex = solve(np.take_along_axis(y, h, axis=1))
+    r = y - A.mul(vertex)
     psi = tau[:, None] - (r < 0)
     np.put_along_axis(psi, h, 0.0, axis=1)
-    g = (psi[:, None, :] @ X).swapaxes(1, 2)
-    v = -np.linalg.solve(Xh.swapaxes(1, 2), g)[..., 0]
+    v = -solve_t(A.tmul(psi))
     t = tau[:, None]
     ok &= np.all((v > t - 1.0 + BASIS_MARGIN) & (v < t - BASIS_MARGIN), axis=1)
-    return vertex[..., 0], ok
+    return vertex, ok
 
 
 def hk_covariance(bundle: QuantileFitBundle, X,
@@ -398,40 +557,71 @@ def _density_gram(X, f_hat):
 
 @dataclass
 class PooledQuantileFit:
-    """Joint fit with individual intercepts and a common slope."""
+    """Joint fit with individual intercepts and a common slope: alphas (n,)
+    and beta (p,) at one level tau, or (L, n) and (L, p) at L levels."""
 
     alphas: np.ndarray
     beta: np.ndarray
-    tau: float
+    tau: float | np.ndarray
     converged: bool = True
 
 
-def fit_pooled_quantile(y, x, tau: float, tol: float = 1e-6) -> PooledQuantileFit:
+def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
     """Minimize the pooled check loss over (alpha_1..alpha_n, beta).
 
-    y has shape (n, T); x has shape (n, T, p). With p = 0 the problem
-    separates into n intercept-only fits solved in closed form.
+    y has shape (n, T); x has shape (n, T, p); tau is one level or a
+    sequence of L levels. With p = 0 the problem separates into n
+    intercept-only fits solved in closed form. Otherwise the levels run as
+    one stack in the batched interior point on the pooled design
+    (_fit_pooled_levels). Raises SingularDesign when a covariate is
+    collinear with the intercepts (the covariates' deviations from each
+    individual's first period are rank deficient), and NonConvergence when
+    a level still fails the subgradient certificate (tolerance tol * n), so
+    a returned fit has converged=True.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     n, T = y.shape
     p = x.shape[2] if x.ndim == 3 else 0
+    levels = np.atleast_1d(np.asarray(tau, dtype=float))
     if n * T < n + p + 1:
         raise SingularDesign("too few observations for the pooled fit")
 
     if p == 0:
-        alphas = np.array([lower_sample_quantile(y[i], tau) for i in range(n)])
-        return PooledQuantileFit(alphas, np.zeros(0), tau)
+        alphas = np.array([[lower_sample_quantile(y[i], level)
+                            for i in range(n)] for level in levels])
+        beta = np.zeros((len(levels), 0))
+    else:
+        if np.linalg.matrix_rank((x - x[:, :1]).reshape(-1, p)) < p:
+            raise SingularDesign(
+                "a covariate is collinear with the individual intercepts")
+        gamma = _fit_pooled_levels(y, x, levels, tol)
+        alphas, beta = gamma[:, :n], gamma[:, n:]
+    if np.ndim(tau) == 0:
+        return PooledQuantileFit(alphas[0], beta[0], tau)
+    return PooledQuantileFit(alphas, beta, levels)
 
-    indicators = sparse.kron(sparse.eye(n, format="csr"),
-                             np.ones((T, 1)), format="csr")
-    Z = sparse.hstack([indicators, sparse.csr_matrix(x.reshape(n * T, p))],
-                      format="csr")
-    gamma = _solve_qr_dual(Z, y.reshape(-1), tau)
-    alphas, beta = gamma[:n], gamma[n:]
-    ok = subgradient_certificate(Z.toarray(), y.reshape(-1), gamma, tau,
-                                 tol=tol * n)
-    return PooledQuantileFit(alphas, beta, tau, converged=ok)
+
+def _fit_pooled_levels(y, x, levels, tol):
+    """Pooled fits (L, n+p) of the levels as one stack on the _Pooled
+    design: each is purified to the vertex through its n+p smallest
+    |residuals| and kept when the basis test passes; every other level is
+    solved by HiGHS on the sparse design."""
+    n, T, p = x.shape
+    A = _Pooled(x)
+    Y = np.tile(y.reshape(1, -1), (len(levels), 1))
+    gamma, vertex = _vertex_fits(A, Y, levels)
+    if not vertex.all():
+        Z = sparse.hstack([sparse.kron(sparse.eye(n, format="csr"),
+                                       np.ones((T, 1)), format="csr"),
+                           sparse.csr_matrix(A.flat)], format="csr")
+        for j in np.flatnonzero(~vertex):
+            gamma[j] = _solve_qr_dual(Z, Y[j], levels[j])
+    failed = levels[~_certified(A, Y, gamma, levels, tol * n)]
+    if len(failed):
+        raise NonConvergence(f"pooled fit at tau={failed[0]:g} fails its "
+                             "subgradient certificate")
+    return gamma
 
 
 def intercept_variance(alpha_plus, alpha_minus, tau: float,

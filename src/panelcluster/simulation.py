@@ -251,7 +251,8 @@ def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
     whose fit fails with an EstimationError, whose quantile fit fails its
     subgradient certificate or whose logistic fit does not converge
     (NonConvergence), is left out and listed in `dropped` with the error's
-    class name.
+    class name. The pooled fit is joint, so its errors (SingularDesign,
+    NonConvergence) raise instead.
     """
     ids = list(range(panel.n)) if ids is None else list(ids)
     if len(ids) != panel.n:
@@ -290,12 +291,13 @@ def _logistic_slopes(X, y):
 
 def _pooled_intercepts(panel, tau, d_T):
     """Intercepts (n, 1) of the pooled fit at tau, their (n, 1, 1) variances
-    from the fits at tau +/- d_T, and no failed rows."""
-    y, x = panel.responses, panel.covariates
-    center, upper, lower = (fit_pooled_quantile(y, x, level)
-                            for level in (tau, tau + d_T, tau - d_T))
-    unc = intercept_variance(upper.alphas, lower.alphas, tau, d_T)
-    return center.alphas[:, None], unc.sigma, {}
+    from the fits at tau +/- d_T (all three levels in one call), and no
+    failed rows."""
+    fit = fit_pooled_quantile(panel.responses, panel.covariates,
+                              (tau, tau + d_T, tau - d_T))
+    center, upper, lower = fit.alphas
+    unc = intercept_variance(upper, lower, tau, d_T)
+    return center[:, None], unc.sigma, {}
 
 
 def _quantile_slopes(panel, tau, d_T):

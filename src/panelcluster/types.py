@@ -12,7 +12,8 @@ class EstimationError(Exception):
 
 
 class DegenerateOutcome(EstimationError):
-    """Binary response is all zeros or all ones; the individual cannot be fit."""
+    """Binary response is constant, or has an outcome other than 0 or 1; the
+    individual cannot be fit."""
 
 
 class PerfectSeparation(EstimationError):

@@ -481,6 +481,34 @@ def test_estimate_pooled_matches_library_fit(tmp_path, capsys):
     assert table.d_T is not None
 
 
+def test_estimate_pooled_rejects_covariate_fixed_within_individuals(
+        tmp_path, capsys):
+    panel, _ = gen_model3(6, 30, "normal", seed=4)
+    # x constant within each individual: beta is not identified
+    x = np.repeat(panel.covariates[:, :1], 30, axis=1)
+    path = tmp_path / "panel.csv"
+    write_panel(path, type(panel)(x, panel.responses, "continuous"))
+    assert main(["estimate", str(path), "--model", "qr-pooled",
+                 "--out", str(tmp_path / "est.csv")]) == 2
+    assert "collinear with the individual intercepts" in \
+        capsys.readouterr().err
+
+
+def test_estimate_pooled_failed_certificate_exits_2(tmp_path, capsys,
+                                                   monkeypatch):
+    from panelcluster import quantile
+
+    panel, _ = gen_model3(6, 30, "normal", seed=4)
+    # tau T = 15: the centre level goes to HiGHS, which returns a non-optimum
+    monkeypatch.setattr(quantile, "_solve_qr_dual",
+                        lambda Z, y, tau: np.zeros(Z.shape[1]))
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    assert main(["estimate", str(path), "--model", "qr-pooled",
+                 "--out", str(tmp_path / "est.csv")]) == 2
+    assert "fails its subgradient certificate" in capsys.readouterr().err
+
+
 def test_estimate_then_cluster_matches_in_process_pipeline(tmp_path, capsys):
     from panelcluster.quantile import (fit_quantile_bundle,
                                        hall_sheather_bandwidth, hk_covariance)

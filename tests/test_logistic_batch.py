@@ -202,6 +202,26 @@ def test_single_design_is_a_stack_of_one():
             unc.sigma[i])
 
 
+def test_invalid_outcome_fails_its_row_alone():
+    panel, _ = gen_logistic(30, 60, 7)
+    X, Y = panel.designs, panel.responses.copy()
+    Y[4, 10] = np.nan
+    Y[9, 0] = 2.0
+    Y[13, 5] = np.inf
+    est = fit_logistic(X, Y)
+    clean = fit_logistic(X, panel.responses)
+    for i in (4, 9, 13):
+        assert type(est.failed[i]) is DegenerateOutcome
+        assert str(est.failed[i]) == "outcomes must be 0 or 1"
+        assert not est.gamma[i].any()
+        with pytest.raises(DegenerateOutcome):
+            fit_logistic(X[i], Y[i])
+    others = [i for i in range(30) if i not in (4, 9, 13)]
+    assert np.array_equal(est.gamma[others], clean.gamma[others])
+    assert {i: type(e) for i, e in est.failed.items() if i in others} == {
+        i: type(e) for i, e in clean.failed.items() if i in others}
+
+
 def spoil_halvings(real):
     """A log-likelihood that reads -inf away from gamma = 0 for designs
     whose first entry is 7, so every halving of their first step fails."""
