@@ -584,6 +584,8 @@ def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
     n, T = y.shape
     p = x.shape[2] if x.ndim == 3 else 0
     levels = np.atleast_1d(np.asarray(tau, dtype=float))
+    if not np.all((0.0 < levels) & (levels < 1.0)):
+        raise ValueError("tau must lie in (0, 1)")
     if n * T < n + p + 1:
         raise SingularDesign("too few observations for the pooled fit")
 
@@ -607,7 +609,7 @@ def _fit_pooled_levels(y, x, levels, tol):
     design: each is purified to the vertex through its n+p smallest
     |residuals| and kept when the basis test passes; every other level is
     solved by HiGHS on the sparse design."""
-    n, T, p = x.shape
+    n, T = y.shape
     A = _Pooled(x)
     Y = np.tile(y.reshape(1, -1), (len(levels), 1))
     gamma, vertex = _vertex_fits(A, Y, levels)

@@ -87,7 +87,8 @@ def test_rejected_vertex_gives_exactly_highs(monkeypatch):
 
     monkeypatch.setattr(quantile, "_purify", reject_level_1)
     fit = fit_pooled_quantile(y, x, levels(61, 0.5))
-    assert np.array_equal(coefficients(fit, 1), highs(y, x, levels(61, 0.5)[1]))
+    assert np.array_equal(coefficients(fit, 1),
+                          highs(y, x, levels(61, 0.5)[1]))
 
 
 def test_basis_test_rejects_a_vertex_that_is_not_the_minimizer():
@@ -136,6 +137,13 @@ def test_failed_certificate_raises_nonconvergence(monkeypatch):
     monkeypatch.setattr(quantile, "_solve_qr_dual", wrong_highs)
     with pytest.raises(NonConvergence, match="tau=0.5 "):
         fit_pooled_quantile(panel.responses, panel.covariates, 0.5)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, (0.5, -0.1)])
+def test_level_outside_the_unit_interval_is_rejected(tau):
+    panel, _ = gen_model3(6, 30, "normal", seed=5)
+    with pytest.raises(ValueError, match="tau must lie in"):
+        fit_pooled_quantile(panel.responses, panel.covariates, tau)
 
 
 def test_covariate_collinear_with_intercepts_is_singular():
