@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import MISSING, fields
 
 from . import __version__
 from .io import (
@@ -23,9 +24,10 @@ from .simulation import (PANEL_MODELS, SimulationConfig, estimate_panel,
 from .spectral import build_dissimilarity, select_num_groups, spectral_cluster
 from .types import EstimationError, ParseError
 
-CONFIG_FIELDS = ("model", "n", "T", "reps", "seed", "tau", "error_dist",
-                 "restarts", "G_max", "methods", "select_groups",
-                 "cluster_at_true_g")
+CONFIG_FIELDS = tuple(f.name for f in fields(SimulationConfig))
+REQUIRED_FIELDS = tuple(
+    f.name for f in fields(SimulationConfig)
+    if f.default is MISSING and f.default_factory is MISSING)
 
 
 def build_parser():
@@ -154,7 +156,7 @@ def cmd_simulate(args) -> int:
     unknown = sorted(set(raw) - set(CONFIG_FIELDS))
     if unknown:
         raise ParseError(f"unknown config fields: {unknown}")
-    for required in ("model", "n", "T", "reps"):
+    for required in REQUIRED_FIELDS:
         if required not in raw:
             raise ParseError(f"config is missing required field {required!r}")
     try:

@@ -51,24 +51,19 @@ def fit_logistic(X, y, max_iter: int = 100,
                  tol: float = 1e-8) -> CoefficientEstimate:
     """Maximize the average log-likelihood by Newton steps with halving.
 
-    X is one (T, k) design with outcomes y (T,), or an (n, T, k) stack with
-    y (n, T); every row runs the same iterations (_newton), in chunks of at
-    most NEWTON_CHUNK_ENTRIES design entries. A row fails with
-    DegenerateOutcome when its y is constant or has an outcome other than 0
-    or 1 (NaN included), SingularDesign when its X is rank deficient,
-    PerfectSeparation when its outcomes are separated or its iterate
-    diverges, and NonConvergence when its gradient is not
-    within tol after max_iter steps. For a stack, gamma is (n, k) with the
-    failed rows read 0, failed maps each failed row to its error, and
-    iterations sums the steps of the other rows. One design raises its
-    error instead, except non-convergence: it returns the last iterate
-    with converged=False.
+    X is an (n, T, k) stack of designs with outcomes y (n, T); any other
+    shape raises DimensionMismatch. Every row runs the same iterations
+    (_newton), in chunks of at most NEWTON_CHUNK_ENTRIES design entries. A
+    row fails with DegenerateOutcome when its y is constant or has an
+    outcome other than 0 or 1 (NaN included), SingularDesign when its X is
+    rank deficient, PerfectSeparation when its outcomes are separated or its
+    iterate diverges, and NonConvergence when its gradient is not within tol
+    after max_iter steps. gamma is (n, k) with the failed rows read 0,
+    failed maps each failed row to its error, and iterations sums the steps
+    of the other rows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    single = X.ndim == 2
-    if single:
-        X, y = X[None], y[None]
     if X.ndim != 3 or y.shape != X.shape[:2]:
         raise DimensionMismatch("design/response shape mismatch")
     n, T, k = X.shape
@@ -93,11 +88,6 @@ def fit_logistic(X, y, max_iter: int = 100,
         gamma[chunk], iterations[chunk], converged[chunk], errors = _newton(
             X[chunk], y[chunk], max_iter, tol)
         failed.update({int(chunk[j]): exc for j, exc in errors.items()})
-    if single:
-        if failed:
-            raise failed[0]
-        return CoefficientEstimate(gamma[0], converged=bool(converged[0]),
-                                   iterations=int(iterations[0]))
     failed.update({int(i): NonConvergence(
         f"Newton iterations did not converge in {max_iter} steps")
         for i in np.flatnonzero(~converged) if i not in failed})
@@ -197,20 +187,16 @@ def logistic_covariance(X, estimate: CoefficientEstimate,
     """Inverse of the plug-in Hessian; asymptotic variance of the MLE.
 
     slopes_only extracts the lower p x p submatrix after inverting the full
-    (p+1) x (p+1) matrix. X is one (T, k) design or the (n, T, k) stack of
-    a stacked estimate: then sigma is (n, s, s), failed maps the rows whose
-    plug-in Hessian is numerically singular to SingularHessian, and those
-    rows and the rows the fit failed read 0. One design raises
-    SingularHessian instead, and ValueError when its fit did not converge.
+    (p+1) x (p+1) matrix. X is the (n, T, k) stack of the estimate (any
+    other shape raises DimensionMismatch) and sigma is (n, s, s): failed
+    maps the rows whose plug-in Hessian is numerically singular to
+    SingularHessian, and those rows and the rows the fit failed read 0.
     """
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 2
-    if single:
-        if not estimate.converged:
-            raise ValueError("covariance requested for a non-converged fit")
-        X = X[None]
+    if X.ndim != 3 or estimate.gamma.shape != (X.shape[0], X.shape[2]):
+        raise DimensionMismatch("design/estimate shape mismatch")
     n, _, k = X.shape
-    hess = plugin_hessian(X, np.reshape(estimate.gamma, (n, k)))
+    hess = plugin_hessian(X, estimate.gamma)
     unusable = np.zeros(n, dtype=bool)
     unusable[list(estimate.failed)] = True
     lost = ~unusable
@@ -218,8 +204,6 @@ def logistic_covariance(X, estimate: CoefficientEstimate,
     failed = {int(i): SingularHessian(
         "weighted Gram matrix is numerically singular")
         for i in np.flatnonzero(lost)}
-    if single and failed:
-        raise failed[0]
     unusable |= lost
     hess[unusable] = np.eye(k)
     sigma = np.linalg.inv(hess)
@@ -227,6 +211,4 @@ def logistic_covariance(X, estimate: CoefficientEstimate,
     sigma[unusable] = 0.0
     if slopes_only:
         sigma = sigma[:, 1:, 1:]
-    if single:
-        return UncertaintyEstimate(sigma[0])
     return UncertaintyEstimate(sigma, failed=failed)

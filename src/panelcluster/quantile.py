@@ -28,6 +28,7 @@ from scipy.stats import norm
 
 from .types import (
     CoefficientEstimate,
+    DimensionMismatch,
     EstimationError,
     NonConvergence,
     QuantileFitBundle,
@@ -111,12 +112,11 @@ def _solve_qr_dual(X, y, tau: float):
     Dual: max y'a subject to X'a = 0, a in [tau - 1, tau]; the primal
     coefficients are the marginals of the equality constraints.
     """
-    T = len(y)
     res = linprog(
         -np.asarray(y, dtype=float),
         A_eq=X.T if not sparse.issparse(X) else X.T.tocsr(),
         b_eq=np.zeros(X.shape[1]),
-        bounds=[(tau - 1.0, tau)] * T,
+        bounds=(tau - 1.0, tau),
         method="highs",
     )
     if res.status != 0:
@@ -145,34 +145,34 @@ def fit_quantile(X, y, tau: float, tol: float = 1e-6) -> CoefficientEstimate:
 
 def hall_sheather_bandwidth(T: int, tau: float, alpha_level: float = 0.05) -> float:
     """Hall-Sheather bandwidth for the difference-quotient density estimate,
-    clipped so tau +/- d_T stays inside (0.01, 0.99)."""
+    clipped so tau +/- d_T stays inside (0.01, 0.99); tau itself must lie
+    inside (0.01, 0.99), or no positive bandwidth exists."""
     if T < 10:
         raise ValueError("bandwidth rule requires T >= 10")
+    if not 0.01 < tau < 0.99:
+        raise ValueError(f"tau={tau:g} must lie in (0.01, 0.99): the "
+                         "Hall-Sheather bandwidth keeps tau +/- d_T inside it")
     z = norm.ppf(1.0 - alpha_level / 2.0)
     q = norm.ppf(tau)
     d = T ** (-1.0 / 3.0) * z ** (2.0 / 3.0) * (
         1.5 * norm.pdf(q) ** 2 / (2.0 * q ** 2 + 1.0)) ** (1.0 / 3.0)
-    return float(max(min(d, tau - 0.01, 0.99 - tau), 0.0))
+    return float(min(d, tau - 0.01, 0.99 - tau))
 
 
 def fit_quantile_bundle(X, y, tau: float,
                         d_T: float | None = None) -> QuantileFitBundle:
     """Fit at tau and tau +/- d_T (Hall-Sheather default bandwidth).
 
-    X is one (T, k) design with responses y (T,), or an (n, T, k) stack with
-    y (n, T); all 3n fits of a stack run as one batched solve (_fit_stack).
-    For a stack, bundle.failed maps each row that cannot be fit to its
+    X is an (n, T, k) stack of designs with responses y (n, T); any other
+    shape raises DimensionMismatch. All 3n fits run as one batched solve
+    (_fit_stack). bundle.failed maps each row that cannot be fit to its
     EstimationError (its coefficients read 0), and bundle.certified flags
-    the rows whose three fits pass the subgradient certificate. One design
-    raises its error instead.
+    the rows whose three fits pass the subgradient certificate.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    single = X.ndim == 2
-    if single:
-        X, y = X[None], y[None]
     if X.ndim != 3 or y.shape != X.shape[:2]:
-        raise SingularDesign("design/response shape mismatch")
+        raise DimensionMismatch("design/response shape mismatch")
     if d_T is None:
         d_T = hall_sheather_bandwidth(X.shape[1], tau)
     if not (0.0 < tau - d_T and tau + d_T < 1.0):
@@ -195,10 +195,6 @@ def fit_quantile_bundle(X, y, tau: float,
             failed.setdefault(int(problems[problem]), exc)
         gammas[:, list(failed)] = 0.0
         certified[:, list(failed)] = False
-    if single:
-        if failed:
-            raise failed[0]
-        gammas, certified = gammas[:, 0], certified[:, 0]
     fits = [CoefficientEstimate(g, tau=level, converged=bool(c.all()))
             for g, level, c in zip(gammas, levels, certified)]
     return QuantileFitBundle(*fits, d_T, certified=certified.all(axis=0),
@@ -501,22 +497,20 @@ def hk_covariance(bundle: QuantileFitBundle, X,
 
     Denominators of the density estimates are floored at DENSITY_DENOM_FLOOR;
     a floored fit is flagged as degenerate. slopes_only extracts the lower
-    p x p submatrix of the inverted full matrix. X is one (T, k) design or
-    the (n, T, k) stack of the bundle: then sigma is (n, s, s), failed maps
-    the rows whose B is singular to SingularB, and those rows and the rows
-    the bundle failed read 0; crossed flags every other row with a crossed
-    quotient, and degenerate is crossed.any(). One design raises SingularB
-    instead.
+    p x p submatrix of the inverted full matrix. X is the (n, T, k) stack of
+    the bundle (any other shape raises DimensionMismatch) and sigma is
+    (n, s, s): failed maps the rows whose B is singular to SingularB, and
+    those rows and the rows the bundle failed read 0; crossed flags every
+    other row with a crossed quotient, and degenerate is crossed.any().
     """
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 2
-    if single:
-        X = X[None]
-    n, T, k = X.shape
+    delta = bundle.upper.gamma - bundle.lower.gamma
+    if X.ndim != 3 or delta.shape != (X.shape[0], X.shape[2]):
+        raise DimensionMismatch("design/bundle shape mismatch")
+    T, k = X.shape[1:]
     tau = bundle.center.tau
     d = bundle.bandwidth
-    delta = np.reshape(bundle.upper.gamma - bundle.lower.gamma, (n, k, 1))
-    denom = (X @ delta)[..., 0]
+    denom = (X @ delta[..., None])[..., 0]
     crossed = denom < DENSITY_DENOM_FLOOR
     floored = 2.0 * d / np.maximum(denom, DENSITY_DENOM_FLOOR)
     # crossed difference quotients get density 0 (the observation drops out
@@ -532,8 +526,6 @@ def hk_covariance(bundle: QuantileFitBundle, X,
     failed = {int(i): SingularB(
         "density-weighted Gram matrix is numerically singular")
         for i in np.flatnonzero(lost)}
-    if single and failed:
-        raise failed[0]
     unusable = lost.copy()
     unusable[list(bundle.failed)] = True
     B[unusable] = np.eye(k)
@@ -544,8 +536,6 @@ def hk_covariance(bundle: QuantileFitBundle, X,
     if slopes_only:
         sigma = sigma[:, 1:, 1:]
     crossed = crossed.any(axis=1) & ~unusable
-    if single:
-        return UncertaintyEstimate(sigma[0], degenerate=bool(crossed[0]))
     return UncertaintyEstimate(sigma, degenerate=bool(crossed.any()),
                                crossed=crossed, failed=failed)
 
@@ -557,23 +547,23 @@ def _density_gram(X, f_hat):
 
 @dataclass
 class PooledQuantileFit:
-    """Joint fit with individual intercepts and a common slope: alphas (n,)
-    and beta (p,) at one level tau, or (L, n) and (L, p) at L levels."""
+    """Joint fit with individual intercepts and a common slope at L levels
+    tau (L,): alphas (L, n) and beta (L, p)."""
 
     alphas: np.ndarray
     beta: np.ndarray
-    tau: float | np.ndarray
+    tau: np.ndarray
     converged: bool = True
 
 
 def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
     """Minimize the pooled check loss over (alpha_1..alpha_n, beta).
 
-    y has shape (n, T); x has shape (n, T, p); tau is one level or a
-    sequence of L levels. With p = 0 the problem separates into n
-    intercept-only fits solved in closed form. Otherwise the levels run as
-    one stack in the batched interior point on the pooled design
-    (_fit_pooled_levels). Raises SingularDesign when a covariate is
+    y has shape (n, T); x has shape (n, T, p); tau is a sequence of L levels
+    (anything else raises DimensionMismatch). With p = 0 the problem
+    separates into n intercept-only fits solved in closed form. Otherwise
+    the levels run as one stack in the batched interior point on the pooled
+    design (_fit_pooled_levels). Raises SingularDesign when a covariate is
     collinear with the intercepts (the covariates' deviations from each
     individual's first period are rank deficient), and NonConvergence when
     a level still fails the subgradient certificate (tolerance tol * n), so
@@ -583,7 +573,9 @@ def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
     x = np.asarray(x, dtype=float)
     n, T = y.shape
     p = x.shape[2] if x.ndim == 3 else 0
-    levels = np.atleast_1d(np.asarray(tau, dtype=float))
+    levels = np.asarray(tau, dtype=float)
+    if levels.ndim != 1:
+        raise DimensionMismatch("tau must be a sequence of levels")
     if not np.all((0.0 < levels) & (levels < 1.0)):
         raise ValueError("tau must lie in (0, 1)")
     if n * T < n + p + 1:
@@ -599,8 +591,6 @@ def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
                 "a covariate is collinear with the individual intercepts")
         gamma = _fit_pooled_levels(y, x, levels, tol)
         alphas, beta = gamma[:, :n], gamma[:, n:]
-    if np.ndim(tau) == 0:
-        return PooledQuantileFit(alphas[0], beta[0], tau)
     return PooledQuantileFit(alphas, beta, levels)
 
 
@@ -627,13 +617,12 @@ def _fit_pooled_levels(y, x, levels, tol):
 
 
 def intercept_variance(alpha_plus, alpha_minus, tau: float,
-                       d_T: float) -> UncertaintyEstimate:
+                       d_T: float) -> np.ndarray:
     """Sample-quantile asymptotic variance from the intercept difference
     quotient: tau(1-tau) * ((alpha_plus - alpha_minus) / (2 d_T))^2.
 
-    alpha_plus and alpha_minus are floats, or (n,) arrays of n individuals:
-    then sigma is an (n, 1, 1) stack, which EstimateTable checks once.
-    degenerate flags a zero variance (of any row).
+    alpha_plus and alpha_minus are the (n,) intercepts of n individuals;
+    returns their (n, 1, 1) variances, which EstimateTable checks once.
     """
     if d_T <= 0:
         raise ValueError("bandwidth must be positive")
@@ -641,6 +630,4 @@ def intercept_variance(alpha_plus, alpha_minus, tau: float,
             - np.asarray(alpha_minus, dtype=float)) / (2.0 * d_T)
     # float_power squares with libm pow, as a float's ** does, so a value is
     # the same alone or in an array (np.square can differ in the last ulp)
-    sigma = tau * (1.0 - tau) * np.float_power(diff, 2)
-    return UncertaintyEstimate(np.reshape(sigma, np.shape(sigma) + (1, 1)),
-                               degenerate=bool(np.any(sigma == 0.0)))
+    return np.reshape(tau * (1.0 - tau) * np.float_power(diff, 2), (-1, 1, 1))

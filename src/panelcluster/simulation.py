@@ -296,8 +296,7 @@ def _pooled_intercepts(panel, tau, d_T):
     fit = fit_pooled_quantile(panel.responses, panel.covariates,
                               (tau, tau + d_T, tau - d_T))
     center, upper, lower = fit.alphas
-    unc = intercept_variance(upper, lower, tau, d_T)
-    return center[:, None], unc.sigma, {}
+    return center[:, None], intercept_variance(upper, lower, tau, d_T), {}
 
 
 def _quantile_slopes(panel, tau, d_T):

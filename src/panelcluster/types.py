@@ -102,13 +102,13 @@ class PanelDataset:
 
 @dataclass
 class CoefficientEstimate:
-    """Fitted coefficient vector of one individual.
+    """Fitted coefficients of a stack of n individuals, (n, k), or of the
+    one design fit_quantile fits, (k,).
 
     gamma holds (intercept, slopes) when the model carries a free intercept,
-    otherwise just the slopes; for a stack of n fits it is (n, k) and
-    converged holds when every row does. tau is the quantile level, or None
-    for logistic fits. failed maps the rows of a stack that hold no
-    estimate to their EstimationError.
+    otherwise just the slopes; converged holds when every row does. tau is
+    the quantile level, or None for logistic fits. failed maps the rows
+    that hold no estimate to their EstimationError.
     """
 
     gamma: np.ndarray
@@ -137,23 +137,18 @@ ALREADY_SCALED = "already_scaled"
 
 @dataclass
 class UncertaintyEstimate:
-    """Symmetric covariance estimate of one individual, checked here, or an
-    (n, s, s) stack of them, which EstimateTable checks once.
+    """Covariance estimates of a stack of n individuals, (n, s, s), which
+    EstimateTable checks once.
 
-    degenerate flags floored/zero density estimates (of any row). A stack
-    carries per-row flags: crossed (n,) and failed, {row: EstimationError}
-    of the rows that hold no estimate.
+    degenerate flags floored density estimates (of any row). Per-row flags:
+    crossed (n,) and failed, {row: EstimationError} of the rows that hold
+    no estimate.
     """
 
     sigma: np.ndarray
     degenerate: bool = False
     crossed: np.ndarray | None = None
     failed: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        if self.sigma.ndim == 2:
-            validate_covariance(self.sigma)
 
 
 def _reject(bad: np.ndarray, error: type, message: str) -> None:
@@ -261,18 +256,19 @@ class EstimateTable:
 
 @dataclass
 class QuantileFitBundle:
-    """Quantile fits at tau and tau +/- bandwidth, used by the sandwich.
+    """Quantile fits of a stack of n designs at tau and tau +/- bandwidth,
+    used by the sandwich.
 
-    For a stack of n designs each fit holds (n, k) coefficients; certified
-    (n,) flags the rows whose three fits pass the subgradient certificate,
-    and failed maps rows that could not be fit to their EstimationError.
+    Each fit holds (n, k) coefficients; certified (n,) flags the rows whose
+    three fits pass the subgradient certificate, and failed maps rows that
+    could not be fit to their EstimationError.
     """
 
     center: CoefficientEstimate
     upper: CoefficientEstimate
     lower: CoefficientEstimate
     bandwidth: float
-    certified: np.ndarray | bool = True
+    certified: np.ndarray | None = None
     failed: dict = field(default_factory=dict)
 
     def __post_init__(self):

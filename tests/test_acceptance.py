@@ -223,7 +223,7 @@ def test_criterion_5_logistic_hessian_finite_differences():
         gamma_star = rng.normal(scale=0.8, size=3)
         prob = 1 / (1 + np.exp(-(X @ gamma_star)))
         y = (rng.uniform(size=T) < prob).astype(float)
-        gamma = fit_logistic(X, y).gamma
+        gamma = fit_logistic(X[None], y[None]).gamma[0]
         analytic = plugin_hessian(X, gamma)
         step = 1e-5
         numeric = np.zeros((3, 3))

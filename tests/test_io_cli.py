@@ -451,7 +451,7 @@ def test_estimate_logistic_drops_unconverged_individual(tmp_path, capsys,
     from panelcluster import logistic, simulation
 
     panel, _ = gen_logistic(8, 150, seed=5)
-    steps = [logistic.fit_logistic(X, y).iterations
+    steps = [logistic.fit_logistic(X[None], y[None]).iterations
              for X, y in zip(panel.designs, panel.responses)]
     slowest = int(np.argmax(steps))
     assert sorted(steps)[-2] < steps[slowest]
@@ -476,8 +476,8 @@ def test_estimate_pooled_matches_library_fit(tmp_path, capsys):
     assert main(["estimate", str(path), "--model", "qr-pooled",
                  "--out", str(out)]) == 0
     table = read_estimates(out)
-    direct = fit_pooled_quantile(panel.responses, panel.covariates, 0.5)
-    assert np.array_equal(table.betas[:, 0], direct.alphas)
+    direct = fit_pooled_quantile(panel.responses, panel.covariates, [0.5])
+    assert np.array_equal(table.betas[:, 0], direct.alphas[0])
     assert table.d_T is not None
 
 
@@ -529,11 +529,13 @@ def test_estimate_then_cluster_matches_in_process_pipeline(tmp_path, capsys):
     d_T = hall_sheather_bandwidth(panel.T, 0.5)
     betas, uncs = [], []
     for i in range(panel.n):
-        X = panel.designs[i]
-        bundle = fit_quantile_bundle(X, panel.responses[i], 0.5, d_T=d_T)
-        betas.append(bundle.center.slopes)
+        X = panel.designs[i:i + 1]
+        bundle = fit_quantile_bundle(X, panel.responses[i:i + 1], 0.5,
+                                     d_T=d_T)
+        betas.append(bundle.center.slopes[0])
         uncs.append(hk_covariance(bundle, X, slopes_only=True))
-    table = EstimateTable(list(range(panel.n)), betas, [u.sigma for u in uncs])
+    table = EstimateTable(list(range(panel.n)), betas,
+                          [u.sigma[0] for u in uncs])
     V = build_dissimilarity(table.betas, table.variances(panel.T))
     labels = spectral_cluster(V, 3, seed=7)
     expected = {f"u{i}": int(lab)
@@ -579,3 +581,43 @@ def test_simulate_unknown_field_rejected(tmp_path, capsys):
     assert main(["simulate", str(cfg),
                  "--out", str(tmp_path / "o.json")]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def refuse_fits(monkeypatch):
+    from panelcluster import simulation
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    for name in ("fit_quantile_bundle", "fit_pooled_quantile"):
+        monkeypatch.setattr(simulation, name, no_fit)
+
+
+@pytest.mark.parametrize("model", ["qr-slopes", "qr-pooled"])
+@pytest.mark.parametrize("tau", ["0.005", "0", "0.995", "1.5", "nan"])
+def test_estimate_rejects_tau_without_a_bandwidth(tmp_path, capsys,
+                                                  monkeypatch, model, tau):
+    panel, _ = gen_model3(6, 30, "normal", seed=4)
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    out = tmp_path / "est.csv"
+    refuse_fits(monkeypatch)
+    assert main(["estimate", str(path), "--model", model, "--tau", tau,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"tau={float(tau):g} must lie in (0.01, 0.99)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["model1", "model3"])
+@pytest.mark.parametrize("tau", [0.005, 0.995])
+def test_simulate_rejects_tau_without_a_bandwidth(tmp_path, capsys,
+                                                  monkeypatch, model, tau):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model, "n": 6, "T": 30, "reps": 1,
+                               "tau": tau}))
+    out = tmp_path / "o.json"
+    refuse_fits(monkeypatch)
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+    assert f"tau={tau:g} must lie in (0.01, 0.99)" in capsys.readouterr().err
+    assert not out.exists()

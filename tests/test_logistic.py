@@ -11,25 +11,25 @@ from panelcluster.types import DegenerateOutcome, PerfectSeparation
 
 
 def intercept_design(T):
-    return np.ones((T, 1))
+    """A one-row stack: the intercept-only design of one individual."""
+    return np.ones((1, T, 1))
 
 
 def test_intercept_only_matches_logit_of_mean():
-    est = fit_logistic(intercept_design(4), np.array([1.0, 1, 1, 0]))
+    est = fit_logistic(intercept_design(4), np.array([[1.0, 1, 1, 0]]))
     assert est.converged
-    assert est.gamma[0] == pytest.approx(np.log(3), abs=1e-8)
+    assert est.gamma[0, 0] == pytest.approx(np.log(3), abs=1e-8)
 
 
 def test_all_ones_is_degenerate():
-    with pytest.raises(DegenerateOutcome):
-        fit_logistic(intercept_design(4), np.ones(4))
+    est = fit_logistic(intercept_design(4), np.ones((1, 4)))
+    assert isinstance(est.failed[0], DegenerateOutcome)
 
 
 def test_separable_data_raises_perfect_separation():
-    X = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-    y = np.array([0.0, 0, 1, 1])
-    with pytest.raises(PerfectSeparation):
-        fit_logistic(X, y)
+    X = np.array([[[-1.0], [-1.0], [1.0], [1.0]]])
+    y = np.array([[0.0, 0, 1, 1]])
+    assert isinstance(fit_logistic(X, y).failed[0], PerfectSeparation)
 
 
 def test_recovers_truth_on_large_samples():
@@ -40,8 +40,8 @@ def test_recovers_truth_on_large_samples():
         X = np.column_stack([np.ones(500), rng.normal(size=(500, 2))])
         prob = 1 / (1 + np.exp(-(X @ gamma_star)))
         y = (rng.uniform(size=500) < prob).astype(float)
-        est = fit_logistic(X, y)
-        if np.linalg.norm(est.gamma - gamma_star) < 0.3:
+        est = fit_logistic(X[None], y[None])
+        if np.linalg.norm(est.gamma[0] - gamma_star) < 0.3:
             hits += 1
     assert hits >= 45
 
@@ -50,27 +50,27 @@ def test_gradient_is_small_at_solution():
     rng = np.random.default_rng(3)
     X = np.column_stack([np.ones(80), rng.normal(size=(80, 2))])
     y = (rng.uniform(size=80) < 0.4).astype(float)
-    est = fit_logistic(X, y, tol=1e-8)
-    eta = X @ est.gamma
+    est = fit_logistic(X[None], y[None], tol=1e-8)
+    eta = X @ est.gamma[0]
     grad = X.T @ (y - 1 / (1 + np.exp(-eta))) / 80
     assert np.max(np.abs(grad)) <= 1e-8
 
 
 def test_symmetric_intercept_covariance():
     X = intercept_design(4)
-    est = fit_logistic(X, np.array([1.0, 0, 1, 0]))
+    est = fit_logistic(X, np.array([[1.0, 0, 1, 0]]))
     unc = logistic_covariance(X, est)
-    assert est.gamma[0] == pytest.approx(0.0, abs=1e-9)
-    assert unc.sigma[0, 0] == pytest.approx(4.0, abs=1e-8)
+    assert est.gamma[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert unc.sigma[0, 0, 0] == pytest.approx(4.0, abs=1e-8)
 
 
 def test_covariance_inverts_plugin_hessian():
     rng = np.random.default_rng(7)
     X = np.column_stack([np.ones(60), rng.normal(size=(60, 2))])
     y = (rng.uniform(size=60) < 0.5).astype(float)
-    est = fit_logistic(X, y)
-    unc = logistic_covariance(X, est)
-    identity = unc.sigma @ plugin_hessian(X, est.gamma)
+    est = fit_logistic(X[None], y[None])
+    unc = logistic_covariance(X[None], est)
+    identity = unc.sigma[0] @ plugin_hessian(X, est.gamma[0])
     assert np.abs(identity - np.eye(3)).max() < 1e-8
 
 
@@ -97,8 +97,8 @@ def test_plugin_hessian_matches_finite_differences(seed):
     gamma_star = rng.normal(scale=0.8, size=3)
     prob = 1 / (1 + np.exp(-(X @ gamma_star)))
     y = (rng.uniform(size=T) < prob).astype(float)
-    est = fit_logistic(X, y)
-    analytic = plugin_hessian(X, est.gamma)
-    numeric = numerical_hessian(X, y, est.gamma)
+    gamma = fit_logistic(X[None], y[None]).gamma[0]
+    analytic = plugin_hessian(X, gamma)
+    numeric = numerical_hessian(X, y, gamma)
     rel = np.abs(analytic - numeric).max() / np.abs(analytic).max()
     assert rel < 1e-4

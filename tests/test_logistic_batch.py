@@ -18,6 +18,7 @@ from panelcluster.simulation import (
 )
 from panelcluster.types import (
     DegenerateOutcome,
+    DimensionMismatch,
     NonConvergence,
     PerfectSeparation,
     SingularDesign,
@@ -187,19 +188,24 @@ def test_single_design_is_a_stack_of_one():
     est = fit_logistic(X, Y)
     unc = logistic_covariance(X, est, slopes_only=True)
     for i in range(len(X)):
+        one = fit_logistic(X[i:i + 1], Y[i:i + 1])
+        one_unc = logistic_covariance(X[i:i + 1], one, slopes_only=True)
         if i in est.failed:
-            with pytest.raises(type(est.failed[i])):
-                fit_logistic(X[i], Y[i])
+            assert type(one.failed[0]) is type(est.failed[i])
             continue
-        one = fit_logistic(X[i], Y[i])
-        assert np.array_equal(one.gamma, est.gamma[i])
+        assert np.array_equal(one.gamma[0], est.gamma[i])
         if i in unc.failed:
-            with pytest.raises(SingularHessian):
-                logistic_covariance(X[i], one, slopes_only=True)
+            assert type(one_unc.failed[0]) is SingularHessian
             continue
-        assert np.array_equal(
-            logistic_covariance(X[i], one, slopes_only=True).sigma,
-            unc.sigma[i])
+        assert np.array_equal(one_unc.sigma[0], unc.sigma[i])
+
+
+def test_one_design_is_rejected():
+    X, Y = mixed_stack(30, 8)
+    with pytest.raises(DimensionMismatch):
+        fit_logistic(X[0], Y[0])
+    with pytest.raises(DimensionMismatch):
+        logistic_covariance(X[0], fit_logistic(X[:1], Y[:1]))
 
 
 def test_invalid_outcome_fails_its_row_alone():
@@ -214,8 +220,8 @@ def test_invalid_outcome_fails_its_row_alone():
         assert type(est.failed[i]) is DegenerateOutcome
         assert str(est.failed[i]) == "outcomes must be 0 or 1"
         assert not est.gamma[i].any()
-        with pytest.raises(DegenerateOutcome):
-            fit_logistic(X[i], Y[i])
+        one = fit_logistic(X[i:i + 1], Y[i:i + 1])
+        assert type(one.failed[0]) is DegenerateOutcome
     others = [i for i in range(30) if i not in (4, 9, 13)]
     assert np.array_equal(est.gamma[others], clean.gamma[others])
     assert {i: type(e) for i, e in est.failed.items() if i in others} == {
@@ -256,10 +262,13 @@ def test_unconverged_rows_fail_with_nonconvergence():
     slow = [i for i in range(len(X)) if i not in full.failed
             and type(est.failed.get(i)) is NonConvergence]
     assert slow
-    one = fit_logistic(X[slow[0]], Y[slow[0]], max_iter=6)
-    assert not one.converged and one.iterations == 6
-    with pytest.raises(ValueError, match="non-converged"):
-        logistic_covariance(X[slow[0]], one)
+    row = slice(slow[0], slow[0] + 1)
+    one = fit_logistic(X[row], Y[row], max_iter=6)
+    # iterations counts converged rows only
+    assert not one.converged and one.iterations == 0
+    assert type(one.failed[0]) is NonConvergence
+    unc = logistic_covariance(X[row], one)
+    assert not unc.sigma[0].any() and not unc.failed
 
 
 def test_ragged_last_chunk_gives_the_same_stack(monkeypatch):

@@ -61,9 +61,9 @@ def test_levels_match_highs_reference(T, error_dist):
             assert np.abs(coefficients(fit, j) - ref).max() \
                 <= 1e-13 * np.abs(ref).max()
         # a level is the same alone as in the stack
-        one = fit_pooled_quantile(y, x, tau)
-        assert np.array_equal(one.alphas, fit.alphas[0])
-        assert np.array_equal(one.beta, fit.beta[0])
+        one = fit_pooled_quantile(y, x, [tau])
+        assert np.array_equal(one.alphas[0], fit.alphas[0])
+        assert np.array_equal(one.beta[0], fit.beta[0])
 
 
 def test_two_covariates_match_highs_reference():
@@ -136,14 +136,15 @@ def test_failed_certificate_raises_nonconvergence(monkeypatch):
     # tau T = 15: the centre level goes to HiGHS, which returns a non-optimum
     monkeypatch.setattr(quantile, "_solve_qr_dual", wrong_highs)
     with pytest.raises(NonConvergence, match="tau=0.5 "):
-        fit_pooled_quantile(panel.responses, panel.covariates, 0.5)
+        fit_pooled_quantile(panel.responses, panel.covariates, [0.5])
 
 
 @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, (0.5, -0.1)])
 def test_level_outside_the_unit_interval_is_rejected(tau):
     panel, _ = gen_model3(6, 30, "normal", seed=5)
     with pytest.raises(ValueError, match="tau must lie in"):
-        fit_pooled_quantile(panel.responses, panel.covariates, tau)
+        fit_pooled_quantile(panel.responses, panel.covariates,
+                            np.atleast_1d(tau))
 
 
 def test_covariate_collinear_with_intercepts_is_singular():
@@ -155,7 +156,7 @@ def test_covariate_collinear_with_intercepts_is_singular():
               np.concatenate([varying, constant], axis=2),
               np.concatenate([varying, 2.0 * varying + constant], axis=2)):
         with pytest.raises(SingularDesign):
-            fit_pooled_quantile(y, x, 0.5)
+            fit_pooled_quantile(y, x, [0.5])
 
 
 def test_structured_products_match_the_dense_design():

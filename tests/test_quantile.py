@@ -18,6 +18,7 @@ from panelcluster.quantile import (
 from panelcluster.simulation import gen_model1
 from panelcluster.types import (
     CoefficientEstimate,
+    DimensionMismatch,
     NonConvergence,
     QuantileFitBundle,
     SingularB,
@@ -142,51 +143,52 @@ def test_hk_location_model_matches_asymptotic_variance():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         T = 2000
-        X = np.ones((T, 1))
-        y = 1.0 + rng.standard_normal(T)
+        X = np.ones((1, T, 1))
+        y = 1.0 + rng.standard_normal((1, T))
         bundle = fit_quantile_bundle(X, y, 0.5)
         unc = hk_covariance(bundle, X)
-        estimates.append(unc.sigma[0, 0])
+        estimates.append(unc.sigma[0, 0, 0])
     assert abs(np.mean(estimates) - np.pi / 2) < 0.25 * np.pi / 2
 
 
 def test_hk_collapses_for_constant_density():
     # z_t' (gamma_plus - gamma_minus) == 2 d / c for every t
     T, d, c, tau = 10, 0.1, 0.5, 0.5
-    X = np.ones((T, 1))
-    center = CoefficientEstimate([0.0], tau=tau)
-    upper = CoefficientEstimate([d / c], tau=tau + d)
-    lower = CoefficientEstimate([-d / c], tau=tau - d)
+    X = np.ones((1, T, 1))
+    center = CoefficientEstimate([[0.0]], tau=tau)
+    upper = CoefficientEstimate([[d / c]], tau=tau + d)
+    lower = CoefficientEstimate([[-d / c]], tau=tau - d)
     bundle = QuantileFitBundle(center, upper, lower, d)
     unc = hk_covariance(bundle, X)
-    assert unc.sigma[0, 0] == pytest.approx(tau * (1 - tau) / c ** 2, rel=1e-12)
+    assert unc.sigma[0, 0, 0] == pytest.approx(tau * (1 - tau) / c ** 2,
+                                               rel=1e-12)
 
 
 def test_hk_crossed_observation_is_dropped_not_inflated():
     # observations whose difference quotient crosses contribute zero density
     # weight; they must not dominate B through a floored denominator
     T, d, c, tau = 8, 0.1, 0.4, 0.5
-    X = np.ones((T, 1))
-    X[0, 0] = -1.0  # denominator -c for this row, +c for the rest
-    center = CoefficientEstimate([0.0], tau=tau)
-    upper = CoefficientEstimate([c / 2], tau=tau + d)
-    lower = CoefficientEstimate([-c / 2], tau=tau - d)
+    X = np.ones((1, T, 1))
+    X[0, 0, 0] = -1.0  # denominator -c for this row, +c for the rest
+    center = CoefficientEstimate([[0.0]], tau=tau)
+    upper = CoefficientEstimate([[c / 2]], tau=tau + d)
+    lower = CoefficientEstimate([[-c / 2]], tau=tau - d)
     unc = hk_covariance(QuantileFitBundle(center, upper, lower, d), X)
     f = 2 * d / c
     B = f * (T - 1) / T  # crossed row drops out; x_t^2 = 1 throughout
     H = tau * (1 - tau)
     assert unc.degenerate
-    assert unc.sigma[0, 0] == pytest.approx(H / B ** 2, rel=1e-12)
+    assert unc.sigma[0, 0, 0] == pytest.approx(H / B ** 2, rel=1e-12)
 
 
 def test_hk_crossing_is_floored_and_flagged():
     T, d, tau = 10, 0.1, 0.5
-    X = np.ones((T, 1))
-    same = CoefficientEstimate([1.0], tau=tau)
+    X = np.ones((1, T, 1))
+    same = CoefficientEstimate([[1.0]], tau=tau)
     bundle = QuantileFitBundle(
         same,
-        CoefficientEstimate([1.0], tau=tau + d),
-        CoefficientEstimate([1.0], tau=tau - d),
+        CoefficientEstimate([[1.0]], tau=tau + d),
+        CoefficientEstimate([[1.0]], tau=tau - d),
         d)
     unc = hk_covariance(bundle, X)
     assert np.isfinite(unc.sigma).all()
@@ -196,10 +198,10 @@ def test_hk_crossing_is_floored_and_flagged():
 def test_pooled_with_no_covariates_separates():
     rng = np.random.default_rng(8)
     y = rng.normal(size=(4, 9))
-    fit = fit_pooled_quantile(y, np.empty((4, 9, 0)), 0.5)
+    fit = fit_pooled_quantile(y, np.empty((4, 9, 0)), [0.5])
     for i in range(4):
         solo = fit_quantile(np.ones((9, 1)), y[i], 0.5)
-        assert fit.alphas[i] == solo.gamma[0]
+        assert fit.alphas[0, i] == solo.gamma[0]
 
 
 def test_pooled_matches_grid_search_on_tiny_instance():
@@ -209,7 +211,7 @@ def test_pooled_matches_grid_search_on_tiny_instance():
     alpha_star, beta_star = np.array([0.5, -0.5]), 0.8
     y = alpha_star[:, None] + x[:, :, 0] * beta_star + rng.normal(size=(n, T))
     tau = 0.5
-    fit = fit_pooled_quantile(y, x, tau)
+    fit = fit_pooled_quantile(y, x, [tau])
 
     def objective(a1, a2, b):
         r = y - np.array([a1, a2])[:, None] - x[:, :, 0] * b
@@ -218,7 +220,7 @@ def test_pooled_matches_grid_search_on_tiny_instance():
     grid = np.linspace(-2, 2, 61)
     grid_best = min(objective(a1, a2, b)
                     for a1 in grid for a2 in grid for b in grid)
-    lp_obj = objective(fit.alphas[0], fit.alphas[1], fit.beta[0])
+    lp_obj = objective(fit.alphas[0, 0], fit.alphas[0, 1], fit.beta[0, 0])
     assert lp_obj <= grid_best + 1e-12
 
 
@@ -228,22 +230,22 @@ def test_pooled_recovers_model3_intercepts():
     hits = 0
     for seed in range(20):
         panel, truth = gen_model3(30, 60, "normal", seed)
-        fit = fit_pooled_quantile(panel.responses, panel.covariates, 0.5)
-        if np.max(np.abs(fit.alphas - truth.astype(float))) < 0.5:
+        fit = fit_pooled_quantile(panel.responses, panel.covariates, [0.5])
+        if np.max(np.abs(fit.alphas[0] - truth.astype(float))) < 0.5:
             hits += 1
     assert hits >= 18
 
 
 def test_intercept_variance_plugin_identity():
     tau, d, f = 0.5, 0.05, 0.5
-    unc = intercept_variance(1.0 + d / f, 1.0 - d / f, tau, d)
-    assert unc.sigma[0, 0] == pytest.approx(tau * (1 - tau) / 0.25, rel=1e-12)
+    sigma = intercept_variance(np.array([1.0 + d / f]),
+                               np.array([1.0 - d / f]), tau, d)
+    assert sigma[0, 0, 0] == pytest.approx(tau * (1 - tau) / 0.25, rel=1e-12)
 
 
 def test_intercept_variance_zero_difference_is_degenerate():
-    unc = intercept_variance(2.0, 2.0, 0.5, 0.05)
-    assert unc.sigma[0, 0] == 0.0
-    assert unc.degenerate
+    sigma = intercept_variance(np.array([2.0]), np.array([2.0]), 0.5, 0.05)
+    assert sigma.shape == (1, 1, 1) and sigma[0, 0, 0] == 0.0
 
 
 def test_intercept_variance_stack_equals_one_call_per_individual():
@@ -252,13 +254,13 @@ def test_intercept_variance_stack_equals_one_call_per_individual():
     minus = plus - rng.uniform(0.0, 1.0, size=20000)
     minus[5] = plus[5]  # a zero variance
     tau, d = 0.3, 0.07
-    unc = intercept_variance(plus, minus, tau, d)
+    sigma = intercept_variance(plus, minus, tau, d)
     # each value as one float expression, the form a per-individual call had
     one = [tau * (1.0 - tau) * ((a - b) / (2.0 * d)) ** 2
            for a, b in zip(plus, minus)]
-    assert unc.sigma.shape == (20000, 1, 1)
-    assert np.array_equal(unc.sigma[:, 0, 0], one)
-    assert unc.degenerate
+    assert sigma.shape == (20000, 1, 1)
+    assert np.array_equal(sigma[:, 0, 0], one)
+    assert sigma[5, 0, 0] == 0.0
     # squaring the array would differ in the last ulp for some values
     assert not np.array_equal(
         tau * (1.0 - tau) * ((plus - minus) / (2.0 * d)) ** 2, one)
@@ -274,7 +276,8 @@ def test_intercept_variance_normal_errors_matches_pi_over_two():
         d = hall_sheather_bandwidth(2000, 0.5)
         plus = lower_sample_quantile(e, 0.5 + d)
         minus = lower_sample_quantile(e, 0.5 - d)
-        values.append(intercept_variance(plus, minus, 0.5, d).sigma[0, 0])
+        values.append(intercept_variance(np.array([plus]), np.array([minus]),
+                                         0.5, d)[0, 0, 0])
     assert abs(np.mean(values) - np.pi / 2) < 0.25 * np.pi / 2
 
 
@@ -293,12 +296,13 @@ def test_stacked_bundle_and_hk_equal_per_individual_calls(error_dist, T):
     unc = hk_covariance(bundle, X, slopes_only=True)
     assert bundle.certified.all() and not bundle.failed and not unc.failed
     for i in range(len(X)):
-        solo = fit_quantile_bundle(X[i], y[i], 0.5, d_T=d_T)
-        solo_unc = hk_covariance(solo, X[i], slopes_only=True)
+        row = slice(i, i + 1)
+        solo = fit_quantile_bundle(X[row], y[row], 0.5, d_T=d_T)
+        solo_unc = hk_covariance(solo, X[row], slopes_only=True)
         for level in ("center", "upper", "lower"):
             assert np.array_equal(getattr(bundle, level).gamma[i],
-                                  getattr(solo, level).gamma)
-        assert np.array_equal(unc.sigma[i], solo_unc.sigma)
+                                  getattr(solo, level).gamma[0])
+        assert np.array_equal(unc.sigma[i], solo_unc.sigma[0])
         assert unc.crossed[i] == solo_unc.degenerate
 
 
@@ -349,8 +353,36 @@ def test_failed_highs_fallback_fails_its_row_alone(monkeypatch):
     assert isinstance(bundle.failed[j], NonConvergence)
     assert not bundle.certified[j] and np.all(bundle.upper.gamma[j] == 0.0)
     assert bundle.certified[np.arange(12) != j].all()
-    with pytest.raises(NonConvergence):
-        fit_quantile_bundle(X[j], y[j], 0.5)
+    solo = fit_quantile_bundle(X[j:j + 1], y[j:j + 1], 0.5)
+    assert isinstance(solo.failed[0], NonConvergence)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("scale", [1e-8, 1e50])
+def test_stacked_fits_are_scale_equivariant(seed, scale):
+    panel, _ = gen_model1(30, 120, "t3", seed)
+    X, y = panel.designs, panel.responses
+    d_T = hall_sheather_bandwidth(120, 0.5)
+    plain = fit_quantile_bundle(X, y, 0.5, d_T=d_T)
+    scaled = fit_quantile_bundle(X, y * scale, 0.5, d_T=d_T)
+    assert plain.certified.all() and not plain.failed
+    assert scaled.certified.all() and not scaled.failed
+    for level in ("center", "upper", "lower"):
+        gamma = getattr(plain, level).gamma
+        error = np.abs(getattr(scaled, level).gamma / scale - gamma)
+        assert (error.max(axis=1)
+                <= 1e-12 * np.abs(gamma).max(axis=1)).all(), level
+
+
+def test_one_design_is_rejected():
+    X, y = model1_stack(n=2)
+    bundle = fit_quantile_bundle(X, y, 0.5)
+    with pytest.raises(DimensionMismatch):
+        fit_quantile_bundle(X[0], y[0], 0.5)
+    with pytest.raises(DimensionMismatch):
+        hk_covariance(bundle, X[0])
+    with pytest.raises(DimensionMismatch):
+        fit_pooled_quantile(y, X[..., 1:], 0.5)
 
 
 def test_singular_normal_matrix_sends_the_chunk_to_highs(monkeypatch):
@@ -380,8 +412,8 @@ def test_rank_deficient_row_fails_alone():
     assert not bundle.certified[3] and bundle.certified[others].all()
     assert np.all(bundle.center.gamma[3] == 0.0)
     assert np.all(unc.sigma[3] == 0.0) and not unc.crossed[3]
-    with pytest.raises(SingularDesign):
-        fit_quantile_bundle(X[3], y[3], 0.5)
+    solo = fit_quantile_bundle(X[3:4], y[3:4], 0.5)
+    assert isinstance(solo.failed[0], SingularDesign)
 
 
 def test_singular_b_row_fails_alone():
@@ -393,11 +425,10 @@ def test_singular_b_row_fails_alone():
     unc = hk_covariance(bundle, X)
     assert list(unc.failed) == [7] and np.all(unc.sigma[7] == 0.0)
     assert isinstance(unc.failed[7], SingularB)
-    solo = QuantileFitBundle(*(CoefficientEstimate(f.gamma[7], tau=f.tau)
+    solo = QuantileFitBundle(*(CoefficientEstimate(f.gamma[7:8], tau=f.tau)
                                for f in (bundle.center, bundle.upper,
                                          bundle.lower)), bundle.bandwidth)
-    with pytest.raises(SingularB):
-        hk_covariance(solo, X[7])
+    assert isinstance(hk_covariance(solo, X[7:8]).failed[0], SingularB)
 
 
 def criterion_5c_instances():

@@ -19,7 +19,6 @@ from panelcluster.types import (
     EstimateTable,
     NonPositiveCombined,
     NotSymmetric,
-    UncertaintyEstimate,
     validate_covariance,
 )
 
@@ -215,9 +214,11 @@ NON_FINITE_COVARIANCES = [[[np.nan]], [[1.0, np.inf], [np.inf, 1.0]]]
 
 
 @pytest.mark.parametrize("sigma", NON_FINITE_COVARIANCES)
-def test_uncertainty_rejects_non_finite_covariance(sigma):
-    with pytest.raises(ValueError, match="non-finite"):
-        UncertaintyEstimate(sigma)
+def test_estimate_table_rejects_non_finite_covariance(sigma):
+    s = len(sigma)
+    with pytest.raises(ValueError, match=r"row 1 \(id=b\): .*non-finite"):
+        EstimateTable(["a", "b"], np.zeros((2, s)),
+                      np.array([np.eye(s), sigma]))
 
 
 @pytest.mark.parametrize("sigma", NON_FINITE_COVARIANCES)
