@@ -1,20 +1,20 @@
 """Quantile regression fits, the density sandwich, and the pooled model.
 
-fit_quantile solves the linear-programming dual of the check-loss problem
-with the HiGHS solver; coefficients are recovered from the equality-
-constraint marginals. Intercept-only problems are solved in closed form via
-the left-continuous sample quantile, which pins down the lower vertex
-whenever the minimizer is an interval.
-
-fit_quantile_bundle fits a stack of designs at three levels, and
-fit_pooled_quantile the levels of the pooled model (individual intercepts,
-common slopes; Koenker 2004), in one batched Frisch-Newton interior point.
-The design enters it only through X'a, X lambda and solves with the normal
-matrix: a dense stack supplies them directly (_Stack), the pooled design
-through its fixed-effects structure (_Pooled), which never forms the dense
-nT x (n+p) matrix. Each fit is purified to a vertex and kept only when an
-exact basis test shows it is the unique minimizer; every other fit is
-solved by HiGHS (fit_quantile alone, or the sparse pooled LP).
+Every fit runs one batched Frisch-Newton interior point: fit_quantile (a
+stack of one; an intercept-only design has a closed form),
+fit_quantile_bundle (a stack of designs at three levels) and
+fit_pooled_quantile (the levels of the pooled model: individual intercepts,
+common slopes; Koenker 2004). The design enters the interior point only
+through X'a, X lambda and solves with the normal matrix: a dense stack
+supplies them directly (_Stack), the pooled design through its fixed-effects
+structure (_Pooled), which never forms the dense nT x (n+p) matrix. Each fit
+is purified to a vertex, and an exact basis test tells whether that vertex
+is the unique minimizer. A dense fit keeps its vertex either way. A pooled
+level whose vertex is not unique (the centre level whenever tau T is an
+integer) takes the lower vertex: each intercept is the left-continuous
+sample quantile of its residuals at the common slopes, the rule of the
+intercept-only fits. The subgradient certificate then decides: a dense row
+that fails it is reported, a pooled level that fails it raises.
 """
 
 from __future__ import annotations
@@ -22,14 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 from scipy.stats import norm
 
 from .types import (
     CoefficientEstimate,
     DimensionMismatch,
-    EstimationError,
     NonConvergence,
     QuantileFitBundle,
     SingularB,
@@ -66,12 +63,16 @@ def quantile_objective(X, y, gamma, tau: float) -> float:
     return float(np.mean(check_loss(np.asarray(y) - np.asarray(X) @ gamma, tau)))
 
 
-def lower_sample_quantile(y, tau: float) -> float:
-    """Left-continuous sample quantile (lower vertex of the minimizer set)."""
-    ys = np.sort(np.asarray(y, dtype=float))
-    h = tau * len(ys)
-    k = int(round(h)) if abs(h - round(h)) < 1e-9 else int(np.ceil(h))
-    return float(ys[max(k, 1) - 1])
+def lower_sample_quantile(y, tau):
+    """Left-continuous sample quantile along the last axis of y (..., T),
+    the lower vertex of the minimizer set; tau is a scalar or an array with
+    y's leading axes, either broadcasting against the other."""
+    ys = np.sort(np.asarray(y, dtype=float), axis=-1)
+    h = np.asarray(tau, dtype=float) * ys.shape[-1]
+    k = np.where(np.abs(h - np.round(h)) < 1e-9, np.round(h), np.ceil(h))
+    index = np.maximum(k, 1).astype(int) - 1
+    index = np.broadcast_to(index, np.broadcast_shapes(k.shape, ys.shape[:-1]))
+    return np.take_along_axis(ys, index[..., None], axis=-1)[..., 0]
 
 
 def subgradient_certificate(X, y, gamma, tau, tol: float = 1e-6):
@@ -106,26 +107,11 @@ def _certified(A, y, gamma, tau, tol):
     return np.all(np.abs(score) <= slack + tol, axis=1)
 
 
-def _solve_qr_dual(X, y, tau: float):
-    """Solve min_gamma sum check_loss via the bounded dual LP.
-
-    Dual: max y'a subject to X'a = 0, a in [tau - 1, tau]; the primal
-    coefficients are the marginals of the equality constraints.
-    """
-    res = linprog(
-        -np.asarray(y, dtype=float),
-        A_eq=X.T if not sparse.issparse(X) else X.T.tocsr(),
-        b_eq=np.zeros(X.shape[1]),
-        bounds=(tau - 1.0, tau),
-        method="highs",
-    )
-    if res.status != 0:
-        raise NonConvergence(f"quantile LP failed: {res.message}")
-    return -np.asarray(res.eqlin.marginals, dtype=float)
-
-
 def fit_quantile(X, y, tau: float, tol: float = 1e-6) -> CoefficientEstimate:
-    """Minimize the average check loss over coefficients."""
+    """Minimize the average check loss over coefficients: a stack of one in
+    the batched interior point (_fit_stack), or the lower sample quantile
+    for an intercept-only design. Raises NonConvergence when the interior
+    point meets an exactly singular normal matrix."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not 0.0 < tau < 1.0:
@@ -138,7 +124,10 @@ def fit_quantile(X, y, tau: float, tol: float = 1e-6) -> CoefficientEstimate:
     if X.shape[1] == 1 and np.ptp(X[:, 0]) == 0 and X[0, 0] != 0:
         gamma = np.array([lower_sample_quantile(y / X[0, 0], tau)])
     else:
-        gamma = _solve_qr_dual(X, y, tau)
+        gamma, _, errors = _fit_stack(X[None], y[None], [0], np.array([tau]))
+        if errors:
+            raise errors[0]
+        gamma = gamma[0]
     ok = subgradient_certificate(X, y, gamma, tau, tol=tol)
     return CoefficientEstimate(gamma, tau=tau, converged=ok)
 
@@ -205,11 +194,11 @@ def _fit_stack(X, y, rows, taus):
     """Quantile fits of problems (X[rows[j]], y[rows[j]], taus[j]).
 
     Chunks of at most IP_CHUNK_ENTRIES design entries run the batched
-    interior point; each fit is purified to a vertex, and a fit whose vertex
-    fails the basis test is solved alone by fit_quantile (HiGHS). Returns
-    gammas (m, k), certificates (m,) and {problem: EstimationError} of the
-    fits HiGHS could not solve. Every problem's arithmetic is independent of
-    the others, so a fit is the same in any stack.
+    interior point, and each fit is purified to its vertex, kept whether or
+    not it passes the basis test. Returns gammas (m, k), certificates (m,)
+    and {problem: NonConvergence} of the chunks whose interior point met an
+    exactly singular normal matrix (they read 0). Every problem's arithmetic
+    is independent of the others, so a fit is the same in any stack.
     """
     m = len(rows)
     T, k = X.shape[1:]
@@ -220,26 +209,25 @@ def _fit_stack(X, y, rows, taus):
     for start in range(0, m, step):
         chunk = slice(start, start + step)
         Xc, yc, tc = X[rows[chunk]], y[rows[chunk]], taus[chunk]
-        gamma, vertex = _vertex_fits(_Stack(Xc), yc, tc)
-        for j in np.flatnonzero(~vertex):
-            try:
-                gamma[j] = fit_quantile(Xc[j], yc[j], tc[j]).gamma
-            except EstimationError as exc:
-                errors[start + j] = exc
-        gammas[chunk] = gamma
-        certified[chunk] = subgradient_certificate(Xc, yc, gamma, tc)
+        try:
+            gammas[chunk] = _vertex_fits(_Stack(Xc), yc, tc)[1]
+        except NonConvergence as exc:
+            errors.update(dict.fromkeys(range(start, start + len(yc)), exc))
+            continue
+        certified[chunk] = subgradient_certificate(Xc, yc, gammas[chunk], tc)
     return gammas, certified, errors
 
 
 def _vertex_fits(A, y, tau):
     """Interior point and purification of a stack of problems on design A:
-    the vertices (m, k) and the (m,) mask of those that pass the basis test.
-    A LinAlgError (an exactly singular normal matrix) fails every problem,
-    so HiGHS solves them all."""
+    the interior-point fits (m, k), their vertices (m, k) and the (m,) mask
+    of the vertices that pass the basis test. An exactly singular normal
+    matrix raises NonConvergence for the whole stack."""
     try:
-        return _purify(A, y, tau, _interior_point(A, y, tau))
-    except np.linalg.LinAlgError:
-        return np.zeros((len(y), A.width)), np.zeros(len(y), dtype=bool)
+        gamma = _interior_point(A, y, tau)
+        return (gamma, *_purify(A, y, tau, gamma))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"interior point failed: {exc}") from exc
 
 
 class _Stack:
@@ -472,10 +460,9 @@ def _purify(A, y, tau, gamma):
 
     The vertex gamma_h solves X_h gamma = y_h. It is the unique minimizer
     when its basis multipliers v = -X_h'^{-1} sum_{t not in h} x_t (tau -
-    1{r_t < 0}) lie strictly inside [tau - 1, tau] (by BASIS_MARGIN); then
-    it is the vertex HiGHS returns too. The design A supplies the basis
-    solves (A.basis). Returns the vertices (m, k) and the (m,) mask of those
-    that pass.
+    1{r_t < 0}) lie strictly inside [tau - 1, tau] (by BASIS_MARGIN). The
+    design A supplies the basis solves (A.basis). Returns the vertices
+    (m, k) and the (m,) mask of those that pass.
     """
     k = A.width
     r = y - A.mul(gamma)
@@ -566,8 +553,9 @@ def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
     design (_fit_pooled_levels). Raises SingularDesign when a covariate is
     collinear with the intercepts (the covariates' deviations from each
     individual's first period are rank deficient), and NonConvergence when
-    a level still fails the subgradient certificate (tolerance tol * n), so
-    a returned fit has converged=True.
+    the interior point meets an exactly singular normal matrix or a level
+    fails the subgradient certificate (tolerance tol * n), so a returned
+    fit has converged=True.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -582,8 +570,7 @@ def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
         raise SingularDesign("too few observations for the pooled fit")
 
     if p == 0:
-        alphas = np.array([[lower_sample_quantile(y[i], level)
-                            for i in range(n)] for level in levels])
+        alphas = lower_sample_quantile(y[None], levels[:, None])
         beta = np.zeros((len(levels), 0))
     else:
         if np.linalg.matrix_rank((x - x[:, :1]).reshape(-1, p)) < p:
@@ -597,23 +584,38 @@ def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
 def _fit_pooled_levels(y, x, levels, tol):
     """Pooled fits (L, n+p) of the levels as one stack on the _Pooled
     design: each is purified to the vertex through its n+p smallest
-    |residuals| and kept when the basis test passes; every other level is
-    solved by HiGHS on the sparse design."""
-    n, T = y.shape
+    |residuals| and kept when the basis test passes; every other level takes
+    the lower vertex (_lower_vertex)."""
+    n = len(y)
     A = _Pooled(x)
     Y = np.tile(y.reshape(1, -1), (len(levels), 1))
-    gamma, vertex = _vertex_fits(A, Y, levels)
-    if not vertex.all():
-        Z = sparse.hstack([sparse.kron(sparse.eye(n, format="csr"),
-                                       np.ones((T, 1)), format="csr"),
-                           sparse.csr_matrix(A.flat)], format="csr")
-        for j in np.flatnonzero(~vertex):
-            gamma[j] = _solve_qr_dual(Z, Y[j], levels[j])
+    fit, gamma, unique = _vertex_fits(A, Y, levels)
+    tied = ~unique
+    if tied.any():
+        gamma[tied] = _lower_vertex(A, Y[tied], levels[tied], fit[tied])
     failed = levels[~_certified(A, Y, gamma, levels, tol * n)]
     if len(failed):
         raise NonConvergence(f"pooled fit at tau={failed[0]:g} fails its "
                              "subgradient certificate")
     return gamma
+
+
+def _lower_vertex(A, y, tau, gamma):
+    """The lower vertex of pooled levels whose minimizer is not unique.
+
+    At the interior-point slopes each alpha_i is set to the lower sample
+    quantile of y_i - x_i beta, and the fit is purified once more, so the
+    slopes are an exact vertex whatever stack the level is solved in; the
+    intercepts then follow by the same rule at those slopes.
+    """
+    def lower(beta):
+        fitted = (A.x[None] @ beta[:, None, :, None])[..., 0]
+        r = y.reshape(len(y), A.n, A.T) - fitted
+        return np.concatenate(
+            [lower_sample_quantile(r, tau[:, None]), beta], axis=1)
+
+    vertex = _purify(A, y, tau, lower(gamma[:, A.n:]))[0]
+    return lower(vertex[:, A.n:])
 
 
 def intercept_variance(alpha_plus, alpha_minus, tau: float,

@@ -205,6 +205,8 @@ class SimulationConfig:
             raise ValueError(f"{self.model} requires n divisible by 3")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
+        if self.model != "logistic":  # raises when no bandwidth exists
+            hall_sheather_bandwidth(self.T, self.tau)
         if self.error_dist not in ("normal", "t3"):
             raise ValueError(f"unknown error_dist {self.error_dist!r}")
         self.methods = tuple(self.methods)

@@ -106,9 +106,10 @@ class CoefficientEstimate:
     one design fit_quantile fits, (k,).
 
     gamma holds (intercept, slopes) when the model carries a free intercept,
-    otherwise just the slopes; converged holds when every row does. tau is
-    the quantile level, or None for logistic fits. failed maps the rows
-    that hold no estimate to their EstimationError.
+    otherwise just the slopes; converged holds when every row does (for a
+    quantile fit: passes its subgradient certificate). tau is the quantile
+    level, which the fitter checks, or None for logistic fits. failed maps
+    the rows that hold no estimate to their EstimationError.
     """
 
     gamma: np.ndarray
@@ -121,8 +122,6 @@ class CoefficientEstimate:
         self.gamma = np.asarray(self.gamma, dtype=float)
         if not np.isfinite(self.gamma).all():
             raise ValueError("coefficient estimate contains non-finite entries")
-        if self.tau is not None and not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
 
     @property
     def slopes(self) -> np.ndarray:
@@ -270,11 +269,6 @@ class QuantileFitBundle:
     bandwidth: float
     certified: np.ndarray | None = None
     failed: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        tau = self.center.tau
-        if not (0.0 < tau - self.bandwidth and tau + self.bandwidth < 1.0):
-            raise ValueError("bandwidth pushes tau +/- d_T outside (0, 1)")
 
 
 @dataclass

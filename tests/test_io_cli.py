@@ -499,14 +499,29 @@ def test_estimate_pooled_failed_certificate_exits_2(tmp_path, capsys,
     from panelcluster import quantile
 
     panel, _ = gen_model3(6, 30, "normal", seed=4)
-    # tau T = 15: the centre level goes to HiGHS, which returns a non-optimum
-    monkeypatch.setattr(quantile, "_solve_qr_dual",
-                        lambda Z, y, tau: np.zeros(Z.shape[1]))
     path = tmp_path / "panel.csv"
     write_panel(path, panel)
-    assert main(["estimate", str(path), "--model", "qr-pooled",
-                 "--out", str(tmp_path / "est.csv")]) == 2
-    assert "fails its subgradient certificate" in capsys.readouterr().err
+    out = tmp_path / "est.csv"
+    purify = quantile._purify
+
+    def wrong_slopes(A, y, tau, gamma):
+        vertex, ok = purify(A, y, tau, gamma)
+        vertex[:, A.n:] += 1.0
+        return vertex, np.zeros_like(ok)
+
+    def singular(A, y, tau):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    for name, broken, message in (
+            ("_purify", wrong_slopes, "fails its subgradient certificate"),
+            ("_interior_point", singular, "Singular matrix")):
+        with monkeypatch.context() as patch:
+            patch.setattr(quantile, name, broken)
+            assert main(["estimate", str(path), "--model", "qr-pooled",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and message in err
+        assert not out.exists()
 
 
 def test_estimate_then_cluster_matches_in_process_pipeline(tmp_path, capsys):
@@ -606,6 +621,26 @@ def test_estimate_rejects_tau_without_a_bandwidth(tmp_path, capsys,
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"tau={float(tau):g} must lie in (0.01, 0.99)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("tau", 0.005, "tau=0.005 must lie in (0.01, 0.99)"),
+    ("T", 5, "bandwidth rule requires T >= 10")])
+def test_simulate_checks_the_bandwidth_before_generating(
+        tmp_path, capsys, monkeypatch, field, value, message):
+    from panelcluster import simulation
+
+    def no_panel(*args, **kwargs):
+        raise AssertionError("a panel was generated")
+
+    monkeypatch.setattr(simulation, "gen_model1", no_panel)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "model1", "n": 6, "T": 30,
+                               "reps": 1, field: value}))
+    out = tmp_path / "o.json"
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+    assert f"invalid config: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

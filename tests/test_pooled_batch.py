@@ -1,18 +1,21 @@
 """The pooled (model3) fits on the batched interior point against HiGHS on
-the sparse design, which they replace wherever the vertex is unique."""
+the sparse design: equal wherever the vertex is unique, and at a tied level
+the same slopes and check loss, with the lower-vertex intercepts."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
 from panelcluster import quantile
 from panelcluster.quantile import (
     _Pooled,
-    _solve_qr_dual,
     fit_pooled_quantile,
     hall_sheather_bandwidth,
+    lower_sample_quantile,
+    quantile_objective,
     subgradient_certificate,
 )
 from panelcluster.simulation import gen_model3
@@ -27,8 +30,14 @@ def sparse_design(x):
 
 
 def highs(y, x, tau):
-    """The reference: HiGHS on the sparse pooled LP, (n + p,)."""
-    return _solve_qr_dual(sparse_design(x), y.reshape(-1), tau)
+    """The reference: HiGHS on the sparse pooled LP, (n + p,). It solves the
+    bounded dual max y'a s.t. Z'a = 0, a in [tau - 1, tau]; the coefficients
+    are the marginals of the equality constraints."""
+    Z = sparse_design(x)
+    res = linprog(-y.reshape(-1), A_eq=Z.T.tocsr(), b_eq=np.zeros(Z.shape[1]),
+                  bounds=(tau - 1.0, tau), method="highs")
+    assert res.status == 0, res.message
+    return -np.asarray(res.eqlin.marginals, dtype=float)
 
 
 def coefficients(fit, j):
@@ -48,6 +57,35 @@ def two_covariate_panel(n=12, T=40, seed=3):
     return y, x
 
 
+def assert_matches_highs(y, x, fit, stack_levels):
+    """Every level of fit against HiGHS. A level with a unique vertex has
+    HiGHS's coefficients. At a tied level (tau T an integer, where each
+    intercept may lie anywhere between two order statistics) the slopes and
+    the check loss match, every intercept is the lower sample quantile of
+    its residuals, the level is the same alone as in the stack, and it is
+    certified."""
+    n, T, p = x.shape
+    Z = sparse_design(x).toarray()
+    for j, level in enumerate(stack_levels):
+        gamma = coefficients(fit, j)
+        ref = highs(y, x, level)
+        if abs(level * T - round(level * T)) >= 1e-9:
+            assert np.abs(gamma - ref).max() <= 1e-13 * np.abs(ref).max()
+            continue
+        assert np.abs(gamma[n:] - ref[n:]).max() \
+            <= 1e-13 * np.abs(ref[n:]).max()
+        loss = quantile_objective(Z, y.reshape(-1), gamma, level)
+        best = quantile_objective(Z, y.reshape(-1), ref, level)
+        assert abs(loss - best) <= 1e-12 * best
+        assert np.array_equal(
+            fit.alphas[j], lower_sample_quantile(y - x @ fit.beta[j], level))
+        one = fit_pooled_quantile(y, x, [level])
+        assert np.array_equal(one.alphas[0], fit.alphas[j])
+        assert np.array_equal(one.beta[0], fit.beta[j])
+        assert subgradient_certificate(Z, y.reshape(-1), gamma, level,
+                                       tol=1e-6 * n)
+
+
 @pytest.mark.parametrize("T", [30, 60, 61])
 @pytest.mark.parametrize("error_dist", ["normal", "t3"])
 def test_levels_match_highs_reference(T, error_dist):
@@ -56,10 +94,7 @@ def test_levels_match_highs_reference(T, error_dist):
     for tau in (0.25, 0.5, 0.75):
         fit = fit_pooled_quantile(y, x, levels(T, tau))
         assert fit.converged is True
-        for j, level in enumerate(levels(T, tau)):
-            ref = highs(y, x, level)
-            assert np.abs(coefficients(fit, j) - ref).max() \
-                <= 1e-13 * np.abs(ref).max()
+        assert_matches_highs(y, x, fit, levels(T, tau))
         # a level is the same alone as in the stack
         one = fit_pooled_quantile(y, x, [tau])
         assert np.array_equal(one.alphas[0], fit.alphas[0])
@@ -69,26 +104,30 @@ def test_levels_match_highs_reference(T, error_dist):
 def test_two_covariates_match_highs_reference():
     y, x = two_covariate_panel()
     fit = fit_pooled_quantile(y, x, levels(40, 0.5))
-    for j, level in enumerate(levels(40, 0.5)):
-        ref = highs(y, x, level)
-        assert np.abs(coefficients(fit, j) - ref).max() \
-            <= 1e-13 * np.abs(ref).max()
+    assert_matches_highs(y, x, fit, levels(40, 0.5))
 
 
-def test_rejected_vertex_gives_exactly_highs(monkeypatch):
+def test_rejected_vertex_takes_the_lower_vertex(monkeypatch):
     panel, _ = gen_model3(30, 61, "normal", seed=2)
     y, x = panel.responses, panel.covariates
+    plain = fit_pooled_quantile(y, x, levels(61, 0.5))
     purify = quantile._purify
+    upper = levels(61, 0.5)[1]
 
-    def reject_level_1(A, Y, tau, gamma):
+    def reject_upper(A, Y, tau, gamma):
         vertex, ok = purify(A, Y, tau, gamma)
-        ok[1] = False
-        return vertex, ok
+        return vertex, ok & (tau != upper)
 
-    monkeypatch.setattr(quantile, "_purify", reject_level_1)
+    monkeypatch.setattr(quantile, "_purify", reject_upper)
     fit = fit_pooled_quantile(y, x, levels(61, 0.5))
-    assert np.array_equal(coefficients(fit, 1),
-                          highs(y, x, levels(61, 0.5)[1]))
+    # the unique vertex is also the lower one: the rule finds it again
+    ref = coefficients(plain, 1)
+    assert np.abs(coefficients(fit, 1) - ref).max() \
+        <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(
+        fit.alphas[1], lower_sample_quantile(y - x @ fit.beta[1], upper))
+    for j in (0, 2):
+        assert np.array_equal(coefficients(fit, j), coefficients(plain, j))
 
 
 def test_basis_test_rejects_a_vertex_that_is_not_the_minimizer():
@@ -111,7 +150,7 @@ def test_basis_test_rejects_a_vertex_that_is_not_the_minimizer():
         assert np.abs(got[0] - gamma).max() <= 1e-13 * np.abs(gamma).max()
 
 
-def test_singular_schur_complement_sends_levels_to_highs(monkeypatch):
+def test_singular_schur_complement_raises_nonconvergence(monkeypatch):
     panel, _ = gen_model3(30, 61, "t3", seed=4)
     y, x = panel.responses, panel.covariates
 
@@ -122,19 +161,21 @@ def test_singular_schur_complement_sends_levels_to_highs(monkeypatch):
         return solve
 
     monkeypatch.setattr(_Pooled, "solver", singular)
-    fit = fit_pooled_quantile(y, x, levels(61, 0.5))
-    for j, level in enumerate(levels(61, 0.5)):
-        assert np.array_equal(coefficients(fit, j), highs(y, x, level))
+    with pytest.raises(NonConvergence, match="Singular matrix"):
+        fit_pooled_quantile(y, x, levels(61, 0.5))
 
 
 def test_failed_certificate_raises_nonconvergence(monkeypatch):
     panel, _ = gen_model3(9, 30, "normal", seed=5)
+    purify = quantile._purify
 
-    def wrong_highs(Z, y, tau):
-        return np.zeros(Z.shape[1])
+    def wrong_slopes(A, Y, tau, gamma):
+        vertex, ok = purify(A, Y, tau, gamma)
+        vertex[:, A.n:] += 1.0
+        return vertex, np.zeros_like(ok)
 
-    # tau T = 15: the centre level goes to HiGHS, which returns a non-optimum
-    monkeypatch.setattr(quantile, "_solve_qr_dual", wrong_highs)
+    # every vertex is rejected and moved off the minimizer
+    monkeypatch.setattr(quantile, "_purify", wrong_slopes)
     with pytest.raises(NonConvergence, match="tau=0.5 "):
         fit_pooled_quantile(panel.responses, panel.covariates, [0.5])
 

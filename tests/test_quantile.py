@@ -15,7 +15,7 @@ from panelcluster.quantile import (
     quantile_objective,
     subgradient_certificate,
 )
-from panelcluster.simulation import gen_model1
+from panelcluster.simulation import gen_model1, gen_model3
 from panelcluster.types import (
     CoefficientEstimate,
     DimensionMismatch,
@@ -317,44 +317,63 @@ def test_stack_chunks_do_not_change_fits(monkeypatch):
                               getattr(chunked, level).gamma)
 
 
-def test_rejected_vertex_falls_back_to_highs(monkeypatch):
+def reject_row(monkeypatch, y_row, move=0.0):
+    """Make _purify reject the vertices of the problems whose response is
+    y_row, and move their coefficients by `move`."""
+    purify = quantile._purify
+
+    def reject(A, y, tau, gamma):
+        vertex, ok = purify(A, y, tau, gamma)
+        row = (y == y_row).all(axis=1)
+        vertex[row] += move
+        return vertex, ok & ~row
+
+    monkeypatch.setattr(quantile, "_purify", reject)
+
+
+def test_rejected_vertex_is_kept_and_certified(monkeypatch):
     X, y = model1_stack()
     j = 4
-    purify = quantile._purify
-
-    def reject_row_j(Xc, yc, tau, gamma):
-        vertex, ok = purify(Xc, yc, tau, gamma)
-        return vertex, ok & ~(yc == y[j]).all(axis=1)
-
-    monkeypatch.setattr(quantile, "_purify", reject_row_j)
+    plain = fit_quantile_bundle(X, y, 0.5)
+    reject_row(monkeypatch, y[j])
     bundle = fit_quantile_bundle(X, y, 0.5)
+    assert bundle.certified.all() and not bundle.failed
     for level in ("center", "upper", "lower"):
-        fit = getattr(bundle, level)
-        highs = fit_quantile(X[j], y[j], fit.tau)
-        assert np.array_equal(fit.gamma[j], highs.gamma)
+        assert np.array_equal(getattr(bundle, level).gamma,
+                              getattr(plain, level).gamma)
+    monkeypatch.undo()
+    # tau T = 10 on an intercept-only design: every point between two order
+    # statistics is a minimizer, so no vertex passes the basis test
+    y = np.random.default_rng(12).normal(size=(3, 20))
+    X = np.ones((3, 20, 1))
+    tau = np.full(3, 0.5)
+    assert not quantile._vertex_fits(quantile._Stack(X), y, tau)[2].any()
+    gammas, certified, errors = quantile._fit_stack(X, y, np.arange(3), tau)
+    assert certified.all() and not errors
+    ys = np.sort(y, axis=1)
+    assert np.all((gammas[:, 0] == ys[:, 9]) | (gammas[:, 0] == ys[:, 10]))
 
 
-def test_failed_highs_fallback_fails_its_row_alone(monkeypatch):
-    X, y = model1_stack()
+def test_uncertified_row_is_dropped_alone(monkeypatch):
+    from panelcluster.simulation import estimate_panel
+
+    panel, _ = gen_model1(12, 60, "t3", 11)
     j = 6
-    purify = quantile._purify
-
-    def reject_row_j(Xc, yc, tau, gamma):
-        vertex, ok = purify(Xc, yc, tau, gamma)
-        return vertex, ok & ~(yc == y[j]).all(axis=1)
-
-    def failing_highs(X, y, tau, tol=1e-6):
-        raise NonConvergence("quantile LP failed")
-
-    monkeypatch.setattr(quantile, "_purify", reject_row_j)
-    monkeypatch.setattr(quantile, "fit_quantile", failing_highs)
-    bundle = fit_quantile_bundle(X, y, 0.5)
-    assert list(bundle.failed) == [j]
-    assert isinstance(bundle.failed[j], NonConvergence)
-    assert not bundle.certified[j] and np.all(bundle.upper.gamma[j] == 0.0)
+    reject_row(monkeypatch, panel.responses[j], move=1.0)
+    bundle = fit_quantile_bundle(panel.designs, panel.responses, 0.5)
+    assert not bundle.failed
+    assert not bundle.certified[j]
     assert bundle.certified[np.arange(12) != j].all()
-    solo = fit_quantile_bundle(X[j:j + 1], y[j:j + 1], 0.5)
-    assert isinstance(solo.failed[0], NonConvergence)
+    ids = [f"u{i}" for i in range(12)]
+    table = estimate_panel(panel, "qr-slopes", 0.5, ids)
+    assert table.dropped == [(f"u{j}", "NonConvergence")]
+    assert table.ids == ids[:j] + ids[j + 1:]
+
+
+def assert_scaled(got, want, scale):
+    """got / scale equals want to 1e-12 relative, row by row."""
+    error = np.abs(got / scale - want).max(axis=-1)
+    assert (error <= 1e-12 * np.abs(want).max(axis=-1)).all()
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -368,10 +387,23 @@ def test_stacked_fits_are_scale_equivariant(seed, scale):
     assert plain.certified.all() and not plain.failed
     assert scaled.certified.all() and not scaled.failed
     for level in ("center", "upper", "lower"):
-        gamma = getattr(plain, level).gamma
-        error = np.abs(getattr(scaled, level).gamma / scale - gamma)
-        assert (error.max(axis=1)
-                <= 1e-12 * np.abs(gamma).max(axis=1)).all(), level
+        assert_scaled(getattr(scaled, level).gamma,
+                      getattr(plain, level).gamma, scale)
+    for i in range(5):
+        one = fit_quantile(X[i], y[i], 0.5)
+        one_scaled = fit_quantile(X[i], y[i] * scale, 0.5)
+        assert one.converged and one_scaled.converged
+        assert_scaled(one_scaled.gamma, one.gamma, scale)
+    # pooled levels at T = 60: tau T = 30, so the centre level is tied and
+    # takes the lower vertex
+    panel, _ = gen_model3(30, 60, "t3", seed)
+    y, x = panel.responses, panel.covariates
+    d_T = hall_sheather_bandwidth(60, 0.5)
+    levels = (0.5, 0.5 + d_T, 0.5 - d_T)
+    plain = fit_pooled_quantile(y, x, levels)
+    scaled = fit_pooled_quantile(y * scale, x, levels)
+    assert_scaled(scaled.alphas, plain.alphas, scale)
+    assert_scaled(scaled.beta, plain.beta, scale)
 
 
 def test_one_design_is_rejected():
@@ -385,20 +417,37 @@ def test_one_design_is_rejected():
         fit_pooled_quantile(y, X[..., 1:], 0.5)
 
 
-def test_singular_normal_matrix_sends_the_chunk_to_highs(monkeypatch):
-    X, y = model1_stack(n=4)
+def test_singular_normal_matrix_fails_the_chunk_as_nonconvergence(
+        monkeypatch):
+    X, y = model1_stack()
+    j = 7
+    interior_point = quantile._interior_point
 
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def singular_with_row_j(A, yc, tau):
+        if ((yc == y[j]).all(axis=1) & (tau == 0.5)).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return interior_point(A, yc, tau)
 
-    monkeypatch.setattr(quantile, "_interior_point", singular)
+    plain = fit_quantile_bundle(X, y, 0.5)
+    monkeypatch.setattr(quantile, "_interior_point", singular_with_row_j)
+    # 5 problems per chunk: the centre fits of rows 5..9 share a chunk with
+    # row 7's, which meets a singular normal matrix
+    monkeypatch.setattr(quantile, "IP_CHUNK_ENTRIES", 5 * X.shape[1] * 3)
     bundle = fit_quantile_bundle(X, y, 0.5)
-    assert bundle.certified.all()
+    hit = [5, 6, 7, 8, 9]
+    assert sorted(bundle.failed) == hit
+    assert all(isinstance(exc, NonConvergence)
+               for exc in bundle.failed.values())
+    others = ~np.isin(np.arange(12), hit)
+    assert bundle.certified[others].all()
+    assert not bundle.certified[hit].any()
     for level in ("center", "upper", "lower"):
-        fit = getattr(bundle, level)
-        for i in range(4):
-            assert np.array_equal(fit.gamma[i],
-                                  fit_quantile(X[i], y[i], fit.tau).gamma)
+        gamma = getattr(bundle, level).gamma
+        assert np.all(gamma[hit] == 0.0)
+        assert np.array_equal(gamma[others],
+                              getattr(plain, level).gamma[others])
+    with pytest.raises(NonConvergence, match="Singular matrix"):
+        fit_quantile(X[j], y[j], 0.5)
 
 
 def test_rank_deficient_row_fails_alone():
