@@ -4,17 +4,14 @@ Every fit runs one batched Frisch-Newton interior point: fit_quantile (a
 stack of one; an intercept-only design has a closed form),
 fit_quantile_bundle (a stack of designs at three levels) and
 fit_pooled_quantile (the levels of the pooled model: individual intercepts,
-common slopes; Koenker 2004). The design enters the interior point only
-through X'a, X lambda and solves with the normal matrix: a dense stack
-supplies them directly (_Stack), the pooled design through its fixed-effects
-structure (_Pooled), which never forms the dense nT x (n+p) matrix. Each fit
-is purified to a vertex, and an exact basis test tells whether that vertex
-is the unique minimizer. A dense fit keeps its vertex either way. A pooled
-level whose vertex is not unique (the centre level whenever tau T is an
-integer) takes the lower vertex: each intercept is the left-continuous
-sample quantile of its residuals at the common slopes, the rule of the
-intercept-only fits. The subgradient certificate then decides: a dense row
-that fails it is reported, a pooled level that fails it raises.
+common slopes; Koenker 2004) on a dense (_Stack) or pooled (_Pooled)
+design. Each fit is purified to a vertex, and an exact basis test tells
+whether that vertex is the unique minimizer. Where it is not, a dense fit
+keeps the vertex if it passes the subgradient certificate and the
+interior-point fit otherwise; a pooled level (the centre level whenever
+tau T is an integer) takes the lower vertex, each intercept the lower
+sample quantile of its residuals at the common slopes. The certificate
+then decides: a dense row that fails it is reported, a pooled level raises.
 """
 
 from __future__ import annotations
@@ -85,9 +82,7 @@ def subgradient_certificate(X, y, gamma, tau, tol: float = 1e-6):
     X is one (T, k) design (returns a bool) or an (m, T, k) stack with y
     (m, T), gamma (m, k) and tau a scalar or (m,) (returns an (m,) mask).
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
+    X, y, gamma = (np.asarray(a, dtype=float) for a in (X, y, gamma))
     single = X.ndim == 2
     if single:
         X, y, gamma = X[None], y[None], gamma[None]
@@ -112,8 +107,7 @@ def fit_quantile(X, y, tau: float, tol: float = 1e-6) -> CoefficientEstimate:
     the batched interior point (_fit_stack), or the lower sample quantile
     for an intercept-only design. Raises NonConvergence when the interior
     point meets an exactly singular normal matrix."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     if X.ndim != 2 or X.shape[0] != len(y):
@@ -123,12 +117,13 @@ def fit_quantile(X, y, tau: float, tol: float = 1e-6) -> CoefficientEstimate:
 
     if X.shape[1] == 1 and np.ptp(X[:, 0]) == 0 and X[0, 0] != 0:
         gamma = np.array([lower_sample_quantile(y / X[0, 0], tau)])
+        ok = subgradient_certificate(X, y, gamma, tau, tol=tol)
     else:
-        gamma, _, errors = _fit_stack(X[None], y[None], [0], np.array([tau]))
+        gamma, ok, errors = _fit_stack(X[None], y[None], [0],
+                                       np.array([tau]), tol)
         if errors:
             raise errors[0]
-        gamma = gamma[0]
-    ok = subgradient_certificate(X, y, gamma, tau, tol=tol)
+        gamma, ok = gamma[0], bool(ok[0])
     return CoefficientEstimate(gamma, tau=tau, converged=ok)
 
 
@@ -158,8 +153,7 @@ def fit_quantile_bundle(X, y, tau: float,
     EstimationError (its coefficients read 0), and bundle.certified flags
     the rows whose three fits pass the subgradient certificate.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     if X.ndim != 3 or y.shape != X.shape[:2]:
         raise DimensionMismatch("design/response shape mismatch")
     if d_T is None:
@@ -190,12 +184,14 @@ def fit_quantile_bundle(X, y, tau: float,
                              failed=failed)
 
 
-def _fit_stack(X, y, rows, taus):
+def _fit_stack(X, y, rows, taus, tol: float = 1e-6):
     """Quantile fits of problems (X[rows[j]], y[rows[j]], taus[j]).
 
     Chunks of at most IP_CHUNK_ENTRIES design entries run the batched
-    interior point, and each fit is purified to its vertex, kept whether or
-    not it passes the basis test. Returns gammas (m, k), certificates (m,)
+    interior point, and each fit is purified to its vertex. A vertex that
+    fails the basis test is kept only if it passes the certificate (at
+    tol); otherwise the interior-point fit is kept, which at the centre of
+    a tied face has a zero score. Returns gammas (m, k), certificates (m,)
     and {problem: NonConvergence} of the chunks whose interior point met an
     exactly singular normal matrix (they read 0). Every problem's arithmetic
     is independent of the others, so a fit is the same in any stack.
@@ -210,19 +206,23 @@ def _fit_stack(X, y, rows, taus):
         chunk = slice(start, start + step)
         Xc, yc, tc = X[rows[chunk]], y[rows[chunk]], taus[chunk]
         try:
-            gammas[chunk] = _vertex_fits(_Stack(Xc), yc, tc)[1]
+            fit, vertex, unique = _vertex_fits(_Stack(Xc), yc, tc)
         except NonConvergence as exc:
             errors.update(dict.fromkeys(range(start, start + len(yc)), exc))
             continue
-        certified[chunk] = subgradient_certificate(Xc, yc, gammas[chunk], tc)
+        ok = subgradient_certificate(Xc, yc, vertex, tc, tol)
+        back = ~unique & ~ok
+        vertex[back] = fit[back]
+        ok[back] = subgradient_certificate(Xc[back], yc[back], fit[back],
+                                           tc[back], tol)
+        gammas[chunk], certified[chunk] = vertex, ok
     return gammas, certified, errors
 
 
 def _vertex_fits(A, y, tau):
-    """Interior point and purification of a stack of problems on design A:
-    the interior-point fits (m, k), their vertices (m, k) and the (m,) mask
-    of the vertices that pass the basis test. An exactly singular normal
-    matrix raises NonConvergence for the whole stack."""
+    """The interior-point fits (m, k) of a stack of problems on design A,
+    their vertices (_purify) and the (m,) basis-test mask. An exactly
+    singular normal matrix raises NonConvergence for the whole stack."""
     try:
         gamma = _interior_point(A, y, tau)
         return (gamma, *_purify(A, y, tau, gamma))
@@ -461,14 +461,16 @@ def _purify(A, y, tau, gamma):
     The vertex gamma_h solves X_h gamma = y_h. It is the unique minimizer
     when its basis multipliers v = -X_h'^{-1} sum_{t not in h} x_t (tau -
     1{r_t < 0}) lie strictly inside [tau - 1, tau] (by BASIS_MARGIN). The
-    design A supplies the basis solves (A.basis). Returns the vertices
-    (m, k) and the (m,) mask of those that pass.
+    design A supplies the basis solves (A.basis); a fit whose basis is
+    unusable stays where it stands. Returns the vertices (m, k) and the
+    (m,) mask of those that pass.
     """
     k = A.width
     r = y - A.mul(gamma)
     h = np.sort(np.argpartition(np.abs(r), k - 1, axis=1)[:, :k], axis=1)
     solve, solve_t, ok = A.basis(h)
     vertex = solve(np.take_along_axis(y, h, axis=1))
+    vertex[~ok] = gamma[~ok]
     r = y - A.mul(vertex)
     psi = tau[:, None] - (r < 0)
     np.put_along_axis(psi, h, 0.0, axis=1)
@@ -557,8 +559,7 @@ def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
     fails the subgradient certificate (tolerance tol * n), so a returned
     fit has converged=True.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
     n, T = y.shape
     p = x.shape[2] if x.ndim == 3 else 0
     levels = np.asarray(tau, dtype=float)
@@ -586,14 +587,13 @@ def _fit_pooled_levels(y, x, levels, tol):
     design: each is purified to the vertex through its n+p smallest
     |residuals| and kept when the basis test passes; every other level takes
     the lower vertex (_lower_vertex)."""
-    n = len(y)
     A = _Pooled(x)
     Y = np.tile(y.reshape(1, -1), (len(levels), 1))
     fit, gamma, unique = _vertex_fits(A, Y, levels)
     tied = ~unique
     if tied.any():
         gamma[tied] = _lower_vertex(A, Y[tied], levels[tied], fit[tied])
-    failed = levels[~_certified(A, Y, gamma, levels, tol * n)]
+    failed = levels[~_certified(A, Y, gamma, levels, tol * len(y))]
     if len(failed):
         raise NonConvergence(f"pooled fit at tau={failed[0]:g} fails its "
                              "subgradient certificate")
@@ -605,8 +605,9 @@ def _lower_vertex(A, y, tau, gamma):
 
     At the interior-point slopes each alpha_i is set to the lower sample
     quantile of y_i - x_i beta, and the fit is purified once more, so the
-    slopes are an exact vertex whatever stack the level is solved in; the
-    intercepts then follow by the same rule at those slopes.
+    slopes are an exact vertex whatever stack the level is solved in (an
+    unusable basis keeps the interior-point slopes); the intercepts then
+    follow by the same rule at those slopes.
     """
     def lower(beta):
         fitted = (A.x[None] @ beta[:, None, :, None])[..., 0]

@@ -130,6 +130,21 @@ def test_rejected_vertex_takes_the_lower_vertex(monkeypatch):
         assert np.array_equal(coefficients(fit, j), coefficients(plain, j))
 
 
+def test_unusable_basis_keeps_the_interior_point_slopes(monkeypatch):
+    panel, _ = gen_model3(30, 60, "normal", seed=2)
+    y, x = panel.responses, panel.covariates
+    plain = fit_pooled_quantile(y, x, levels(60, 0.5))
+    # no basis is usable, the second purification's included: every level
+    # keeps its interior-point slopes, with lower-rule intercepts
+    monkeypatch.setattr(quantile, "MAX_CONDITION", 0.0)
+    fit = fit_pooled_quantile(y, x, levels(60, 0.5))
+    assert np.abs(fit.beta - plain.beta).max() \
+        <= 1e-6 * np.abs(plain.beta).max()
+    for j, level in enumerate(levels(60, 0.5)):
+        assert np.array_equal(
+            fit.alphas[j], lower_sample_quantile(y - x @ fit.beta[j], level))
+
+
 def test_basis_test_rejects_a_vertex_that_is_not_the_minimizer():
     panel, _ = gen_model3(30, 61, "normal", seed=9)
     y, x = panel.responses, panel.covariates

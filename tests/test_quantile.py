@@ -331,6 +331,19 @@ def reject_row(monkeypatch, y_row, move=0.0):
     monkeypatch.setattr(quantile, "_purify", reject)
 
 
+def move_fit(monkeypatch, y_row, move):
+    """Move the interior-point fits of the problems whose response is y_row
+    by `move`."""
+    interior_point = quantile._interior_point
+
+    def moved(A, y, tau):
+        gamma = interior_point(A, y, tau)
+        gamma[(y == y_row).all(axis=1)] += move
+        return gamma
+
+    monkeypatch.setattr(quantile, "_interior_point", moved)
+
+
 def test_rejected_vertex_is_kept_and_certified(monkeypatch):
     X, y = model1_stack()
     j = 4
@@ -354,12 +367,66 @@ def test_rejected_vertex_is_kept_and_certified(monkeypatch):
     assert np.all((gammas[:, 0] == ys[:, 9]) | (gammas[:, 0] == ys[:, 10]))
 
 
+def test_rejected_vertex_off_the_minimizer_keeps_the_interior_point_fit(
+        monkeypatch):
+    X, y = model1_stack()
+    j = 4
+    plain = fit_quantile_bundle(X, y, 0.5)
+    reject_row(monkeypatch, y[j], move=1.0)
+    bundle = fit_quantile_bundle(X, y, 0.5)
+    assert bundle.certified.all() and not bundle.failed
+    for level in ("center", "upper", "lower"):
+        got, want = getattr(bundle, level), getattr(plain, level)
+        assert np.array_equal(np.delete(got.gamma, j, axis=0),
+                              np.delete(want.gamma, j, axis=0))
+        assert quantile_objective(X[j], y[j], got.gamma[j], got.tau) \
+            == pytest.approx(
+                quantile_objective(X[j], y[j], want.gamma[j], got.tau),
+                rel=1e-9)
+
+
+def binary_design_stack(n=6, T=20, seed=13):
+    """n designs [1, d], d a balanced binary covariate: at tau = 0.5 both
+    groups' quantiles are intervals, so no fit has a unique vertex, and the
+    basis through the two smallest |residuals| is often singular."""
+    rng = np.random.default_rng(seed)
+    d = np.array([rng.permutation(T) < T // 2 for _ in range(n)], float)
+    X = np.stack([np.ones((n, T)), d], axis=2)
+    return X, rng.normal(size=(n, T)) + d
+
+
+def test_tied_binary_design_keeps_a_certified_minimizer():
+    from panelcluster.simulation import estimate_panel
+    from panelcluster.types import PanelDataset
+
+    X, y = binary_design_stack()
+    tau = np.full(len(y), 0.5)
+    assert not quantile._vertex_fits(quantile._Stack(X), y, tau)[2].any()
+    bundle = fit_quantile_bundle(X, y, 0.5)
+    assert bundle.certified.all() and not bundle.failed
+    for i in range(len(y)):
+        one = fit_quantile(X[i], y[i], 0.5)
+        assert one.converged
+        fits = [(0.5, one.gamma)] + [
+            (fit.tau, fit.gamma[i])
+            for fit in (bundle.center, bundle.upper, bundle.lower)]
+        for level, gamma in fits:
+            assert quantile_objective(X[i], y[i], gamma, level) \
+                == pytest.approx(brute_force_objective(X[i], y[i], level),
+                                 rel=1e-12)
+    table = estimate_panel(PanelDataset(X[..., 1:], y, "continuous"),
+                           "qr-slopes", 0.5)
+    assert not table.dropped
+
+
 def test_uncertified_row_is_dropped_alone(monkeypatch):
     from panelcluster.simulation import estimate_panel
 
     panel, _ = gen_model1(12, 60, "t3", 11)
     j = 6
+    # both the vertex and the interior-point fit are moved off the minimizer
     reject_row(monkeypatch, panel.responses[j], move=1.0)
+    move_fit(monkeypatch, panel.responses[j], 1.0)
     bundle = fit_quantile_bundle(panel.designs, panel.responses, 0.5)
     assert not bundle.failed
     assert not bundle.certified[j]
