@@ -159,19 +159,33 @@ def cmd_simulate(args) -> int:
     for required in REQUIRED_FIELDS:
         if required not in raw:
             raise ParseError(f"config is missing required field {required!r}")
+    grid = any(isinstance(raw[key], list) for key in ("n", "T"))
+    ns, Ts = (raw[key] if isinstance(raw[key], list) else [raw[key]]
+              for key in ("n", "T"))
     try:
-        config = SimulationConfig(**raw)
+        if not (ns and Ts):
+            raise ValueError("n and T must be ints or non-empty lists of ints")
+        # every grid point is checked before any batch runs
+        configs = [SimulationConfig(**{**raw, "n": n, "T": T})
+                   for n in ns for T in Ts]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid config: {exc}") from exc
 
-    result = run_batch(config)
-    write_json(args.out, result_payload(result))
-    for method, agg in result.aggregates.items():
-        if isinstance(agg, dict) and "perfect_match" in agg:
-            print(f"{method}: perfect_match={agg['perfect_match']:.3f} "
-                  f"average_match={agg['average_match']:.4f}")
-    if "group_count_table" in result.aggregates:
-        print("group counts:", result.aggregates["group_count_table"])
+    payloads = []
+    for config in configs:
+        result = run_batch(config)
+        payloads.append(result_payload(result))
+        point = f"n={config.n} T={config.T} "
+        for method, agg in result.aggregates.items():
+            if isinstance(agg, dict) and "perfect_match" in agg:
+                print(f"{point}{method}: "
+                      f"perfect_match={agg['perfect_match']:.3f} "
+                      f"average_match={agg['average_match']:.4f}")
+        if "group_count_table" in result.aggregates:
+            print(f"{point}group counts:",
+                  result.aggregates["group_count_table"])
+    write_json(args.out, {"format_version": FORMAT_VERSION, "grid": payloads}
+               if grid else payloads[0])
     print(f"results written to {args.out}")
     return 0
 

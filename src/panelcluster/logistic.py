@@ -182,13 +182,12 @@ def plugin_hessian(X, gamma):
     return _weighted_gram(X, mu * (1.0 - mu))
 
 
-def logistic_covariance(X, estimate: CoefficientEstimate,
-                        slopes_only: bool = False) -> UncertaintyEstimate:
+def logistic_covariance(X,
+                        estimate: CoefficientEstimate) -> UncertaintyEstimate:
     """Inverse of the plug-in Hessian; asymptotic variance of the MLE.
 
-    slopes_only extracts the lower p x p submatrix after inverting the full
-    (p+1) x (p+1) matrix. X is the (n, T, k) stack of the estimate (any
-    other shape raises DimensionMismatch) and sigma is (n, s, s): failed
+    X is the (n, T, k) stack of the estimate (any other shape raises
+    DimensionMismatch) and sigma is the (n, k, k) stack: failed
     maps the rows whose plug-in Hessian is numerically singular to
     SingularHessian, and those rows and the rows the fit failed read 0.
     """
@@ -209,6 +208,4 @@ def logistic_covariance(X, estimate: CoefficientEstimate,
     sigma = np.linalg.inv(hess)
     sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
     sigma[unusable] = 0.0
-    if slopes_only:
-        sigma = sigma[:, 1:, 1:]
     return UncertaintyEstimate(sigma, failed=failed)

@@ -13,8 +13,6 @@ def _confusion(truth, estimate):
     estimate = np.asarray(estimate, dtype=int)
     if truth.shape != estimate.shape:
         raise ValueError("labelings must have equal length")
-    g_true = truth.max(initial=1)
-    g_est = estimate.max(initial=1)
     if truth.min(initial=1) < 1 or estimate.min(initial=1) < 1:
         raise ValueError("labels must be 1-based positive integers")
     # compact each labeling to the labels it uses: the table then has one
@@ -24,20 +22,20 @@ def _confusion(truth, estimate):
     G = max(rows.max(initial=0), cols.max(initial=0)) + 1
     counts = np.zeros((G, G), dtype=int)
     np.add.at(counts, (rows, cols), 1)
-    return counts, bool(g_true != g_est)
+    return counts
 
 
 def average_match(truth, estimate) -> MatchScore:
     """Fraction of correctly labeled individuals, maximized over bijections
     of the label alphabet (solved as a maximum-weight assignment).
 
-    Alphabets of different sizes are padded with empty groups and flagged.
+    Alphabets of different sizes are padded with empty groups.
     """
-    counts, padded = _confusion(truth, estimate)
+    counts = _confusion(truth, estimate)
     rows, cols = linear_sum_assignment(counts, maximize=True)
     n = len(np.asarray(truth))
     average = float(counts[rows, cols].sum() / n)
-    return MatchScore(perfect=average == 1.0, average=average, padded=padded)
+    return MatchScore(perfect=average == 1.0, average=average)
 
 
 def perfect_match(truth, estimate) -> bool:

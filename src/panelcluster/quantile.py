@@ -34,6 +34,8 @@ from .types import (
 # floor for the difference-quotient denominator under quantile crossing
 DENSITY_DENOM_FLOOR = 1e-6
 MAX_CONDITION = 1e12
+# the Hall-Sheather bandwidth is that of a (1 - alpha) confidence interval
+HALL_SHEATHER_ALPHA = 0.05
 
 # design entries (problems x T x k) one interior-point chunk holds, which
 # bounds its working set as spectral.PAIR_CHUNK_ENTRIES does for pairs
@@ -127,7 +129,7 @@ def fit_quantile(X, y, tau: float, tol: float = 1e-6) -> CoefficientEstimate:
     return CoefficientEstimate(gamma, tau=tau, converged=ok)
 
 
-def hall_sheather_bandwidth(T: int, tau: float, alpha_level: float = 0.05) -> float:
+def hall_sheather_bandwidth(T: int, tau: float) -> float:
     """Hall-Sheather bandwidth for the difference-quotient density estimate,
     clipped so tau +/- d_T stays inside (0.01, 0.99); tau itself must lie
     inside (0.01, 0.99), or no positive bandwidth exists."""
@@ -136,7 +138,7 @@ def hall_sheather_bandwidth(T: int, tau: float, alpha_level: float = 0.05) -> fl
     if not 0.01 < tau < 0.99:
         raise ValueError(f"tau={tau:g} must lie in (0.01, 0.99): the "
                          "Hall-Sheather bandwidth keeps tau +/- d_T inside it")
-    z = norm.ppf(1.0 - alpha_level / 2.0)
+    z = norm.ppf(1.0 - HALL_SHEATHER_ALPHA / 2.0)
     q = norm.ppf(tau)
     d = T ** (-1.0 / 3.0) * z ** (2.0 / 3.0) * (
         1.5 * norm.pdf(q) ** 2 / (2.0 * q ** 2 + 1.0)) ** (1.0 / 3.0)
@@ -480,17 +482,16 @@ def _purify(A, y, tau, gamma):
     return vertex, ok
 
 
-def hk_covariance(bundle: QuantileFitBundle, X,
-                  slopes_only: bool = False) -> UncertaintyEstimate:
+def hk_covariance(bundle: QuantileFitBundle, X) -> UncertaintyEstimate:
     """Density sandwich B^{-1} H B^{-1} with difference-quotient densities.
 
     Denominators of the density estimates are floored at DENSITY_DENOM_FLOOR;
-    a floored fit is flagged as degenerate. slopes_only extracts the lower
-    p x p submatrix of the inverted full matrix. X is the (n, T, k) stack of
-    the bundle (any other shape raises DimensionMismatch) and sigma is
-    (n, s, s): failed maps the rows whose B is singular to SingularB, and
-    those rows and the rows the bundle failed read 0; crossed flags every
-    other row with a crossed quotient, and degenerate is crossed.any().
+    a floored fit is flagged as degenerate. X is the (n, T, k) stack of the
+    bundle (any other shape raises DimensionMismatch) and sigma is the
+    (n, k, k) stack: failed maps the rows whose B is singular to SingularB,
+    and those rows and the rows the bundle failed read 0; crossed flags
+    every other row with a crossed quotient, and degenerate is
+    crossed.any().
     """
     X = np.asarray(X, dtype=float)
     delta = bundle.upper.gamma - bundle.lower.gamma
@@ -522,8 +523,6 @@ def hk_covariance(bundle: QuantileFitBundle, X,
     sigma = Binv @ H @ Binv
     sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
     sigma[unusable] = 0.0
-    if slopes_only:
-        sigma = sigma[:, 1:, 1:]
     crossed = crossed.any(axis=1) & ~unusable
     return UncertaintyEstimate(sigma, degenerate=bool(crossed.any()),
                                crossed=crossed, failed=failed)

@@ -197,10 +197,20 @@ class SimulationConfig:
     def __post_init__(self):
         if self.model not in MODEL_GROUPS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        for name in ("n", "T", "reps", "seed", "restarts", "G_max"):
+            value = getattr(self, name)
+            integral = isinstance(value, (int, np.integer))
+            if not integral or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("reps", "restarts", "G_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.cluster_at_true_g and self.n < self.true_groups:
+            raise ValueError(f"cluster_at_true_g requires n >= "
+                             f"{self.true_groups} on {self.model}, got "
+                             f"n={self.n}")
+        if self.select_groups and self.n < 3:
+            raise ValueError(f"select_groups requires n >= 3, got n={self.n}")
         if self.model in ("model3", "model4") and self.n % 3 != 0:
             raise ValueError(f"{self.model} requires n divisible by 3")
         if not 0.0 < self.tau < 1.0:
@@ -287,8 +297,8 @@ def _logistic_slopes(X, y):
     plug-in covariances (n, p, p) and {row: EstimationError} of the unusable
     rows."""
     est = fit_logistic(X, y)
-    unc = logistic_covariance(X, est, slopes_only=True)
-    return est.slopes, unc.sigma, {**est.failed, **unc.failed}
+    unc = logistic_covariance(X, est)
+    return est.slopes, unc.sigma[:, 1:, 1:], {**est.failed, **unc.failed}
 
 
 def _pooled_intercepts(panel, tau, d_T):
@@ -306,12 +316,12 @@ def _quantile_slopes(panel, tau, d_T):
     covariances (n, p, p) and {row: EstimationError} of the unusable rows."""
     X = panel.designs
     bundle = fit_quantile_bundle(X, panel.responses, tau, d_T=d_T)
-    unc = hk_covariance(bundle, X, slopes_only=True)
+    unc = hk_covariance(bundle, X)
     failed = dict(unc.failed)
     failed.update({int(i): NonConvergence("subgradient certificate failed")
                    for i in np.flatnonzero(~bundle.certified)})
     failed.update(bundle.failed)
-    return bundle.center.slopes, unc.sigma, failed
+    return bundle.center.slopes, unc.sigma[:, 1:, 1:], failed
 
 
 def _fit_logistic_rep(config, rng):

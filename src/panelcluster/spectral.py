@@ -269,6 +269,8 @@ def select_num_groups(V, T: int, G_max: int = 10) -> GroupCountSelection:
     n = V.shape[0]
     if n < 3 or T < 2:
         raise ValueError("selection requires n >= 3 and T >= 2")
+    if G_max < 1:
+        raise ValueError(f"G_max must be >= 1, got {G_max}")
     # an entry overflowing to inf gets affinity exp(-inf) = 0 all the same
     with np.errstate(over="ignore"):
         scaled = 2.0 / np.sqrt(np.log(n) * np.log(T)) * V

@@ -6,6 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# relative asymmetry validate_covariance allows in a covariance
+SYMMETRY_RTOL = 1e-10
+
 
 class EstimationError(Exception):
     """Base class for numerical failures during estimation."""
@@ -158,7 +161,7 @@ def _reject(bad: np.ndarray, error: type, message: str) -> None:
         raise exc
 
 
-def validate_covariance(sigma: np.ndarray, rtol: float = 1e-10) -> None:
+def validate_covariance(sigma: np.ndarray) -> None:
     """Check that sigma, one (s, s) matrix or an (..., s, s) stack, holds
     finite, symmetric, positive semidefinite covariances.
 
@@ -174,7 +177,8 @@ def validate_covariance(sigma: np.ndarray, rtol: float = 1e-10) -> None:
     half = 0.5 * S  # halved first, so no difference or sum overflows
     half_T = half.swapaxes(1, 2)
     scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
-    _reject(np.abs(half - half_T).max(axis=(1, 2)) > 0.5 * rtol * scale,
+    asymmetry = np.abs(half - half_T).max(axis=(1, 2))
+    _reject(asymmetry > 0.5 * SYMMETRY_RTOL * scale,
             NotSymmetric, "covariance is not symmetric")
     eigvals = np.linalg.eigvalsh(half + half_T)
     norm = np.maximum(np.abs(eigvals).max(axis=1), 1e-300)
@@ -291,4 +295,3 @@ class MatchScore:
 
     perfect: bool
     average: float
-    padded: bool = False

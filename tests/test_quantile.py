@@ -293,12 +293,12 @@ def test_stacked_bundle_and_hk_equal_per_individual_calls(error_dist, T):
     X, y = model1_stack(T=T, error_dist=error_dist)
     d_T = hall_sheather_bandwidth(T, 0.5)
     bundle = fit_quantile_bundle(X, y, 0.5, d_T=d_T)
-    unc = hk_covariance(bundle, X, slopes_only=True)
+    unc = hk_covariance(bundle, X)
     assert bundle.certified.all() and not bundle.failed and not unc.failed
     for i in range(len(X)):
         row = slice(i, i + 1)
         solo = fit_quantile_bundle(X[row], y[row], 0.5, d_T=d_T)
-        solo_unc = hk_covariance(solo, X[row], slopes_only=True)
+        solo_unc = hk_covariance(solo, X[row])
         for level in ("center", "upper", "lower"):
             assert np.array_equal(getattr(bundle, level).gamma[i],
                                   getattr(solo, level).gamma[0])

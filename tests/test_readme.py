@@ -1,9 +1,13 @@
-"""The README's python example runs against the current API."""
+"""The README's python example runs, and its simulate configs are valid,
+against the current API."""
 
+import json
 import re
 from pathlib import Path
 
 import numpy as np
+
+from panelcluster.simulation import SimulationConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,3 +22,15 @@ def test_readme_python_example_runs():
     assert namespace["V"].shape == (n, n)
     labels = namespace["labels"]
     assert labels.shape == (n,) and set(labels) <= {1, 2, 3}
+
+
+def test_readme_simulate_configs_are_valid():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 4, "README lost its simulate configs"
+    for block in blocks:
+        raw = json.loads(block)
+        ns, Ts = (raw[key] if isinstance(raw[key], list) else [raw[key]]
+                  for key in ("n", "T"))
+        for n in ns:
+            for T in Ts:
+                SimulationConfig(**{**raw, "n": n, "T": T})

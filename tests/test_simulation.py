@@ -101,6 +101,12 @@ def test_t3_errors_are_heavier_tailed():
         _draw_errors(make_rng(9), 5, "cauchy")
 
 
+def test_config_accepts_numpy_integers():
+    config = SimulationConfig(model="model1", n=np.int64(9), T=np.int32(40),
+                              reps=np.int64(1), G_max=np.uint8(4))
+    assert config.n == 9 and config.G_max == 4
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(model="nope", n=10, T=10, reps=1)

@@ -465,3 +465,10 @@ def test_kmeans_rejects_too_many_clusters():
 def test_kmeans_rejects_zero_restarts():
     with pytest.raises(ValueError, match="restarts must be >= 1"):
         kmeans(np.zeros((4, 1)), 2, restarts=0)
+
+
+@pytest.mark.parametrize("G_max", [0, -2])
+def test_select_num_groups_rejects_g_max_below_one(G_max):
+    V = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
+    with pytest.raises(ValueError, match=f"G_max must be >= 1, got {G_max}"):
+        select_num_groups(V, 30, G_max=G_max)
