@@ -32,7 +32,6 @@ from .simulation import (
 from .spectral import (
     build_dissimilarity,
     kmeans,
-    matrix_inverse_sqrt,
     select_num_groups,
     spectral_cluster,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "intercept_variance",
     "kmeans",
     "logistic_covariance",
-    "matrix_inverse_sqrt",
     "perfect_match",
     "run_batch",
     "select_num_groups",

@@ -153,6 +153,8 @@ def cmd_simulate(args) -> int:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError("config must be a JSON object")
     unknown = sorted(set(raw) - set(CONFIG_FIELDS))
     if unknown:
         raise ParseError(f"unknown config fields: {unknown}")

@@ -86,16 +86,16 @@ def write_estimates(path, table: EstimateTable) -> None:
 
 
 def read_estimates(path) -> EstimateTable:
-    meta = {}
     with open(path, newline="") as fh:
-        lines = []
-        for raw in fh:
-            if raw.startswith("#"):
-                key, _, value = raw[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-            else:
-                lines.append(raw)
-        rows = list(csv.reader(lines))
+        lines = fh.readlines()
+    # metadata ends at the header: a later line is data, whatever its id
+    head = next((i for i, line in enumerate(lines)
+                 if not line.startswith("#")), len(lines))
+    meta = {}
+    for line in lines[:head]:
+        key, _, value = line[1:].strip().partition("=")
+        meta[key.strip()] = value.strip()
+    rows = list(csv.reader(lines[head:]))
     version = meta.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ParseError(f"metadata key 'format_version' must be "

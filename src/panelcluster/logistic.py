@@ -27,6 +27,10 @@ MAX_HALVINGS = 50
 # a converged fit is separated when every outcome is predicted within this
 # of its label: the likelihood then has no interior maximum
 SEPARATION_MARGIN = 1e-6
+# Newton steps before a fit is unconverged, and the largest |gradient|
+# entry of a converged fit
+MAX_ITER = 100
+GRADIENT_TOL = 1e-8
 
 
 def _probabilities(X, gamma):
@@ -47,8 +51,7 @@ def log_likelihood(X, y, gamma):
     return float(ll) if ll.ndim == 0 else ll
 
 
-def fit_logistic(X, y, max_iter: int = 100,
-                 tol: float = 1e-8) -> CoefficientEstimate:
+def fit_logistic(X, y) -> CoefficientEstimate:
     """Maximize the average log-likelihood by Newton steps with halving.
 
     X is an (n, T, k) stack of designs with outcomes y (n, T); any other
@@ -57,10 +60,10 @@ def fit_logistic(X, y, max_iter: int = 100,
     row fails with DegenerateOutcome when its y is constant or has an
     outcome other than 0 or 1 (NaN included), SingularDesign when its X is
     rank deficient, PerfectSeparation when its outcomes are separated or its
-    iterate diverges, and NonConvergence when its gradient is not within tol
-    after max_iter steps. gamma is (n, k) with the failed rows read 0,
-    failed maps each failed row to its error, and iterations sums the steps
-    of the other rows.
+    iterate diverges, and NonConvergence when its gradient is not within
+    GRADIENT_TOL after MAX_ITER steps. gamma is (n, k) with the failed
+    rows read 0, failed maps each failed row to its error, and iterations
+    sums the steps of the other rows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -86,10 +89,10 @@ def fit_logistic(X, y, max_iter: int = 100,
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
         gamma[chunk], iterations[chunk], converged[chunk], errors = _newton(
-            X[chunk], y[chunk], max_iter, tol)
+            X[chunk], y[chunk], MAX_ITER, GRADIENT_TOL)
         failed.update({int(chunk[j]): exc for j, exc in errors.items()})
     failed.update({int(i): NonConvergence(
-        f"Newton iterations did not converge in {max_iter} steps")
+        f"Newton iterations did not converge in {MAX_ITER} steps")
         for i in np.flatnonzero(~converged) if i not in failed})
     gamma[~converged] = 0.0
     return CoefficientEstimate(gamma, converged=not failed,

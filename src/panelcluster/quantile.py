@@ -1,13 +1,12 @@
 """Quantile regression fits, the density sandwich, and the pooled model.
 
 Every fit runs one batched Frisch-Newton interior point: fit_quantile (a
-stack of one; an intercept-only design has a closed form),
-fit_quantile_bundle (a stack of designs at three levels) and
-fit_pooled_quantile (the levels of the pooled model: individual intercepts,
-common slopes; Koenker 2004) on a dense (_Stack) or pooled (_Pooled)
-design. Each fit is purified to a vertex, and an exact basis test tells
-whether that vertex is the unique minimizer. Where it is not, a dense fit
-keeps the vertex if it passes the subgradient certificate and the
+stack of designs at L levels; fit_quantile_bundle is one call at three)
+and fit_pooled_quantile (the levels of the pooled model: individual
+intercepts, common slopes; Koenker 2004) on a dense (_Stack) or pooled
+(_Pooled) design. Each fit is purified to a vertex, and an exact basis test
+tells whether that vertex is the unique minimizer. Where it is not, a dense
+fit keeps the vertex if it passes the subgradient certificate and the
 interior-point fit otherwise; a pooled level (the centre level whenever
 tau T is an integer) takes the lower vertex, each intercept the lower
 sample quantile of its residuals at the common slopes. The certificate
@@ -49,6 +48,8 @@ IP_STEP = 0.99995
 # a purified vertex is accepted only when its basis multipliers lie this far
 # inside [tau - 1, tau], which makes it the unique minimizer
 BASIS_MARGIN = 1e-9
+# subgradient certificate tolerance of a fit (times n for a pooled level)
+CERT_TOL = 1e-6
 
 
 def check_loss(u, tau: float):
@@ -104,31 +105,6 @@ def _certified(A, y, gamma, tau, tol):
     return np.all(np.abs(score) <= slack + tol, axis=1)
 
 
-def fit_quantile(X, y, tau: float, tol: float = 1e-6) -> CoefficientEstimate:
-    """Minimize the average check loss over coefficients: a stack of one in
-    the batched interior point (_fit_stack), or the lower sample quantile
-    for an intercept-only design. Raises NonConvergence when the interior
-    point meets an exactly singular normal matrix."""
-    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
-    if X.ndim != 2 or X.shape[0] != len(y):
-        raise SingularDesign("design/response shape mismatch")
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        raise SingularDesign("design matrix is rank deficient")
-
-    if X.shape[1] == 1 and np.ptp(X[:, 0]) == 0 and X[0, 0] != 0:
-        gamma = np.array([lower_sample_quantile(y / X[0, 0], tau)])
-        ok = subgradient_certificate(X, y, gamma, tau, tol=tol)
-    else:
-        gamma, ok, errors = _fit_stack(X[None], y[None], [0],
-                                       np.array([tau]), tol)
-        if errors:
-            raise errors[0]
-        gamma, ok = gamma[0], bool(ok[0])
-    return CoefficientEstimate(gamma, tau=tau, converged=ok)
-
-
 def hall_sheather_bandwidth(T: int, tau: float) -> float:
     """Hall-Sheather bandwidth for the difference-quotient density estimate,
     clipped so tau +/- d_T stays inside (0.01, 0.99); tau itself must lie
@@ -145,54 +121,68 @@ def hall_sheather_bandwidth(T: int, tau: float) -> float:
     return float(min(d, tau - 0.01, 0.99 - tau))
 
 
-def fit_quantile_bundle(X, y, tau: float,
-                        d_T: float | None = None) -> QuantileFitBundle:
-    """Fit at tau and tau +/- d_T (Hall-Sheather default bandwidth).
-
-    X is an (n, T, k) stack of designs with responses y (n, T); any other
-    shape raises DimensionMismatch. All 3n fits run as one batched solve
-    (_fit_stack). bundle.failed maps each row that cannot be fit to its
-    EstimationError (its coefficients read 0), and bundle.certified flags
-    the rows whose three fits pass the subgradient certificate.
+def fit_quantile(X, y, tau):
+    """Minimize the average check loss of each design of a stack at each
+    level: X (n, T, k), y (n, T) and tau a 1-D sequence of L levels in
+    (0, 1); any other shape raises DimensionMismatch. All L n fits run as
+    one batched solve (_fit_stack). Returns gammas (L, n, k), certified
+    (L, n), the fits that pass the subgradient certificate, and failed,
+    {row: EstimationError} of the rows that cannot be fit (SingularDesign,
+    NonConvergence), which read 0 and are uncertified at every level.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    if X.ndim != 3 or y.shape != X.shape[:2]:
-        raise DimensionMismatch("design/response shape mismatch")
-    if d_T is None:
-        d_T = hall_sheather_bandwidth(X.shape[1], tau)
-    if not (0.0 < tau - d_T and tau + d_T < 1.0):
-        raise ValueError("bandwidth pushes tau +/- d_T outside (0, 1)")
+    levels = np.asarray(tau, dtype=float)
+    if X.ndim != 3 or y.shape != X.shape[:2] or levels.ndim != 1:
+        raise DimensionMismatch("design/response/levels shape mismatch")
+    if not np.all((0.0 < levels) & (levels < 1.0)):
+        raise ValueError("tau must lie in (0, 1)")
     n, _, k = X.shape
-    levels = (tau, tau + d_T, tau - d_T)
     full_rank = np.linalg.matrix_rank(X) == k
     failed = {int(i): SingularDesign("design matrix is rank deficient")
               for i in np.flatnonzero(~full_rank)}
     rows = np.flatnonzero(full_rank)
-    gammas = np.zeros((3, n, k))
-    certified = np.zeros((3, n), dtype=bool)
+    gammas = np.zeros((len(levels), n, k))
+    certified = np.zeros((len(levels), n), dtype=bool)
     if len(rows):
-        problems = np.tile(rows, 3)
+        problems = np.tile(rows, len(levels))
         gamma, ok, errors = _fit_stack(X, y, problems,
                                        np.repeat(levels, len(rows)))
-        gammas[:, rows] = gamma.reshape(3, len(rows), k)
-        certified[:, rows] = ok.reshape(3, len(rows))
+        gammas[:, rows] = gamma.reshape(len(levels), len(rows), k)
+        certified[:, rows] = ok.reshape(len(levels), len(rows))
         for problem, exc in errors.items():
             failed.setdefault(int(problems[problem]), exc)
         gammas[:, list(failed)] = 0.0
         certified[:, list(failed)] = False
+    return gammas, certified, failed
+
+
+def fit_quantile_bundle(X, y, tau: float,
+                        d_T: float | None = None) -> QuantileFitBundle:
+    """Fit at tau and tau +/- d_T (Hall-Sheather default bandwidth) by one
+    fit_quantile call on the (n, T, k) stack X with responses y (n, T).
+    bundle.certified flags the rows whose three fits pass the certificate,
+    and bundle.failed is fit_quantile's (those rows read 0)."""
+    if np.ndim(X) != 3 or np.shape(y) != np.shape(X)[:2]:
+        raise DimensionMismatch("design/response shape mismatch")
+    if d_T is None:
+        d_T = hall_sheather_bandwidth(np.shape(X)[1], tau)
+    if not (0.0 < tau - d_T and tau + d_T < 1.0):
+        raise ValueError("bandwidth pushes tau +/- d_T outside (0, 1)")
+    levels = (tau, tau + d_T, tau - d_T)
+    gammas, certified, failed = fit_quantile(X, y, levels)
     fits = [CoefficientEstimate(g, tau=level, converged=bool(c.all()))
             for g, level, c in zip(gammas, levels, certified)]
     return QuantileFitBundle(*fits, d_T, certified=certified.all(axis=0),
                              failed=failed)
 
 
-def _fit_stack(X, y, rows, taus, tol: float = 1e-6):
+def _fit_stack(X, y, rows, taus):
     """Quantile fits of problems (X[rows[j]], y[rows[j]], taus[j]).
 
     Chunks of at most IP_CHUNK_ENTRIES design entries run the batched
     interior point, and each fit is purified to its vertex. A vertex that
     fails the basis test is kept only if it passes the certificate (at
-    tol); otherwise the interior-point fit is kept, which at the centre of
+    CERT_TOL); otherwise the interior-point fit is kept, which at the centre of
     a tied face has a zero score. Returns gammas (m, k), certificates (m,)
     and {problem: NonConvergence} of the chunks whose interior point met an
     exactly singular normal matrix (they read 0). Every problem's arithmetic
@@ -212,11 +202,11 @@ def _fit_stack(X, y, rows, taus, tol: float = 1e-6):
         except NonConvergence as exc:
             errors.update(dict.fromkeys(range(start, start + len(yc)), exc))
             continue
-        ok = subgradient_certificate(Xc, yc, vertex, tc, tol)
+        ok = subgradient_certificate(Xc, yc, vertex, tc, CERT_TOL)
         back = ~unique & ~ok
         vertex[back] = fit[back]
         ok[back] = subgradient_certificate(Xc[back], yc[back], fit[back],
-                                           tc[back], tol)
+                                           tc[back], CERT_TOL)
         gammas[chunk], certified[chunk] = vertex, ok
     return gammas, certified, errors
 
@@ -544,7 +534,7 @@ class PooledQuantileFit:
     converged: bool = True
 
 
-def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
+def fit_pooled_quantile(y, x, tau) -> PooledQuantileFit:
     """Minimize the pooled check loss over (alpha_1..alpha_n, beta).
 
     y has shape (n, T); x has shape (n, T, p); tau is a sequence of L levels
@@ -555,7 +545,7 @@ def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
     collinear with the intercepts (the covariates' deviations from each
     individual's first period are rank deficient), and NonConvergence when
     the interior point meets an exactly singular normal matrix or a level
-    fails the subgradient certificate (tolerance tol * n), so a returned
+    fails the subgradient certificate (tolerance CERT_TOL * n), so a returned
     fit has converged=True.
     """
     y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
@@ -576,12 +566,12 @@ def fit_pooled_quantile(y, x, tau, tol: float = 1e-6) -> PooledQuantileFit:
         if np.linalg.matrix_rank((x - x[:, :1]).reshape(-1, p)) < p:
             raise SingularDesign(
                 "a covariate is collinear with the individual intercepts")
-        gamma = _fit_pooled_levels(y, x, levels, tol)
+        gamma = _fit_pooled_levels(y, x, levels)
         alphas, beta = gamma[:, :n], gamma[:, n:]
     return PooledQuantileFit(alphas, beta, levels)
 
 
-def _fit_pooled_levels(y, x, levels, tol):
+def _fit_pooled_levels(y, x, levels):
     """Pooled fits (L, n+p) of the levels as one stack on the _Pooled
     design: each is purified to the vertex through its n+p smallest
     |residuals| and kept when the basis test passes; every other level takes
@@ -592,7 +582,7 @@ def _fit_pooled_levels(y, x, levels, tol):
     tied = ~unique
     if tied.any():
         gamma[tied] = _lower_vertex(A, Y[tied], levels[tied], fit[tied])
-    failed = levels[~_certified(A, Y, gamma, levels, tol * len(y))]
+    failed = levels[~_certified(A, Y, gamma, levels, CERT_TOL * len(y))]
     if len(failed):
         raise NonConvergence(f"pooled fit at tau={failed[0]:g} fails its "
                              "subgradient certificate")

@@ -10,6 +10,7 @@ sqrt(chi-square(3) / 3).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,12 +198,19 @@ class SimulationConfig:
     def __post_init__(self):
         if self.model not in MODEL_GROUPS:
             raise ValueError(f"unknown model {self.model!r}")
-        for name in ("n", "T", "reps", "seed", "restarts", "G_max"):
+        kinds = dict.fromkeys(("n", "T", "reps", "seed", "restarts", "G_max"),
+                              (numbers.Integral, "an integer"))
+        kinds.update(tau=(numbers.Real, "a real number"),
+                     select_groups=(bool, "a bool"),
+                     cluster_at_true_g=(bool, "a bool"),
+                     methods=((list, tuple), "a list of strings"))
+        for name, (kind, what) in kinds.items():
             value = getattr(self, name)
-            integral = isinstance(value, (int, np.integer))
-            if not integral or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in ("reps", "restarts", "G_max"):
+            # bool subclasses int: a flag is neither a count nor a level
+            if not isinstance(value, kind) or (
+                    kind is not bool and isinstance(value, bool)):
+                raise TypeError(f"{name} must be {what}, got {value!r}")
+        for name in ("n", "reps", "restarts", "G_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.cluster_at_true_g and self.n < self.true_groups:
@@ -217,6 +225,8 @@ class SimulationConfig:
             raise ValueError("tau must lie in (0, 1)")
         if self.model != "logistic":  # raises when no bandwidth exists
             hall_sheather_bandwidth(self.T, self.tau)
+        elif self.T < 4:  # three coefficients: no draw at T <= 3 is kept
+            raise ValueError(f"logistic requires T >= 4, got T={self.T}")
         if self.error_dist not in ("normal", "t3"):
             raise ValueError(f"unknown error_dist {self.error_dist!r}")
         self.methods = tuple(self.methods)

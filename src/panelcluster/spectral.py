@@ -22,10 +22,15 @@ PAIR_CHUNK_ENTRIES = 2 ** 15
 # restart of a small-n call runs in one chunk, and a large-n call holds a
 # few restarts at a time.
 KMEANS_CHUNK_ENTRIES = 2 ** 17
+# Lloyd iterations after which a restart stops wherever it stands
+LLOYD_MAX_ITER = 300
 
 
 def _inverse_sqrt_stack(S: np.ndarray) -> np.ndarray:
-    """matrix_inverse_sqrt of each matrix in an (m, s, s) stack."""
+    """Symmetric inverse square root of each matrix in an (m, s, s) stack,
+    by eigendecomposition. Eigenvalues are floored at 1e-10 * max(eigenvalue)
+    so that semi-definite inputs produce a finite result; one below
+    -1e-10 * max(eigenvalue) raises NonPositiveCombined."""
     eigvals, Q = np.linalg.eigh(S)
     norm = np.maximum(eigvals[:, -1], 1e-300)
     negative = eigvals[:, 0] < -1e-10 * norm
@@ -34,18 +39,6 @@ def _inverse_sqrt_stack(S: np.ndarray) -> np.ndarray:
                                   f"{eigvals[negative.argmax(), 0]:.3e}")
     floored = np.maximum(eigvals, 1e-10 * norm[:, None])
     return (Q * floored[:, None, :] ** -0.5) @ Q.swapaxes(1, 2)
-
-
-def matrix_inverse_sqrt(S: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root via eigendecomposition.
-
-    S is checked by validate_covariance. Eigenvalues are floored at
-    1e-10 * max(eigenvalue) so that semi-definite inputs produce a finite
-    result; one below -1e-10 * max(eigenvalue) raises NonPositiveCombined.
-    """
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    validate_covariance(S)
-    return _inverse_sqrt_stack(S[None])[0]
 
 
 def build_dissimilarity(estimates, variances) -> np.ndarray:
@@ -100,14 +93,14 @@ def _check_dissimilarity(V) -> np.ndarray:
     return V
 
 
-def kmeans(points, k: int, restarts: int = 50, seed: int = 0,
-           max_iter: int = 300):
+def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
     """Lloyd iterations with greedy farthest-point seeding.
 
     The best objective over `restarts` independent seedings is returned,
     the first such restart on a tie. All seedings are drawn first, in
     restart order; Lloyd is deterministic, so each distinct seeding is
-    solved once, on a stack of restarts. Empty clusters are repaired by
+    solved once, on a stack of restarts, for at most LLOYD_MAX_ITER
+    iterations. Empty clusters are repaired by
     promoting the point farthest from its center. Returns (labels,
     centers, objective) with 0-based labels.
     """
@@ -127,7 +120,7 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0,
     chunk = max(1, KMEANS_CHUNK_ENTRIES // (n * (k + d)))
     for start in range(0, len(seeds), chunk):
         centers = points[seeds[start:start + chunk]]
-        labels, objectives = _lloyd(points, centers, max_iter)
+        labels, objectives = _lloyd(points, centers, LLOYD_MAX_ITER)
         i = objectives.argmin()
         if best is None or objectives[i] < best[2]:
             best = (labels[i].copy(), centers[i].copy(), float(objectives[i]))

@@ -105,8 +105,7 @@ class PanelDataset:
 
 @dataclass
 class CoefficientEstimate:
-    """Fitted coefficients of a stack of n individuals, (n, k), or of the
-    one design fit_quantile fits, (k,).
+    """Fitted coefficients of a stack of n individuals, (n, k).
 
     gamma holds (intercept, slopes) when the model carries a free intercept,
     otherwise just the slopes; converged holds when every row does (for a

@@ -185,8 +185,8 @@ def test_criterion_5_subgradient_certificates_100_instances():
             if s > 1 else np.ones((T, 1))
         y = rng.normal(size=T) + rng.standard_t(df=3, size=T)
         tau = float(rng.uniform(0.1, 0.9))
-        est = fit_quantile(X, y, tau)
-        if not subgradient_certificate(X, y, est.gamma, tau):
+        gamma = fit_quantile(X[None], y[None], [tau])[0][0, 0]
+        if not subgradient_certificate(X, y, gamma, tau):
             failures += 1
     check("5c quantile subgradient certificate on 100 random instances",
           failures == 0, f"failures={failures}")
@@ -201,7 +201,7 @@ def test_criterion_5_basic_solution_enumeration():
         X = np.column_stack([np.ones(T), rng.normal(size=(T, s - 1))])
         y = rng.normal(size=T)
         tau = float(rng.uniform(0.2, 0.8))
-        est = fit_quantile(X, y, tau)
+        gamma = fit_quantile(X[None], y[None], [tau])[0][0, 0]
         best = min(
             quantile_objective(X, y,
                                np.linalg.solve(X[list(sub)], y[list(sub)]),
@@ -209,7 +209,7 @@ def test_criterion_5_basic_solution_enumeration():
             for sub in itertools.combinations(range(T), s)
             if abs(np.linalg.det(X[list(sub)])) > 1e-12)
         worst = max(worst,
-                    abs(quantile_objective(X, y, est.gamma, tau) - best))
+                    abs(quantile_objective(X, y, gamma, tau) - best))
     check("5d quantile solutions match basic-solution enumeration",
           worst < 1e-9, f"max objective gap={worst:.2e}")
 

@@ -53,6 +53,27 @@ def test_estimate_table_roundtrip(tmp_path):
     assert back.scale == table.scale
 
 
+def test_ids_starting_with_a_hash_are_data(tmp_path, capsys):
+    table = EstimateTable(["#a", "b"], [[1.0], [2.0]], [[[1.0]], [[2.0]]],
+                          d_T=0.1)
+    path = tmp_path / "est.csv"
+    write_estimates(path, table)
+    back = read_estimates(path)
+    assert back.ids == ["#a", "b"] and back.d_T == 0.1
+    assert np.array_equal(back.betas, table.betas)
+    # estimate -> cluster labels every id, the one starting with # too
+    panel, _ = gen_model1(6, 40, "normal", seed=2)
+    ids = ["#a", "b", "c", "d", "e", "f"]
+    write_panel(tmp_path / "panel.csv", panel, ids)
+    est, report = tmp_path / "panel_est.csv", tmp_path / "report.json"
+    assert main(["estimate", str(tmp_path / "panel.csv"), "--model",
+                 "qr-slopes", "--out", str(est)]) == 0
+    assert main(["cluster", str(est), "--groups", "2", "--t-periods", "40",
+                 "--out", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["n"] == 6 and sorted(payload["labels"]) == sorted(ids)
+
+
 def test_roundtrip_preserves_awkward_floats(tmp_path):
     betas = np.array([[0.1 + 0.2], [1 / 3]])
     sigmas = [np.array([[np.pi]]), np.array([[np.e]])]
@@ -446,9 +467,7 @@ def test_estimate_logistic_lists_dropped_individuals(tmp_path, capsys):
 
 def test_estimate_logistic_drops_unconverged_individual(tmp_path, capsys,
                                                        monkeypatch):
-    from functools import partial
-
-    from panelcluster import logistic, simulation
+    from panelcluster import logistic
 
     panel, _ = gen_logistic(8, 150, seed=5)
     steps = [logistic.fit_logistic(X[None], y[None]).iterations
@@ -456,8 +475,7 @@ def test_estimate_logistic_drops_unconverged_individual(tmp_path, capsys,
     slowest = int(np.argmax(steps))
     assert sorted(steps)[-2] < steps[slowest]
     # one step short of the slowest fit: only that individual is unconverged
-    monkeypatch.setattr(simulation, "fit_logistic", partial(
-        logistic.fit_logistic, max_iter=steps[slowest] - 1))
+    monkeypatch.setattr(logistic, "MAX_ITER", steps[slowest] - 1)
     path = tmp_path / "panel.csv"
     write_panel(path, panel)
     out = tmp_path / "est.csv"
@@ -578,6 +596,18 @@ def test_simulate_zero_restarts_is_bad_input(tmp_path, capsys):
                  "--out", str(tmp_path / "o.json")]) == 1
     err = capsys.readouterr().err
     assert "restarts must be >= 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["5", "null"])
+def test_simulate_config_that_is_not_an_object_is_bad_input(tmp_path, capsys,
+                                                            text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["simulate", str(cfg),
+                 "--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert "config must be a JSON object" in err
     assert "Traceback" not in err
 
 
@@ -721,7 +751,17 @@ def test_simulate_empty_grid_axis_is_bad_input(tmp_path, capsys, axis):
     ("G_max", False, "G_max must be an integer, got False"),
     ("G_max", 0, "G_max must be >= 1"),
     ("n", 2, "cluster_at_true_g requires n >= 3"),
+    ("n", 0, "n must be >= 1"),
     ("cluster_at_true_g", False, "select_groups requires n >= 3, got n=2"),
+    ("cluster_at_true_g", "yes", "cluster_at_true_g must be a bool, got "
+                                 "'yes'"),
+    ("select_groups", "no", "select_groups must be a bool, got 'no'"),
+    ("select_groups", 1, "select_groups must be a bool, got 1"),
+    ("methods", "spectral", "methods must be a list of strings, got "
+                            "'spectral'"),
+    ("methods", [1], "unknown method 1"),
+    ("tau", "0.5", "tau must be a real number, got '0.5'"),
+    ("tau", True, "tau must be a real number, got True"),
 ])
 def test_simulate_rejects_bad_config_before_generating(
         tmp_path, capsys, monkeypatch, model, field, value, message):
@@ -742,3 +782,27 @@ def test_simulate_rejects_bad_config_before_generating(
     assert f"invalid config: {message}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("T", [0, 2, 3])
+def test_simulate_rejects_logistic_T_below_4(tmp_path, capsys, monkeypatch,
+                                              T):
+    from panelcluster import simulation
+
+    def no_panel(*args, **kwargs):
+        raise AssertionError("a panel was generated")
+
+    monkeypatch.setattr(simulation, "_draw_logistic_individual", no_panel)
+    code, out = run_simulate(tmp_path, {"model": "logistic", "n": 9, "T": T,
+                                        "reps": 1})
+    assert code == 1
+    assert (f"invalid config: logistic requires T >= 4, got T={T}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_simulate_runs_logistic_at_T_4(tmp_path, capsys):
+    code, out = run_simulate(tmp_path, {"model": "logistic", "n": 9, "T": 4,
+                                        "reps": 1})
+    assert code == 0
+    assert len(json.loads(out.read_text())["per_rep"]) == 1

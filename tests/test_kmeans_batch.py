@@ -118,10 +118,9 @@ def test_batched_kmeans_equals_reference_on_run_rep_embeddings(monkeypatch):
     calls = []
     kmeans = spectral.kmeans
 
-    def recording_kmeans(points, k, restarts=50, seed=0, max_iter=300):
+    def recording_kmeans(points, k, restarts=50, seed=0):
         calls.append((np.array(points, dtype=float), k, restarts, seed))
-        return kmeans(points, k, restarts=restarts, seed=seed,
-                      max_iter=max_iter)
+        return kmeans(points, k, restarts=restarts, seed=seed)
 
     monkeypatch.setattr(spectral, "kmeans", recording_kmeans)
     monkeypatch.setattr(simulation, "kmeans", recording_kmeans)

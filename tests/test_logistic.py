@@ -50,7 +50,7 @@ def test_gradient_is_small_at_solution():
     rng = np.random.default_rng(3)
     X = np.column_stack([np.ones(80), rng.normal(size=(80, 2))])
     y = (rng.uniform(size=80) < 0.4).astype(float)
-    est = fit_logistic(X[None], y[None], tol=1e-8)
+    est = fit_logistic(X[None], y[None])
     eta = X @ est.gamma[0]
     grad = X.T @ (y - 1 / (1 + np.exp(-eta))) / 80
     assert np.max(np.abs(grad)) <= 1e-8

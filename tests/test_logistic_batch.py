@@ -111,10 +111,11 @@ def reference_rows(X, Y, **kw):
     return rows
 
 
-def assert_matches_reference(X, Y, **kw):
-    est = fit_logistic(X, Y, **kw)
+def assert_matches_reference(X, Y):
+    est = fit_logistic(X, Y)
     unc = logistic_covariance(X, est)
-    ref = reference_rows(X, Y, **kw)
+    ref = reference_rows(X, Y, max_iter=logistic.MAX_ITER,
+                         tol=logistic.GRADIENT_TOL)
     iterations = 0
     for i, row in enumerate(ref):
         if isinstance(row, Exception):
@@ -255,15 +256,16 @@ def test_row_whose_halvings_all_fail_matches_reference(monkeypatch):
         its + 1 for its in plain]
 
 
-def test_unconverged_rows_fail_with_nonconvergence():
+def test_unconverged_rows_fail_with_nonconvergence(monkeypatch):
     X, Y = mixed_stack(150, 9)
     full = fit_logistic(X, Y)
-    est, _ = assert_matches_reference(X, Y, max_iter=6)
+    monkeypatch.setattr(logistic, "MAX_ITER", 6)
+    est, _ = assert_matches_reference(X, Y)
     slow = [i for i in range(len(X)) if i not in full.failed
             and type(est.failed.get(i)) is NonConvergence]
     assert slow
     row = slice(slow[0], slow[0] + 1)
-    one = fit_logistic(X[row], Y[row], max_iter=6)
+    one = fit_logistic(X[row], Y[row])
     # iterations counts converged rows only
     assert not one.converged and one.iterations == 0
     assert type(one.failed[0]) is NonConvergence
@@ -338,8 +340,10 @@ def test_budget_runs_out_mid_round_as_in_the_loop(monkeypatch):
         return _draw_logistic_individual(rng, T)
 
     monkeypatch.setattr(simulation, "_draw_logistic_individual", counted)
-    # at T = 3 almost every draw is separated or constant
-    config = SimulationConfig(model="logistic", n=4, T=3, reps=1)
+    # at T = 3 almost every draw is separated or constant; the config
+    # rejects T < 4, so T is set after the check to reach the budget
+    config = SimulationConfig(model="logistic", n=4, T=4, reps=1)
+    config.T = 3
     with pytest.raises(NonConvergence):
         reference_rep(config, make_rng(3))
     loop_draws = len(draws)

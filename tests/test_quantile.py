@@ -12,6 +12,7 @@ from panelcluster.quantile import (
     hall_sheather_bandwidth,
     hk_covariance,
     intercept_variance,
+    lower_sample_quantile,
     quantile_objective,
     subgradient_certificate,
 )
@@ -27,13 +28,19 @@ from panelcluster.types import (
 
 
 def test_median_of_three():
-    est = fit_quantile(np.ones((3, 1)), np.array([1.0, 2, 3]), 0.5)
-    assert est.gamma[0] == 2.0
+    assert lower_sample_quantile(np.array([1.0, 2, 3]), 0.5) == 2.0
 
 
 def test_interval_minimizer_returns_lower_vertex():
-    est = fit_quantile(np.ones((4, 1)), np.array([1.0, 2, 3, 4]), 0.25)
-    assert est.gamma[0] == 1.0
+    assert lower_sample_quantile(np.array([1.0, 2, 3, 4]), 0.25) == 1.0
+
+
+def fit_one(X, y, tau):
+    """fit_quantile of one (T, k) design as a stack of one: its gamma (k,)
+    and certificate."""
+    gammas, certified, failed = fit_quantile(X[None], y[None], [tau])
+    assert not failed
+    return gammas[0, 0], bool(certified[0, 0])
 
 
 def brute_force_objective(X, y, tau):
@@ -56,8 +63,8 @@ def test_objective_matches_basic_solution_enumeration(seed, s):
     X = np.column_stack([np.ones(T), rng.normal(size=(T, s - 1))])
     y = rng.normal(size=T)
     tau = 0.3
-    est = fit_quantile(X, y, tau)
-    assert quantile_objective(X, y, est.gamma, tau) == pytest.approx(
+    gamma, _ = fit_one(X, y, tau)
+    assert quantile_objective(X, y, gamma, tau) == pytest.approx(
         brute_force_objective(X, y, tau), abs=1e-9)
 
 
@@ -68,9 +75,9 @@ def test_subgradient_certificate_random_instances(seed):
     X = np.column_stack([np.ones(T), rng.normal(size=(T, 2))])
     y = X @ np.array([1.0, -0.5, 0.25]) + rng.standard_t(df=4, size=T)
     tau = rng.uniform(0.2, 0.8)
-    est = fit_quantile(X, y, tau)
-    assert est.converged
-    assert subgradient_certificate(X, y, est.gamma, tau)
+    gamma, certified = fit_one(X, y, tau)
+    assert certified
+    assert subgradient_certificate(X, y, gamma, tau)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8])
@@ -78,8 +85,7 @@ def test_subgradient_certificate_is_scale_free(scale):
     panel, _ = gen_model1(30, 120, "t3", 5)
     X = np.concatenate([np.ones((30, 120, 1)), panel.covariates], axis=2)
     y = panel.responses
-    gamma = np.array([fit_quantile(Xi, yi, 0.5).gamma
-                      for Xi, yi in zip(X, y)])
+    gamma = np.array([fit_one(Xi, yi, 0.5)[0] for Xi, yi in zip(X, y)])
     off = gamma * 1.15 + 0.05 * np.abs(gamma).max()
     assert subgradient_certificate(X, y * scale, gamma * scale, 0.5).all()
     assert not subgradient_certificate(X, y * scale, off * scale, 0.5).any()
@@ -99,8 +105,8 @@ def test_residual_sign_counts():
     X = np.column_stack([np.ones(T), rng.normal(size=(T, s - 1))])
     y = rng.normal(size=T)
     for tau in (0.25, 0.5, 0.75):
-        est = fit_quantile(X, y, tau)
-        r = y - X @ est.gamma
+        gamma, _ = fit_one(X, y, tau)
+        r = y - X @ gamma
         strictly_neg = np.sum(r < -1e-9)
         non_pos = np.sum(r <= 1e-9)
         assert strictly_neg <= tau * T <= non_pos + s
@@ -111,11 +117,11 @@ def test_local_optimality_probe():
     T = 50
     X = np.column_stack([np.ones(T), rng.normal(size=(T, 1))])
     y = rng.normal(size=T)
-    est = fit_quantile(X, y, 0.4)
-    base = quantile_objective(X, y, est.gamma, 0.4)
+    gamma, _ = fit_one(X, y, 0.4)
+    base = quantile_objective(X, y, gamma, 0.4)
     for j in range(2):
         for delta in (1e-3, -1e-3):
-            probe = est.gamma.copy()
+            probe = gamma.copy()
             probe[j] += delta
             assert quantile_objective(X, y, probe, 0.4) >= base - 1e-12
 
@@ -200,8 +206,8 @@ def test_pooled_with_no_covariates_separates():
     y = rng.normal(size=(4, 9))
     fit = fit_pooled_quantile(y, np.empty((4, 9, 0)), [0.5])
     for i in range(4):
-        solo = fit_quantile(np.ones((9, 1)), y[i], 0.5)
-        assert fit.alphas[0, i] == solo.gamma[0]
+        solo, _ = fit_one(np.ones((9, 1)), y[i], 0.5)
+        assert fit.alphas[0, i] == solo[0]
 
 
 def test_pooled_matches_grid_search_on_tiny_instance():
@@ -405,9 +411,9 @@ def test_tied_binary_design_keeps_a_certified_minimizer():
     bundle = fit_quantile_bundle(X, y, 0.5)
     assert bundle.certified.all() and not bundle.failed
     for i in range(len(y)):
-        one = fit_quantile(X[i], y[i], 0.5)
-        assert one.converged
-        fits = [(0.5, one.gamma)] + [
+        one, certified = fit_one(X[i], y[i], 0.5)
+        assert certified
+        fits = [(0.5, one)] + [
             (fit.tau, fit.gamma[i])
             for fit in (bundle.center, bundle.upper, bundle.lower)]
         for level, gamma in fits:
@@ -457,10 +463,10 @@ def test_stacked_fits_are_scale_equivariant(seed, scale):
         assert_scaled(getattr(scaled, level).gamma,
                       getattr(plain, level).gamma, scale)
     for i in range(5):
-        one = fit_quantile(X[i], y[i], 0.5)
-        one_scaled = fit_quantile(X[i], y[i] * scale, 0.5)
-        assert one.converged and one_scaled.converged
-        assert_scaled(one_scaled.gamma, one.gamma, scale)
+        one, certified = fit_one(X[i], y[i], 0.5)
+        one_scaled, scaled_certified = fit_one(X[i], y[i] * scale, 0.5)
+        assert certified and scaled_certified
+        assert_scaled(one_scaled, one, scale)
     # pooled levels at T = 60: tau T = 30, so the centre level is tied and
     # takes the lower vertex
     panel, _ = gen_model3(30, 60, "t3", seed)
@@ -473,9 +479,41 @@ def test_stacked_fits_are_scale_equivariant(seed, scale):
     assert_scaled(scaled.beta, plain.beta, scale)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fit_quantile_at_three_levels_is_the_bundle(k):
+    rng = np.random.default_rng(14)
+    X = np.concatenate([np.ones((4, 8, 1)), rng.normal(size=(4, 8, k - 1))],
+                       axis=2)
+    y = rng.normal(size=(4, 8))
+    # tau T = 4: with k = 1 every point of [3, 4] minimizes at tau = 0.5
+    y[0] = (3, 1, 4, 1, 5, 9, 2, 6)
+    if k > 1:
+        X[3, :, 1] = 2.0  # collinear with the intercept
+    tau, d = 0.5, 0.1
+    levels = (tau, tau + d, tau - d)
+    gammas, certified, failed = fit_quantile(X, y, levels)
+    bundle = fit_quantile_bundle(X, y, tau, d_T=d)
+    fits = (bundle.center, bundle.upper, bundle.lower)
+    for gamma, ok, fit, level in zip(gammas, certified, fits, levels):
+        assert fit.tau == level
+        assert np.array_equal(fit.gamma, gamma)
+        assert fit.converged == ok.all()
+    assert np.array_equal(bundle.certified, certified.all(axis=0))
+    assert ({i: (type(e), str(e)) for i, e in bundle.failed.items()}
+            == {i: (type(e), str(e)) for i, e in failed.items()})
+    assert list(failed) == ([3] if k > 1 else [])
+    assert certified[:, :3].all()
+    assert quantile_objective(X[0], y[0], gammas[0, 0], tau) \
+        == pytest.approx(brute_force_objective(X[0], y[0], tau), abs=1e-12)
+
+
 def test_one_design_is_rejected():
     X, y = model1_stack(n=2)
     bundle = fit_quantile_bundle(X, y, 0.5)
+    with pytest.raises(DimensionMismatch):
+        fit_quantile(X[0], y[0], [0.5])
+    with pytest.raises(DimensionMismatch):
+        fit_quantile(X, y, 0.5)
     with pytest.raises(DimensionMismatch):
         fit_quantile_bundle(X[0], y[0], 0.5)
     with pytest.raises(DimensionMismatch):
@@ -513,8 +551,9 @@ def test_singular_normal_matrix_fails_the_chunk_as_nonconvergence(
         assert np.all(gamma[hit] == 0.0)
         assert np.array_equal(gamma[others],
                               getattr(plain, level).gamma[others])
-    with pytest.raises(NonConvergence, match="Singular matrix"):
-        fit_quantile(X[j], y[j], 0.5)
+    failed = fit_quantile(X[j:j + 1], y[j:j + 1], [0.5])[2]
+    assert isinstance(failed[0], NonConvergence)
+    assert "Singular matrix" in str(failed[0])
 
 
 def test_rank_deficient_row_fails_alone():

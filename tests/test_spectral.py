@@ -7,7 +7,6 @@ from panelcluster.spectral import (
     _laplacian,
     build_dissimilarity,
     kmeans,
-    matrix_inverse_sqrt,
     select_num_groups,
     spectral_cluster,
 )
@@ -23,25 +22,35 @@ from panelcluster.types import (
 )
 
 
+def checked_inverse_sqrt(S):
+    """The checked inverse square root of one matrix: validate_covariance,
+    then _inverse_sqrt_stack on a stack of one, as build_dissimilarity
+    checks its variances and whitens each pair."""
+    validate_covariance(S)
+    return _inverse_sqrt_stack(S[None])[0]
+
+
 def test_inverse_sqrt_identity():
-    assert np.allclose(matrix_inverse_sqrt(np.eye(3)), np.eye(3))
+    assert np.allclose(checked_inverse_sqrt(np.eye(3)), np.eye(3))
 
 
 def test_inverse_sqrt_diagonal():
-    out = matrix_inverse_sqrt(np.diag([4.0, 9.0]))
+    out = checked_inverse_sqrt(np.diag([4.0, 9.0]))
     assert np.allclose(out, np.diag([0.5, 1.0 / 3.0]))
 
 
 @pytest.mark.parametrize("small", [0.0, -1e-11])
 def test_inverse_sqrt_floors_small_eigenvalues(small):
     # floored at 1e-10 * the largest eigenvalue
-    out = matrix_inverse_sqrt(np.diag([1.0, small]))
+    out = checked_inverse_sqrt(np.diag([1.0, small]))
     assert np.allclose(out, np.diag([1.0, 1e5]))
 
 
 def test_inverse_sqrt_rejects_negative_eigenvalue():
     with pytest.raises(NonPositiveCombined):
-        matrix_inverse_sqrt(np.diag([1.0, -1e-9]))
+        validate_covariance(np.diag([1.0, -1e-9]))
+    with pytest.raises(NonPositiveCombined):
+        _inverse_sqrt_stack(np.diag([1.0, -1e-9])[None])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -49,13 +58,13 @@ def test_inverse_sqrt_reconstruction(seed):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(4, 4))
     S = A @ A.T + 0.1 * np.eye(4)
-    R = matrix_inverse_sqrt(S)
+    R = checked_inverse_sqrt(S)
     assert np.linalg.norm(R @ S @ R - np.eye(4)) < 1e-8
 
 
 def test_inverse_sqrt_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
-        matrix_inverse_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        validate_covariance(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_dissimilarity_zero_for_equal_betas():
@@ -127,7 +136,7 @@ def test_per_observation_variances_require_integer_T(T):
 
 
 def reference_dissimilarity(betas, sigmas, T, scale, weights=None):
-    """The pairwise loop over matrix_inverse_sqrt that build_dissimilarity
+    """The pairwise loop over checked_inverse_sqrt that build_dissimilarity
     batches; the batched version must reproduce it bit for bit."""
     n = len(betas)
     if weights is not None:
@@ -139,7 +148,7 @@ def reference_dissimilarity(betas, sigmas, T, scale, weights=None):
     V = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            whitener = matrix_inverse_sqrt(scaled[i] + scaled[j])
+            whitener = checked_inverse_sqrt(scaled[i] + scaled[j])
             V[i, j] = V[j, i] = np.abs(whitener @ (betas[i] - betas[j])).max()
     return V
 
