@@ -127,6 +127,7 @@ def read_estimates(path) -> EstimateTable:
     upper = [(i, j) for i in range(p) for j in range(i, p)]
 
     ids, betas, sigmas, weights = [], [], [], []
+    seen = set()
     for rownum, fields in enumerate(rows[1:], start=2):
         if not fields:
             continue
@@ -134,6 +135,9 @@ def read_estimates(path) -> EstimateTable:
             raise ParseError(f"row {rownum}: expected {len(header)} fields, "
                              f"got {len(fields)}")
         ident = fields[idx["id"]]
+        if ident in seen:
+            raise ParseError(f"row {rownum} (id={ident}): duplicate id")
+        seen.add(ident)
         ids.append(ident)
         betas.append([_cell(fields, idx, c, rownum, ident) for c in beta_cols])
         if use_se:

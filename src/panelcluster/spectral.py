@@ -14,8 +14,9 @@ from .types import (
 
 EIGENGAP_DENOM_GUARD = 1e-12
 
-# Pairs per batched eigh in build_dissimilarity (~2**15 matrix entries): one
-# unchunked batch raised peak memory by ~5 MB at n=300 for no gain in speed.
+# Pairs per chunk in build_dissimilarity (~2**15 matrix entries): one
+# unchunked eigh batch raised peak memory by ~5 MB at n=300 for no gain in
+# speed.
 PAIR_CHUNK_ENTRIES = 2 ** 15
 
 # Entries of kmeans' per-chunk working set, ~n * (k + d) per restart: every
@@ -26,19 +27,75 @@ KMEANS_CHUNK_ENTRIES = 2 ** 17
 LLOYD_MAX_ITER = 300
 
 
-def _inverse_sqrt_stack(S: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of each matrix in an (m, s, s) stack,
-    by eigendecomposition. Eigenvalues are floored at 1e-10 * max(eigenvalue)
-    so that semi-definite inputs produce a finite result; one below
-    -1e-10 * max(eigenvalue) raises NonPositiveCombined."""
-    eigvals, Q = np.linalg.eigh(S)
+def _whiten(S: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """S_k^(-1/2) d_k, with the symmetric inverse square root, for each
+    matrix S_k of an (m, s, s) stack and column d_k of an (s, m) array;
+    returns the (s, m) whitened columns.
+
+    S is eigendecomposed in closed form for s <= 2 and by LAPACK eigh for
+    s >= 3; only its lower triangle is read, as eigh reads it. Eigenvalues
+    are floored at 1e-10 * max(eigenvalue) so that semi-definite inputs
+    produce a finite result; one below -1e-10 * max(eigenvalue) raises
+    NonPositiveCombined.
+    """
+    s = d.shape[0]
+    if s == 1:
+        eigvals = S[:, 0]
+    elif s == 2:
+        eigvals, x, y = _eigh_2x2(S)
+    else:
+        eigvals, Q = np.linalg.eigh(S)
     norm = np.maximum(eigvals[:, -1], 1e-300)
     negative = eigvals[:, 0] < -1e-10 * norm
     if negative.any():
         raise NonPositiveCombined(f"matrix has negative eigenvalue "
                                   f"{eigvals[negative.argmax(), 0]:.3e}")
-    floored = np.maximum(eigvals, 1e-10 * norm[:, None])
-    return (Q * floored[:, None, :] ** -0.5) @ Q.swapaxes(1, 2)
+    inv_sqrt = np.maximum(eigvals, 1e-10 * norm[:, None]) ** -0.5
+    if s == 1:
+        return inv_sqrt.T * d
+    if s == 2:
+        # coordinates in the eigenbasis (-y, x), (x, y), scaled, rotated back
+        low = inv_sqrt[:, 0] * (x * d[1] - y * d[0])
+        high = inv_sqrt[:, 1] * (x * d[0] + y * d[1])
+        return np.stack([x * high - y * low, y * high + x * low])
+    whitener = (Q * inv_sqrt[:, None, :]) @ Q.swapaxes(1, 2)
+    return (whitener @ d.T[:, :, None])[:, :, 0].T
+
+
+def _eigh_2x2(S):
+    """Eigendecomposition of an (m, 2, 2) stack of symmetric matrices,
+    from the lower triangle: the ascending eigenvalues (m, 2) and the
+    components x, y (m,) of the unit eigenvector (x, y) of the larger one.
+
+    Each matrix is first divided by its largest entry, so the determinant
+    neither overflows nor underflows. The larger eigenvalue comes from the
+    trace and the discriminant, the smaller as det / larger, so neither
+    cancels. A diagonal matrix keeps its diagonal entries as eigenvalues
+    and a unit vector as eigenvector, as eigh does.
+    """
+    a, b, c = S[:, 0, 0], S[:, 1, 0], S[:, 1, 1]
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(c)),
+                       np.maximum(np.abs(b), 1e-300))
+    a_, b_, c_ = a / scale, b / scale, c / scale
+    mean, half = 0.5 * (a_ + c_), 0.5 * (a_ - c_)
+    root = np.hypot(half, b_)
+    top = mean + root
+    # top >= mean > 0 where divided; elsewhere mean - root does not cancel
+    bottom = np.divide(a_ * c_ - b_ * b_, top, out=mean - root,
+                       where=mean > 0)
+    diagonal = b == 0
+    eigvals = np.stack([np.where(diagonal, np.minimum(a, c), bottom * scale),
+                        np.where(diagonal, np.maximum(a, c), top * scale)],
+                       axis=1)
+    # the eigenvector of top from the row of S - top * I that does not
+    # cancel; a multiple of the identity takes (1, 0)
+    upper = half >= 0
+    x = np.where(upper, half + root, b_)
+    y = np.where(upper, b_, root - half)
+    length = np.hypot(x, y)
+    identity = length == 0
+    x[identity], length[identity] = 1.0, 1.0
+    return eigvals, x / length, y / length
 
 
 def build_dissimilarity(estimates, variances) -> np.ndarray:
@@ -59,6 +116,9 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
     validate_covariance(variances)
     n, s = betas.shape
 
+    # differences are taken in (s, m) columns, so that the sup-norm reduces
+    # over rows, not over a short last axis
+    columns = betas.T.copy()
     V = np.zeros((n, n))
     rows, cols = np.triu_indices(n, 1)
     chunk = max(1, PAIR_CHUNK_ENTRIES // s ** 2)
@@ -67,9 +127,9 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
         with np.errstate(over="raise", invalid="raise"):
             for start in range(0, len(rows), chunk):
                 i, j = rows[start:start + chunk], cols[start:start + chunk]
-                whitener = _inverse_sqrt_stack(variances[i] + variances[j])
-                d = betas[i] - betas[j]
-                V[i, j] = np.abs(whitener @ d[:, :, None]).max(axis=(1, 2))
+                whitened = _whiten(variances[i] + variances[j],
+                                   columns[:, i] - columns[:, j])
+                V[i, j] = np.abs(whitened).max(axis=0)
     except FloatingPointError as exc:
         raise ValueError(f"non-finite dissimilarity: {exc}") from None
     # the lower triangle is zero, so adding the transpose mirrors exactly
@@ -174,24 +234,66 @@ def _lloyd(points, centers, max_iter):
 
 
 def _assign(points, centers):
-    """Squared distances (m, n, k) from the points to each stack's centers,
-    the nearest-center labels (m, n) and the objectives (m,)."""
-    m, k, _ = centers.shape
-    d2 = np.empty((m, points.shape[0], k))
-    for j in range(k):
-        d2[:, :, j] = ((points - centers[:, j, None, :]) ** 2).sum(axis=2)
-    return d2, d2.argmin(axis=2), d2.min(axis=2).sum(axis=1)
+    """Squared distances (m, k, n) from the points to each stack's centers,
+    the nearest-center labels (m, n) and the objectives (m,).
+
+    A distance adds its coordinates' squares in the order
+    ((point - center) ** 2).sum() does, so it is the same to the bit; a
+    tie goes to the first center, as with argmin.
+    """
+    coordinates = points.T.copy()
+
+    def squares(l):
+        diff = np.subtract(coordinates[l], centers[:, :, l, None])
+        return np.multiply(diff, diff, out=diff)
+
+    d2 = _pairwise_sum(squares, points.shape[1])
+    labels = np.zeros((d2.shape[0], d2.shape[2]), dtype=np.intp)
+    nearest = d2[:, 0].copy()
+    for j in range(1, d2.shape[1]):
+        np.copyto(labels, j, where=d2[:, j] < nearest)
+        np.minimum(nearest, d2[:, j], out=nearest)
+    return d2, labels, nearest.sum(axis=1)
+
+
+def _pairwise_sum(term, count, start=0):
+    """term(start) + ... + term(start + count - 1) for count >= 1, added
+    in the order numpy's pairwise summation adds a contiguous row: one by
+    one below 8 terms; up to 128 in eight interleaved partial sums, joined
+    as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), and then the rest; above
+    that, the two halves split at a multiple of 8, each summed so. (numpy
+    adds the first term to 0.0, which changes no term but -0.0.)"""
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return (_pairwise_sum(term, half, start)
+                + _pairwise_sum(term, count - half, start + half))
+    if count < 8:
+        total = term(start)
+        for l in range(start + 1, start + count):
+            total += term(l)
+        return total
+    partial = [term(start + j) for j in range(8)]
+    stop = start + count - count % 8
+    for block in range(start + 8, stop, 8):
+        for j in range(8):
+            partial[j] += term(block + j)
+    total = (((partial[0] + partial[1]) + (partial[2] + partial[3]))
+             + ((partial[4] + partial[5]) + (partial[6] + partial[7])))
+    for l in range(stop, start + count):
+        total += term(l)
+    return total
 
 
 def _update_centers(points, d2, labels):
-    """Member means for each stack's (m, n) labels.
+    """Member means for each stack's (m, n) labels, given the (m, k, n)
+    squared distances.
 
     Sums accumulate in point order, as points[members].mean(axis=0) does
     for d >= 2. A restart with an empty cluster is repaired one cluster at
     a time, as a promoted point may leave a cluster whose mean is still to
     be taken.
     """
-    m, n, k = d2.shape
+    m, k, n = d2.shape
     bins = (labels + k * np.arange(m)[:, None]).ravel()
     counts = np.bincount(bins, minlength=m * k).reshape(m, k)
     sums = np.stack([np.bincount(bins, weights=np.tile(column, m),
@@ -205,7 +307,7 @@ def _update_centers(points, d2, labels):
             if members.any():
                 centers[r, j] = points[members].mean(axis=0)
             else:
-                farthest = d2_r[np.arange(n), labels_r].argmax()
+                farthest = d2_r[labels_r, np.arange(n)].argmax()
                 centers[r, j] = points[farthest]
                 labels_r[farthest] = j
     return centers

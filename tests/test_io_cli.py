@@ -130,8 +130,19 @@ def test_parse_error_on_non_psd_row(tmp_path):
 def test_duplicate_ids_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("id,beta_1,c_11\nsame,1,1\nsame,2,1\n")
-    with pytest.raises(ParseError, match="unique"):
+    with pytest.raises(ParseError, match=r"^row 3 \(id=same\): duplicate id$"):
         read_estimates(path)
+
+
+def test_cluster_names_the_row_of_a_duplicate_id(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("# scale=already_scaled\nid,beta_1,se\nunit0000,0,1\n"
+                    "unit0001,1,1\nunit0000,2,1\n")
+    code = main(["cluster", str(path), "--groups", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: row 4 (id=unit0000): duplicate id\n")
 
 
 def test_read_panel_roundtrip(tmp_path):

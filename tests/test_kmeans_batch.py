@@ -63,6 +63,14 @@ def reference_lloyd(points, centers, max_iter):
     return labels, centers, objective
 
 
+def reference_assign(points, centers):
+    m, k, _ = centers.shape
+    d2 = np.empty((m, points.shape[0], k))
+    for j in range(k):
+        d2[:, :, j] = ((points - centers[:, j, None, :]) ** 2).sum(axis=2)
+    return d2, d2.argmin(axis=2), d2.min(axis=2).sum(axis=1)
+
+
 def reference_laplacian(V):
     A = np.exp(-V)
     np.fill_diagonal(A, 1.0)
@@ -211,6 +219,27 @@ def test_mixed_stack_of_repairing_and_plain_restarts_matches_reference():
     points = np.round(rng.normal(size=(25, 3)))
     for seed in range(10):
         assert_same_kmeans(points, 6, 30, seed)
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 15, 16, 17, 64, 128, 129,
+                               257])
+def test_assign_equals_per_center_reference(d, rounded):
+    # each pairwise-summation regime: sequential below 8 coordinates, eight
+    # partial sums up to 128, split halves above
+    rng = np.random.default_rng(d)
+    points = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-3, 4, (40, d))
+    if rounded:
+        points = np.round(rng.normal(size=(40, d)))  # ties in distance
+    points[30:] = points[:10]  # tied points
+    centers = points[rng.integers(40, size=(6, 5))]
+    centers[:, 3] = centers[:, 1]  # tied centers: the first must win
+    d2, labels, objectives = spectral._assign(points, centers)
+    ref_d2, ref_labels, ref_objectives = reference_assign(points, centers)
+    assert np.array_equal(d2, ref_d2.transpose(0, 2, 1))
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(objectives, ref_objectives)
+    assert (labels != 3).all()
 
 
 @pytest.mark.parametrize("seed", range(12))

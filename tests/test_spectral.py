@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from panelcluster import spectral
 from panelcluster.spectral import (
-    _inverse_sqrt_stack,
     _laplacian,
+    _whiten,
     build_dissimilarity,
     kmeans,
     select_num_groups,
@@ -14,6 +16,7 @@ from panelcluster.metrics import average_match, perfect_match
 from panelcluster.types import (
     ALREADY_SCALED,
     PER_OBSERVATION,
+    SYMMETRY_RTOL,
     DimensionMismatch,
     EstimateTable,
     NonPositiveCombined,
@@ -22,12 +25,33 @@ from panelcluster.types import (
 )
 
 
+def eigh_inverse_sqrt_stack(S):
+    """The eigh path for every s, as build_dissimilarity whitened before
+    the closed form for s <= 2: the reference for the closed form."""
+    eigvals, Q = np.linalg.eigh(S)
+    norm = np.maximum(eigvals[:, -1], 1e-300)
+    negative = eigvals[:, 0] < -1e-10 * norm
+    if negative.any():
+        raise NonPositiveCombined(f"matrix has negative eigenvalue "
+                                  f"{eigvals[negative.argmax(), 0]:.3e}")
+    floored = np.maximum(eigvals, 1e-10 * norm[:, None])
+    return (Q * floored[:, None, :] ** -0.5) @ Q.swapaxes(1, 2)
+
+
+def inverse_sqrt_stack(S):
+    """S^(-1/2) for each matrix of an (m, s, s) stack by _whiten: column k
+    whitens the k-th unit vector."""
+    m, s, _ = S.shape
+    return np.stack([_whiten(S, np.broadcast_to(unit[:, None], (s, m))).T
+                     for unit in np.eye(s)], axis=2)
+
+
 def checked_inverse_sqrt(S):
     """The checked inverse square root of one matrix: validate_covariance,
-    then _inverse_sqrt_stack on a stack of one, as build_dissimilarity
-    checks its variances and whitens each pair."""
+    then _whiten on a stack of one, as build_dissimilarity checks its
+    variances and whitens each pair."""
     validate_covariance(S)
-    return _inverse_sqrt_stack(S[None])[0]
+    return inverse_sqrt_stack(S[None])[0]
 
 
 def test_inverse_sqrt_identity():
@@ -50,7 +74,7 @@ def test_inverse_sqrt_rejects_negative_eigenvalue():
     with pytest.raises(NonPositiveCombined):
         validate_covariance(np.diag([1.0, -1e-9]))
     with pytest.raises(NonPositiveCombined):
-        _inverse_sqrt_stack(np.diag([1.0, -1e-9])[None])
+        _whiten(np.diag([1.0, -1e-9])[None], np.ones((2, 1)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -135,22 +159,55 @@ def test_per_observation_variances_require_integer_T(T):
         scalar_table(1.0).variances(T)
 
 
-def reference_dissimilarity(betas, sigmas, T, scale, weights=None):
-    """The pairwise loop over checked_inverse_sqrt that build_dissimilarity
-    batches; the batched version must reproduce it bit for bit."""
-    n = len(betas)
+def scaled_sigmas(sigmas, T, scale, weights=None):
     if weights is not None:
-        scaled = [sigma / w for sigma, w in zip(sigmas, weights)]
-    elif scale == PER_OBSERVATION:
-        scaled = [sigma / T for sigma in sigmas]
-    else:
-        scaled = list(sigmas)
+        return np.array([sigma / w for sigma, w in zip(sigmas, weights)])
+    if scale == PER_OBSERVATION:
+        return np.array([sigma / T for sigma in sigmas])
+    return np.array(sigmas)
+
+
+def reference_dissimilarity(betas, sigmas, T, scale, weights=None,
+                            whiten=None):
+    """The pairwise loop that build_dissimilarity batches: whiten(S, d)
+    whitens one pair, by default as the eigh path did. With whiten=_whiten
+    the batched version must reproduce it bit for bit."""
+    n = len(betas)
+    scaled = scaled_sigmas(sigmas, T, scale, weights)
+    if whiten is None:
+        def whiten(S, d):
+            return eigh_inverse_sqrt_stack(S)[0] @ d
     V = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            whitener = checked_inverse_sqrt(scaled[i] + scaled[j])
-            V[i, j] = V[j, i] = np.abs(whitener @ (betas[i] - betas[j])).max()
+            S = scaled[i] + scaled[j]
+            validate_covariance(S)
+            whitened = whiten(S[None], (betas[i] - betas[j])[:, None])
+            V[i, j] = V[j, i] = np.abs(whitened).max()
     return V
+
+
+def assert_matches_pairwise_loops(V, betas, sigmas, T, scale, weights=None):
+    """V equals the pairwise loop of _whiten bit for bit, and the eigh
+    loop bit for bit for s = 1 and s >= 3. The 2 x 2 closed form rounds
+    differently: for s = 2 it agrees within 1e-13 of |S^(-1/2)| |d|."""
+    args = betas, sigmas, T, scale, weights
+    assert np.array_equal(V, reference_dissimilarity(*args, whiten=_whiten))
+    eigh_V = reference_dissimilarity(*args)
+    if betas.shape[1] != 2:
+        assert np.array_equal(V, eigh_V)
+        return
+    # relative to |S^(-1/2)| |d|, not to V: where the floor engages, a
+    # rounding of the eigenvectors moves V by up to eps |S^(-1/2)| |d|, which
+    # can far exceed eps V. On one floored pair of the default-chunk table
+    # the two differ by 2.0e-13 of V, each 1.0e-13 from the exact value.
+    scaled = scaled_sigmas(sigmas, T, scale, weights)
+    i, j = np.triu_indices(len(betas), 1)
+    eigvals = np.linalg.eigvalsh(scaled[i] + scaled[j])
+    floor = 1e-10 * np.maximum(eigvals[:, -1], 1e-300)
+    bound = (np.maximum(eigvals[:, 0], floor) ** -0.5
+             * np.linalg.norm(betas[i] - betas[j], axis=1))
+    assert (np.abs(V - eigh_V)[i, j] <= 1e-13 * bound).all()
 
 
 def random_estimates(n, s, seed):
@@ -181,8 +238,7 @@ def test_batched_dissimilarity_equals_pairwise_loop(monkeypatch, s, scale,
     table = EstimateTable(list(range(n)), betas, sigmas, scale=scale,
                           weights=weights)
     V = build_dissimilarity(table.betas, table.variances(37))
-    assert np.array_equal(V, reference_dissimilarity(betas, sigmas, 37, scale,
-                                                     weights))
+    assert_matches_pairwise_loops(V, betas, sigmas, 37, scale, weights)
 
 
 def test_batched_dissimilarity_equals_pairwise_loop_at_default_chunk():
@@ -191,8 +247,7 @@ def test_batched_dissimilarity_equals_pairwise_loop_at_default_chunk():
     betas, sigmas = random_estimates(n, 2, seed=3)
     table = EstimateTable(list(range(n)), betas, sigmas)
     V = build_dissimilarity(table.betas, table.variances(120))
-    assert np.array_equal(V, reference_dissimilarity(betas, sigmas, 120,
-                                                     PER_OBSERVATION))
+    assert_matches_pairwise_loops(V, betas, sigmas, 120, PER_OBSERVATION)
 
 
 def test_negative_combined_in_last_chunk_is_rejected(monkeypatch):
@@ -213,10 +268,77 @@ def test_inverse_sqrt_stack_rejects_negative_last_matrix(s):
     stack = np.array([(k + 1.0) * np.eye(s) for k in range(m)])
     stack[-1, -1, -1] = -0.5
     with pytest.raises(NonPositiveCombined):
-        _inverse_sqrt_stack(stack)
-    out = _inverse_sqrt_stack(stack[:-1])
+        _whiten(stack, np.ones((s, m)))
+    out = inverse_sqrt_stack(stack[:-1])
     assert np.allclose(out, np.array([np.eye(s) / np.sqrt(k + 1.0)
                                       for k in range(m - 1)]))
+
+
+def closed_form_cases():
+    rng = np.random.default_rng(14)
+    m = 400
+    A = rng.normal(size=(m, 2, 2))
+    spd = A @ A.swapaxes(1, 2) + 1e-3 * np.eye(2)
+    u = rng.normal(size=(m, 2, 1))
+    B = rng.normal(size=(m, 2, 2))
+    B = B + B.swapaxes(1, 2)
+    near = rng.uniform(0.1, 10.0, (m, 1, 1)) * (
+        np.eye(2) + 10.0 ** rng.uniform(-15.0, -9.0, (m, 1, 1)) * B)
+    # the upper triangle off by up to 0.9 of what validate_covariance admits
+    asymmetric = spd.copy()
+    asymmetric[:, 0, 1] += (0.9 * SYMMETRY_RTOL * rng.uniform(-1.0, 1.0, m)
+                            * np.maximum(np.abs(spd).max(axis=(1, 2)), 1.0))
+    return {"spd": spd, "rank_one": u * u.swapaxes(1, 2), "near_equal": near,
+            "scaled_1e-150": 1e-150 * spd, "scaled_1e150": 1e150 * spd,
+            # unscaled, a * c - b * b underflows or overflows
+            "scaled_1e-200": 1e-200 * spd, "scaled_1e200": 1e200 * spd,
+            "rank_one_1e-200": 1e-200 * u * u.swapaxes(1, 2),
+            "asymmetric": asymmetric}
+
+
+@pytest.mark.parametrize("case", sorted(closed_form_cases()))
+def test_closed_form_matches_eigh_within_1e_13(case):
+    S = closed_form_cases()[case]
+    validate_covariance(S)
+    expected = eigh_inverse_sqrt_stack(S)
+    error = np.abs(inverse_sqrt_stack(S) - expected).max(axis=(1, 2))
+    assert (error <= 1e-13 * np.abs(expected).max(axis=(1, 2))).all()
+    # only the lower triangle is read, as eigh reads it
+    lower = np.tril(S) + np.tril(S, -1).swapaxes(1, 2)
+    d = np.random.default_rng(1).normal(size=(2, len(S)))
+    assert np.array_equal(_whiten(S, d), _whiten(lower, d))
+
+
+def test_closed_form_is_exact_on_diagonal_matrices():
+    rng = np.random.default_rng(15)
+    entries = rng.uniform(0.5, 2.0, (60, 2)) * 10.0 ** rng.integers(
+        -150, 151, (60, 1))
+    entries[:20, 1] = entries[:20, 0]  # multiples of I
+    entries[20:25] = 0.0
+    entries[25:30, 1] = 0.0  # floored
+    entries[30:35, 0] *= 1e-12  # floored
+    S = np.zeros((60, 2, 2))
+    S[:, 0, 0], S[:, 1, 1] = entries.T
+    d = rng.normal(size=(60, 2))
+    whitened = _whiten(S, d.T).T
+    assert np.array_equal(
+        whitened, (eigh_inverse_sqrt_stack(S) @ d[:, :, None])[:, :, 0])
+    unfloored = np.r_[0:20, 35:60]
+    assert np.array_equal(whitened[unfloored],
+                          entries[unfloored] ** -0.5 * d[unfloored])
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_closed_form_rejects_the_matrix_eigh_rejects(s):
+    rng = np.random.default_rng(16)
+    A = rng.normal(size=(50, s, s))
+    S = A @ A.swapaxes(1, 2) + 0.1 * np.eye(s)
+    S[[17, 31], -1, -1] = [-0.25, -3.0]
+    with pytest.raises(NonPositiveCombined) as expected:
+        eigh_inverse_sqrt_stack(S)
+    with pytest.raises(NonPositiveCombined,
+                       match=re.escape(str(expected.value))):
+        _whiten(S, np.ones((s, 50)))
 
 
 NON_FINITE_COVARIANCES = [[[np.nan]], [[1.0, np.inf], [np.inf, 1.0]]]
