@@ -30,8 +30,18 @@ REQUIRED_FIELDS = tuple(
     if f.default is MISSING and f.default_factory is MISSING)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input and exits 1, as the other input checks
+    do; argparse's own 2 is this CLI's code for a numerical failure.
+    Subparsers are made of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="panelcluster",
         description="Group panel-data individuals by covariance-weighted "
                     "spectral clustering.")
@@ -97,6 +107,8 @@ def cmd_cluster(args) -> int:
                              ("--t-periods", 1 if T is None else T, 1)):
         if value < low:
             raise ParseError(f"{flag} must be >= {low}, got {value}")
+    if args.seed >= 2 ** 128:  # the key of the Philox generator
+        raise ParseError(f"--seed must be < 2**128, got {args.seed}")
     V = build_dissimilarity(table.betas, variances)
 
     selection = None

@@ -117,6 +117,9 @@ def read_estimates(path) -> EstimateTable:
     if use_se:
         if p != 1:
             raise ParseError("'se' column is only valid for scalar estimates")
+        if "c_11" in header:
+            raise ParseError("columns 'se' and 'c_11' both give the "
+                             "variance; keep one")
         cov_cols = ["se"]
     else:
         missing = [c for c in tri_names if c not in header]

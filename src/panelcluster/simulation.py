@@ -213,6 +213,9 @@ class SimulationConfig:
         for name in ("n", "reps", "restarts", "G_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # repetition seeds are split from the seed modulo 2**64
+        if not 0 <= self.seed <= _MASK:
+            raise ValueError(f"seed must lie in 0..2**64 - 1, got {self.seed}")
         if self.cluster_at_true_g and self.n < self.true_groups:
             raise ValueError(f"cluster_at_true_g requires n >= "
                              f"{self.true_groups} on {self.model}, got "

@@ -156,25 +156,24 @@ def _check_dissimilarity(V) -> np.ndarray:
 def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
     """Lloyd iterations with greedy farthest-point seeding.
 
-    The best objective over `restarts` independent seedings is returned,
-    the first such restart on a tie. All seedings are drawn first, in
-    restart order; Lloyd is deterministic, so each distinct seeding is
-    solved once, on a stack of restarts, for at most LLOYD_MAX_ITER
-    iterations. Empty clusters are repaired by
-    promoting the point farthest from its center. Returns (labels,
-    centers, objective) with 0-based labels.
+    The best objective over `restarts` seedings is returned, the first such
+    restart on a tie. Lloyd is deterministic, so each distinct seeding is
+    solved once, in order of first draw (argmin then keeps the first best),
+    on a stack of restarts, for at most LLOYD_MAX_ITER iterations. Empty
+    clusters are repaired by promoting the point farthest from its center.
+    Returns (labels, centers, objective) with 0-based labels.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
-    if k > n:
-        raise ValueError("more clusters than points")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in 1..{n} (the number of points), "
+                         f"got {k}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if not np.isfinite(points).all():
+        raise ValueError("points contain non-finite entries")
     rng = np.random.Generator(np.random.Philox(key=seed))
     seeds = _farthest_point_seeds(points, k, restarts, rng)
-    # distinct seedings in order of first draw, so argmin keeps the first best
-    _, first = np.unique(seeds, axis=0, return_index=True)
-    seeds = seeds[np.sort(first)]
 
     best = None
     chunk = max(1, KMEANS_CHUNK_ENTRIES // (n * (k + d)))
@@ -188,27 +187,32 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
 
 
 def _farthest_point_seeds(points, k, restarts, rng):
-    """(restarts, k) indices into points, drawn restart by restart."""
-    n = points.shape[0]
-    # squared distances to each picked point, which many restarts pick
-    # again; kept for up to KMEANS_CHUNK_ENTRIES entries
-    rows = {}
-    seeds = np.empty((restarts, k), dtype=np.intp)
-    for r in range(restarts):
-        seeds[r, 0] = i = rng.integers(n)
-        d = None
-        for c in range(1, k):
-            row = rows.get(i)
-            if row is None:
-                row = np.sum((points - points[i]) ** 2, axis=1)
-                if (len(rows) + 1) * n <= KMEANS_CHUNK_ENTRIES:
-                    rows[i] = row
-            d = row if d is None else np.minimum(d, row)
-            # RNG tie-breaking among (near-)farthest points
-            cutoff = d.max() * (1.0 - 1e-12)
-            candidates = (d >= cutoff).nonzero()[0]
-            seeds[r, c] = i = candidates[rng.integers(len(candidates))]
-    return seeds
+    """The distinct (m, k) seedings (indices into points) of `restarts`
+    greedy farthest-point chains, in order of first draw.
+
+    Philox's integers(1) draws nothing, so a chain without a tie among its
+    farthest points draws only its start: it is kept per start and reused.
+    A chain with a tie is drawn again at each of its starts. Distances add
+    their coordinates in index order, as in _assign.
+    """
+    coordinates = points.T.copy()
+    chains = {}  # start -> its chain, or None if drawn with a tie
+    seedings = {}  # distinct chains, in order of first draw
+    for _ in range(restarts):
+        start = int(rng.integers(len(points)))
+        chain = chains.get(start)
+        if chain is None:
+            chain, d, tied = (start,), np.inf, False
+            for _ in range(1, k):
+                squares = (coordinates - coordinates[:, chain[-1], None]) ** 2
+                d = np.minimum(d, sum(squares[1:], squares[0]))
+                # RNG tie-breaking among (near-)farthest points
+                candidates = (d >= d.max() * (1.0 - 1e-12)).nonzero()[0]
+                tied |= len(candidates) > 1
+                chain += (int(candidates[rng.integers(len(candidates))]),)
+            chains[start] = None if tied else chain
+        seedings[chain] = None
+    return np.array(list(seedings), dtype=np.intp)
 
 
 def _lloyd(points, centers, max_iter):
@@ -237,51 +241,22 @@ def _assign(points, centers):
     """Squared distances (m, k, n) from the points to each stack's centers,
     the nearest-center labels (m, n) and the objectives (m,).
 
-    A distance adds its coordinates' squares in the order
-    ((point - center) ** 2).sum() does, so it is the same to the bit; a
-    tie goes to the first center, as with argmin.
+    Coordinates are added in index order, as .sum() adds fewer than 8 (it
+    adds more pairwise, so distances may differ in their last bits); a tie
+    goes to the first center, as with argmin.
     """
     coordinates = points.T.copy()
-
-    def squares(l):
-        diff = np.subtract(coordinates[l], centers[:, :, l, None])
-        return np.multiply(diff, diff, out=diff)
-
-    d2 = _pairwise_sum(squares, points.shape[1])
+    d2 = np.square(coordinates[0] - centers[:, :, 0, None])
+    diff = np.empty_like(d2)
+    for l in range(1, len(coordinates)):
+        np.subtract(coordinates[l], centers[:, :, l, None], out=diff)
+        d2 += np.multiply(diff, diff, out=diff)
     labels = np.zeros((d2.shape[0], d2.shape[2]), dtype=np.intp)
     nearest = d2[:, 0].copy()
     for j in range(1, d2.shape[1]):
         np.copyto(labels, j, where=d2[:, j] < nearest)
         np.minimum(nearest, d2[:, j], out=nearest)
     return d2, labels, nearest.sum(axis=1)
-
-
-def _pairwise_sum(term, count, start=0):
-    """term(start) + ... + term(start + count - 1) for count >= 1, added
-    in the order numpy's pairwise summation adds a contiguous row: one by
-    one below 8 terms; up to 128 in eight interleaved partial sums, joined
-    as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), and then the rest; above
-    that, the two halves split at a multiple of 8, each summed so. (numpy
-    adds the first term to 0.0, which changes no term but -0.0.)"""
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return (_pairwise_sum(term, half, start)
-                + _pairwise_sum(term, count - half, start + half))
-    if count < 8:
-        total = term(start)
-        for l in range(start + 1, start + count):
-            total += term(l)
-        return total
-    partial = [term(start + j) for j in range(8)]
-    stop = start + count - count % 8
-    for block in range(start + 8, stop, 8):
-        for j in range(8):
-            partial[j] += term(block + j)
-    total = (((partial[0] + partial[1]) + (partial[2] + partial[3]))
-             + ((partial[4] + partial[5]) + (partial[6] + partial[7])))
-    for l in range(stop, start + count):
-        total += term(l)
-    return total
 
 
 def _update_centers(points, d2, labels):

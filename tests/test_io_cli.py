@@ -369,6 +369,8 @@ def test_cluster_rejects_bad_weight(tmp_path, capsys, weight):
                  id="gmax-0"),
     pytest.param("", "b,1,1", ["--seed", "-1"], "--seed must be >= 0, got -1",
                  id="seed-negative"),
+    pytest.param("", "b,1,1", ["--seed", str(2 ** 128)],
+                 f"--seed must be < 2**128, got {2 ** 128}", id="seed-2**128"),
     pytest.param("# d_T=abc\n", "b,1,1", [],
                  "metadata key 'd_T' must be a finite number, got 'abc'",
                  id="d_T-not-a-number"),
@@ -401,6 +403,51 @@ def test_cluster_rejects_bad_values_at_ingestion(tmp_path, capsys, meta, row,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_cluster_accepts_the_largest_seed(tmp_path, capsys):
+    path = tmp_path / "est.csv"
+    path.write_text("# scale=already_scaled\nid,beta_1,se\na,0,1\nb,9,1\n")
+    out = tmp_path / "r.json"
+    assert main(["cluster", str(path), "--groups", "2", "--seed",
+                 str(2 ** 128 - 1), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 2 ** 128 - 1
+
+
+def test_se_and_c_11_together_are_rejected(tmp_path, capsys):
+    path = tmp_path / "est.csv"
+    path.write_text("# scale=already_scaled\nid,beta_1,se,c_11\na,0,1,5\n"
+                    "b,9,1,5\n")
+    code = main(["cluster", str(path), "--groups", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert ("error: columns 'se' and 'c_11' both give the variance; keep one"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cluster", "est.csv", "--groups", "abc", "--out", "r.json"],
+     "argument --groups: invalid int value: 'abc'"),
+    (["estimate", "panel.csv", "--model", "qr-slopes", "--tau", "x",
+      "--out", "e.csv"], "argument --tau: invalid float value: 'x'"),
+    (["cluster", "est.csv", "--groups", "2"],
+     "the following arguments are required: --out"),
+    (["fit", "panel.csv"], "argument command: invalid choice: 'fit'"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: panelcluster") and message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cluster", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: panelcluster")
 
 
 @pytest.mark.parametrize("command", [
@@ -758,6 +805,8 @@ def test_simulate_empty_grid_axis_is_bad_input(tmp_path, capsys, axis):
     ("reps", True, "reps must be an integer, got True"),
     ("seed", "7", "seed must be an integer, got '7'"),
     ("seed", [7], "seed must be an integer, got [7]"),
+    ("seed", -5, "seed must lie in 0..2**64 - 1, got -5"),
+    ("seed", 2 ** 64, f"seed must lie in 0..2**64 - 1, got {2 ** 64}"),
     ("restarts", 2.5, "restarts must be an integer, got 2.5"),
     ("G_max", False, "G_max must be an integer, got False"),
     ("G_max", 0, "G_max must be >= 1"),

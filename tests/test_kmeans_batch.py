@@ -1,6 +1,8 @@
 """The batched k-means and the in-place Laplacian against the per-restart
 reference formulas they replaced."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ def reference_kmeans(points, k, restarts=50, seed=0, max_iter=300):
     rng = np.random.Generator(np.random.Philox(key=seed))
     best = None
     for _ in range(restarts):
-        centers = reference_farthest_point_seed(points, k, rng)
+        centers = points[reference_farthest_point_seed(points, k, rng)]
         labels, centers, objective = reference_lloyd(points, centers, max_iter)
         if best is None or objective < best[2]:
             best = (labels, centers, objective)
@@ -26,15 +28,24 @@ def reference_kmeans(points, k, restarts=50, seed=0, max_iter=300):
 
 
 def reference_farthest_point_seed(points, k, rng):
+    """The (k,) indices of one restart's seeding."""
     n = points.shape[0]
-    centers = [points[rng.integers(n)]]
+    seeds = [rng.integers(n)]
     for _ in range(1, k):
         d = np.min(
-            [np.sum((points - c) ** 2, axis=1) for c in centers], axis=0)
+            [np.sum((points - points[i]) ** 2, axis=1) for i in seeds], axis=0)
         cutoff = d.max() * (1.0 - 1e-12)
         candidates = np.flatnonzero(d >= cutoff)
-        centers.append(points[rng.choice(candidates)])
-    return np.array(centers)
+        seeds.append(rng.choice(candidates))
+    return np.array(seeds)
+
+
+def reference_distinct_seeds(points, k, restarts, rng):
+    """Every restart's seeding, drawn in turn, without repeats, in order of
+    first draw."""
+    seeds = (tuple(reference_farthest_point_seed(points, k, rng))
+             for _ in range(restarts))
+    return np.array(list(dict.fromkeys(seeds)))
 
 
 def reference_lloyd(points, centers, max_iter):
@@ -64,10 +75,12 @@ def reference_lloyd(points, centers, max_iter):
 
 
 def reference_assign(points, centers):
+    # cumsum adds coordinates one by one, as .sum does below 8 of them
     m, k, _ = centers.shape
     d2 = np.empty((m, points.shape[0], k))
     for j in range(k):
-        d2[:, :, j] = ((points - centers[:, j, None, :]) ** 2).sum(axis=2)
+        squares = (points - centers[:, j, None, :]) ** 2
+        d2[:, :, j] = np.cumsum(squares, axis=-1)[..., -1]
     return d2, d2.argmin(axis=2), d2.min(axis=2).sum(axis=1)
 
 
@@ -154,8 +167,9 @@ def test_ragged_last_chunk_with_the_best_restart_in_a_later_chunk(
     k, per_chunk = 4, 3
     monkeypatch.setattr(spectral, "KMEANS_CHUNK_ENTRIES",
                         per_chunk * 40 * (k + 2))
-    seeds = spectral._farthest_point_seeds(
-        points, k, 50, np.random.Generator(np.random.Philox(key=5)))
+    rng = np.random.Generator(np.random.Philox(key=5))
+    seeds = np.array([reference_farthest_point_seed(points, k, rng)
+                      for _ in range(50)])
     distinct = np.unique(seeds, axis=0)
     _, objectives = spectral._lloyd(points, points[distinct], 300)
     first_best = min(
@@ -188,7 +202,8 @@ def test_tied_best_restarts_in_separate_chunks_keep_the_first(monkeypatch):
     monkeypatch.setattr(spectral, "KMEANS_CHUNK_ENTRIES", 1)
     rng = np.random.Generator(np.random.Philox(key=0))
     partitions = {tuple(reference_lloyd(
-        points, reference_farthest_point_seed(points, 2, rng), 300)[0])
+        points, points[reference_farthest_point_seed(points, 2, rng)],
+        300)[0])
         for _ in range(20)}
     assert len(partitions) > 1
     assert_same_kmeans(points, 2, 20, 0)
@@ -221,12 +236,57 @@ def test_mixed_stack_of_repairing_and_plain_restarts_matches_reference():
         assert_same_kmeans(points, 6, 30, seed)
 
 
+def tie_heavy_cases():
+    rng = np.random.default_rng(15)
+    grid = np.round(rng.normal(size=(30, 2)))
+    duplicated = rng.normal(size=(12, 3))[rng.integers(12, size=24)]
+    equal = np.ones((8, 2))
+    corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 3)
+    line = np.arange(7.0)[:, None]
+    # integer squares sum exactly, in any order, past 8 coordinates too
+    wide = np.round(rng.normal(size=(30, 9)) * 2)
+    for name, points in (("grid", grid), ("duplicated", duplicated),
+                         ("equal", equal), ("corners", corners),
+                         ("line", line), ("wide", wide)):
+        for k in range(1, 7):
+            for restarts in (1, 3, 50):
+                yield name, points, k, restarts, k * 100 + restarts
+
+
+@pytest.mark.parametrize("case", list(tie_heavy_cases()),
+                         ids=lambda case: f"{case[0]}-k{case[2]}-r{case[3]}")
+def test_seeding_chains_equal_per_restart_reference(case):
+    _, points, k, restarts, seed = case
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    ref_rng = np.random.Generator(np.random.Philox(key=seed))
+    seeds = spectral._farthest_point_seeds(points, k, restarts, rng)
+    ref_seeds = reference_distinct_seeds(points, k, restarts, ref_rng)
+    assert seeds.dtype == np.intp
+    np.testing.assert_array_equal(seeds, ref_seeds)
+    np.testing.assert_array_equal(rng.random(4), ref_rng.random(4))
+
+
+@pytest.mark.parametrize("k, bad, message", [
+    (0, None, "k must lie in 1..5 (the number of points), got 0"),
+    (-1, None, "k must lie in 1..5 (the number of points), got -1"),
+    (6, None, "k must lie in 1..5 (the number of points), got 6"),
+    (2, np.nan, "points contain non-finite entries"),
+    (2, np.inf, "points contain non-finite entries"),
+    (2, -np.inf, "points contain non-finite entries")])
+def test_kmeans_rejects_bad_input(k, bad, message):
+    points = np.arange(10.0).reshape(5, 2)
+    if bad is not None:
+        points[3, 1] = bad
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spectral.kmeans(points, k)
+
+
 @pytest.mark.parametrize("rounded", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 15, 16, 17, 64, 128, 129,
                                257])
 def test_assign_equals_per_center_reference(d, rounded):
-    # each pairwise-summation regime: sequential below 8 coordinates, eight
-    # partial sums up to 128, split halves above
+    # coordinates added in index order, on both sides of numpy's switch
+    # from sequential to pairwise summation at 8 terms
     rng = np.random.default_rng(d)
     points = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-3, 4, (40, d))
     if rounded:
@@ -240,6 +300,9 @@ def test_assign_equals_per_center_reference(d, rounded):
     assert np.array_equal(labels, ref_labels)
     assert np.array_equal(objectives, ref_objectives)
     assert (labels != 3).all()
+    if d < 8:  # there the distances are those of a per-centre .sum
+        sums = ((points[:, None] - centers[:, None]) ** 2).sum(axis=-1)
+        assert np.array_equal(d2, sums.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("seed", range(12))

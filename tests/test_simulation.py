@@ -114,6 +114,13 @@ def test_config_validation():
         SimulationConfig(model="model1", n=10, T=10, reps=0)
     with pytest.raises(ValueError, match="restarts must be >= 1"):
         SimulationConfig(model="model1", n=9, T=40, reps=1, restarts=0)
+    # seeds equal modulo 2**64 would give the same repetitions
+    for seed in (-1, -5, 2 ** 64, 2 ** 65):
+        with pytest.raises(ValueError, match="seed must lie in 0..2"):
+            SimulationConfig(model="model1", n=9, T=40, reps=1, seed=seed)
+    for seed in (0, 2 ** 64 - 5, 2 ** 64 - 1):
+        assert SimulationConfig(model="model1", n=9, T=40, reps=1,
+                                seed=seed).seed == seed
     with pytest.raises(ValueError):
         SimulationConfig(model="model3", n=10, T=10, reps=1)
     with pytest.raises(ValueError):
