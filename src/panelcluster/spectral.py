@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .types import (
     DimensionMismatch,
@@ -14,10 +17,21 @@ from .types import (
 
 EIGENGAP_DENOM_GUARD = 1e-12
 
-# Pairs per chunk in build_dissimilarity (~2**15 matrix entries): one
+# Matrix entries per block: pairs per block of rows in build_dissimilarity,
+# and entries per block of rows in the other passes over an n x n array. One
 # unchunked eigh batch raised peak memory by ~5 MB at n=300 for no gain in
-# speed.
+# speed; row blocks keep every temporary far below the n x n array.
 PAIR_CHUNK_ENTRIES = 2 ** 15
+
+# Size from which the Laplacian spectrum is partial, by ARPACK's Lanczos
+# (eigsh); below it LAPACK solves the whole spectrum. On the Laplacians of
+# CLI-shaped tables with 4 groups and with 1 (T = 120, two BLAS threads),
+# eigsh for 4 vectors and for 11 values took 1.2 and 1.5 ms at n = 40
+# against 0.2-0.3 and 0.13 ms for eigh and eigvalsh; at n = 160 eigvalsh
+# still won on one group (1.7 against 2.4 ms); n = 200 is the first size
+# where eigsh won or tied both (1.6 against 5.3 ms, 1.6-2.6 against
+# 2.1-2.6 ms).
+KRYLOV_MIN_N = 200
 
 # Entries of kmeans' per-chunk working set, ~n * (k + d) per restart: every
 # restart of a small-n call runs in one chunk, and a large-n call holds a
@@ -120,37 +134,80 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
     # over rows, not over a short last axis
     columns = betas.T.copy()
     V = np.zeros((n, n))
-    rows, cols = np.triu_indices(n, 1)
     chunk = max(1, PAIR_CHUNK_ENTRIES // s ** 2)
     # the inputs are finite, so only an overflow can make V non-finite
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for start in range(0, len(rows), chunk):
-                i, j = rows[start:start + chunk], cols[start:start + chunk]
+            for start, stop in _upper_row_blocks(n, chunk):
+                i, j = np.triu_indices(stop - start, 1, n - start)
+                i += start
+                j += start
                 whitened = _whiten(variances[i] + variances[j],
                                    columns[:, i] - columns[:, j])
                 V[i, j] = np.abs(whitened).max(axis=0)
     except FloatingPointError as exc:
         raise ValueError(f"non-finite dissimilarity: {exc}") from None
     # the lower triangle is zero, so adding the transpose mirrors exactly
-    return V + V.T
+    for start, stop in _row_blocks(n):
+        V[start:, start:stop] += V[start:stop, start:].T
+    return V
+
+
+def _upper_row_blocks(n, chunk):
+    """(start, stop) blocks of whole rows of the strict upper triangle of an
+    n x n matrix, each of at most `chunk` pairs or of one row."""
+    start = 0
+    while start < n - 1:
+        stop, pairs = start + 1, n - 1 - start
+        while stop < n - 1 and pairs + n - 1 - stop <= chunk:
+            pairs += n - 1 - stop
+            stop += 1
+        yield start, stop
+        start = stop
+
+
+def _row_blocks(n):
+    """(start, stop) blocks of whole rows of an n x n matrix, each of about
+    PAIR_CHUNK_ENTRIES entries."""
+    rows = max(1, PAIR_CHUNK_ENTRIES // max(n, 1))
+    for start in range(0, n, rows):
+        yield start, min(start + rows, n)
 
 
 def _check_dissimilarity(V) -> np.ndarray:
     """V as a float array, checked to be a square, finite, non-negative
-    and symmetric dissimilarity with a zero diagonal."""
+    and symmetric dissimilarity with a zero diagonal, a block of rows at a
+    time."""
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise DimensionMismatch("dissimilarity matrix must be square")
-    if not np.isfinite(V).all():
-        raise ValueError("dissimilarity contains non-finite entries")
-    if (V < 0).any():
+    negative, largest, asymmetry = False, 0.0, 0.0
+    for start, stop in _row_blocks(len(V)):
+        rows = V[start:stop]
+        if not np.isfinite(rows).all():
+            raise ValueError("dissimilarity contains non-finite entries")
+        negative = negative or bool((rows < 0).any())
+        largest = max(largest, rows.max())
+        # against the rows above, whose entries are known finite; once an
+        # entry is negative, the difference could overflow and is not needed
+        if not negative:
+            asymmetry = max(asymmetry, np.abs(V[start:stop, :stop]
+                                              - V[:stop, start:stop].T).max())
+    if negative:
         raise ValueError("dissimilarity entries must be non-negative")
     if np.abs(np.diag(V)).max(initial=0.0) > 0:
         raise ValueError("dissimilarity diagonal must be zero")
-    if np.abs(V - V.T).max(initial=0.0) > 1e-12 * max(V.max(initial=0.0), 1.0):
+    if asymmetry > 1e-12 * max(largest, 1.0):
         raise ValueError("dissimilarity must be symmetric")
     return V
+
+
+def _check_seed(seed):
+    """Reject a seed that is not an integer key of the Philox generator."""
+    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
+            or not 0 <= seed < 2 ** 128):
+        raise ValueError(f"seed must be an integer in 0..2**128 - 1, "
+                         f"got {seed!r}")
 
 
 def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
@@ -172,6 +229,7 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
         raise ValueError("restarts must be >= 1")
     if not np.isfinite(points).all():
         raise ValueError("points contain non-finite entries")
+    _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     seeds = _farthest_point_seeds(points, k, restarts, rng)
 
@@ -288,12 +346,16 @@ def _update_centers(points, d2, labels):
     return centers
 
 
-def _laplacian(V: np.ndarray) -> np.ndarray:
-    """Symmetric normalized Laplacian of the affinity exp(-V), unit diagonal.
+def _laplacian(V: np.ndarray, shrink: float = 1.0) -> np.ndarray:
+    """Symmetric normalized Laplacian of the affinity exp(-shrink * V),
+    unit diagonal.
 
-    L = I - D^{-1/2} A D^{-1/2}, formed in place in the affinity array.
+    L = I - D^{-1/2} A D^{-1/2}, formed in place in the affinity array and
+    symmetrized a block of rows at a time, as (L + L.T) * 0.5 entry by entry.
+    An entry whose shrink * V overflows gets affinity exp(-inf) = 0.
     """
-    L = np.negative(V)
+    with np.errstate(over="ignore"):
+        L = np.multiply(V, -shrink)
     np.exp(L, out=L)
     np.fill_diagonal(L, 1.0)
     degrees = L.sum(axis=1)
@@ -302,9 +364,41 @@ def _laplacian(V: np.ndarray) -> np.ndarray:
     L *= inv_sqrt_d[:, None]
     L *= inv_sqrt_d[None, :]
     np.fill_diagonal(L, inv_sqrt_d * (degrees - 1.0) * inv_sqrt_d)
-    L += L.T
-    L *= 0.5
+    for start, stop in _row_blocks(len(L)):
+        upper = L[start:stop, start:]
+        upper += L[start:, start:stop].T
+        upper *= 0.5
+        L[start:, start:stop] = upper.T
     return L
+
+
+def _smallest_eigen(L, k: int, vectors: bool):
+    """The k smallest eigenvalues of the normalized Laplacian L, ascending,
+    and their (n, k) eigenvectors if `vectors` (else None); L is consumed.
+
+    From KRYLOV_MIN_N on, ARPACK's Lanczos finds the k largest eigenvalues
+    of I - L, formed in place, from the fixed start vector n^(-1/2) 1, so
+    reruns give the same result; below it, or when k >= n, which ARPACK
+    cannot solve, LAPACK solves the whole spectrum.
+    """
+    n = len(L)
+    try:
+        if n < KRYLOV_MIN_N or k >= n:
+            if not vectors:
+                return np.linalg.eigvalsh(L)[:k], None
+            eigvals, eigvecs = np.linalg.eigh(L)
+            return eigvals[:k], eigvecs[:, :k]
+        np.negative(L, out=L)
+        L.flat[::n + 1] += 1.0
+        found = eigsh(L, k, which="LA", tol=0, v0=np.full(n, n ** -0.5),
+                      return_eigenvectors=vectors)
+    except (np.linalg.LinAlgError, ArpackError) as exc:
+        raise EigenFailure(str(exc)) from exc
+    if not vectors:
+        return np.sort(1.0 - found), None
+    mu, eigvecs = found
+    order = np.argsort(mu)[::-1]
+    return 1.0 - mu[order], eigvecs[:, order]
 
 
 def spectral_cluster(V, G: int, seed: int = 0,
@@ -316,11 +410,8 @@ def spectral_cluster(V, G: int, seed: int = 0,
     n = V.shape[0]
     if not 1 <= G <= n:
         raise ValueError("G must lie in 1..n")
-    try:
-        _, eigvecs = np.linalg.eigh(_laplacian(V))
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    Z = eigvecs[:, :G]
+    _check_seed(seed)
+    _, Z = _smallest_eigen(_laplacian(V), G, vectors=True)
     row_norms = np.linalg.norm(Z, axis=1)
     U = Z / np.maximum(row_norms, 1e-300)[:, None]
     labels0, _, _ = kmeans(U, G, restarts=restarts, seed=seed)
@@ -330,10 +421,11 @@ def spectral_cluster(V, G: int, seed: int = 0,
 def select_num_groups(V, T: int, G_max: int = 10) -> GroupCountSelection:
     """Relative eigen-gap heuristic on the scaled Laplacian.
 
-    The dissimilarity is shrunk by 2 / sqrt(log n * log T), the Laplacian
-    spectrum is flipped to lambda_tilde = 1 - lambda, and the selected group
-    count maximizes |gap| / max(next value, guard) over g up to
-    min(G_max, n - 1).
+    The dissimilarity is shrunk by 2 / sqrt(log n * log T), the first
+    limit + 1 eigenvalues of its Laplacian are flipped to
+    lambda_tilde = 1 - lambda, where limit = min(G_max, n - 1), and the
+    selected group count maximizes |gap| / max(next value, guard) over the
+    limit ratios, g = 1..limit.
     """
     V = _check_dissimilarity(V)
     n = V.shape[0]
@@ -341,16 +433,12 @@ def select_num_groups(V, T: int, G_max: int = 10) -> GroupCountSelection:
         raise ValueError("selection requires n >= 3 and T >= 2")
     if G_max < 1:
         raise ValueError(f"G_max must be >= 1, got {G_max}")
-    # an entry overflowing to inf gets affinity exp(-inf) = 0 all the same
-    with np.errstate(over="ignore"):
-        scaled = 2.0 / np.sqrt(np.log(n) * np.log(T)) * V
-    try:
-        eigvals = np.linalg.eigvalsh(_laplacian(scaled))
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+    limit = min(G_max, n - 1)
+    shrink = 2.0 / np.sqrt(np.log(n) * np.log(T))
+    eigvals, _ = _smallest_eigen(_laplacian(V, shrink), limit + 1,
+                                 vectors=False)
     lambda_tilde = 1.0 - eigvals
     gaps = np.abs(np.diff(lambda_tilde))
     ratios = gaps / np.maximum(lambda_tilde[1:], EIGENGAP_DENOM_GUARD)
-    limit = min(G_max, n - 1)
-    G_hat = int(np.argmax(ratios[:limit])) + 1
+    G_hat = int(np.argmax(ratios)) + 1
     return GroupCountSelection(G_hat, lambda_tilde, ratios)

@@ -276,7 +276,9 @@ class QuantileFitBundle:
 
 @dataclass
 class GroupCountSelection:
-    """Result of the relative eigen-gap heuristic."""
+    """Result of the relative eigen-gap heuristic: the first limit + 1
+    values lambda_tilde and the limit ratios that selection reads, where
+    limit = min(G_max, n - 1)."""
 
     G_hat: int
     lambda_tilde: np.ndarray

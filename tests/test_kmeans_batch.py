@@ -313,3 +313,9 @@ def test_in_place_laplacian_equals_reference_formula(seed):
     V = np.triu(V, 1)
     V = V + V.T
     assert np.array_equal(spectral._laplacian(V), reference_laplacian(V))
+    # the shrink of selection, and one whose product overflows to inf
+    V[0, -1] = V[-1, 0] = 1e308
+    with np.errstate(over="ignore"):
+        for shrink in (2.0 / np.sqrt(np.log(300) * np.log(120)), 2.0):
+            assert np.array_equal(spectral._laplacian(V, shrink),
+                                  reference_laplacian(shrink * V))

@@ -1,9 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from panelcluster import spectral
+from panelcluster.cli import main
 from panelcluster.spectral import (
     _laplacian,
     _whiten,
@@ -18,6 +20,7 @@ from panelcluster.types import (
     PER_OBSERVATION,
     SYMMETRY_RTOL,
     DimensionMismatch,
+    EigenFailure,
     EstimateTable,
     NonPositiveCombined,
     NotSymmetric,
@@ -229,9 +232,11 @@ def random_estimates(n, s, seed):
                                             (PER_OBSERVATION, True)])
 def test_batched_dissimilarity_equals_pairwise_loop(monkeypatch, s, scale,
                                                      weighted):
-    # 7 140 pairs in chunks of 1024 / s**2: several chunks, the last ragged
+    # 7 140 pairs in row blocks of at most 1024 / s**2 pairs, or of one
+    # longer row (s = 3): 8, 33 and 79 blocks, the last ragged
     monkeypatch.setattr(spectral, "PAIR_CHUNK_ENTRIES", 2 ** 10)
     n = 120
+    assert len(list(spectral._upper_row_blocks(n, 2 ** 10 // s ** 2))) > 1
     betas, sigmas = random_estimates(n, s, seed=10 * s + weighted)
     weights = (np.random.default_rng(s).integers(20, 200, size=n)
                .astype(float) if weighted else None)
@@ -242,17 +247,33 @@ def test_batched_dissimilarity_equals_pairwise_loop(monkeypatch, s, scale,
 
 
 def test_batched_dissimilarity_equals_pairwise_loop_at_default_chunk():
-    n = 300  # 44 850 pairs: six chunks at s = 2
-    assert n * (n - 1) // 2 > spectral.PAIR_CHUNK_ENTRIES // 4
+    n = 300  # 44 850 pairs: six row blocks at s = 2
+    assert len(list(spectral._upper_row_blocks(
+        n, spectral.PAIR_CHUNK_ENTRIES // 4))) == 6
     betas, sigmas = random_estimates(n, 2, seed=3)
     table = EstimateTable(list(range(n)), betas, sigmas)
     V = build_dissimilarity(table.betas, table.variances(120))
     assert_matches_pairwise_loops(V, betas, sigmas, 120, PER_OBSERVATION)
 
 
+@pytest.mark.parametrize("n,chunk", [(1, 5), (2, 1), (9, 1), (9, 8),
+                                     (9, 36), (9, 100), (300, 8192)])
+def test_upper_row_blocks_cover_each_row_once(n, chunk):
+    blocks = list(spectral._upper_row_blocks(n, chunk))
+    # consecutive, from row 0 to row n - 2, the last with a pair
+    bounds = [0] + [stop for _, stop in blocks]
+    assert [start for start, _ in blocks] == bounds[:-1]
+    assert bounds[-1] == max(n - 1, 0)
+    for start, stop in blocks:
+        pairs = sum(n - 1 - row for row in range(start, stop))
+        assert pairs <= chunk or stop == start + 1
+        # a block ends only where the next row would not fit
+        assert stop == n - 1 or pairs + n - 1 - stop > chunk
+
+
 def test_negative_combined_in_last_chunk_is_rejected(monkeypatch):
     monkeypatch.setattr(spectral, "PAIR_CHUNK_ENTRIES", 2 ** 8)
-    n = 40  # 780 pairs in chunks of 64; only the last pair is negative
+    n = 40  # 780 pairs in row blocks of <= 64; only the last is negative
     betas, sigmas = random_estimates(n, 2, seed=5)
     sigmas[:] = 10.0 * np.eye(2)
     sigmas[-2:] = -0.5 * np.eye(2)
@@ -603,3 +624,213 @@ def test_select_num_groups_rejects_g_max_below_one(G_max):
     V = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
     with pytest.raises(ValueError, match=f"G_max must be >= 1, got {G_max}"):
         select_num_groups(V, 30, G_max=G_max)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.True_, -1, 2 ** 128, "3",
+                                 None])
+def test_kmeans_and_spectral_cluster_reject_a_bad_seed(bad):
+    V, _ = block_dissimilarity([3, 3])
+    with pytest.raises(ValueError, match=r"seed must be an integer in "
+                                         r"0\.\.2\*\*128 - 1"):
+        kmeans(np.arange(6.0)[:, None], 2, seed=bad)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        spectral_cluster(V, 2, seed=bad)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.int64(7),
+                                  np.uint64(2 ** 64 - 1)])
+def test_kmeans_and_spectral_cluster_accept_integer_seeds(seed):
+    V, truth = block_dissimilarity([3, 3])
+    labels, _, _ = kmeans(np.array([[0.0], [0.1], [5.0], [5.1]]), 2,
+                          seed=seed)
+    assert labels[0] == labels[1] != labels[2] == labels[3]
+    assert perfect_match(truth, spectral_cluster(V, 2, seed=seed))
+
+
+# --- the two eigensolver paths ---
+
+def clustered_table(n, seed, T=120):
+    """Betas and Var(beta_i) of an n-row table drawn as the CLI benchmark
+    draws its table: betas around 4 centres, each with the per-observation
+    covariance it reports; and the 1-based true groups."""
+    rng = np.random.default_rng(seed)
+    centres = np.array([[0.1, 0.1], [0.2, 0.2], [3.0, 3.0], [3.1, 3.1]])
+    groups = rng.integers(0, len(centres), n)
+    A = rng.standard_normal((n, 2, 2))
+    variances = 0.1 * (0.5 * np.eye(2) + 0.25 * A @ A.swapaxes(1, 2)) / T
+    noise = np.linalg.cholesky(variances) @ rng.standard_normal((n, 2, 1))
+    return centres[groups] + noise[:, :, 0], variances, groups + 1
+
+
+def clustered_dissimilarity(n, seed):
+    betas, variances, truth = clustered_table(n, seed)
+    return build_dissimilarity(betas, variances), truth
+
+
+def forbid_arpack(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigsh called")
+    monkeypatch.setattr(spectral, "eigsh", fail)
+
+
+def both_paths(monkeypatch, n, solve):
+    """solve() by ARPACK, then by LAPACK with eigsh forbidden."""
+    assert n >= spectral.KRYLOV_MIN_N
+    arpack = solve()
+    monkeypatch.setattr(spectral, "KRYLOV_MIN_N", n + 1)
+    forbid_arpack(monkeypatch)
+    return arpack, solve()
+
+
+@pytest.mark.parametrize("n,seed", [(200, 1), (500, 2), (1000, 3)])
+def test_arpack_and_lapack_agree_on_clustered_tables(monkeypatch, n, seed):
+    V, truth = clustered_dissimilarity(n, seed)
+
+    def solve():
+        return (select_num_groups(V, T=120),
+                [spectral_cluster(V, G, seed=seed) for G in (2, 3, 4)])
+
+    (arpack, arpack_labels), (lapack, lapack_labels) = both_paths(
+        monkeypatch, n, solve)
+    assert arpack.G_hat == lapack.G_hat == 4
+    assert len(arpack.lambda_tilde) == len(lapack.lambda_tilde) == 11
+    assert len(arpack.ratios) == len(lapack.ratios) == 10
+    assert np.abs(arpack.lambda_tilde - lapack.lambda_tilde).max() < 1e-12
+    for a, b in zip(arpack_labels, lapack_labels):
+        assert np.array_equal(a, b)
+    assert average_match(truth, arpack_labels[2]).average > 0.9
+
+
+def test_arpack_reruns_are_bit_identical():
+    # a fixed start vector: the cluster report of a rerun is byte-identical
+    V, _ = clustered_dissimilarity(spectral.KRYLOV_MIN_N, seed=8)
+    first, second = (spectral._smallest_eigen(spectral._laplacian(V), 4, True)
+                     for _ in range(2))
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
+    assert np.array_equal(select_num_groups(V, T=120).lambda_tilde,
+                          select_num_groups(V, T=120).lambda_tilde)
+
+
+def test_below_krylov_min_n_never_calls_arpack(monkeypatch):
+    forbid_arpack(monkeypatch)
+    V, _ = clustered_dissimilarity(spectral.KRYLOV_MIN_N - 1, seed=4)
+    assert select_num_groups(V, T=120).G_hat == 4
+    spectral_cluster(V, 4)
+
+
+def test_k_too_large_for_arpack_falls_back_to_lapack(monkeypatch):
+    monkeypatch.setattr(spectral, "KRYLOV_MIN_N", 2)
+    forbid_arpack(monkeypatch)
+    V, _ = block_dissimilarity([3, 4, 5], across=30.0)
+    # k = n: all n eigenvectors, and all n values when G_max >= n - 1
+    assert sorted(spectral_cluster(V, 12)) == list(range(1, 13))
+    selection = select_num_groups(V, T=50, G_max=11)
+    assert len(selection.lambda_tilde) == 12 and selection.G_hat == 3
+
+
+def test_arpack_non_convergence_is_an_eigen_failure(monkeypatch, tmp_path,
+                                                    capsys):
+    # one restart of a k + 1 vector Lanczos basis cannot converge to tol=0
+    eigsh = spectral.eigsh
+    monkeypatch.setattr(spectral, "eigsh", lambda A, k, **kwargs: eigsh(
+        A, k, maxiter=1, ncv=k + 1, **kwargs))
+    monkeypatch.setattr(spectral, "KRYLOV_MIN_N", 2)
+    V, _ = clustered_dissimilarity(60, seed=5)
+    with pytest.raises(EigenFailure, match="ARPACK"):
+        spectral_cluster(V, 4)
+    with pytest.raises(EigenFailure, match="ARPACK"):
+        select_num_groups(V, T=120)
+
+    est = tmp_path / "est.csv"
+    rows = [f"u{i},{0.1 * (i % 4) + 0.01 * i},0.01" for i in range(60)]
+    est.write_text("# scale=already_scaled\nid,beta_1,se\n"
+                   + "\n".join(rows) + "\n")
+    for flags in (["--groups", "3"], ["--select-g", "--t-periods", "100"]):
+        code = main(["cluster", str(est), *flags,
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+
+def test_disconnected_affinity_selects_the_same_g_on_both_paths(monkeypatch):
+    # exp(-V) underflows to exactly 0 between the 4 groups (V > 745), so
+    # lambda_1..lambda_4 = 0. Any basis of that eigenspace is a valid
+    # answer, and ARPACK and LAPACK pick different ones: G_hat and the
+    # labels at G = 4 agree, but at G = 2 and 3 the two paths merge
+    # different groups (here 110/90 against 150/50 rows at G = 2). Each
+    # path keeps every group whole.
+    sizes = [60, 50, 50, 40]
+    rng = np.random.default_rng(6)
+    V, truth = block_dissimilarity(sizes, across=800.0)
+    within = np.abs(rng.normal(size=V.shape))
+    within = np.triu(within, 1) + np.triu(within, 1).T
+    V = np.where(V == 0.0, within, V)
+    np.fill_diagonal(V, 0.0)
+
+    def solve():
+        return (select_num_groups(V, T=120),
+                [spectral_cluster(V, G) for G in (2, 3, 4)])
+
+    (arpack, arpack_labels), (lapack, lapack_labels) = both_paths(
+        monkeypatch, len(V), solve)
+    assert arpack.G_hat == lapack.G_hat == 4
+    assert np.abs(arpack.lambda_tilde[:4] - 1.0).max() < 1e-12
+    assert np.abs(arpack.lambda_tilde - lapack.lambda_tilde).max() < 1e-12
+    assert np.array_equal(arpack_labels[2], lapack_labels[2])
+    assert perfect_match(truth, arpack_labels[2])
+    for labels in arpack_labels + lapack_labels:
+        assert all(len(set(labels[truth == g])) == 1 for g in range(1, 5))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes that numpy and Python allocate during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectral_layer_holds_one_n_by_n_working_matrix():
+    # V itself, or the Laplacian, and row-block temporaries: no second
+    # n x n array. The index pairs and V + V.T, the shrunk V and L.T, and
+    # L.T held the traced peaks at 3.0, 3.0 and 2.0 V; they read 1.06, 1.03
+    # and 1.02 V with row blocks and ARPACK.
+    n = 2000
+    betas, variances, _ = clustered_table(n, seed=7)
+    budget = 2.25 * n * n * 8
+    assert traced_peak(build_dissimilarity, betas, variances) <= budget
+    V = build_dissimilarity(betas, variances)
+    assert traced_peak(select_num_groups, V, T=120) <= budget
+    assert traced_peak(spectral_cluster, V, 4) <= budget
+
+
+@pytest.mark.parametrize("kind,error,message", BAD_DISSIMILARITIES[:4])
+@pytest.mark.parametrize("row,col", [(250, 260), (260, 250), (5, 299),
+                                     (299, 5)])
+def test_dissimilarity_check_finds_entries_in_any_row_block(kind, error,
+                                                            message, row, col):
+    V, _ = block_dissimilarity([150, 150], across=3.0)  # three row blocks
+    assert len(list(spectral._row_blocks(300))) == 3
+    if kind == "diagonal":
+        row = col
+    V[row, col] = {"nan": np.nan, "negative": -1.0, "asymmetric": 4.0,
+                   "diagonal": 0.5}[kind]
+    if kind != "asymmetric":
+        V[col, row] = V[row, col]
+    with pytest.raises(error, match=message):
+        spectral._check_dissimilarity(V)
+
+
+def test_dissimilarity_check_reports_non_finite_before_negative():
+    V, _ = block_dissimilarity([150, 150], across=3.0)
+    V[0, 1] = V[1, 0] = -1.0  # first row block
+    V[290, 295] = V[295, 290] = np.inf  # last row block
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral._check_dissimilarity(V)
+    V[290, 295] = V[295, 290] = 1.7e308
+    V[0, 1], V[1, 0] = -1.7e308, 1.7e308  # the difference would overflow
+    with pytest.raises(ValueError, match="non-negative"):
+        spectral._check_dissimilarity(V)
