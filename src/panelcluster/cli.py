@@ -95,6 +95,8 @@ def cmd_cluster(args) -> int:
     if args.select_g and T is None:
         raise ParseError("--select-g requires --t-periods, the T of the "
                          "selection's shrink factor")
+    if args.select_g and T < 2:
+        raise ParseError(f"--select-g requires --t-periods >= 2, got {T}")
     if args.groups is not None and not 1 <= args.groups <= n:
         raise ParseError(f"--groups must lie in 1..{n}")
     try:

@@ -53,6 +53,18 @@ def _header(rows, what):
     return header, idx
 
 
+def _data_rows(rows, idx):
+    """(row number, fields, id) of each non-blank row after the header, once
+    it has one field per header column (idx, the header's column index)."""
+    for rownum, fields in enumerate(rows[1:], start=2):
+        if not fields:
+            continue
+        if len(fields) != len(idx):
+            raise ParseError(f"row {rownum}: expected {len(idx)} fields, "
+                             f"got {len(fields)}")
+        yield rownum, fields, fields[idx["id"]]
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -131,13 +143,7 @@ def read_estimates(path) -> EstimateTable:
 
     ids, betas, sigmas, weights = [], [], [], []
     seen = set()
-    for rownum, fields in enumerate(rows[1:], start=2):
-        if not fields:
-            continue
-        if len(fields) != len(header):
-            raise ParseError(f"row {rownum}: expected {len(header)} fields, "
-                             f"got {len(fields)}")
-        ident = fields[idx["id"]]
+    for rownum, fields, ident in _data_rows(rows, idx):
         if ident in seen:
             raise ParseError(f"row {rownum} (id={ident}): duplicate id")
         seen.add(ident)
@@ -193,12 +199,7 @@ def read_panel_csv(path):
     x_cols.sort(key=lambda h: int(h[2:]))
 
     per_id: dict = {}  # id -> {t: (y, [x_1..x_p])}, ids in order of appearance
-    for rownum, fields in enumerate(rows[1:], start=2):
-        if not fields:
-            continue
-        if len(fields) != len(header):
-            raise ParseError(f"row {rownum}: expected {len(header)} fields")
-        ident = fields[idx["id"]]
+    for rownum, fields, ident in _data_rows(rows, idx):
         t, y, *xs = (_cell(fields, idx, col, rownum, ident)
                      for col in ("t", "y", *x_cols))
         periods = per_id.setdefault(ident, {})
@@ -212,17 +213,11 @@ def read_panel_csv(path):
     lengths = {len(v) for v in per_id.values()}
     if len(lengths) != 1:
         raise ParseError("panel is unbalanced: per-id observation counts differ")
-    T = lengths.pop()
-    n, p = len(per_id), len(x_cols)
-    covs = np.empty((n, T, p))
-    ys = np.empty((n, T))
-    for i, periods in enumerate(per_id.values()):
-        obs = [periods[t] for t in sorted(periods)]
-        ys[i] = [r[0] for r in obs]
-        covs[i] = [r[1] for r in obs]
-    values = np.unique(ys)
-    kind = "binary" if np.isin(values, (0.0, 1.0)).all() else "continuous"
-    return list(per_id), PanelDataset(covs, ys, kind)
+    obs = [periods[t] for periods in per_id.values() for t in sorted(periods)]
+    shape = (len(per_id), lengths.pop())
+    return list(per_id), PanelDataset(
+        np.reshape([xs for _, xs in obs], (*shape, len(x_cols))),
+        np.reshape([y for y, _ in obs], shape))
 
 
 def read_truth(path, ids):
@@ -230,16 +225,11 @@ def read_truth(path, ids):
     one row per id) and return the labels of `ids` in that order."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    header, idx = _header(rows, "truth file")
+    _, idx = _header(rows, "truth file")
     if "id" not in idx or "label" not in idx:
         raise ParseError("truth file needs columns id,label")
     mapping = {}
-    for rownum, fields in enumerate(rows[1:], start=2):
-        if not fields:
-            continue
-        if len(fields) != len(header):
-            raise ParseError(f"row {rownum}: expected {len(header)} fields")
-        ident = fields[idx["id"]]
+    for rownum, fields, ident in _data_rows(rows, idx):
         if ident in mapping:
             raise ParseError(f"row {rownum} (id={ident}): duplicate id")
         try:

@@ -24,6 +24,7 @@ from .types import (
     CoefficientEstimate,
     DimensionMismatch,
     NonConvergence,
+    NonFiniteCovariance,
     QuantileFitBundle,
     SingularB,
     SingularDesign,
@@ -478,8 +479,9 @@ def hk_covariance(bundle: QuantileFitBundle, X) -> UncertaintyEstimate:
     Denominators of the density estimates are floored at DENSITY_DENOM_FLOOR;
     a floored fit is flagged as degenerate. X is the (n, T, k) stack of the
     bundle (any other shape raises DimensionMismatch) and sigma is the
-    (n, k, k) stack: failed maps the rows whose B is singular to SingularB,
-    and those rows and the rows the bundle failed read 0; crossed flags
+    (n, k, k) stack: failed maps the rows whose B is singular to SingularB
+    and those whose sandwich overflows to NonFiniteCovariance, and those
+    rows and the rows the bundle failed read 0; crossed flags
     every other row with a crossed quotient, and degenerate is
     crossed.any().
     """
@@ -510,8 +512,13 @@ def hk_covariance(bundle: QuantileFitBundle, X) -> UncertaintyEstimate:
     unusable[list(bundle.failed)] = True
     B[unusable] = np.eye(k)
     Binv = np.linalg.inv(B)
-    sigma = Binv @ H @ Binv
-    sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = Binv @ H @ Binv
+        sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
+    overflow = ~np.isfinite(sigma).all(axis=(1, 2)) & ~unusable
+    failed.update({int(i): NonFiniteCovariance("sandwich is not finite")
+                   for i in np.flatnonzero(overflow)})
+    unusable |= overflow
     sigma[unusable] = 0.0
     crossed = crossed.any(axis=1) & ~unusable
     return UncertaintyEstimate(sigma, degenerate=bool(crossed.any()),
@@ -614,12 +621,15 @@ def intercept_variance(alpha_plus, alpha_minus, tau: float,
     quotient: tau(1-tau) * ((alpha_plus - alpha_minus) / (2 d_T))^2.
 
     alpha_plus and alpha_minus are the (n,) intercepts of n individuals;
-    returns their (n, 1, 1) variances, which EstimateTable checks once.
+    returns their (n, 1, 1) variances, which EstimateTable checks once; a
+    variance that overflows reads inf, without a warning.
     """
     if d_T <= 0:
         raise ValueError("bandwidth must be positive")
-    diff = (np.asarray(alpha_plus, dtype=float)
-            - np.asarray(alpha_minus, dtype=float)) / (2.0 * d_T)
-    # float_power squares with libm pow, as a float's ** does, so a value is
-    # the same alone or in an array (np.square can differ in the last ulp)
-    return np.reshape(tau * (1.0 - tau) * np.float_power(diff, 2), (-1, 1, 1))
+    with np.errstate(over="ignore"):
+        diff = (np.asarray(alpha_plus, dtype=float)
+                - np.asarray(alpha_minus, dtype=float)) / (2.0 * d_T)
+        # float_power squares with libm pow, as a float's ** does, so a value
+        # is the same alone or in an array (np.square can differ by an ulp)
+        variance = tau * (1.0 - tau) * np.float_power(diff, 2)
+    return np.reshape(variance, (-1, 1, 1))

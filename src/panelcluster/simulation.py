@@ -30,6 +30,7 @@ from .types import (
     DimensionMismatch,
     EstimateTable,
     NonConvergence,
+    NonFiniteCovariance,
     PanelDataset,
     PerfectSeparation,
 )
@@ -95,50 +96,56 @@ def _draw_logistic_individual(rng, T):
     return np.column_stack([x1, x2]), y, group
 
 
-def gen_logistic(n, T, seed):
-    """Binary panel with three slope groups and a shared individual effect."""
-    rng = make_rng(seed)
-    covs = np.empty((n, T, 2))
+def _draw_slope_individual(rng, T, error_dist, model, i):
+    """Individual i of model1, model2 (alpha 1, four groups) or model4
+    (exactly n/3 per group and a shared individual effect)."""
+    if model == "model4":
+        alpha, group = 1.0, i % 3 + 1
+        eta = rng.standard_normal()
+        x1 = 0.5 * alpha + eta + rng.standard_normal(T)
+        x2 = 0.5 * alpha + eta + np.sqrt(0.05) * rng.standard_normal(T)
+        noise = _draw_errors(rng, T, error_dist)
+    else:
+        alpha = rng.uniform() if model == "model1" else 1.0
+        group = int(rng.integers(1, len(_BETAS[model]) + 1))
+        x1 = 0.3 * alpha + rng.standard_normal(T)
+        x2 = rng.uniform(size=T)
+        noise = 0.5 * x2 * _draw_errors(rng, T, error_dist)
+    beta = _BETAS[model][group - 1]
+    y = alpha + x1 * beta[0] + x2 * beta[1] + noise
+    return np.column_stack([x1, x2]), y, group
+
+
+def _draw_model3_individual(rng, T, error_dist, i):
+    """Individual i of model3: intercept i % 3 + 1, scale 1 + 0.1 x."""
+    group = i % 3 + 1
+    x = rng.standard_normal() + rng.standard_normal(T)
+    e = _draw_errors(rng, T, error_dist)
+    return x[:, None], float(group) + x + (1.0 + 0.1 * x) * e, group
+
+
+def _draw_panel(n, T, p, draw):
+    """The PanelDataset of n individuals over T periods with p covariates,
+    and their (n,) groups, from draw(i) -> (covariates (T, p), responses
+    (T,), group) of individual i, called in index order."""
+    covs = np.empty((n, T, p))
     ys = np.empty((n, T))
     truth = np.empty(n, dtype=int)
     for i in range(n):
-        covs[i], ys[i], truth[i] = _draw_logistic_individual(rng, T)
-    return PanelDataset(covs, ys, "binary"), truth
+        covs[i], ys[i], truth[i] = draw(i)
+    return PanelDataset(covs, ys), truth
+
+
+def gen_logistic(n, T, seed):
+    """Binary panel with three slope groups and a shared individual effect."""
+    rng = make_rng(seed)
+    return _draw_panel(n, T, 2, lambda i: _draw_logistic_individual(rng, T))
 
 
 def _gen_slope_model(model, n, T, error_dist, seed):
     rng = make_rng(seed)
-    betas = _BETAS[model]
-    covs = np.empty((n, T, 2))
-    ys = np.empty((n, T))
-    truth = np.empty(n, dtype=int)
-    for i in range(n):
-        if model == "model1":
-            alpha = rng.uniform()
-            group = int(rng.integers(1, 4))
-            x1 = 0.3 * alpha + rng.standard_normal(T)
-            x2 = rng.uniform(size=T)
-            noise = 0.5 * x2 * _draw_errors(rng, T, error_dist)
-        elif model == "model2":
-            alpha = 1.0
-            group = int(rng.integers(1, 5))
-            x1 = 0.3 * alpha + rng.standard_normal(T)
-            x2 = rng.uniform(size=T)
-            noise = 0.5 * x2 * _draw_errors(rng, T, error_dist)
-        elif model == "model4":
-            alpha = 1.0
-            group = i % 3 + 1  # exactly n/3 per group
-            eta = rng.standard_normal()
-            x1 = 0.5 * alpha + eta + rng.standard_normal(T)
-            x2 = 0.5 * alpha + eta + np.sqrt(0.05) * rng.standard_normal(T)
-            noise = _draw_errors(rng, T, error_dist)
-        else:
-            raise ValueError(f"unknown slope model {model!r}")
-        beta = betas[group - 1]
-        covs[i] = np.column_stack([x1, x2])
-        ys[i] = alpha + x1 * beta[0] + x2 * beta[1] + noise
-        truth[i] = group
-    return PanelDataset(covs, ys, "continuous"), truth
+    return _draw_panel(n, T, 2, lambda i: _draw_slope_individual(
+        rng, T, error_dist, model, i))
 
 
 def gen_model1(n, T, error_dist, seed):
@@ -163,19 +170,8 @@ def gen_model3(n, T, error_dist, seed):
     if n % 3 != 0:
         raise ValueError("model3 requires n divisible by 3")
     rng = make_rng(seed)
-    covs = np.empty((n, T, 1))
-    ys = np.empty((n, T))
-    truth = np.empty(n, dtype=int)
-    beta, slope_gamma = 1.0, 0.1
-    for i in range(n):
-        group = i % 3 + 1
-        alpha = float(group)
-        x = rng.standard_normal() + rng.standard_normal(T)
-        e = _draw_errors(rng, T, error_dist)
-        covs[i, :, 0] = x
-        ys[i] = alpha + x * beta + (1.0 + slope_gamma * x) * e
-        truth[i] = group
-    return PanelDataset(covs, ys, "continuous"), truth
+    return _draw_panel(n, T, 1, lambda i: _draw_model3_individual(
+        rng, T, error_dist, i))
 
 
 @dataclass
@@ -276,15 +272,16 @@ def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
     whose fit fails with an EstimationError, whose quantile fit fails its
     subgradient certificate or whose logistic fit does not converge
     (NonConvergence), is left out and listed in `dropped` with the error's
-    class name. The pooled fit is joint, so its errors (SingularDesign,
-    NonConvergence) raise instead.
+    class name, as is one whose covariance is not finite
+    (NonFiniteCovariance). The pooled fit is joint, so its errors
+    (SingularDesign, NonConvergence) raise instead.
     """
     ids = list(range(panel.n)) if ids is None else list(ids)
     if len(ids) != panel.n:
         raise DimensionMismatch("one id per individual required")
     if model not in PANEL_MODELS:
         raise ValueError(f"unknown model {model!r}")
-    if model == "logistic" and panel.kind != "binary":
+    if model == "logistic" and not np.isin(panel.responses, (0.0, 1.0)).all():
         raise ValueError("logistic model requires a binary panel")
     if model != "qr-pooled" and panel.p == 0:
         raise ValueError(f"model {model!r} fits slopes: it needs x_k columns")
@@ -292,8 +289,7 @@ def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
     if model == "qr-slopes":
         betas, sigmas, failed = _quantile_slopes(panel, tau, d_T)
     elif model == "logistic":
-        betas, sigmas, failed = _logistic_slopes(panel.designs,
-                                                 panel.responses)
+        betas, sigmas, failed = _logistic_slopes(panel)
     else:
         betas, sigmas, failed = _pooled_intercepts(panel, tau, d_T)
 
@@ -305,23 +301,26 @@ def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
                                            for i in sorted(failed)])
 
 
-def _logistic_slopes(X, y):
-    """Stacked logistic fits of an (n, T, p+1) stack: slopes (n, p), their
-    plug-in covariances (n, p, p) and {row: EstimationError} of the unusable
-    rows."""
-    est = fit_logistic(X, y)
+def _logistic_slopes(panel):
+    """Stacked logistic fits of a panel: slopes (n, p), their plug-in
+    covariances (n, p, p) and {row: EstimationError} of the unusable rows."""
+    X = panel.designs
+    est = fit_logistic(X, panel.responses)
     unc = logistic_covariance(X, est)
     return est.slopes, unc.sigma[:, 1:, 1:], {**est.failed, **unc.failed}
 
 
 def _pooled_intercepts(panel, tau, d_T):
     """Intercepts (n, 1) of the pooled fit at tau, their (n, 1, 1) variances
-    from the fits at tau +/- d_T (all three levels in one call), and no
-    failed rows."""
+    from the fits at tau +/- d_T (all three levels in one call), and the
+    rows whose variance is not finite, as NonFiniteCovariance."""
     fit = fit_pooled_quantile(panel.responses, panel.covariates,
                               (tau, tau + d_T, tau - d_T))
     center, upper, lower = fit.alphas
-    return center[:, None], intercept_variance(upper, lower, tau, d_T), {}
+    variance = intercept_variance(upper, lower, tau, d_T)
+    failed = {int(i): NonFiniteCovariance("intercept variance is not finite")
+              for i in np.flatnonzero(~np.isfinite(variance[:, 0, 0]))}
+    return center[:, None], variance, failed
 
 
 def _quantile_slopes(panel, tau, d_T):
@@ -346,12 +345,11 @@ def _fit_logistic_rep(config, rng):
     T = config.T
     kept, betas, sigmas, truth, dropped = [], [], [], [], []
     while len(kept) < config.n:
-        draws = [_draw_logistic_individual(rng, T)
-                 for _ in range(config.n - len(kept))]
-        X = np.stack([np.column_stack([np.ones(T), x]) for x, _, _ in draws])
-        slopes, sigma, failed = _logistic_slopes(
-            X, np.stack([y for _, y, _ in draws]))
-        for j, (_, _, group) in enumerate(draws):
+        panel, groups = _draw_panel(
+            config.n - len(kept), T, 2,
+            lambda i: _draw_logistic_individual(rng, T))
+        slopes, sigma, failed = _logistic_slopes(panel)
+        for j, group in enumerate(groups):
             draw = len(kept) + len(dropped)
             exc = failed.get(j)
             if isinstance(exc, (DegenerateOutcome, PerfectSeparation)):

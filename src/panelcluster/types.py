@@ -43,6 +43,10 @@ class DimensionMismatch(ValueError):
     pass
 
 
+class NonFiniteCovariance(EstimationError):
+    """An individual's covariance estimate overflows to a non-finite value."""
+
+
 class NonPositiveCombined(EstimationError):
     """A combined covariance has a negative eigenvalue beyond tolerance."""
 
@@ -64,12 +68,10 @@ class PanelDataset:
     """Balanced panel of n individuals observed over T periods.
 
     covariates has shape (n, T, p); responses has shape (n, T).
-    kind is "continuous" or "binary".
     """
 
     covariates: np.ndarray
     responses: np.ndarray
-    kind: str
 
     def __post_init__(self):
         self.covariates = np.asarray(self.covariates, dtype=float)
@@ -78,10 +80,6 @@ class PanelDataset:
             raise DimensionMismatch("covariates must have shape (n, T, p)")
         if self.responses.shape != self.covariates.shape[:2]:
             raise DimensionMismatch("responses must have shape (n, T)")
-        if self.kind not in ("continuous", "binary"):
-            raise ValueError(f"unknown panel kind {self.kind!r}")
-        if self.kind == "binary" and not np.isin(self.responses, (0.0, 1.0)).all():
-            raise ValueError("binary panel requires responses in {0, 1}")
 
     @property
     def n(self) -> int:

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_read_panel_roundtrip(tmp_path):
     assert back_ids == ids
     assert np.allclose(back.covariates, panel.covariates)
     assert np.allclose(back.responses, panel.responses)
-    assert back.kind == "continuous"
+    assert [f.name for f in fields(back)] == ["covariates", "responses"]
 
 
 def test_read_panel_rejects_header_only_file(tmp_path):
@@ -176,6 +177,7 @@ def test_read_panel_rejects_unbalanced(tmp_path):
     ("b,1,1.0,-inf", "row 4 (id=b), column 'x_1': must be finite"),
     ("b,1,1.0,oops", "row 4 (id=b), column 'x_1': not a number"),
     ("b,0,1.0,0.5", "row 4 (id=b), column 't': duplicate period 0"),
+    ("b,1,1.0", "row 4: expected 4 fields, got 3"),
 ])
 def test_estimate_names_bad_panel_cell(tmp_path, capsys, row, message):
     path = tmp_path / "panel.csv"
@@ -389,6 +391,10 @@ def test_cluster_rejects_bad_weight(tmp_path, capsys, weight):
     pytest.param("# scale=already_scaled\n", "b,1,1", ["--t-periods", "-5"],
                  "--t-periods must be >= 1, got -5",
                  id="T-neg-already-scaled"),
+    # selection's shrink factor needs T >= 2, checked before V is built
+    pytest.param("", "b,1,1", ["--select-g", "--t-periods", "1"],
+                 "--select-g requires --t-periods >= 2, got 1",
+                 id="select-g-T-1"),
 ])
 def test_cluster_rejects_bad_values_at_ingestion(tmp_path, capsys, meta, row,
                                                  flags, message):
@@ -397,7 +403,8 @@ def test_cluster_rejects_bad_values_at_ingestion(tmp_path, capsys, meta, row,
     header = "id,beta_1,se" + (",weight" if weight else "")
     path = tmp_path / "est.csv"
     path.write_text(f"{meta}{header}\na,0,1{weight}\n{row}\nc,2,1{weight}\n")
-    code = main(["cluster", str(path), "--groups", "2", "--t-periods", "50",
+    mode = [] if "--select-g" in flags else ["--groups", "2"]
+    code = main(["cluster", str(path), *mode, "--t-periods", "50",
                  *flags, "--out", str(tmp_path / "r.json")])
     assert code == 1
     err = capsys.readouterr().err
@@ -494,6 +501,7 @@ def test_cluster_scores_against_truth(tmp_path, capsys):
     ("id,label\nlo0,99999999999999999999\n",
      "row 2 (id=lo0), column 'label': not an integer in 1..10"),
     ("id,label\nlo0\n", "row 2: expected 2 fields"),
+    ("id,label\nlo0,1,2\n", "row 2: expected 2 fields, got 3"),
 ])
 def test_cluster_rejects_bad_truth_file(tmp_path, capsys, text, message):
     est = two_cluster_scalar_table(tmp_path)
@@ -509,7 +517,7 @@ def test_estimate_logistic_lists_dropped_individuals(tmp_path, capsys):
     panel, _ = gen_logistic(5, 40, seed=3)
     responses = panel.responses.copy()
     responses[2] = 1.0  # constant outcome: cannot be fit
-    panel = type(panel)(panel.covariates, responses, "binary")
+    panel = type(panel)(panel.covariates, responses)
     path = tmp_path / "panel.csv"
     write_panel(path, panel)
     out = tmp_path / "est.csv"
@@ -521,6 +529,39 @@ def test_estimate_logistic_lists_dropped_individuals(tmp_path, capsys):
     assert "dropped u2: DegenerateOutcome" in printed
     table = read_estimates(out)
     assert "u2" not in table.ids
+
+
+def test_estimate_logistic_requires_binary_responses(tmp_path, capsys):
+    from panelcluster.simulation import estimate_panel
+
+    panel, _ = gen_logistic(5, 40, seed=3)
+    panel.responses[1, 0] = 0.5
+    with pytest.raises(ValueError,
+                       match="logistic model requires a binary panel"):
+        estimate_panel(panel, "logistic")
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    assert main(["estimate", str(path), "--model", "logistic",
+                 "--out", str(tmp_path / "est.csv")]) == 1
+    assert "error: logistic model requires a binary panel" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gen,model", [(gen_model1, "qr-slopes"),
+                                       (gen_model3, "qr-pooled")])
+def test_estimate_drops_an_individual_whose_covariance_overflows(
+        tmp_path, capsys, gen, model):
+    panel, _ = gen(9, 40, "normal", 1)
+    panel.responses[4] *= 1e200
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(path), "--model", model,
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "dropped u4: NonFiniteCovariance" in captured.out
+    assert not captured.err
+    assert read_estimates(out).ids == [f"u{i}" for i in range(9) if i != 4]
 
 
 def test_estimate_logistic_drops_unconverged_individual(tmp_path, capsys,
@@ -563,7 +604,7 @@ def test_estimate_pooled_rejects_covariate_fixed_within_individuals(
     # x constant within each individual: beta is not identified
     x = np.repeat(panel.covariates[:, :1], 30, axis=1)
     path = tmp_path / "panel.csv"
-    write_panel(path, type(panel)(x, panel.responses, "continuous"))
+    write_panel(path, type(panel)(x, panel.responses))
     assert main(["estimate", str(path), "--model", "qr-pooled",
                  "--out", str(tmp_path / "est.csv")]) == 2
     assert "collinear with the individual intercepts" in \

@@ -21,6 +21,7 @@ from panelcluster.types import (
     CoefficientEstimate,
     DimensionMismatch,
     NonConvergence,
+    NonFiniteCovariance,
     QuantileFitBundle,
     SingularB,
     SingularDesign,
@@ -420,7 +421,7 @@ def test_tied_binary_design_keeps_a_certified_minimizer():
             assert quantile_objective(X[i], y[i], gamma, level) \
                 == pytest.approx(brute_force_objective(X[i], y[i], level),
                                  rel=1e-12)
-    table = estimate_panel(PanelDataset(X[..., 1:], y, "continuous"),
+    table = estimate_panel(PanelDataset(X[..., 1:], y),
                            "qr-slopes", 0.5)
     assert not table.dropped
 
@@ -584,6 +585,47 @@ def test_singular_b_row_fails_alone():
                                for f in (bundle.center, bundle.upper,
                                          bundle.lower)), bundle.bandwidth)
     assert isinstance(hk_covariance(solo, X[7:8]).failed[0], SingularB)
+
+
+def overflowing_panel(gen, factor=1e200):
+    """A 9-individual panel whose individual 4 has its responses scaled by
+    factor: its covariance overflows from factor 1e160 on."""
+    panel, _ = gen(9, 40, "normal", 1)
+    panel.responses[4] *= factor
+    return panel
+
+
+@pytest.mark.parametrize("gen,model", [(gen_model1, "qr-slopes"),
+                                       (gen_model3, "qr-pooled")])
+def test_overflowing_covariance_is_dropped_alone(gen, model):
+    from panelcluster.simulation import estimate_panel
+
+    ids = [f"u{i}" for i in range(9)]
+    # the suite turns a RuntimeWarning into an error
+    table = estimate_panel(overflowing_panel(gen), model, ids=ids)
+    assert table.dropped == [("u4", "NonFiniteCovariance")]
+    assert table.ids == ids[:4] + ids[5:]
+    assert np.isfinite(table.sigmas).all()
+    whole = estimate_panel(overflowing_panel(gen, 1.0), model, ids=ids)
+    if model == "qr-slopes":  # rows are fit one by one: the rest is as is
+        keep = [i for i in range(9) if i != 4]
+        assert np.array_equal(table.betas, whole.betas[keep])
+        assert np.array_equal(table.sigmas, whole.sigmas[keep])
+
+
+def test_hk_lists_an_overflowing_sandwich_as_failed():
+    panel = overflowing_panel(gen_model1)
+    X = panel.designs
+    unc = hk_covariance(fit_quantile_bundle(X, panel.responses, 0.5), X)
+    assert list(unc.failed) == [4] and np.all(unc.sigma[4] == 0.0)
+    assert isinstance(unc.failed[4], NonFiniteCovariance)
+    assert not unc.crossed[4] and np.isfinite(unc.sigma).all()
+
+
+def test_intercept_variance_overflows_to_inf_silently():
+    variance = intercept_variance(np.array([1e200, 1.0]),
+                                  np.array([-1e200, 0.0]), 0.5, 0.1)
+    assert variance[0, 0, 0] == np.inf and np.isfinite(variance[1])
 
 
 def criterion_5c_instances():

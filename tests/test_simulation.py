@@ -90,6 +90,96 @@ def test_gen_model4_equal_allocation_and_t3():
     assert np.isfinite(panel.responses).all()
 
 
+REFERENCE_BETAS = {
+    "logistic": np.array([[-4.0, 1.0], [0.0, 1.0], [4.0, 1.0]]),
+    "model1": np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]]),
+    "model2": np.array([[0.1, 0.1], [0.2, 0.2], [3.0, 3.0], [3.1, 3.1]]),
+    "model4": np.array([[-5.0, 1.0], [0.0, 1.0], [3.0, 1.0]]),
+}
+
+
+def reference_panel(model, n, T, error_dist, seed):
+    """The per-model fill loop that each generator once wrote out, one
+    individual after the other: (covariates, responses, truth)."""
+    from panelcluster.simulation import _draw_errors, make_rng
+
+    rng = make_rng(seed)
+    covs = np.empty((n, T, 1 if model == "model3" else 2))
+    ys = np.empty((n, T))
+    truth = np.empty(n, dtype=int)
+    for i in range(n):
+        if model == "logistic":
+            group = int(rng.integers(1, 4))
+            alpha = 1.0
+            eta = rng.standard_normal()
+            x1 = 0.5 * alpha + eta + 2.0 * rng.standard_normal(T)
+            x2 = 0.5 * alpha + eta + 0.2 * rng.standard_normal(T)
+            beta = REFERENCE_BETAS["logistic"][group - 1]
+            eps = rng.logistic(size=T)
+            covs[i] = np.column_stack([x1, x2])
+            ys[i] = (alpha + x1 * beta[0] + x2 * beta[1] >= eps).astype(float)
+        elif model == "model3":
+            group = i % 3 + 1
+            alpha = float(group)
+            x = rng.standard_normal() + rng.standard_normal(T)
+            e = _draw_errors(rng, T, error_dist)
+            covs[i, :, 0] = x
+            ys[i] = alpha + x * 1.0 + (1.0 + 0.1 * x) * e
+        else:
+            if model == "model1":
+                alpha = rng.uniform()
+                group = int(rng.integers(1, 4))
+                x1 = 0.3 * alpha + rng.standard_normal(T)
+                x2 = rng.uniform(size=T)
+                noise = 0.5 * x2 * _draw_errors(rng, T, error_dist)
+            elif model == "model2":
+                alpha = 1.0
+                group = int(rng.integers(1, 5))
+                x1 = 0.3 * alpha + rng.standard_normal(T)
+                x2 = rng.uniform(size=T)
+                noise = 0.5 * x2 * _draw_errors(rng, T, error_dist)
+            else:
+                alpha = 1.0
+                group = i % 3 + 1
+                eta = rng.standard_normal()
+                x1 = 0.5 * alpha + eta + rng.standard_normal(T)
+                x2 = 0.5 * alpha + eta + np.sqrt(0.05) * rng.standard_normal(T)
+                noise = _draw_errors(rng, T, error_dist)
+            beta = REFERENCE_BETAS[model][group - 1]
+            covs[i] = np.column_stack([x1, x2])
+            ys[i] = alpha + x1 * beta[0] + x2 * beta[1] + noise
+        truth[i] = group
+    return covs, ys, truth
+
+
+GENERATORS = {"logistic": lambda n, T, error_dist, seed: gen_logistic(n, T,
+                                                                       seed),
+              "model1": gen_model1, "model2": gen_model2,
+              "model3": gen_model3, "model4": gen_model4}
+
+
+@pytest.mark.parametrize("seed", [7, 2 ** 63 + 11])
+@pytest.mark.parametrize("n", [0, 9, 30])
+# the logistic design draws logistic errors only
+@pytest.mark.parametrize("model,error_dist", [("logistic", None)] + [
+    (model, error_dist) for model in ("model1", "model2", "model3", "model4")
+    for error_dist in ("normal", "t3")])
+def test_generators_match_the_per_model_reference_loops(model, error_dist, n,
+                                                        seed):
+    panel, truth = GENERATORS[model](n, 12, error_dist, seed)
+    covs, ys, expected = reference_panel(model, n, 12, error_dist, seed)
+    assert np.array_equal(panel.covariates, covs)
+    assert np.array_equal(panel.responses, ys)
+    assert np.array_equal(truth, expected) and truth.dtype == expected.dtype
+
+
+@pytest.mark.parametrize("gen", [gen_model3, gen_model4])
+def test_equal_allocation_models_reject_n_not_divisible_by_3(gen):
+    for n in (1, 10, 29):
+        with pytest.raises(ValueError, match="divisible by 3"):
+            gen(n, 12, "normal", 7)
+
+
 def test_t3_errors_are_heavier_tailed():
     from panelcluster.simulation import _draw_errors, make_rng
 
@@ -213,13 +303,37 @@ def test_estimate_panel_drops_and_reports_failed_fits():
     panel, _ = gen_logistic(6, 40, seed=3)
     responses = panel.responses.copy()
     responses[4] = 0.0
-    panel = type(panel)(panel.covariates, responses, "binary")
+    panel = type(panel)(panel.covariates, responses)
     ids = [f"u{i}" for i in range(6)]
     table = simulation.estimate_panel(panel, "logistic", ids=ids)
     assert ("u4", "DegenerateOutcome") in table.dropped
     assert table.ids == [i for i in ids
                          if i not in dict(table.dropped)]
     assert table.sigmas.shape == (table.n, 2, 2) and table.d_T is None
+
+
+def test_logistic_round_raises_a_failure_it_does_not_resample(
+        monkeypatch, tmp_path, capsys):
+    from panelcluster.cli import main
+    from panelcluster.types import SingularHessian
+
+    fit = simulation._logistic_slopes
+
+    def singular_third_draw(panel):
+        slopes, sigma, failed = fit(panel)
+        return slopes, sigma, {**failed, 2: SingularHessian("injected")}
+
+    monkeypatch.setattr(simulation, "_logistic_slopes", singular_third_draw)
+    config = SimulationConfig(model="logistic", n=9, T=100, reps=1, seed=5,
+                              restarts=5)
+    with pytest.raises(SingularHessian, match="injected"):
+        run_rep(config, 0)
+    path = tmp_path / "config.json"
+    path.write_text('{"model": "logistic", "n": 9, "T": 100, "reps": 1}')
+    assert main(["simulate", str(path), "--out",
+                 str(tmp_path / "out.json")]) == 2
+    assert "numerical failure: injected" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_logistic_rep_runs_and_scores():
