@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .types import (
+    MAX_CONDITION,
     CoefficientEstimate,
     DegenerateOutcome,
     DimensionMismatch,
@@ -18,7 +19,6 @@ from .types import (
 
 # declare divergence (perfect separation) when the iterate leaves this ball
 DIVERGENCE_NORM = 30.0
-MAX_CONDITION = 1e12
 # design entries (rows x T x k) one Newton chunk holds, which bounds its
 # working set as quantile.IP_CHUNK_ENTRIES does for the interior point
 NEWTON_CHUNK_ENTRIES = 2 ** 16
@@ -83,21 +83,16 @@ def fit_logistic(X, y) -> CoefficientEstimate:
                    for i in np.flatnonzero(deficient)})
     rows = np.flatnonzero(~invalid & ~constant & ~deficient)
     gamma = np.zeros((n, k))
-    iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
+    iterations = 0
     step = max(1, NEWTON_CHUNK_ENTRIES // (T * k))
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
-        gamma[chunk], iterations[chunk], converged[chunk], errors = _newton(
-            X[chunk], y[chunk], MAX_ITER, GRADIENT_TOL)
+        gamma[chunk], steps, errors = _newton(X[chunk], y[chunk], MAX_ITER,
+                                              GRADIENT_TOL)
+        iterations += steps
         failed.update({int(chunk[j]): exc for j, exc in errors.items()})
-    failed.update({int(i): NonConvergence(
-        f"Newton iterations did not converge in {MAX_ITER} steps")
-        for i in np.flatnonzero(~converged) if i not in failed})
-    gamma[~converged] = 0.0
     return CoefficientEstimate(gamma, converged=not failed,
-                               iterations=int(iterations[converged].sum()),
-                               failed=failed)
+                               iterations=iterations, failed=failed)
 
 
 def _newton(X, y, max_iter, tol):
@@ -106,15 +101,16 @@ def _newton(X, y, max_iter, tol):
     Each row starts at 0 and steps by H^{-1} g, halving the step up to
     MAX_HALVINGS times until the likelihood does not fall; only the rows
     still halving evaluate it again. A row leaves the working set once its
-    gradient is within tol or it fails (PerfectSeparation). Returns the
-    last iterates (m, k), steps taken (m,), the converged mask (m,) and
-    {row: PerfectSeparation}. Every row's arithmetic is independent of the
-    others, so a fit is the same in any stack.
+    gradient is within tol or it fails (PerfectSeparation), and fails with
+    NonConvergence if its gradient is not within tol after max_iter steps.
+    Returns the iterates (m, k) of the converged rows (the failed rows read
+    0), the steps those rows took in sum, and {row: EstimationError} of the
+    failed rows. Every row's arithmetic is independent of the others, so a
+    fit is the same in any stack.
     """
     m, T, k = X.shape
     gamma_out = np.zeros((m, k))
-    iterations = np.full(m, max_iter)
-    converged = np.zeros(m, dtype=bool)
+    steps = 0
     errors = {}
     active = np.arange(m)
     gamma = np.zeros((m, k))
@@ -130,8 +126,7 @@ def _newton(X, y, max_iter, tol):
         ill = ~done & (np.linalg.cond(hess) > MAX_CONDITION)
         finished = done & ~separated
         gamma_out[active[finished]] = gamma[finished]
-        iterations[active[finished]] = it - 1
-        converged[active[finished]] = True
+        steps += (it - 1) * int(finished.sum())
         moving = ~done & ~ill
         hess[~moving] = np.eye(k)  # rows leaving now: keep solve regular
         step = np.linalg.solve(hess, grad[..., None])[..., 0]
@@ -172,9 +167,13 @@ def _newton(X, y, max_iter, tol):
             break
     mu = _probabilities(X, gamma)
     grad = (X.swapaxes(1, 2) @ (y - mu)[..., None])[..., 0] / T
-    gamma_out[active] = gamma
-    converged[active] = np.abs(grad).max(axis=1) <= tol
-    return gamma_out, iterations, converged, errors
+    done = np.abs(grad).max(axis=1) <= tol
+    gamma_out[active[done]] = gamma[done]
+    steps += max_iter * int(done.sum())
+    errors.update({int(j): NonConvergence(
+        f"Newton iterations did not converge in {max_iter} steps")
+        for j in active[~done]})
+    return gamma_out, steps, errors
 
 
 def plugin_hessian(X, gamma):
@@ -190,25 +189,21 @@ def logistic_covariance(X,
     """Inverse of the plug-in Hessian; asymptotic variance of the MLE.
 
     X is the (n, T, k) stack of the estimate (any other shape raises
-    DimensionMismatch) and sigma is the (n, k, k) stack: failed
-    maps the rows whose plug-in Hessian is numerically singular to
-    SingularHessian, and those rows and the rows the fit failed read 0.
+    DimensionMismatch) and sigma is the (n, k, k) stack. Only the rows the
+    fit kept are computed: failed maps those whose plug-in Hessian is
+    numerically singular to SingularHessian, and those rows and the rows
+    the fit failed read 0.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 3 or estimate.gamma.shape != (X.shape[0], X.shape[2]):
         raise DimensionMismatch("design/estimate shape mismatch")
     n, _, k = X.shape
-    hess = plugin_hessian(X, estimate.gamma)
-    unusable = np.zeros(n, dtype=bool)
-    unusable[list(estimate.failed)] = True
-    lost = ~unusable
-    lost[lost] = np.linalg.cond(hess[lost]) > MAX_CONDITION
+    rows = np.setdiff1d(np.arange(n), list(estimate.failed))
+    hess = plugin_hessian(X[rows], estimate.gamma[rows])
+    lost = np.linalg.cond(hess) > MAX_CONDITION
     failed = {int(i): SingularHessian(
-        "weighted Gram matrix is numerically singular")
-        for i in np.flatnonzero(lost)}
-    unusable |= lost
-    hess[unusable] = np.eye(k)
-    sigma = np.linalg.inv(hess)
-    sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
-    sigma[unusable] = 0.0
+        "weighted Gram matrix is numerically singular") for i in rows[lost]}
+    inverse = np.linalg.inv(hess[~lost])
+    sigma = np.zeros((n, k, k))
+    sigma[rows[~lost]] = 0.5 * (inverse + inverse.swapaxes(1, 2))
     return UncertaintyEstimate(sigma, failed=failed)

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .types import (
+    MAX_CONDITION,
     CoefficientEstimate,
     DimensionMismatch,
     NonConvergence,
@@ -31,9 +32,9 @@ from .types import (
     UncertaintyEstimate,
 )
 
-# floor for the difference-quotient denominator under quantile crossing
+# a difference-quotient denominator below this has crossed: its observation
+# drops out of the density-weighted Gram matrix
 DENSITY_DENOM_FLOOR = 1e-6
-MAX_CONDITION = 1e12
 # the Hall-Sheather bandwidth is that of a (1 - alpha) confidence interval
 HALL_SHEATHER_ALPHA = 0.05
 
@@ -161,8 +162,9 @@ def fit_quantile_bundle(X, y, tau: float,
                         d_T: float | None = None) -> QuantileFitBundle:
     """Fit at tau and tau +/- d_T (Hall-Sheather default bandwidth) by one
     fit_quantile call on the (n, T, k) stack X with responses y (n, T).
-    bundle.certified flags the rows whose three fits pass the certificate,
-    and bundle.failed is fit_quantile's (those rows read 0)."""
+    bundle.failed is fit_quantile's, plus NonConvergence for each other row
+    whose three fits do not all pass the certificate; those rows read 0 at
+    every level. Each level's converged holds when all its rows pass."""
     if np.ndim(X) != 3 or np.shape(y) != np.shape(X)[:2]:
         raise DimensionMismatch("design/response shape mismatch")
     if d_T is None:
@@ -171,10 +173,13 @@ def fit_quantile_bundle(X, y, tau: float,
         raise ValueError("bandwidth pushes tau +/- d_T outside (0, 1)")
     levels = (tau, tau + d_T, tau - d_T)
     gammas, certified, failed = fit_quantile(X, y, levels)
+    for i in np.flatnonzero(~certified.all(axis=0)):
+        failed.setdefault(int(i), NonConvergence(
+            "subgradient certificate failed"))
+    gammas[:, list(failed)] = 0.0
     fits = [CoefficientEstimate(g, tau=level, converged=bool(c.all()))
             for g, level, c in zip(gammas, levels, certified)]
-    return QuantileFitBundle(*fits, d_T, certified=certified.all(axis=0),
-                             failed=failed)
+    return QuantileFitBundle(*fits, d_T, failed=failed)
 
 
 def _fit_stack(X, y, rows, taus):
@@ -302,9 +307,12 @@ class _Pooled:
             d = np.ones((1, n * T))
         D = d.reshape(len(d), n, T).sum(axis=2)
         B = (d.reshape(len(d), n, T, 1) * self.x).sum(axis=2)
-        C = (self.flat * d[..., None]).swapaxes(1, 2) @ self.flat
         BD = B / D[..., None]
-        schur = C - BD.swapaxes(1, 2) @ B
+        # covariates too large for their Gram matrix leave a non-finite Schur
+        # complement: the fit then fails its certificate, which reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = (self.flat * d[..., None]).swapaxes(1, 2) @ self.flat
+            schur = C - BD.swapaxes(1, 2) @ B
 
         def solve(rhs):
             r1, r2 = rhs[:, :n], rhs[:, n:]
@@ -476,58 +484,46 @@ def _purify(A, y, tau, gamma):
 def hk_covariance(bundle: QuantileFitBundle, X) -> UncertaintyEstimate:
     """Density sandwich B^{-1} H B^{-1} with difference-quotient densities.
 
-    Denominators of the density estimates are floored at DENSITY_DENOM_FLOOR;
-    a floored fit is flagged as degenerate. X is the (n, T, k) stack of the
-    bundle (any other shape raises DimensionMismatch) and sigma is the
-    (n, k, k) stack: failed maps the rows whose B is singular to SingularB
-    and those whose sandwich overflows to NonFiniteCovariance, and those
-    rows and the rows the bundle failed read 0; crossed flags
-    every other row with a crossed quotient, and degenerate is
-    crossed.any().
+    X is the (n, T, k) stack of the bundle (any other shape raises
+    DimensionMismatch) and sigma is the (n, k, k) stack. Only the rows the
+    bundle kept are computed: an observation whose quotient has crossed
+    (denominator below DENSITY_DENOM_FLOOR) drops out of B, failed maps the
+    rows whose B is then singular to SingularB and those whose sandwich
+    overflows to NonFiniteCovariance, and those rows and the bundle's failed
+    rows read 0. crossed flags every other row with a crossed quotient, and
+    degenerate is crossed.any().
     """
     X = np.asarray(X, dtype=float)
     delta = bundle.upper.gamma - bundle.lower.gamma
     if X.ndim != 3 or delta.shape != (X.shape[0], X.shape[2]):
         raise DimensionMismatch("design/bundle shape mismatch")
-    T, k = X.shape[1:]
+    n, T, k = X.shape
     tau = bundle.center.tau
-    d = bundle.bandwidth
-    denom = (X @ delta[..., None])[..., 0]
+    rows = np.setdiff1d(np.arange(n), list(bundle.failed))
+    X = X[rows]
+    denom = (X @ delta[rows, :, None])[..., 0]
     crossed = denom < DENSITY_DENOM_FLOOR
-    floored = 2.0 * d / np.maximum(denom, DENSITY_DENOM_FLOOR)
-    # crossed difference quotients get density 0 (the observation drops out
-    # of B) rather than an enormous weight from a floored denominator
-    B = _density_gram(X, np.where(crossed, 0.0, floored))
-    H = tau * (1.0 - tau) * (X.swapaxes(1, 2) @ X) / T
+    f_hat = 2.0 * bundle.bandwidth / np.where(crossed, np.inf, denom)
+    B = (X * f_hat[..., None]).swapaxes(1, 2) @ X / T
     lost = np.linalg.cond(B) > MAX_CONDITION
-    if lost.any():
-        # so many crossings that B lost rank: floor the denominators instead
-        # so pathological inputs still produce a finite covariance
-        B[lost] = _density_gram(X[lost], floored[lost])
-        lost[lost] = np.linalg.cond(B[lost]) > MAX_CONDITION
     failed = {int(i): SingularB(
         "density-weighted Gram matrix is numerically singular")
-        for i in np.flatnonzero(lost)}
-    unusable = lost.copy()
-    unusable[list(bundle.failed)] = True
-    B[unusable] = np.eye(k)
+        for i in rows[lost]}
+    rows, X, B, crossed = (a[~lost] for a in (rows, X, B, crossed))
+    H = tau * (1.0 - tau) * (X.swapaxes(1, 2) @ X) / T
     Binv = np.linalg.inv(B)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = Binv @ H @ Binv
-        sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
-    overflow = ~np.isfinite(sigma).all(axis=(1, 2)) & ~unusable
+        sandwich = Binv @ H @ Binv
+        sandwich = 0.5 * (sandwich + sandwich.swapaxes(1, 2))
+    finite = np.isfinite(sandwich).all(axis=(1, 2))
     failed.update({int(i): NonFiniteCovariance("sandwich is not finite")
-                   for i in np.flatnonzero(overflow)})
-    unusable |= overflow
-    sigma[unusable] = 0.0
-    crossed = crossed.any(axis=1) & ~unusable
-    return UncertaintyEstimate(sigma, degenerate=bool(crossed.any()),
-                               crossed=crossed, failed=failed)
-
-
-def _density_gram(X, f_hat):
-    """B = X' diag(f_hat) X / T of each row of an (n, T, k) stack."""
-    return (X * f_hat[..., None]).swapaxes(1, 2) @ X / X.shape[1]
+                   for i in rows[~finite]})
+    sigma = np.zeros((n, k, k))
+    sigma[rows[finite]] = sandwich[finite]
+    flags = np.zeros(n, dtype=bool)
+    flags[rows[finite]] = crossed[finite].any(axis=1)
+    return UncertaintyEstimate(sigma, degenerate=bool(flags.any()),
+                               crossed=flags, failed=failed)
 
 
 @dataclass

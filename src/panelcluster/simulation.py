@@ -329,11 +329,8 @@ def _quantile_slopes(panel, tau, d_T):
     X = panel.designs
     bundle = fit_quantile_bundle(X, panel.responses, tau, d_T=d_T)
     unc = hk_covariance(bundle, X)
-    failed = dict(unc.failed)
-    failed.update({int(i): NonConvergence("subgradient certificate failed")
-                   for i in np.flatnonzero(~bundle.certified)})
-    failed.update(bundle.failed)
-    return bundle.center.slopes, unc.sigma[:, 1:, 1:], failed
+    return (bundle.center.slopes, unc.sigma[:, 1:, 1:],
+            {**unc.failed, **bundle.failed})
 
 
 def _fit_logistic_rep(config, rng):

@@ -8,6 +8,8 @@ import numpy as np
 
 # relative asymmetry validate_covariance allows in a covariance
 SYMMETRY_RTOL = 1e-10
+# largest condition number of a matrix an estimator inverts or solves with
+MAX_CONDITION = 1e12
 
 
 class EstimationError(Exception):
@@ -67,7 +69,8 @@ class ParseError(ValueError):
 class PanelDataset:
     """Balanced panel of n individuals observed over T periods.
 
-    covariates has shape (n, T, p); responses has shape (n, T).
+    covariates has shape (n, T, p); responses has shape (n, T), and every
+    entry of both must be finite.
     """
 
     covariates: np.ndarray
@@ -80,6 +83,12 @@ class PanelDataset:
             raise DimensionMismatch("covariates must have shape (n, T, p)")
         if self.responses.shape != self.covariates.shape[:2]:
             raise DimensionMismatch("responses must have shape (n, T)")
+        bad_y = ~np.isfinite(self.responses).all(axis=1)
+        bad = bad_y | ~np.isfinite(self.covariates).all(axis=(1, 2))
+        if bad.any():
+            i = int(bad.argmax())
+            part = "responses" if bad_y[i] else "covariates"
+            raise ValueError(f"individual {i} has non-finite {part}")
 
     @property
     def n(self) -> int:
@@ -139,7 +148,7 @@ class UncertaintyEstimate:
     """Covariance estimates of a stack of n individuals, (n, s, s), which
     EstimateTable checks once.
 
-    degenerate flags floored density estimates (of any row). Per-row flags:
+    degenerate flags a crossed density quotient (of any row). Per-row flags:
     crossed (n,) and failed, {row: EstimationError} of the rows that hold
     no estimate.
     """
@@ -259,16 +268,15 @@ class QuantileFitBundle:
     """Quantile fits of a stack of n designs at tau and tau +/- bandwidth,
     used by the sandwich.
 
-    Each fit holds (n, k) coefficients; certified (n,) flags the rows whose
-    three fits pass the subgradient certificate, and failed maps rows that
-    could not be fit to their EstimationError.
+    Each fit holds (n, k) coefficients; failed maps the rows that could not
+    be fit, or whose three fits do not all pass the subgradient certificate,
+    to their EstimationError.
     """
 
     center: CoefficientEstimate
     upper: CoefficientEstimate
     lower: CoefficientEstimate
     bandwidth: float
-    certified: np.ndarray | None = None
     failed: dict = field(default_factory=dict)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -118,6 +119,22 @@ def test_non_finite_cell_names_row_and_column(tmp_path, header, row, column):
         read_estimates(path)
     message = str(info.value)
     assert f"row 3 (id=bad), column '{column}': must be finite" in message
+
+
+@pytest.mark.parametrize("header,row,message", [
+    ("id,c_11", "a,1", "no beta_* columns found"),
+    ("id,beta_1,beta_2,se", "a,0,0,1",
+     "'se' column is only valid for scalar estimates"),
+    ("id,beta_1,beta_2,c_11,c_22", "a,0,0,1,1",
+     "missing covariance columns: ['c_12']"),
+])
+def test_estimate_table_header_names_every_column_it_needs(tmp_path, header,
+                                                          row, message):
+    path = tmp_path / "est.csv"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ParseError) as info:
+        read_estimates(path)
+    assert str(info.value) == message
 
 
 def test_parse_error_on_non_psd_row(tmp_path):
@@ -395,6 +412,9 @@ def test_cluster_rejects_bad_weight(tmp_path, capsys, weight):
     pytest.param("", "b,1,1", ["--select-g", "--t-periods", "1"],
                  "--select-g requires --t-periods >= 2, got 1",
                  id="select-g-T-1"),
+    # the last --groups given is the one read
+    pytest.param("", "b,1,1", ["--groups", "4"], "--groups must lie in 1..3",
+                 id="groups-above-n"),
 ])
 def test_cluster_rejects_bad_values_at_ingestion(tmp_path, capsys, meta, row,
                                                  flags, message):
@@ -564,6 +584,24 @@ def test_estimate_drops_an_individual_whose_covariance_overflows(
     assert read_estimates(out).ids == [f"u{i}" for i in range(9) if i != 4]
 
 
+def test_pooled_fit_that_overflows_fails_without_numpy_warnings(tmp_path,
+                                                                capsys):
+    panel, _ = gen_model3(9, 40, "normal", 1)
+    panel.covariates[4] *= 1e160
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    out = tmp_path / "est.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["estimate", str(path), "--model", "qr-pooled",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: pooled fit at tau=0.5 fails its subgradient "
+        "certificate\n")
+    assert not out.exists()
+
+
 def test_estimate_logistic_drops_unconverged_individual(tmp_path, capsys,
                                                        monkeypatch):
     from panelcluster import logistic
@@ -708,6 +746,27 @@ def test_simulate_config_that_is_not_an_object_is_bad_input(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config must be a JSON object" in err
     assert "Traceback" not in err
+
+
+def test_simulate_config_that_is_not_json_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{model: model1}")
+    assert main(["simulate", str(cfg),
+                 "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: config is not valid JSON: Expecting property name enclosed "
+        "in double quotes: line 1 column 2 (char 1)\n")
+
+
+def test_simulate_prints_the_group_count_table(tmp_path, capsys):
+    code, out = run_simulate(tmp_path, {"model": "model1", "n": 9, "T": 40,
+                                        "reps": 2, "restarts": 5,
+                                        "select_groups": True,
+                                        "cluster_at_true_g": False})
+    assert code == 0
+    table = json.loads(out.read_text())["aggregates"]["group_count_table"]
+    assert (f"n=9 T=40 group counts: {table}\n"
+            in capsys.readouterr().out)
 
 
 def test_simulate_missing_field_names_it(tmp_path, capsys):
@@ -863,6 +922,7 @@ def test_simulate_empty_grid_axis_is_bad_input(tmp_path, capsys, axis):
     ("methods", [1], "unknown method 1"),
     ("tau", "0.5", "tau must be a real number, got '0.5'"),
     ("tau", True, "tau must be a real number, got True"),
+    ("error_dist", "cauchy", "unknown error_dist 'cauchy'"),
 ])
 def test_simulate_rejects_bad_config_before_generating(
         tmp_path, capsys, monkeypatch, model, field, value, message):

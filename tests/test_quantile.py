@@ -188,18 +188,22 @@ def test_hk_crossed_observation_is_dropped_not_inflated():
     assert unc.sigma[0, 0, 0] == pytest.approx(H / B ** 2, rel=1e-12)
 
 
-def test_hk_crossing_is_floored_and_flagged():
-    T, d, tau = 10, 0.1, 0.5
-    X = np.ones((1, T, 1))
-    same = CoefficientEstimate([[1.0]], tau=tau)
+def test_hk_row_whose_quotients_all_cross_fails_as_singular_b():
+    # row 0's three fits coincide, so every quotient crosses and B is zero;
+    # row 1 has density 2 d / c at every observation
+    T, d, c, tau = 10, 0.1, 1.0, 0.5
+    X = np.ones((2, T, 1))
     bundle = QuantileFitBundle(
-        same,
-        CoefficientEstimate([[1.0]], tau=tau + d),
-        CoefficientEstimate([[1.0]], tau=tau - d),
+        CoefficientEstimate([[1.0], [0.0]], tau=tau),
+        CoefficientEstimate([[1.0], [c / 2]], tau=tau + d),
+        CoefficientEstimate([[1.0], [-c / 2]], tau=tau - d),
         d)
     unc = hk_covariance(bundle, X)
-    assert np.isfinite(unc.sigma).all()
-    assert unc.degenerate
+    assert list(unc.failed) == [0] and isinstance(unc.failed[0], SingularB)
+    assert np.all(unc.sigma[0] == 0.0) and not unc.crossed.any()
+    assert not unc.degenerate
+    assert unc.sigma[1, 0, 0] == pytest.approx(
+        tau * (1 - tau) / (2 * d / c) ** 2, rel=1e-12)
 
 
 def test_pooled_with_no_covariates_separates():
@@ -301,7 +305,7 @@ def test_stacked_bundle_and_hk_equal_per_individual_calls(error_dist, T):
     d_T = hall_sheather_bandwidth(T, 0.5)
     bundle = fit_quantile_bundle(X, y, 0.5, d_T=d_T)
     unc = hk_covariance(bundle, X)
-    assert bundle.certified.all() and not bundle.failed and not unc.failed
+    assert not bundle.failed and not unc.failed
     for i in range(len(X)):
         row = slice(i, i + 1)
         solo = fit_quantile_bundle(X[row], y[row], 0.5, d_T=d_T)
@@ -357,7 +361,7 @@ def test_rejected_vertex_is_kept_and_certified(monkeypatch):
     plain = fit_quantile_bundle(X, y, 0.5)
     reject_row(monkeypatch, y[j])
     bundle = fit_quantile_bundle(X, y, 0.5)
-    assert bundle.certified.all() and not bundle.failed
+    assert not bundle.failed
     for level in ("center", "upper", "lower"):
         assert np.array_equal(getattr(bundle, level).gamma,
                               getattr(plain, level).gamma)
@@ -381,7 +385,7 @@ def test_rejected_vertex_off_the_minimizer_keeps_the_interior_point_fit(
     plain = fit_quantile_bundle(X, y, 0.5)
     reject_row(monkeypatch, y[j], move=1.0)
     bundle = fit_quantile_bundle(X, y, 0.5)
-    assert bundle.certified.all() and not bundle.failed
+    assert not bundle.failed
     for level in ("center", "upper", "lower"):
         got, want = getattr(bundle, level), getattr(plain, level)
         assert np.array_equal(np.delete(got.gamma, j, axis=0),
@@ -410,7 +414,7 @@ def test_tied_binary_design_keeps_a_certified_minimizer():
     tau = np.full(len(y), 0.5)
     assert not quantile._vertex_fits(quantile._Stack(X), y, tau)[2].any()
     bundle = fit_quantile_bundle(X, y, 0.5)
-    assert bundle.certified.all() and not bundle.failed
+    assert not bundle.failed
     for i in range(len(y)):
         one, certified = fit_one(X[i], y[i], 0.5)
         assert certified
@@ -435,9 +439,8 @@ def test_uncertified_row_is_dropped_alone(monkeypatch):
     reject_row(monkeypatch, panel.responses[j], move=1.0)
     move_fit(monkeypatch, panel.responses[j], 1.0)
     bundle = fit_quantile_bundle(panel.designs, panel.responses, 0.5)
-    assert not bundle.failed
-    assert not bundle.certified[j]
-    assert bundle.certified[np.arange(12) != j].all()
+    assert list(bundle.failed) == [j]
+    assert isinstance(bundle.failed[j], NonConvergence)
     ids = [f"u{i}" for i in range(12)]
     table = estimate_panel(panel, "qr-slopes", 0.5, ids)
     assert table.dropped == [(f"u{j}", "NonConvergence")]
@@ -458,8 +461,8 @@ def test_stacked_fits_are_scale_equivariant(seed, scale):
     d_T = hall_sheather_bandwidth(120, 0.5)
     plain = fit_quantile_bundle(X, y, 0.5, d_T=d_T)
     scaled = fit_quantile_bundle(X, y * scale, 0.5, d_T=d_T)
-    assert plain.certified.all() and not plain.failed
-    assert scaled.certified.all() and not scaled.failed
+    assert not plain.failed
+    assert not scaled.failed
     for level in ("center", "upper", "lower"):
         assert_scaled(getattr(scaled, level).gamma,
                       getattr(plain, level).gamma, scale)
@@ -499,7 +502,8 @@ def test_fit_quantile_at_three_levels_is_the_bundle(k):
         assert fit.tau == level
         assert np.array_equal(fit.gamma, gamma)
         assert fit.converged == ok.all()
-    assert np.array_equal(bundle.certified, certified.all(axis=0))
+    assert sorted(bundle.failed) == list(np.flatnonzero(
+        ~certified.all(axis=0)))
     assert ({i: (type(e), str(e)) for i, e in bundle.failed.items()}
             == {i: (type(e), str(e)) for i, e in failed.items()})
     assert list(failed) == ([3] if k > 1 else [])
@@ -545,8 +549,8 @@ def test_singular_normal_matrix_fails_the_chunk_as_nonconvergence(
     assert all(isinstance(exc, NonConvergence)
                for exc in bundle.failed.values())
     others = ~np.isin(np.arange(12), hit)
-    assert bundle.certified[others].all()
-    assert not bundle.certified[hit].any()
+    assert not set(np.flatnonzero(others)) & set(bundle.failed)
+    assert set(hit) <= set(bundle.failed)
     for level in ("center", "upper", "lower"):
         gamma = getattr(bundle, level).gamma
         assert np.all(gamma[hit] == 0.0)
@@ -565,7 +569,8 @@ def test_rank_deficient_row_fails_alone():
     assert list(bundle.failed) == [3]
     assert isinstance(bundle.failed[3], SingularDesign)
     others = np.arange(12) != 3
-    assert not bundle.certified[3] and bundle.certified[others].all()
+    assert 3 in bundle.failed
+    assert not set(np.flatnonzero(others)) & set(bundle.failed)
     assert np.all(bundle.center.gamma[3] == 0.0)
     assert np.all(unc.sigma[3] == 0.0) and not unc.crossed[3]
     solo = fit_quantile_bundle(X[3:4], y[3:4], 0.5)
@@ -678,3 +683,37 @@ def test_stacked_engine_matches_enumeration_on_criterion_5d_instances():
         assert certified
         assert quantile_objective(X, y, gamma, tau) == pytest.approx(
             brute_force_objective(X, y, tau), abs=1e-9)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda X, y: fit_quantile(X, y, [0.5, 1.0]), ValueError,
+     "tau must lie in (0, 1)"),
+    (lambda X, y: fit_quantile_bundle(X, y, 0.5, d_T=0.5), ValueError,
+     "bandwidth pushes tau +/- d_T outside (0, 1)"),
+    # one period each: n observations for n intercepts and two slopes
+    (lambda X, y: fit_pooled_quantile(y[:, :1], X[:, :1, 1:], [0.5]),
+     SingularDesign, "too few observations for the pooled fit"),
+    (lambda X, y: intercept_variance(y[:, 0], y[:, 1], 0.5, 0.0), ValueError,
+     "bandwidth must be positive"),
+])
+def test_quantile_inputs_are_checked(call, error, message):
+    X, y = model1_stack(n=3, T=20)
+    with pytest.raises(error) as info:
+        call(X, y)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("max_iter", [2, 3])
+def test_interior_point_stopped_early_is_certified_or_failed(monkeypatch,
+                                                             max_iter):
+    # at T = 12 the purified vertex of an unfinished fit is often optimal
+    X, y = model1_stack(n=30, T=12)
+    monkeypatch.setattr(quantile, "IP_MAX_ITER", max_iter)
+    bundle = fit_quantile_bundle(X, y, 0.5)
+    assert 0 < len(bundle.failed) < len(X)
+    for fit in (bundle.center, bundle.upper, bundle.lower):
+        ok = subgradient_certificate(X, y, fit.gamma, fit.tau,
+                                     quantile.CERT_TOL)
+        assert fit.converged == ok.all()
+        for i in range(len(X)):
+            assert ok[i] != (i in bundle.failed)

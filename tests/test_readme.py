@@ -1,5 +1,5 @@
 """The README's python example runs, and its simulate configs are valid,
-against the current API."""
+against the current API; the CI workflow runs ROADMAP's tier-1 command."""
 
 import json
 import re
@@ -9,7 +9,8 @@ import numpy as np
 
 from panelcluster.simulation import SimulationConfig
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_example_runs():
@@ -34,3 +35,15 @@ def test_readme_simulate_configs_are_valid():
         for n in ns:
             for T in Ts:
                 SimulationConfig(**{**raw, "n": n, "T": T})
+
+
+def test_ci_runs_the_roadmap_tier1_command_under_a_timeout():
+    # plain text matching: the workflow does not install PyYAML
+    command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$",
+                        (ROOT / "ROADMAP.md").read_text(), re.M).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    step = re.search(r"^      - name: Tier-1 tests\n        run: (.+)$",
+                     workflow, re.M)
+    assert step and step.group(1) == command
+    # a job-level limit, so a hung run does not hold a runner for hours
+    assert re.search(r"^    timeout-minutes: [1-9][0-9]*$", workflow, re.M)

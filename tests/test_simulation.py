@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from panelcluster.simulation import (
     splitmix64,
 )
 from panelcluster.spectral import build_dissimilarity
+from panelcluster.types import DimensionMismatch, PanelDataset
 
 
 def test_splitmix64_is_stable():
@@ -365,3 +368,74 @@ def test_aggregate_shapes():
     table = agg["group_count_table"]
     assert set(table) == {"1", "2", "3", "4", "5+"}
     assert sum(table.values()) == pytest.approx(1.0)
+
+
+PANELS = [(gen_logistic, (9, 40, 3)), (gen_model1, (9, 40, "normal", 1)),
+          (gen_model3, (9, 40, "normal", 1))]
+
+
+@pytest.mark.parametrize("gen,args", PANELS)
+@pytest.mark.parametrize("part,bad", [("responses", np.nan),
+                                      ("responses", -np.inf),
+                                      ("covariates", np.inf),
+                                      ("covariates", np.nan)])
+def test_panel_names_the_first_individual_with_a_non_finite_entry(
+        gen, args, part, bad):
+    panel, _ = gen(*args)
+    values = {"covariates": panel.covariates, "responses": panel.responses}
+    values[part][7, 3] = bad
+    values[part][5, 0] = bad
+    with pytest.raises(ValueError,
+                       match=f"^individual 5 has non-finite {part}$"):
+        PanelDataset(**values)
+
+
+def test_panel_names_responses_and_covariates_in_index_order():
+    panel, _ = gen_model1(9, 40, "normal", 1)
+    panel.covariates[6, 0, 1] = np.nan
+    panel.responses[6, 1] = np.inf
+    with pytest.raises(ValueError, match="individual 6 has non-finite "
+                                         "responses"):
+        PanelDataset(panel.covariates, panel.responses)
+    panel.covariates[2, 5, 0] = -np.inf
+    with pytest.raises(ValueError, match="individual 2 has non-finite "
+                                         "covariates"):
+        PanelDataset(panel.covariates, panel.responses)
+
+
+@pytest.mark.parametrize("covariates,responses,message", [
+    (np.zeros((3, 4)), np.zeros((3, 4)),
+     "covariates must have shape (n, T, p)"),
+    (np.zeros((3, 4, 1)), np.zeros((3, 5)), "responses must have shape (n, T)"),
+])
+def test_panel_rejects_mismatched_shapes(covariates, responses, message):
+    with pytest.raises(DimensionMismatch) as info:
+        PanelDataset(covariates, responses)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kwargs,error,message", [
+    ({"model": "qr-slopes", "ids": ["a", "b"]}, DimensionMismatch,
+     "one id per individual required"),
+    ({"model": "ols"}, ValueError, "unknown model 'ols'"),
+])
+def test_estimate_panel_rejects_bad_arguments(kwargs, error, message):
+    panel, _ = gen_model1(9, 40, "normal", 1)
+    with pytest.raises(error) as info:
+        simulation.estimate_panel(panel, **kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("gen,args,model", [
+    (gen_logistic, (9, 100, 3), "logistic"),
+    (gen_model1, (9, 40, "normal", 1), "qr-slopes")])
+def test_overflowing_design_is_dropped_and_not_computed_again(
+        capfd, gen, args, model):
+    panel, _ = gen(*args)
+    panel.covariates[4] *= 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = simulation.estimate_panel(panel, model)
+    assert table.dropped == [(4, "SingularDesign")]
+    # neither numpy nor LAPACK reports on the dropped row
+    assert capfd.readouterr() == ("", "")

@@ -834,3 +834,22 @@ def test_dissimilarity_check_reports_non_finite_before_negative():
     V[0, 1], V[1, 0] = -1.7e308, 1.7e308  # the difference would overflow
     with pytest.raises(ValueError, match="non-negative"):
         spectral._check_dissimilarity(V)
+
+
+@pytest.mark.parametrize("G", [0, 4])
+def test_spectral_cluster_rejects_G_outside_1_to_n(G):
+    V = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^G must lie in 1\.\.n$"):
+        spectral_cluster(V, G)
+
+
+@pytest.mark.parametrize("sigma", [np.ones(3), np.ones((2, 3)),
+                                   np.ones((4, 2, 3))])
+def test_validate_covariance_rejects_a_non_square_matrix(sigma):
+    with pytest.raises(NotSymmetric, match="^covariance must be square$"):
+        validate_covariance(sigma)
+
+
+def test_estimate_table_rejects_duplicate_ids():
+    with pytest.raises(ValueError, match="^estimate ids must be unique$"):
+        EstimateTable(["a", "b", "a"], np.zeros((3, 1)), np.ones((3, 1, 1)))
