@@ -59,11 +59,11 @@ def fit_logistic(X, y) -> CoefficientEstimate:
     (_newton), in chunks of at most NEWTON_CHUNK_ENTRIES design entries. A
     row fails with DegenerateOutcome when its y is constant or has an
     outcome other than 0 or 1 (NaN included), SingularDesign when its X is
-    rank deficient, PerfectSeparation when its outcomes are separated or its
-    iterate diverges, and NonConvergence when its gradient is not within
-    GRADIENT_TOL after MAX_ITER steps. gamma is (n, k) with the failed
-    rows read 0, failed maps each failed row to its error, and iterations
-    sums the steps of the other rows.
+    not finite or rank deficient, PerfectSeparation when its outcomes are
+    separated or its iterate diverges, and NonConvergence when its gradient
+    is not within GRADIENT_TOL after MAX_ITER steps. gamma is (n, k) with
+    the failed rows read 0, failed maps each failed row to its error, and
+    iterations sums the steps of the other rows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -73,15 +73,19 @@ def fit_logistic(X, y) -> CoefficientEstimate:
     # NaN fails both comparisons, so a non-finite outcome is invalid too
     invalid = ~np.all((y == 0.0) | (y == 1.0), axis=1)
     constant = ~invalid & (y.min(axis=1) == y.max(axis=1))
-    deficient = ~invalid & ~constant & (np.linalg.matrix_rank(X) < k)
-    failed = {int(i): DegenerateOutcome("outcomes must be 0 or 1")
-              for i in np.flatnonzero(invalid)}
-    failed.update({int(i): DegenerateOutcome(
-        "response is constant; drop this individual")
-        for i in np.flatnonzero(constant)})
+    nonfinite = ~invalid & ~constant & ~np.isfinite(X).all(axis=(1, 2))
+    failed = {}
+    for bad, error, message in (
+            (invalid, DegenerateOutcome, "outcomes must be 0 or 1"),
+            (constant, DegenerateOutcome,
+             "response is constant; drop this individual"),
+            (nonfinite, SingularDesign, "design matrix has non-finite entries")):
+        failed.update({int(i): error(message) for i in np.flatnonzero(bad)})
+    rows = np.flatnonzero(~invalid & ~constant & ~nonfinite)
+    deficient = np.linalg.matrix_rank(X[rows]) < k
     failed.update({int(i): SingularDesign("design matrix is rank deficient")
-                   for i in np.flatnonzero(deficient)})
-    rows = np.flatnonzero(~invalid & ~constant & ~deficient)
+                   for i in rows[deficient]})
+    rows = rows[~deficient]
     gamma = np.zeros((n, k))
     iterations = 0
     step = max(1, NEWTON_CHUNK_ENTRIES // (T * k))
@@ -115,18 +119,26 @@ def _newton(X, y, max_iter, tol):
     active = np.arange(m)
     gamma = np.zeros((m, k))
     ll = log_likelihood(X, y, gamma)
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):  # it: the steps taken so far
         mu = _probabilities(X, gamma)
         residual = y - mu
         grad = (X.swapaxes(1, 2) @ residual[..., None])[..., 0] / T
-        hess = _weighted_gram(X, mu * (1.0 - mu))
         done = np.abs(grad).max(axis=1) <= tol
         # the separation test reuses the probabilities of this iterate
         separated = done & (np.abs(residual).max(axis=1) < SEPARATION_MARGIN)
-        ill = ~done & (np.linalg.cond(hess) > MAX_CONDITION)
         finished = done & ~separated
         gamma_out[active[finished]] = gamma[finished]
-        steps += (it - 1) * int(finished.sum())
+        steps += it * int(finished.sum())
+        errors.update({int(j): PerfectSeparation(
+            "all outcomes fitted exactly; outcomes are separable")
+            for j in active[separated]})
+        if it == max_iter:
+            errors.update({int(j): NonConvergence(
+                f"Newton iterations did not converge in {max_iter} steps")
+                for j in active[~done]})
+            break
+        hess = _weighted_gram(X, mu * (1.0 - mu))
+        ill = ~done & (np.linalg.cond(hess) > MAX_CONDITION)
         moving = ~done & ~ill
         hess[~moving] = np.eye(k)  # rows leaving now: keep solve regular
         step = np.linalg.solve(hess, grad[..., None])[..., 0]
@@ -154,8 +166,6 @@ def _newton(X, y, max_iter, tol):
         norm = np.sqrt((gamma[:, None, :] @ gamma[..., None])[:, 0, 0])
         diverged = moving & (norm > DIVERGENCE_NORM)
         for bad, message in (
-                (separated, "all outcomes fitted exactly; outcomes are "
-                            "separable"),
                 (ill, "Hessian became numerically singular"),
                 (diverged, "estimate diverged; outcomes are likely "
                            "separable")):
@@ -165,14 +175,6 @@ def _newton(X, y, max_iter, tol):
         active, X, y, gamma, ll = (a[keep] for a in (active, X, y, gamma, ll))
         if not len(active):
             break
-    mu = _probabilities(X, gamma)
-    grad = (X.swapaxes(1, 2) @ (y - mu)[..., None])[..., 0] / T
-    done = np.abs(grad).max(axis=1) <= tol
-    gamma_out[active[done]] = gamma[done]
-    steps += max_iter * int(done.sum())
-    errors.update({int(j): NonConvergence(
-        f"Newton iterations did not converge in {max_iter} steps")
-        for j in active[~done]})
     return gamma_out, steps, errors
 
 

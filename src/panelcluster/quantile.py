@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .types import (
     MAX_CONDITION,
@@ -116,10 +116,13 @@ def hall_sheather_bandwidth(T: int, tau: float) -> float:
     if not 0.01 < tau < 0.99:
         raise ValueError(f"tau={tau:g} must lie in (0.01, 0.99): the "
                          "Hall-Sheather bandwidth keeps tau +/- d_T inside it")
-    z = norm.ppf(1.0 - HALL_SHEATHER_ALPHA / 2.0)
-    q = norm.ppf(tau)
+    z = ndtri(1.0 - HALL_SHEATHER_ALPHA / 2.0)
+    q = ndtri(tau)
+    # the normal density on a one-element array, as scipy.stats evaluates it
+    # (numpy's array exp can differ from the scalar one in the last bit)
+    density = (np.exp(-np.array([q]) ** 2 / 2.0) / np.sqrt(2.0 * np.pi))[0]
     d = T ** (-1.0 / 3.0) * z ** (2.0 / 3.0) * (
-        1.5 * norm.pdf(q) ** 2 / (2.0 * q ** 2 + 1.0)) ** (1.0 / 3.0)
+        1.5 * density ** 2 / (2.0 * q ** 2 + 1.0)) ** (1.0 / 3.0)
     return float(min(d, tau - 0.01, 0.99 - tau))
 
 
@@ -129,8 +132,9 @@ def fit_quantile(X, y, tau):
     (0, 1); any other shape raises DimensionMismatch. All L n fits run as
     one batched solve (_fit_stack). Returns gammas (L, n, k), certified
     (L, n), the fits that pass the subgradient certificate, and failed,
-    {row: EstimationError} of the rows that cannot be fit (SingularDesign,
-    NonConvergence), which read 0 and are uncertified at every level.
+    {row: EstimationError} of the rows that cannot be fit (SingularDesign
+    for a non-finite or rank deficient design, NonConvergence), which read
+    0 and are uncertified at every level.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     levels = np.asarray(tau, dtype=float)
@@ -139,10 +143,14 @@ def fit_quantile(X, y, tau):
     if not np.all((0.0 < levels) & (levels < 1.0)):
         raise ValueError("tau must lie in (0, 1)")
     n, _, k = X.shape
-    full_rank = np.linalg.matrix_rank(X) == k
-    failed = {int(i): SingularDesign("design matrix is rank deficient")
-              for i in np.flatnonzero(~full_rank)}
-    rows = np.flatnonzero(full_rank)
+    finite = np.isfinite(X).all(axis=(1, 2))
+    failed = {int(i): SingularDesign("design matrix has non-finite entries")
+              for i in np.flatnonzero(~finite)}
+    rows = np.flatnonzero(finite)
+    deficient = np.linalg.matrix_rank(X[rows]) < k
+    failed.update({int(i): SingularDesign("design matrix is rank deficient")
+                   for i in rows[deficient]})
+    rows = rows[~deficient]
     gammas = np.zeros((len(levels), n, k))
     certified = np.zeros((len(levels), n), dtype=bool)
     if len(rows):
@@ -158,19 +166,15 @@ def fit_quantile(X, y, tau):
     return gammas, certified, failed
 
 
-def fit_quantile_bundle(X, y, tau: float,
-                        d_T: float | None = None) -> QuantileFitBundle:
-    """Fit at tau and tau +/- d_T (Hall-Sheather default bandwidth) by one
+def fit_quantile_bundle(X, y, tau: float) -> QuantileFitBundle:
+    """Fit at tau and tau +/- d_T, d_T the Hall-Sheather bandwidth, by one
     fit_quantile call on the (n, T, k) stack X with responses y (n, T).
     bundle.failed is fit_quantile's, plus NonConvergence for each other row
     whose three fits do not all pass the certificate; those rows read 0 at
     every level. Each level's converged holds when all its rows pass."""
     if np.ndim(X) != 3 or np.shape(y) != np.shape(X)[:2]:
         raise DimensionMismatch("design/response shape mismatch")
-    if d_T is None:
-        d_T = hall_sheather_bandwidth(np.shape(X)[1], tau)
-    if not (0.0 < tau - d_T and tau + d_T < 1.0):
-        raise ValueError("bandwidth pushes tau +/- d_T outside (0, 1)")
+    d_T = hall_sheather_bandwidth(np.shape(X)[1], tau)
     levels = (tau, tau + d_T, tau - d_T)
     gammas, certified, failed = fit_quantile(X, y, levels)
     for i in np.flatnonzero(~certified.all(axis=0)):
@@ -545,11 +549,11 @@ def fit_pooled_quantile(y, x, tau) -> PooledQuantileFit:
     separates into n intercept-only fits solved in closed form. Otherwise
     the levels run as one stack in the batched interior point on the pooled
     design (_fit_pooled_levels). Raises SingularDesign when a covariate is
-    collinear with the intercepts (the covariates' deviations from each
-    individual's first period are rank deficient), and NonConvergence when
-    the interior point meets an exactly singular normal matrix or a level
-    fails the subgradient certificate (tolerance CERT_TOL * n), so a returned
-    fit has converged=True.
+    not finite or collinear with the intercepts (the covariates' deviations
+    from each individual's first period are rank deficient), and
+    NonConvergence when the interior point meets an exactly singular normal
+    matrix or a level fails the subgradient certificate (tolerance CERT_TOL
+    * n), so a returned fit has converged=True.
     """
     y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
     n, T = y.shape
@@ -561,6 +565,8 @@ def fit_pooled_quantile(y, x, tau) -> PooledQuantileFit:
         raise ValueError("tau must lie in (0, 1)")
     if n * T < n + p + 1:
         raise SingularDesign("too few observations for the pooled fit")
+    if not np.isfinite(x).all():
+        raise SingularDesign("design matrix has non-finite entries")
 
     if p == 0:
         alphas = lower_sample_quantile(y[None], levels[:, None])

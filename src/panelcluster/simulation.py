@@ -26,13 +26,11 @@ from .quantile import (
 )
 from .spectral import build_dissimilarity, kmeans, select_num_groups, spectral_cluster
 from .types import (
-    DegenerateOutcome,
     DimensionMismatch,
     EstimateTable,
     NonConvergence,
     NonFiniteCovariance,
     PanelDataset,
-    PerfectSeparation,
 )
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -287,7 +285,7 @@ def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
         raise ValueError(f"model {model!r} fits slopes: it needs x_k columns")
     d_T = None if model == "logistic" else hall_sheather_bandwidth(panel.T, tau)
     if model == "qr-slopes":
-        betas, sigmas, failed = _quantile_slopes(panel, tau, d_T)
+        betas, sigmas, failed = _quantile_slopes(panel, tau)
     elif model == "logistic":
         betas, sigmas, failed = _logistic_slopes(panel)
     else:
@@ -323,47 +321,39 @@ def _pooled_intercepts(panel, tau, d_T):
     return center[:, None], variance, failed
 
 
-def _quantile_slopes(panel, tau, d_T):
+def _quantile_slopes(panel, tau):
     """Stacked qr-slopes fits of a panel: slopes (n, p), their HK
     covariances (n, p, p) and {row: EstimationError} of the unusable rows."""
     X = panel.designs
-    bundle = fit_quantile_bundle(X, panel.responses, tau, d_T=d_T)
+    bundle = fit_quantile_bundle(X, panel.responses, tau)
     unc = hk_covariance(bundle, X)
     return (bundle.center.slopes, unc.sigma[:, 1:, 1:],
             {**unc.failed, **bundle.failed})
 
 
 def _fit_logistic_rep(config, rng):
-    """Draw and fit individuals until n are kept, resampling on degenerate
-    outcomes or perfect separation so the sample size is preserved. Each
-    round draws the individuals still needed, fits them as one stack and
-    takes them in draw order, so the draws match a one-at-a-time loop's.
-    Rows are labelled by draw number."""
+    """Draw and fit individuals until n are kept, redrawing every draw whose
+    fit fails (listed in `dropped` with its error's class name), so the
+    sample size is preserved. Each round draws the individuals still needed,
+    fits them as one stack and keeps its surviving rows in draw order. Rows
+    are labelled by draw number. More than 100 n failed draws raise
+    NonConvergence once the round that passes that budget ends."""
     T = config.T
-    kept, betas, sigmas, truth, dropped = [], [], [], [], []
-    while len(kept) < config.n:
+    rounds, dropped, drawn = [], [], 0
+    while (need := config.n - drawn + len(dropped)) > 0:
         panel, groups = _draw_panel(
-            config.n - len(kept), T, 2,
-            lambda i: _draw_logistic_individual(rng, T))
+            need, T, 2, lambda i: _draw_logistic_individual(rng, T))
         slopes, sigma, failed = _logistic_slopes(panel)
-        for j, group in enumerate(groups):
-            draw = len(kept) + len(dropped)
-            exc = failed.get(j)
-            if isinstance(exc, (DegenerateOutcome, PerfectSeparation)):
-                dropped.append((draw, type(exc).__name__))
-                if len(dropped) > 100 * config.n:
-                    raise NonConvergence(
-                        "resampling budget exhausted for logistic repetition")
-                continue
-            if exc is not None:
-                raise exc
-            kept.append(draw)
-            betas.append(slopes[j])
-            sigmas.append(sigma[j])
-            truth.append(group)
-    table = EstimateTable(kept, np.array(betas), np.array(sigmas),
-                          dropped=dropped)
-    return table, np.array(truth)
+        ok = np.setdiff1d(np.arange(need), list(failed))
+        rounds.append((drawn + ok, slopes[ok], sigma[ok], groups[ok]))
+        dropped += [(drawn + j, type(failed[j]).__name__)
+                    for j in sorted(failed)]
+        drawn += need
+        if len(dropped) > 100 * config.n:
+            raise NonConvergence(
+                "resampling budget exhausted for logistic repetition")
+    kept, betas, sigmas, truth = (np.concatenate(a) for a in zip(*rounds))
+    return EstimateTable(kept.tolist(), betas, sigmas, dropped=dropped), truth
 
 
 def _fit_panel_rep(config, rng):

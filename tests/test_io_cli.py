@@ -680,8 +680,7 @@ def test_estimate_pooled_failed_certificate_exits_2(tmp_path, capsys,
 
 
 def test_estimate_then_cluster_matches_in_process_pipeline(tmp_path, capsys):
-    from panelcluster.quantile import (fit_quantile_bundle,
-                                       hall_sheather_bandwidth, hk_covariance)
+    from panelcluster.quantile import fit_quantile_bundle, hk_covariance
     from panelcluster.spectral import build_dissimilarity, spectral_cluster
 
     panel, truth = gen_model1(12, 80, "normal", seed=9)
@@ -696,12 +695,10 @@ def test_estimate_then_cluster_matches_in_process_pipeline(tmp_path, capsys):
                  str(report_path)]) == 0
     report = json.loads(report_path.read_text())
 
-    d_T = hall_sheather_bandwidth(panel.T, 0.5)
     betas, uncs = [], []
     for i in range(panel.n):
         X = panel.designs[i:i + 1]
-        bundle = fit_quantile_bundle(X, panel.responses[i:i + 1], 0.5,
-                                     d_T=d_T)
+        bundle = fit_quantile_bundle(X, panel.responses[i:i + 1], 0.5)
         betas.append(bundle.center.slopes[0])
         uncs.append(hk_covariance(bundle, X))
     table = EstimateTable(list(range(panel.n)), betas,

@@ -11,7 +11,6 @@ from panelcluster import logistic, simulation
 from panelcluster.logistic import fit_logistic, logistic_covariance
 from panelcluster.simulation import (
     SimulationConfig,
-    _draw_logistic_individual,
     _fit_logistic_rep,
     gen_logistic,
     make_rng,
@@ -332,24 +331,63 @@ def test_rounds_match_one_at_a_time_loop(T, seed):
         assert len(dropped) > 5  # several resampling rounds
 
 
-def test_budget_runs_out_mid_round_as_in_the_loop(monkeypatch):
-    draws = []
-
-    def counted(rng, T):
-        draws.append(T)
-        return _draw_logistic_individual(rng, T)
-
-    monkeypatch.setattr(simulation, "_draw_logistic_individual", counted)
+def test_budget_runs_out_mid_round_as_in_the_loop():
     # at T = 3 almost every draw is separated or constant; the config
     # rejects T < 4, so T is set after the check to reach the budget
     config = SimulationConfig(model="logistic", n=4, T=4, reps=1)
     config.T = 3
     with pytest.raises(NonConvergence):
         reference_rep(config, make_rng(3))
-    loop_draws = len(draws)
-    draws.clear()
-    with pytest.raises(NonConvergence, match="budget exhausted") as info:
+    with pytest.raises(NonConvergence, match="budget exhausted"):
         _fit_logistic_rep(config, make_rng(3))
-    # raised at the loop's last draw, with later rows of the round unused
-    assert info.traceback[-1].frame.f_locals["draw"] == loop_draws - 1
-    assert len(draws) > loop_draws
+
+
+# --- one bad design, and the last Newton step ---
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_design_fails_only_its_row(bad):
+    panel, _ = gen_logistic(12, 150, 0)
+    X, Y = panel.designs, panel.responses
+    X_bad = X.copy()
+    X_bad[4, 7, 1] = bad
+    est = fit_logistic(X_bad, Y)
+    unc = logistic_covariance(X_bad, est)
+    assert list(est.failed) == [4] and not unc.failed
+    assert type(est.failed[4]) is SingularDesign
+    assert str(est.failed[4]) == "design matrix has non-finite entries"
+    rest = np.delete(np.arange(12), 4)
+    alone = fit_logistic(X[rest], Y[rest])
+    alone_unc = logistic_covariance(X[rest], alone)
+    assert not alone.failed and est.iterations == alone.iterations
+    assert np.array_equal(est.gamma[rest], alone.gamma)
+    assert not est.gamma[4].any() and not unc.sigma[4].any()
+    assert np.array_equal(unc.sigma[rest], alone_unc.sigma)
+
+
+def test_estimate_panel_drops_a_non_finite_covariate_row():
+    panel, _ = gen_logistic(12, 150, 0)
+    panel.covariates[2, 0, 0] = np.nan  # written after the panel's check
+    table = simulation.estimate_panel(panel, "logistic")
+    assert table.dropped == [(2, "SingularDesign")]
+    assert table.ids == [i for i in range(12) if i != 2]
+
+
+def test_newton_keeps_a_row_at_its_last_step(monkeypatch):
+    panel, _ = gen_logistic(8, 60, 2)
+    X, Y = panel.designs, panel.responses
+    full = fit_logistic(X, Y)
+    steps = {i: fit_logistic(X[i:i + 1], Y[i:i + 1]).iterations
+             for i in range(8) if i not in full.failed}
+    assert len(steps) > 4 and min(steps.values()) > 1
+    for i, k in steps.items():
+        row = slice(i, i + 1)
+        monkeypatch.setattr(logistic, "MAX_ITER", k)
+        at_k = fit_logistic(X[row], Y[row])
+        assert not at_k.failed and at_k.iterations == k
+        assert np.array_equal(at_k.gamma[0], full.gamma[i])
+        monkeypatch.setattr(logistic, "MAX_ITER", k - 1)
+        short = fit_logistic(X[row], Y[row])
+        assert list(short.failed) == [0] and short.iterations == 0
+        assert type(short.failed[0]) is NonConvergence
+        assert str(short.failed[0]) == (
+            f"Newton iterations did not converge in {k - 1} steps")

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,32 @@ def test_hall_sheather_shrinks_with_T():
 def test_hall_sheather_clips_near_one():
     d = hall_sheather_bandwidth(20, 0.97)
     assert 0.97 + d <= 0.99 + 1e-12
+
+
+def test_hall_sheather_equals_the_scipy_stats_formula():
+    from scipy.stats import norm
+
+    z = norm.ppf(1.0 - quantile.HALL_SHEATHER_ALPHA / 2.0)
+    # a step of 8e-4 keeps 0.22, 0.78 and 0.9248, where a scalar density
+    # would differ in the last bit
+    for tau in np.arange(104, 9900, 8) / 10_000:
+        q = norm.ppf(tau)
+        shape = 1.5 * norm.pdf(q) ** 2 / (2.0 * q ** 2 + 1.0)
+        for T in (10, 11, 20, 30, 60, 120, 150, 400, 1000, 12345):
+            d = T ** (-1.0 / 3.0) * z ** (2.0 / 3.0) * shape ** (1.0 / 3.0)
+            assert hall_sheather_bandwidth(T, tau) == min(d, tau - 0.01,
+                                                          0.99 - tau)
+
+
+def test_package_import_does_not_load_scipy_stats():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, panelcluster, panelcluster.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_hk_location_model_matches_asymptotic_variance():
@@ -302,13 +332,12 @@ def model1_stack(n=12, T=60, error_dist="t3", seed=11):
 @pytest.mark.parametrize("error_dist,T", [("normal", 60), ("t3", 120)])
 def test_stacked_bundle_and_hk_equal_per_individual_calls(error_dist, T):
     X, y = model1_stack(T=T, error_dist=error_dist)
-    d_T = hall_sheather_bandwidth(T, 0.5)
-    bundle = fit_quantile_bundle(X, y, 0.5, d_T=d_T)
+    bundle = fit_quantile_bundle(X, y, 0.5)
     unc = hk_covariance(bundle, X)
     assert not bundle.failed and not unc.failed
     for i in range(len(X)):
         row = slice(i, i + 1)
-        solo = fit_quantile_bundle(X[row], y[row], 0.5, d_T=d_T)
+        solo = fit_quantile_bundle(X[row], y[row], 0.5)
         solo_unc = hk_covariance(solo, X[row])
         for level in ("center", "upper", "lower"):
             assert np.array_equal(getattr(bundle, level).gamma[i],
@@ -458,9 +487,8 @@ def assert_scaled(got, want, scale):
 def test_stacked_fits_are_scale_equivariant(seed, scale):
     panel, _ = gen_model1(30, 120, "t3", seed)
     X, y = panel.designs, panel.responses
-    d_T = hall_sheather_bandwidth(120, 0.5)
-    plain = fit_quantile_bundle(X, y, 0.5, d_T=d_T)
-    scaled = fit_quantile_bundle(X, y * scale, 0.5, d_T=d_T)
+    plain = fit_quantile_bundle(X, y, 0.5)
+    scaled = fit_quantile_bundle(X, y * scale, 0.5)
     assert not plain.failed
     assert not scaled.failed
     for level in ("center", "upper", "lower"):
@@ -486,17 +514,18 @@ def test_stacked_fits_are_scale_equivariant(seed, scale):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_fit_quantile_at_three_levels_is_the_bundle(k):
     rng = np.random.default_rng(14)
-    X = np.concatenate([np.ones((4, 8, 1)), rng.normal(size=(4, 8, k - 1))],
-                       axis=2)
-    y = rng.normal(size=(4, 8))
-    # tau T = 4: with k = 1 every point of [3, 4] minimizes at tau = 0.5
-    y[0] = (3, 1, 4, 1, 5, 9, 2, 6)
+    X = np.concatenate([np.ones((4, 10, 1)),
+                        rng.normal(size=(4, 10, k - 1))], axis=2)
+    y = rng.normal(size=(4, 10))
+    # tau T = 5: with k = 1 every point of [3, 4] minimizes at tau = 0.5
+    y[0] = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
     if k > 1:
         X[3, :, 1] = 2.0  # collinear with the intercept
-    tau, d = 0.5, 0.1
+    tau = 0.5
+    d = hall_sheather_bandwidth(10, tau)
     levels = (tau, tau + d, tau - d)
     gammas, certified, failed = fit_quantile(X, y, levels)
-    bundle = fit_quantile_bundle(X, y, tau, d_T=d)
+    bundle = fit_quantile_bundle(X, y, tau)
     fits = (bundle.center, bundle.upper, bundle.lower)
     for gamma, ok, fit, level in zip(gammas, certified, fits, levels):
         assert fit.tau == level
@@ -575,6 +604,46 @@ def test_rank_deficient_row_fails_alone():
     assert np.all(unc.sigma[3] == 0.0) and not unc.crossed[3]
     solo = fit_quantile_bundle(X[3:4], y[3:4], 0.5)
     assert isinstance(solo.failed[0], SingularDesign)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_design_fails_only_its_row(bad):
+    X, y = model1_stack(T=60, error_dist="normal")
+    X_bad = X.copy()
+    X_bad[4, 7, 1] = bad
+    bundle = fit_quantile_bundle(X_bad, y, 0.5)
+    unc = hk_covariance(bundle, X_bad)
+    assert list(bundle.failed) == [4] and not unc.failed
+    assert type(bundle.failed[4]) is SingularDesign
+    assert str(bundle.failed[4]) == "design matrix has non-finite entries"
+    rest = np.delete(np.arange(12), 4)
+    alone = fit_quantile_bundle(X[rest], y[rest], 0.5)
+    alone_unc = hk_covariance(alone, X[rest])
+    assert not alone.failed
+    for level in ("center", "upper", "lower"):
+        gamma = getattr(bundle, level).gamma
+        assert np.array_equal(gamma[rest], getattr(alone, level).gamma)
+        assert not gamma[4].any()
+    assert np.array_equal(unc.sigma[rest], alone_unc.sigma)
+    assert np.array_equal(unc.crossed[rest], alone_unc.crossed)
+    assert not unc.sigma[4].any()
+
+
+def test_non_finite_covariate_drops_its_row_or_fails_the_pooled_fit():
+    from panelcluster.simulation import estimate_panel
+
+    panel, _ = gen_model1(12, 60, "normal", 11)
+    panel.covariates[2, 0, 0] = np.nan  # written after the panel's check
+    table = estimate_panel(panel, "qr-slopes")
+    assert table.dropped == [(2, "SingularDesign")]
+    panel, _ = gen_model3(9, 60, "normal", 11)
+    panel.covariates[2, 0, 0] = np.inf
+    for call in (lambda: estimate_panel(panel, "qr-pooled"),
+                 lambda: fit_pooled_quantile(panel.responses,
+                                             panel.covariates, [0.5])):
+        with pytest.raises(SingularDesign,
+                           match="design matrix has non-finite entries"):
+            call()
 
 
 def test_singular_b_row_fails_alone():
@@ -688,8 +757,6 @@ def test_stacked_engine_matches_enumeration_on_criterion_5d_instances():
 @pytest.mark.parametrize("call,error,message", [
     (lambda X, y: fit_quantile(X, y, [0.5, 1.0]), ValueError,
      "tau must lie in (0, 1)"),
-    (lambda X, y: fit_quantile_bundle(X, y, 0.5, d_T=0.5), ValueError,
-     "bandwidth pushes tau +/- d_T outside (0, 1)"),
     # one period each: n observations for n intercepts and two slopes
     (lambda X, y: fit_pooled_quantile(y[:, :1], X[:, :1, 1:], [0.5]),
      SingularDesign, "too few observations for the pooled fit"),

@@ -315,28 +315,37 @@ def test_estimate_panel_drops_and_reports_failed_fits():
     assert table.sigmas.shape == (table.n, 2, 2) and table.d_T is None
 
 
-def test_logistic_round_raises_a_failure_it_does_not_resample(
-        monkeypatch, tmp_path, capsys):
+def test_logistic_round_redraws_a_draw_whose_covariance_fails(
+        monkeypatch, tmp_path):
     from panelcluster.cli import main
     from panelcluster.types import SingularHessian
 
     fit = simulation._logistic_slopes
+    rounds = []
 
     def singular_third_draw(panel):
         slopes, sigma, failed = fit(panel)
-        return slopes, sigma, {**failed, 2: SingularHessian("injected")}
+        rounds.append(panel.n)
+        if len(rounds) == 1:
+            failed = {**failed, 2: SingularHessian("injected")}
+        return slopes, sigma, failed
 
     monkeypatch.setattr(simulation, "_logistic_slopes", singular_third_draw)
     config = SimulationConfig(model="logistic", n=9, T=100, reps=1, seed=5,
                               restarts=5)
-    with pytest.raises(SingularHessian, match="injected"):
-        run_rep(config, 0)
+    table, truth = simulation._fit_logistic_rep(
+        config, simulation.make_rng(11))
+    assert (2, "SingularHessian") in table.dropped
+    assert 2 not in table.ids and len(rounds) > 1
+    assert table.n == len(truth) == 9
+    rounds.clear()
+    rep = run_rep(config, 0)
+    assert len(rep.truth) == 9 and rep.dropped >= 1
+    rounds.clear()
     path = tmp_path / "config.json"
     path.write_text('{"model": "logistic", "n": 9, "T": 100, "reps": 1}')
     assert main(["simulate", str(path), "--out",
-                 str(tmp_path / "out.json")]) == 2
-    assert "numerical failure: injected" in capsys.readouterr().err
-    assert not (tmp_path / "out.json").exists()
+                 str(tmp_path / "out.json")]) == 0
 
 
 def test_logistic_rep_runs_and_scores():
