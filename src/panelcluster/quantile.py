@@ -4,13 +4,12 @@ Every fit runs one batched Frisch-Newton interior point: fit_quantile (a
 stack of designs at L levels; fit_quantile_bundle is one call at three)
 and fit_pooled_quantile (the levels of the pooled model: individual
 intercepts, common slopes; Koenker 2004) on a dense (_Stack) or pooled
-(_Pooled) design. Each fit is purified to a vertex, and an exact basis test
-tells whether that vertex is the unique minimizer. Where it is not, a dense
-fit keeps the vertex if it passes the subgradient certificate and the
-interior-point fit otherwise; a pooled level (the centre level whenever
-tau T is an integer) takes the lower vertex, each intercept the lower
-sample quantile of its residuals at the common slopes. The certificate
-then decides: a dense row that fails it is reported, a pooled level raises.
+(_Pooled) design, and one rule decides whether a fit is optimal: the
+subgradient certificate. A dense fit is purified to a vertex and keeps it
+if it passes the certificate, and the interior-point fit otherwise; every
+pooled level takes its lower vertex, each intercept the lower sample
+quantile of its residuals at the purified common slopes. A dense row that
+fails the certificate is reported, a pooled level raises.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from scipy.special import ndtri
 from .types import (
     MAX_CONDITION,
     CoefficientEstimate,
+    DegenerateOutcome,
     DimensionMismatch,
     NonConvergence,
     NonFiniteCovariance,
@@ -47,9 +47,6 @@ IP_MAX_ITER = 50
 IP_GAP_TOL = 1e-10
 # fraction of the distance to the boundary an interior-point step takes
 IP_STEP = 0.99995
-# a purified vertex is accepted only when its basis multipliers lie this far
-# inside [tau - 1, tau], which makes it the unique minimizer
-BASIS_MARGIN = 1e-9
 # subgradient certificate tolerance of a fit (times n for a pooled level)
 CERT_TOL = 1e-6
 
@@ -133,8 +130,9 @@ def fit_quantile(X, y, tau):
     one batched solve (_fit_stack). Returns gammas (L, n, k), certified
     (L, n), the fits that pass the subgradient certificate, and failed,
     {row: EstimationError} of the rows that cannot be fit (SingularDesign
-    for a non-finite or rank deficient design, NonConvergence), which read
-    0 and are uncertified at every level.
+    for a non-finite or rank deficient design, DegenerateOutcome for a
+    non-finite response, NonConvergence), which read 0 and are uncertified
+    at every level.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     levels = np.asarray(tau, dtype=float)
@@ -146,7 +144,10 @@ def fit_quantile(X, y, tau):
     finite = np.isfinite(X).all(axis=(1, 2))
     failed = {int(i): SingularDesign("design matrix has non-finite entries")
               for i in np.flatnonzero(~finite)}
-    rows = np.flatnonzero(finite)
+    bad_y = finite & ~np.isfinite(y).all(axis=1)
+    failed.update({int(i): DegenerateOutcome("response has non-finite entries")
+                   for i in np.flatnonzero(bad_y)})
+    rows = np.flatnonzero(finite & ~bad_y)
     deficient = np.linalg.matrix_rank(X[rows]) < k
     failed.update({int(i): SingularDesign("design matrix is rank deficient")
                    for i in rows[deficient]})
@@ -190,13 +191,14 @@ def _fit_stack(X, y, rows, taus):
     """Quantile fits of problems (X[rows[j]], y[rows[j]], taus[j]).
 
     Chunks of at most IP_CHUNK_ENTRIES design entries run the batched
-    interior point, and each fit is purified to its vertex. A vertex that
-    fails the basis test is kept only if it passes the certificate (at
-    CERT_TOL); otherwise the interior-point fit is kept, which at the centre of
-    a tied face has a zero score. Returns gammas (m, k), certificates (m,)
-    and {problem: NonConvergence} of the chunks whose interior point met an
-    exactly singular normal matrix (they read 0). Every problem's arithmetic
-    is independent of the others, so a fit is the same in any stack.
+    interior point, and each fit is purified to its vertex. The vertex is
+    kept if it passes the subgradient certificate (at CERT_TOL); otherwise
+    the interior-point fit is kept, which at the centre of a tied face has a
+    zero score, and is certified only if it passes in turn. Returns gammas
+    (m, k), certificates (m,) and {problem: NonConvergence} of the chunks
+    whose interior point met an exactly singular normal matrix (they read
+    0). Every problem's arithmetic is independent of the others, so a fit is
+    the same in any stack.
     """
     m = len(rows)
     T, k = X.shape[1:]
@@ -207,29 +209,21 @@ def _fit_stack(X, y, rows, taus):
     for start in range(0, m, step):
         chunk = slice(start, start + step)
         Xc, yc, tc = X[rows[chunk]], y[rows[chunk]], taus[chunk]
+        A = _Stack(Xc)
         try:
-            fit, vertex, unique = _vertex_fits(_Stack(Xc), yc, tc)
-        except NonConvergence as exc:
-            errors.update(dict.fromkeys(range(start, start + len(yc)), exc))
+            fit = _interior_point(A, yc, tc)
+            vertex = _purify(A, yc, fit)
+        except np.linalg.LinAlgError as exc:
+            failure = NonConvergence(f"interior point failed: {exc}")
+            errors.update(dict.fromkeys(range(start, start + len(yc)), failure))
             continue
         ok = subgradient_certificate(Xc, yc, vertex, tc, CERT_TOL)
-        back = ~unique & ~ok
+        back = ~ok
         vertex[back] = fit[back]
         ok[back] = subgradient_certificate(Xc[back], yc[back], fit[back],
                                            tc[back], CERT_TOL)
         gammas[chunk], certified[chunk] = vertex, ok
     return gammas, certified, errors
-
-
-def _vertex_fits(A, y, tau):
-    """The interior-point fits (m, k) of a stack of problems on design A,
-    their vertices (_purify) and the (m,) basis-test mask. An exactly
-    singular normal matrix raises NonConvergence for the whole stack."""
-    try:
-        gamma = _interior_point(A, y, tau)
-        return (gamma, *_purify(A, y, tau, gamma))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"interior point failed: {exc}") from exc
 
 
 class _Stack:
@@ -261,15 +255,13 @@ class _Stack:
         return lambda rhs: np.linalg.solve(normal, rhs[..., None])[..., 0]
 
     def basis(self, h):
-        """Solvers of X_h u = b and X_h' v = g for the basis rows h (m, k),
-        and the mask of bases with condition number <= MAX_CONDITION (the
-        others solve against the identity)."""
+        """Solver of X_h u = b for the basis rows h (m, k), and the mask of
+        bases with condition number <= MAX_CONDITION (the others solve
+        against the identity)."""
         Xh = np.take_along_axis(self.X, h[..., None], axis=1)
         ok = np.linalg.cond(Xh) <= MAX_CONDITION
         Xh[~ok] = np.eye(self.width)
-        return (lambda b: np.linalg.solve(Xh, b[..., None])[..., 0],
-                lambda g: np.linalg.solve(Xh.swapaxes(1, 2),
-                                          g[..., None])[..., 0], ok)
+        return lambda b: np.linalg.solve(Xh, b[..., None])[..., 0], ok
 
 
 class _Pooled:
@@ -327,8 +319,8 @@ class _Pooled:
         return solve
 
     def basis(self, h):
-        """Solvers of Z_h u = b and Z_h' v = g for the sorted basis rows h
-        (m, n+p), and the mask of usable bases.
+        """Solver of Z_h u = b for the sorted basis rows h (m, n+p), and the
+        mask of usable bases.
 
         Each individual's intercept is eliminated with its first basis row
         (its pivot), which leaves the p x p system M beta = q of the other p
@@ -355,8 +347,6 @@ class _Pooled:
         ok[ok] = np.linalg.cond(M[ok]) <= MAX_CONDITION
         M[~ok] = np.eye(p)
         xp = self.flat[np.take_along_axis(h, pos, axis=1)]
-        owner = (np.take_along_axis(who, extra, axis=1)[..., None]
-                 == np.arange(n))
 
         def solve(b):
             q = (np.take_along_axis(b, extra, axis=1)
@@ -365,17 +355,7 @@ class _Pooled:
             alpha = (np.take_along_axis(b, pos, axis=1)
                      - (xp @ beta[..., None])[..., 0])
             return np.concatenate([alpha, beta], axis=1)
-
-        def solve_t(g):
-            ga, gb = g[:, :n], g[:, n:]
-            rhs = gb - (ga[:, None, :] @ xp)[:, 0]
-            ve = np.linalg.solve(M.swapaxes(1, 2), rhs[..., None])[..., 0]
-            v = np.empty((m, n + p))
-            np.put_along_axis(v, pos, ga - (ve[:, None, :] @ owner)[:, 0],
-                              axis=1)
-            np.put_along_axis(v, extra, ve, axis=1)
-            return v
-        return solve, solve_t, ok
+        return solve, ok
 
 
 def _max_step(v, dv, u, du):
@@ -459,30 +439,20 @@ def _interior_point(A, y, tau):
     return gamma
 
 
-def _purify(A, y, tau, gamma):
+def _purify(A, y, gamma):
     """Move each approximate fit to the vertex through its k smallest
-    |residuals| and test that vertex exactly.
-
-    The vertex gamma_h solves X_h gamma = y_h. It is the unique minimizer
-    when its basis multipliers v = -X_h'^{-1} sum_{t not in h} x_t (tau -
-    1{r_t < 0}) lie strictly inside [tau - 1, tau] (by BASIS_MARGIN). The
-    design A supplies the basis solves (A.basis); a fit whose basis is
-    unusable stays where it stands. Returns the vertices (m, k) and the
-    (m,) mask of those that pass.
+    |residuals|: gamma_h solves X_h gamma = y_h on those basis rows h. The
+    design A supplies the basis solve (A.basis); a fit whose basis is
+    unusable stays where it stands. Returns the vertices (m, k); whether a
+    vertex is a minimizer is for the subgradient certificate to decide.
     """
     k = A.width
     r = y - A.mul(gamma)
     h = np.sort(np.argpartition(np.abs(r), k - 1, axis=1)[:, :k], axis=1)
-    solve, solve_t, ok = A.basis(h)
+    solve, ok = A.basis(h)
     vertex = solve(np.take_along_axis(y, h, axis=1))
     vertex[~ok] = gamma[~ok]
-    r = y - A.mul(vertex)
-    psi = tau[:, None] - (r < 0)
-    np.put_along_axis(psi, h, 0.0, axis=1)
-    v = -solve_t(A.tmul(psi))
-    t = tau[:, None]
-    ok &= np.all((v > t - 1.0 + BASIS_MARGIN) & (v < t - BASIS_MARGIN), axis=1)
-    return vertex, ok
+    return vertex
 
 
 def hk_covariance(bundle: QuantileFitBundle, X) -> UncertaintyEstimate:
@@ -550,10 +520,11 @@ def fit_pooled_quantile(y, x, tau) -> PooledQuantileFit:
     the levels run as one stack in the batched interior point on the pooled
     design (_fit_pooled_levels). Raises SingularDesign when a covariate is
     not finite or collinear with the intercepts (the covariates' deviations
-    from each individual's first period are rank deficient), and
-    NonConvergence when the interior point meets an exactly singular normal
-    matrix or a level fails the subgradient certificate (tolerance CERT_TOL
-    * n), so a returned fit has converged=True.
+    from each individual's first period are rank deficient),
+    DegenerateOutcome (naming the first individual) when a response is not
+    finite, and NonConvergence when the interior point meets an exactly
+    singular normal matrix or a level fails the subgradient certificate
+    (tolerance CERT_TOL * n), so a returned fit has converged=True.
     """
     y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
     n, T = y.shape
@@ -567,6 +538,10 @@ def fit_pooled_quantile(y, x, tau) -> PooledQuantileFit:
         raise SingularDesign("too few observations for the pooled fit")
     if not np.isfinite(x).all():
         raise SingularDesign("design matrix has non-finite entries")
+    bad = np.flatnonzero(~np.isfinite(y).all(axis=1))
+    if len(bad):
+        raise DegenerateOutcome("response has non-finite entries "
+                                f"(individual {bad[0]})")
 
     if p == 0:
         alphas = lower_sample_quantile(y[None], levels[:, None])
@@ -582,39 +557,37 @@ def fit_pooled_quantile(y, x, tau) -> PooledQuantileFit:
 
 def _fit_pooled_levels(y, x, levels):
     """Pooled fits (L, n+p) of the levels as one stack on the _Pooled
-    design: each is purified to the vertex through its n+p smallest
-    |residuals| and kept when the basis test passes; every other level takes
-    the lower vertex (_lower_vertex)."""
+    design, each at its lower vertex.
+
+    At the interior-point slopes each alpha_i is set to the lower sample
+    quantile of y_i - x_i beta, and the fit is purified once, so the slopes
+    are an exact vertex whatever stack the level is solved in (an unusable
+    basis keeps the interior-point slopes); the intercepts then follow by
+    the same rule at those slopes. Where the minimizer is unique this is it;
+    where it is not (the centre level whenever tau T is an integer) each
+    intercept sits at the lower end of its interval of minimizers, as in
+    the p = 0 closed form. An
+    exactly singular normal matrix, or a level that fails the subgradient
+    certificate (at CERT_TOL * n), raises NonConvergence.
+    """
     A = _Pooled(x)
     Y = np.tile(y.reshape(1, -1), (len(levels), 1))
-    fit, gamma, unique = _vertex_fits(A, Y, levels)
-    tied = ~unique
-    if tied.any():
-        gamma[tied] = _lower_vertex(A, Y[tied], levels[tied], fit[tied])
+
+    def lower(beta):
+        fitted = (x[None] @ beta[:, None, :, None])[..., 0]
+        return np.concatenate(
+            [lower_sample_quantile(y - fitted, levels[:, None]), beta], axis=1)
+
+    try:
+        gamma = lower(_interior_point(A, Y, levels)[:, A.n:])
+        gamma = lower(_purify(A, Y, gamma)[:, A.n:])
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"interior point failed: {exc}") from exc
     failed = levels[~_certified(A, Y, gamma, levels, CERT_TOL * len(y))]
     if len(failed):
         raise NonConvergence(f"pooled fit at tau={failed[0]:g} fails its "
                              "subgradient certificate")
     return gamma
-
-
-def _lower_vertex(A, y, tau, gamma):
-    """The lower vertex of pooled levels whose minimizer is not unique.
-
-    At the interior-point slopes each alpha_i is set to the lower sample
-    quantile of y_i - x_i beta, and the fit is purified once more, so the
-    slopes are an exact vertex whatever stack the level is solved in (an
-    unusable basis keeps the interior-point slopes); the intercepts then
-    follow by the same rule at those slopes.
-    """
-    def lower(beta):
-        fitted = (A.x[None] @ beta[:, None, :, None])[..., 0]
-        r = y.reshape(len(y), A.n, A.T) - fitted
-        return np.concatenate(
-            [lower_sample_quantile(r, tau[:, None]), beta], axis=1)
-
-    vertex = _purify(A, y, tau, lower(gamma[:, A.n:]))[0]
-    return lower(vertex[:, A.n:])
 
 
 def intercept_variance(alpha_plus, alpha_minus, tau: float,

@@ -17,8 +17,9 @@ class EstimationError(Exception):
 
 
 class DegenerateOutcome(EstimationError):
-    """Binary response is constant, or has an outcome other than 0 or 1; the
-    individual cannot be fit."""
+    """A binary response is constant or has an outcome other than 0 or 1, or
+    a quantile response has a non-finite entry; the individual cannot be
+    fit."""
 
 
 class PerfectSeparation(EstimationError):

@@ -659,10 +659,10 @@ def test_estimate_pooled_failed_certificate_exits_2(tmp_path, capsys,
     out = tmp_path / "est.csv"
     purify = quantile._purify
 
-    def wrong_slopes(A, y, tau, gamma):
-        vertex, ok = purify(A, y, tau, gamma)
+    def wrong_slopes(A, y, gamma):
+        vertex = purify(A, y, gamma)
         vertex[:, A.n:] += 1.0
-        return vertex, np.zeros_like(ok)
+        return vertex
 
     def singular(A, y, tau):
         raise np.linalg.LinAlgError("Singular matrix")

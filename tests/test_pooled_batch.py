@@ -114,9 +114,11 @@ def test_rejected_vertex_takes_the_lower_vertex(monkeypatch):
     purify = quantile._purify
     upper = levels(61, 0.5)[1]
 
-    def reject_upper(A, Y, tau, gamma):
-        vertex, ok = purify(A, Y, tau, gamma)
-        return vertex, ok & (tau != upper)
+    def reject_upper(A, Y, gamma):
+        # the upper level (row 1 of the stack) starts off the minimizer
+        gamma = gamma.copy()
+        gamma[1, A.n:] += 1e-7
+        return purify(A, Y, gamma)
 
     monkeypatch.setattr(quantile, "_purify", reject_upper)
     fit = fit_pooled_quantile(y, x, levels(61, 0.5))
@@ -128,6 +130,33 @@ def test_rejected_vertex_takes_the_lower_vertex(monkeypatch):
         fit.alphas[1], lower_sample_quantile(y - x @ fit.beta[1], upper))
     for j in (0, 2):
         assert np.array_equal(coefficients(fit, j), coefficients(plain, j))
+
+
+@pytest.mark.parametrize("T", [60, 61])
+def test_every_level_is_its_lower_vertex(T):
+    # on this panel the purified vertex of some untied levels differs from
+    # the lower-rule intercepts in the last bit
+    panel, _ = gen_model3(30, T, "t3", seed=2)
+    y, x = panel.responses, panel.covariates
+    n = len(y)
+    Z = sparse_design(x).toarray()
+    for tau in (0.25, 0.5, 0.75):
+        fit = fit_pooled_quantile(y, x, levels(T, tau))
+        for j, level in enumerate(levels(T, tau)):
+            assert np.array_equal(
+                fit.alphas[j], lower_sample_quantile(y - x @ fit.beta[j],
+                                                     level))
+            gamma, ref = coefficients(fit, j), highs(y, x, level)
+            if abs(level * T - round(level * T)) >= 1e-9:
+                assert np.abs(gamma - ref).max() \
+                    <= 1e-10 * np.abs(ref).max()
+                continue
+            # a tied level: HiGHS may stop at another vertex of the face
+            assert np.abs(gamma[n:] - ref[n:]).max() \
+                <= 1e-10 * np.abs(ref[n:]).max()
+            loss = quantile_objective(Z, y.reshape(-1), gamma, level)
+            best = quantile_objective(Z, y.reshape(-1), ref, level)
+            assert abs(loss - best) <= 1e-10 * best
 
 
 def test_unusable_basis_keeps_the_interior_point_slopes(monkeypatch):
@@ -145,7 +174,7 @@ def test_unusable_basis_keeps_the_interior_point_slopes(monkeypatch):
             fit.alphas[j], lower_sample_quantile(y - x @ fit.beta[j], level))
 
 
-def test_basis_test_rejects_a_vertex_that_is_not_the_minimizer():
+def test_certificate_rejects_a_vertex_that_is_not_the_minimizer():
     panel, _ = gen_model3(30, 61, "normal", seed=9)
     y, x = panel.responses, panel.covariates
     n, T, p = x.shape
@@ -159,10 +188,9 @@ def test_basis_test_rejects_a_vertex_that_is_not_the_minimizer():
     h[h == e] = other
     vertex = np.linalg.solve(Z[np.sort(h)], y.reshape(-1)[np.sort(h)])
     for gamma, accepted in ((best, True), (vertex, False)):
-        got, ok = quantile._purify(_Pooled(x), y.reshape(1, -1),
-                                   np.array([0.5]), gamma[None])
+        ok = quantile._certified(_Pooled(x), y.reshape(1, -1), gamma[None],
+                                 np.array([0.5]), quantile.CERT_TOL * n)
         assert ok.tolist() == [accepted]
-        assert np.abs(got[0] - gamma).max() <= 1e-13 * np.abs(gamma).max()
 
 
 def test_singular_schur_complement_raises_nonconvergence(monkeypatch):
@@ -184,12 +212,12 @@ def test_failed_certificate_raises_nonconvergence(monkeypatch):
     panel, _ = gen_model3(9, 30, "normal", seed=5)
     purify = quantile._purify
 
-    def wrong_slopes(A, Y, tau, gamma):
-        vertex, ok = purify(A, Y, tau, gamma)
+    def wrong_slopes(A, Y, gamma):
+        vertex = purify(A, Y, gamma)
         vertex[:, A.n:] += 1.0
-        return vertex, np.zeros_like(ok)
+        return vertex
 
-    # every vertex is rejected and moved off the minimizer
+    # every vertex is moved off the minimizer
     monkeypatch.setattr(quantile, "_purify", wrong_slopes)
     with pytest.raises(NonConvergence, match="tau=0.5 "):
         fit_pooled_quantile(panel.responses, panel.covariates, [0.5])
@@ -232,13 +260,10 @@ def test_structured_products_match_the_dense_design():
         assert np.allclose(A.solver(weights)(lam), dense, rtol=1e-10)
     # a basis row per individual plus p more: solves as the dense Z_h does
     h = np.sort(np.concatenate([np.arange(n) * T + 3, [1, 2 * T + 5]]))
-    solve, solve_t, ok = A.basis(np.stack([h, np.arange(n + p)]))
+    solve, ok = A.basis(np.stack([h, np.arange(n + p)]))
     assert ok.tolist() == [True, False]  # the second misses individuals
-    Zh = Z[h]
     b = rng.normal(size=n + p)
-    assert np.allclose(solve(np.stack([b, b]))[0], np.linalg.solve(Zh, b))
-    assert np.allclose(solve_t(np.stack([b, b]))[0],
-                       np.linalg.solve(Zh.T, b))
+    assert np.allclose(solve(np.stack([b, b]))[0], np.linalg.solve(Z[h], b))
 
 
 def test_structured_certificate_matches_the_dense_design():

@@ -23,6 +23,7 @@ from panelcluster.quantile import (
 from panelcluster.simulation import gen_model1, gen_model3
 from panelcluster.types import (
     CoefficientEstimate,
+    DegenerateOutcome,
     DimensionMismatch,
     NonConvergence,
     NonFiniteCovariance,
@@ -358,15 +359,15 @@ def test_stack_chunks_do_not_change_fits(monkeypatch):
 
 
 def reject_row(monkeypatch, y_row, move=0.0):
-    """Make _purify reject the vertices of the problems whose response is
-    y_row, and move their coefficients by `move`."""
+    """Move the vertices _purify returns for the problems whose response is
+    y_row by `move`: a move of 1 takes them off the minimizer, so the
+    certificate rejects them."""
     purify = quantile._purify
 
-    def reject(A, y, tau, gamma):
-        vertex, ok = purify(A, y, tau, gamma)
-        row = (y == y_row).all(axis=1)
-        vertex[row] += move
-        return vertex, ok & ~row
+    def reject(A, y, gamma):
+        vertex = purify(A, y, gamma)
+        vertex[(y == y_row).all(axis=1)] += move
+        return vertex
 
     monkeypatch.setattr(quantile, "_purify", reject)
 
@@ -396,11 +397,10 @@ def test_rejected_vertex_is_kept_and_certified(monkeypatch):
                               getattr(plain, level).gamma)
     monkeypatch.undo()
     # tau T = 10 on an intercept-only design: every point between two order
-    # statistics is a minimizer, so no vertex passes the basis test
+    # statistics is a minimizer, so no vertex is the unique one
     y = np.random.default_rng(12).normal(size=(3, 20))
     X = np.ones((3, 20, 1))
     tau = np.full(3, 0.5)
-    assert not quantile._vertex_fits(quantile._Stack(X), y, tau)[2].any()
     gammas, certified, errors = quantile._fit_stack(X, y, np.arange(3), tau)
     assert certified.all() and not errors
     ys = np.sort(y, axis=1)
@@ -440,8 +440,6 @@ def test_tied_binary_design_keeps_a_certified_minimizer():
     from panelcluster.types import PanelDataset
 
     X, y = binary_design_stack()
-    tau = np.full(len(y), 0.5)
-    assert not quantile._vertex_fits(quantile._Stack(X), y, tau)[2].any()
     bundle = fit_quantile_bundle(X, y, 0.5)
     assert not bundle.failed
     for i in range(len(y)):
@@ -607,15 +605,21 @@ def test_rank_deficient_row_fails_alone():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_design_fails_only_its_row(bad):
+@pytest.mark.parametrize("where", ["design", "response"])
+def test_non_finite_design_fails_only_its_row(where, bad):
     X, y = model1_stack(T=60, error_dist="normal")
-    X_bad = X.copy()
-    X_bad[4, 7, 1] = bad
-    bundle = fit_quantile_bundle(X_bad, y, 0.5)
+    X_bad, y_bad = X.copy(), y.copy()
+    if where == "design":
+        X_bad[4, 7, 1] = bad
+        error, message = SingularDesign, "design matrix has non-finite entries"
+    else:
+        y_bad[4, 7] = bad
+        error, message = DegenerateOutcome, "response has non-finite entries"
+    bundle = fit_quantile_bundle(X_bad, y_bad, 0.5)
     unc = hk_covariance(bundle, X_bad)
     assert list(bundle.failed) == [4] and not unc.failed
-    assert type(bundle.failed[4]) is SingularDesign
-    assert str(bundle.failed[4]) == "design matrix has non-finite entries"
+    assert type(bundle.failed[4]) is error
+    assert str(bundle.failed[4]) == message
     rest = np.delete(np.arange(12), 4)
     alone = fit_quantile_bundle(X[rest], y[rest], 0.5)
     alone_unc = hk_covariance(alone, X[rest])
@@ -629,21 +633,36 @@ def test_non_finite_design_fails_only_its_row(bad):
     assert not unc.sigma[4].any()
 
 
-def test_non_finite_covariate_drops_its_row_or_fails_the_pooled_fit():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_covariate_drops_its_row_or_fails_the_pooled_fit(bad):
     from panelcluster.simulation import estimate_panel
+    from panelcluster.types import PanelDataset
 
-    panel, _ = gen_model1(12, 60, "normal", 11)
-    panel.covariates[2, 0, 0] = np.nan  # written after the panel's check
-    table = estimate_panel(panel, "qr-slopes")
-    assert table.dropped == [(2, "SingularDesign")]
-    panel, _ = gen_model3(9, 60, "normal", 11)
-    panel.covariates[2, 0, 0] = np.inf
-    for call in (lambda: estimate_panel(panel, "qr-pooled"),
-                 lambda: fit_pooled_quantile(panel.responses,
-                                             panel.covariates, [0.5])):
-        with pytest.raises(SingularDesign,
-                           match="design matrix has non-finite entries"):
-            call()
+    clean, _ = gen_model1(12, 60, "normal", 11)
+    rest = np.delete(np.arange(12), 2)
+    alone = estimate_panel(PanelDataset(clean.covariates[rest],
+                                        clean.responses[rest]), "qr-slopes")
+    for name, error in (("covariates", "SingularDesign"),
+                        ("responses", "DegenerateOutcome")):
+        panel, _ = gen_model1(12, 60, "normal", 11)
+        getattr(panel, name)[2, 0] = bad  # written after the panel's check
+        table = estimate_panel(panel, "qr-slopes")
+        assert table.dropped == [(2, error)]
+        assert table.ids == rest.tolist()
+        assert np.array_equal(table.betas, alone.betas)
+        assert np.array_equal(table.sigmas, alone.sigmas)
+    for name, error, message in (
+            ("covariates", SingularDesign,
+             "design matrix has non-finite entries"),
+            ("responses", DegenerateOutcome,
+             r"response has non-finite entries \(individual 2\)")):
+        panel, _ = gen_model3(9, 60, "normal", 11)
+        getattr(panel, name)[2, 0] = bad
+        for call in (lambda: estimate_panel(panel, "qr-pooled"),
+                     lambda: fit_pooled_quantile(panel.responses,
+                                                 panel.covariates, [0.5])):
+            with pytest.raises(error, match=message):
+                call()
 
 
 def test_singular_b_row_fails_alone():
