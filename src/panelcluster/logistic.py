@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from .types import (
-    MAX_CONDITION,
     CoefficientEstimate,
     DegenerateOutcome,
     DimensionMismatch,
@@ -15,6 +14,7 @@ from .types import (
     SingularDesign,
     SingularHessian,
     UncertaintyEstimate,
+    ill_conditioned,
 )
 
 # declare divergence (perfect separation) when the iterate leaves this ball
@@ -138,7 +138,7 @@ def _newton(X, y, max_iter, tol):
                 for j in active[~done]})
             break
         hess = _weighted_gram(X, mu * (1.0 - mu))
-        ill = ~done & (np.linalg.cond(hess) > MAX_CONDITION)
+        ill = ~done & ill_conditioned(hess)
         moving = ~done & ~ill
         hess[~moving] = np.eye(k)  # rows leaving now: keep solve regular
         step = np.linalg.solve(hess, grad[..., None])[..., 0]
@@ -148,7 +148,9 @@ def _newton(X, y, max_iter, tol):
         halving = np.flatnonzero(moving)
         for _ in range(MAX_HALVINGS):
             h = halving
-            trial = log_likelihood(X[h], y[h],
+            # no gather while every row halves, as on most first trials
+            Xh, yh = (X, y) if len(h) == len(X) else (X[h], y[h])
+            trial = log_likelihood(Xh, yh,
                                    gamma[h] + scale[h, None] * step[h])
             better = trial >= ll[h]
             new_ll[h[better]] = trial[better]
@@ -202,7 +204,7 @@ def logistic_covariance(X,
     n, _, k = X.shape
     rows = np.setdiff1d(np.arange(n), list(estimate.failed))
     hess = plugin_hessian(X[rows], estimate.gamma[rows])
-    lost = np.linalg.cond(hess) > MAX_CONDITION
+    lost = ill_conditioned(hess)
     failed = {int(i): SingularHessian(
         "weighted Gram matrix is numerically singular") for i in rows[lost]}
     inverse = np.linalg.inv(hess[~lost])

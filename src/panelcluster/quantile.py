@@ -30,6 +30,7 @@ from .types import (
     SingularB,
     SingularDesign,
     UncertaintyEstimate,
+    ill_conditioned,
 )
 
 # a difference-quotient denominator below this has crossed: its observation
@@ -479,7 +480,7 @@ def hk_covariance(bundle: QuantileFitBundle, X) -> UncertaintyEstimate:
     crossed = denom < DENSITY_DENOM_FLOOR
     f_hat = 2.0 * bundle.bandwidth / np.where(crossed, np.inf, denom)
     B = (X * f_hat[..., None]).swapaxes(1, 2) @ X / T
-    lost = np.linalg.cond(B) > MAX_CONDITION
+    lost = ill_conditioned(B)
     failed = {int(i): SingularB(
         "density-weighted Gram matrix is numerically singular")
         for i in rows[lost]}

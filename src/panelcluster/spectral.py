@@ -210,6 +210,12 @@ def _check_seed(seed):
                          f"got {seed!r}")
 
 
+def _check_count(name, value):
+    """Reject a count that is not an integer (a bool is not one)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
     """Lloyd iterations with greedy farthest-point seeding.
 
@@ -222,6 +228,8 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
+    _check_count("k", k)
+    _check_count("restarts", restarts)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n} (the number of points), "
                          f"got {k}")
@@ -246,29 +254,66 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
 
 def _farthest_point_seeds(points, k, restarts, rng):
     """The distinct (m, k) seedings (indices into points) of `restarts`
-    greedy farthest-point chains, in order of first draw.
+    greedy farthest-point chains (Gonzalez 1985), in order of first draw.
 
     Philox's integers(1) draws nothing, so a chain without a tie among its
-    farthest points draws only its start: it is kept per start and reused.
-    A chain with a tie is drawn again at each of its starts. Distances add
-    their coordinates in index order, as in _assign.
+    farthest points draws only its start, and the starts are drawn at once.
+    The chains of the distinct starts are walked together, a block of at
+    most PAIR_CHUNK_ENTRIES // n distance rows at a time; a chain leaves at
+    its first tie with its prefix and distances, and the blocks after a tie
+    are not walked, as its draws shift the starts after it. Only after a
+    tie is the generator rewound and every restart drawn in turn: a
+    tie-free chain is reused per start, a tied one goes on from its prefix,
+    drawing at each of its starts, and a start not walked yet is walked
+    alone.
     """
+    n = len(points)
     coordinates = points.T.copy()
-    chains = {}  # start -> its chain, or None if drawn with a tie
+    state = rng.bit_generator.state
+    starts = list(dict.fromkeys(rng.integers(n, size=restarts).tolist()))
+    chains = {}  # start -> its chain, drawn without a tie
+    ties = {}  # start -> its prefix and distances at its first tie
+    rows = max(1, PAIR_CHUNK_ENTRIES // n)
+    for lo in range(0, len(starts), rows):
+        seeds = np.array(starts[lo:lo + rows])[:, None]
+        d = np.full((len(seeds), n), np.inf)
+        for _ in range(1, k):
+            np.minimum(d, _square_distances(coordinates, points[seeds[:, -1]]),
+                       out=d)
+            cutoff = d.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+            tied = np.count_nonzero(d >= cutoff, axis=1) > 1
+            if tied.any():
+                for r in np.flatnonzero(tied):
+                    ties[int(seeds[r, 0])] = tuple(seeds[r].tolist()), d[r]
+                seeds, d = seeds[~tied], d[~tied]
+            seeds = np.column_stack([seeds, d.argmax(axis=1)])
+        chains.update((chain[0], chain)
+                      for chain in map(tuple, seeds.tolist()))
+        if ties:
+            break
+    if not ties:
+        return np.array([chains[start] for start in starts], dtype=np.intp)
+
+    rng.bit_generator.state = state
     seedings = {}  # distinct chains, in order of first draw
     for _ in range(restarts):
-        start = int(rng.integers(len(points)))
+        start = int(rng.integers(n))
         chain = chains.get(start)
         if chain is None:
-            chain, d, tied = (start,), np.inf, False
-            for _ in range(1, k):
-                squares = (coordinates - coordinates[:, chain[-1], None]) ** 2
-                d = np.minimum(d, sum(squares[1:], squares[0]))
+            # d holds the distances to every seed of the chain so far
+            chain, d = ties.get(start) or (
+                (start,), _point_distances(coordinates, start))
+            tied = False
+            while True:
                 # RNG tie-breaking among (near-)farthest points
                 candidates = (d >= d.max() * (1.0 - 1e-12)).nonzero()[0]
                 tied |= len(candidates) > 1
                 chain += (int(candidates[rng.integers(len(candidates))]),)
-            chains[start] = None if tied else chain
+                if len(chain) == k:
+                    break
+                d = np.minimum(d, _point_distances(coordinates, chain[-1]))
+            if not tied:
+                chains[start] = chain
         seedings[chain] = None
     return np.array(list(seedings), dtype=np.intp)
 
@@ -297,24 +342,42 @@ def _lloyd(points, centers, max_iter):
 
 def _assign(points, centers):
     """Squared distances (m, k, n) from the points to each stack's centers,
-    the nearest-center labels (m, n) and the objectives (m,).
-
-    Coordinates are added in index order, as .sum() adds fewer than 8 (it
-    adds more pairwise, so distances may differ in their last bits); a tie
-    goes to the first center, as with argmin.
+    the nearest-center labels (m, n) and the objectives (m,); a tie goes
+    to the first center, as with argmin.
     """
-    coordinates = points.T.copy()
-    d2 = np.square(coordinates[0] - centers[:, :, 0, None])
-    diff = np.empty_like(d2)
-    for l in range(1, len(coordinates)):
-        np.subtract(coordinates[l], centers[:, :, l, None], out=diff)
-        d2 += np.multiply(diff, diff, out=diff)
+    d2 = _square_distances(points.T.copy(), centers)
     labels = np.zeros((d2.shape[0], d2.shape[2]), dtype=np.intp)
     nearest = d2[:, 0].copy()
     for j in range(1, d2.shape[1]):
         np.copyto(labels, j, where=d2[:, j] < nearest)
         np.minimum(nearest, d2[:, j], out=nearest)
     return d2, labels, nearest.sum(axis=1)
+
+
+def _square_distances(coordinates, centers):
+    """Squared distances (..., n) from the points, as (d, n) coordinates,
+    to a (..., d) stack of centers.
+
+    Coordinates are added in index order, as .sum() adds fewer than 8 (it
+    adds more pairwise, so distances may differ in their last bits), in
+    Lloyd and in the seeding alike.
+    """
+    d2 = coordinates[0] - centers[..., 0, None]
+    d2 *= d2
+    diff = np.empty_like(d2)
+    for l in range(1, len(coordinates)):
+        np.subtract(coordinates[l], centers[..., l, None], out=diff)
+        d2 += np.multiply(diff, diff, out=diff)
+    return d2
+
+
+def _point_distances(coordinates, i):
+    """Squared distances (n,) from the points, as (d, n) coordinates, to
+    point i, with coordinates added in index order as _square_distances
+    adds them, in fewer numpy calls for one point."""
+    squares = coordinates - coordinates[:, i, None]
+    squares *= squares
+    return sum(squares[1:], squares[0])
 
 
 def _update_centers(points, d2, labels):
@@ -408,6 +471,7 @@ def spectral_cluster(V, G: int, seed: int = 0,
     """
     V = _check_dissimilarity(V)
     n = V.shape[0]
+    _check_count("G", G)
     if not 1 <= G <= n:
         raise ValueError("G must lie in 1..n")
     _check_seed(seed)
@@ -431,6 +495,7 @@ def select_num_groups(V, T: int, G_max: int = 10) -> GroupCountSelection:
     n = V.shape[0]
     if n < 3 or T < 2:
         raise ValueError("selection requires n >= 3 and T >= 2")
+    _check_count("G_max", G_max)
     if G_max < 1:
         raise ValueError(f"G_max must be >= 1, got {G_max}")
     limit = min(G_max, n - 1)

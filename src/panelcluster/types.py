@@ -12,6 +12,19 @@ SYMMETRY_RTOL = 1e-10
 MAX_CONDITION = 1e12
 
 
+def ill_conditioned(S: np.ndarray) -> np.ndarray:
+    """Whether each symmetric matrix of an (m, k, k) stack has a condition
+    number above MAX_CONDITION, read from one eigvalsh (the lower triangle)
+    as the ratio of its largest to its smallest |eigenvalue|, not from an
+    SVD. A singular matrix, the zero matrix included, and one with a
+    non-finite entry are ill-conditioned.
+    """
+    w = np.abs(np.linalg.eigvalsh(S))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = w.max(axis=-1) / w.min(axis=-1)
+    return ~(ratio <= MAX_CONDITION) | ~np.isfinite(S).all(axis=(-2, -1))
+
+
 class EstimationError(Exception):
     """Base class for numerical failures during estimation."""
 

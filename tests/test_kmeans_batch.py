@@ -266,6 +266,55 @@ def test_seeding_chains_equal_per_restart_reference(case):
     np.testing.assert_array_equal(rng.random(4), ref_rng.random(4))
 
 
+def assert_same_seeding(points, k, restarts, seed):
+    """The seedings and the next draws of _farthest_point_seeds equal the
+    per-restart reference; returns the seedings and the batch's starts."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    ref_rng = np.random.Generator(np.random.Philox(key=seed))
+    starts = np.random.Generator(np.random.Philox(key=seed)).integers(
+        len(points), size=restarts)
+    seeds = spectral._farthest_point_seeds(points, k, restarts, rng)
+    ref_seeds = reference_distinct_seeds(points, k, restarts, ref_rng)
+    assert seeds.dtype == np.intp
+    np.testing.assert_array_equal(seeds, ref_seeds)
+    np.testing.assert_array_equal(rng.random(4), ref_rng.random(4))
+    return seeds, set(starts.tolist())
+
+
+def test_an_early_tie_shifts_the_later_starts():
+    # the first start, 50, is as far from 0 as from 100: its tie draws,
+    # so the restarts after it start elsewhere than the batch's draws
+    points = np.arange(101.0)[:, None]
+    seeds, starts = assert_same_seeding(points, 2, 8, seed=10)
+    assert seeds[0, 0] == 50
+    assert set(seeds[:, 0].tolist()) - starts
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("kind", ["normal", "grid", "line"])
+def test_seeding_in_several_blocks_of_starts(monkeypatch, kind, rows):
+    rng = np.random.default_rng(rows)
+    points = {"normal": rng.normal(size=(40, 3)),
+              "grid": np.round(rng.normal(size=(40, 2))),
+              "line": np.arange(41.0)[:, None]}[kind]
+    # blocks of `rows` starts
+    monkeypatch.setattr(spectral, "PAIR_CHUNK_ENTRIES", rows * len(points))
+    for k in (1, 2, 4):
+        for seed in range(6):
+            assert_same_seeding(points, k, 25, seed)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_identical_point_groups_tie_every_chain_at_its_first_step(k):
+    # an embedding of well-separated groups: four groups of identical rows
+    # on orthonormal centres, every row as far from each other group
+    points = np.repeat(np.eye(4), [8, 5, 9, 8], axis=0)
+    d2 = ((points[:, None] - points[None]) ** 2).sum(axis=2)
+    assert ((d2 == d2.max(axis=1, keepdims=True)).sum(axis=1) > 1).all()
+    for seed in range(5):
+        assert_same_seeding(points, k, 50, seed)
+
+
 @pytest.mark.parametrize("k, bad, message", [
     (0, None, "k must lie in 1..5 (the number of points), got 0"),
     (-1, None, "k must lie in 1..5 (the number of points), got -1"),

@@ -22,6 +22,7 @@ from panelcluster.types import (
     PerfectSeparation,
     SingularDesign,
     SingularHessian,
+    ill_conditioned,
 )
 
 
@@ -391,3 +392,50 @@ def test_newton_keeps_a_row_at_its_last_step(monkeypatch):
         assert type(short.failed[0]) is NonConvergence
         assert str(short.failed[0]) == (
             f"Newton iterations did not converge in {k - 1} steps")
+
+
+# --- the conditioning rule: one eigvalsh in place of cond's SVD ---
+
+def rotated(eigvals, seed):
+    """Q diag(eigvals) Q' for a random orthogonal Q."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(
+        size=(len(eigvals), len(eigvals))))
+    S = (Q * np.asarray(eigvals)) @ Q.T
+    return 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("S, ill", [
+    (np.ones((3, 3)), True),  # exactly singular
+    (np.zeros((2, 2)), True),
+    (np.diag([1.0, 1e-13]), True),
+    (np.diag([1.0, 1e-11]), False),
+    (np.diag([-2.0, 1e-13, 1.0]), True),  # |eigenvalues|: indefinite too
+    (np.diag([1e-300, 3e-300]), False),
+    (rotated([1.0, 0.5, 1e-13], 0), True),
+    (rotated([1.0, 0.5, 1e-11], 0), False),
+    (np.array([[1.0, 0.0], [np.nan, 1.0]]), True),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), True),
+])
+def test_ill_conditioned_cases(S, ill):
+    assert ill_conditioned(S[None]).tolist() == [ill]
+    if np.isfinite(S).all():
+        assert (np.linalg.cond(S) > 1e12) == ill
+
+
+def test_ill_conditioned_agrees_with_cond_away_from_the_threshold():
+    rng = np.random.default_rng(21)
+    for k in (1, 2, 3, 5):
+        # log-uniform conditions 1 .. 1e16, none within 10x of 1e12
+        cond = 10.0 ** rng.uniform(0, 16, size=(2000, 1))
+        cond = cond[np.abs(np.log10(cond[:, 0]) - 12) > 1]
+        m = len(cond)
+        Q = np.linalg.qr(rng.normal(size=(m, k, k)))[0]
+        eigvals = cond ** -rng.uniform(0, 1, size=(m, k))
+        eigvals[:, 0], eigvals[:, -1] = 1.0, 1.0 / cond[:, 0]
+        S = (Q * eigvals[:, None, :]) @ Q.swapaxes(1, 2)
+        S = 0.5 * (S + S.swapaxes(1, 2)) * rng.uniform(1e-3, 1e3,
+                                                        size=(m, 1, 1))
+        expected = np.linalg.cond(S) > 1e12
+        assert np.array_equal(ill_conditioned(S), expected)
+        if k > 1:
+            assert 0 < expected.sum() < len(S)

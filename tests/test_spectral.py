@@ -647,6 +647,33 @@ def test_kmeans_and_spectral_cluster_accept_integer_seeds(seed):
     assert perfect_match(truth, spectral_cluster(V, 2, seed=seed))
 
 
+COUNT_CALLS = {
+    "k": lambda V, bad: kmeans(np.arange(6.0)[:, None], bad),
+    "restarts": lambda V, bad: kmeans(np.arange(6.0)[:, None], 2,
+                                      restarts=bad),
+    "G": lambda V, bad: spectral_cluster(V, bad),
+    "G_max": lambda V, bad: select_num_groups(V, 30, bad),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_CALLS))
+@pytest.mark.parametrize("bad", [2.0, 2.5, np.float64(2.0), True, np.True_,
+                                 "2", None])
+def test_counts_must_be_integers(name, bad):
+    # neither a float, even integral, nor a bool is a count
+    V, _ = block_dissimilarity([3, 3])
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{name} must be an integer, "
+                                       f"got {bad!r}")):
+        COUNT_CALLS[name](V, bad)
+
+
+@pytest.mark.parametrize("name", list(COUNT_CALLS))
+def test_counts_accept_numpy_integers(name):
+    V, _ = block_dissimilarity([3, 3])
+    assert COUNT_CALLS[name](V, np.int64(2)) is not None
+
+
 # --- the two eigensolver paths ---
 
 def clustered_table(n, seed, T=120):
