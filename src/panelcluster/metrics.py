@@ -13,6 +13,8 @@ def _confusion(truth, estimate):
     estimate = np.asarray(estimate, dtype=int)
     if truth.shape != estimate.shape:
         raise ValueError("labelings must have equal length")
+    if not truth.size:
+        raise ValueError("labelings must not be empty")
     if truth.min(initial=1) < 1 or estimate.min(initial=1) < 1:
         raise ValueError("labels must be 1-based positive integers")
     # compact each labeling to the labels it uses: the table then has one

@@ -122,9 +122,10 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
     """
     betas = np.asarray(estimates, dtype=float)
     variances = np.asarray(variances, dtype=float)
-    if betas.ndim != 2 or variances.shape != betas.shape + betas.shape[1:]:
+    if (betas.ndim != 2 or betas.shape[1] < 1
+            or variances.shape != betas.shape + betas.shape[1:]):
         raise DimensionMismatch(
-            "estimates must be (n, s) and variances (n, s, s)")
+            "estimates must be (n, s) with s >= 1 and variances (n, s, s)")
     if not np.isfinite(betas).all():
         raise ValueError("estimates contain non-finite entries")
     validate_covariance(variances)
@@ -219,12 +220,15 @@ def _check_count(name, value):
 def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
     """Lloyd iterations with greedy farthest-point seeding.
 
-    The best objective over `restarts` seedings is returned, the first such
-    restart on a tie. Lloyd is deterministic, so each distinct seeding is
-    solved once, in order of first draw (argmin then keeps the first best),
-    on a stack of restarts, for at most LLOYD_MAX_ITER iterations. Empty
-    clusters are repaired by promoting the point farthest from its center.
-    Returns (labels, centers, objective) with 0-based labels.
+    Each seeding is a farthest-point chain from a drawn start that takes the
+    first near-farthest point at every step, so the generator draws only the
+    `restarts` starts. The best objective over the seedings is returned, the
+    first such restart on a tie. Lloyd is deterministic, so each distinct
+    seeding is solved once, in order of first draw (argmin then keeps the
+    first best), on a stack of restarts, for at most LLOYD_MAX_ITER
+    iterations. Empty clusters are repaired by promoting the point farthest
+    from its center. Returns (labels, centers, objective) with 0-based
+    labels.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -235,6 +239,8 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
                          f"got {k}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if d < 1:
+        raise ValueError("points must have at least one coordinate")
     if not np.isfinite(points).all():
         raise ValueError("points contain non-finite entries")
     _check_seed(seed)
@@ -256,66 +262,28 @@ def _farthest_point_seeds(points, k, restarts, rng):
     """The distinct (m, k) seedings (indices into points) of `restarts`
     greedy farthest-point chains (Gonzalez 1985), in order of first draw.
 
-    Philox's integers(1) draws nothing, so a chain without a tie among its
-    farthest points draws only its start, and the starts are drawn at once.
-    The chains of the distinct starts are walked together, a block of at
-    most PAIR_CHUNK_ENTRIES // n distance rows at a time; a chain leaves at
-    its first tie with its prefix and distances, and the blocks after a tie
-    are not walked, as its draws shift the starts after it. Only after a
-    tie is the generator rewound and every restart drawn in turn: a
-    tie-free chain is reused per start, a tied one goes on from its prefix,
-    drawing at each of its starts, and a start not walked yet is walked
-    alone.
+    The generator draws only the starts, at once. Each step takes the
+    first point whose distance lies within a relative 1e-12 of the
+    farthest, so a chain is a function of its start, whatever the last bits
+    of its distances. The chains of the distinct starts are walked
+    together, a block of at most PAIR_CHUNK_ENTRIES // n distance rows at a
+    time.
     """
     n = len(points)
     coordinates = points.T.copy()
-    state = rng.bit_generator.state
     starts = list(dict.fromkeys(rng.integers(n, size=restarts).tolist()))
-    chains = {}  # start -> its chain, drawn without a tie
-    ties = {}  # start -> its prefix and distances at its first tie
     rows = max(1, PAIR_CHUNK_ENTRIES // n)
+    blocks = []
     for lo in range(0, len(starts), rows):
-        seeds = np.array(starts[lo:lo + rows])[:, None]
+        seeds = np.array(starts[lo:lo + rows], dtype=np.intp)[:, None]
         d = np.full((len(seeds), n), np.inf)
         for _ in range(1, k):
             np.minimum(d, _square_distances(coordinates, points[seeds[:, -1]]),
                        out=d)
-            cutoff = d.max(axis=1, keepdims=True) * (1.0 - 1e-12)
-            tied = np.count_nonzero(d >= cutoff, axis=1) > 1
-            if tied.any():
-                for r in np.flatnonzero(tied):
-                    ties[int(seeds[r, 0])] = tuple(seeds[r].tolist()), d[r]
-                seeds, d = seeds[~tied], d[~tied]
-            seeds = np.column_stack([seeds, d.argmax(axis=1)])
-        chains.update((chain[0], chain)
-                      for chain in map(tuple, seeds.tolist()))
-        if ties:
-            break
-    if not ties:
-        return np.array([chains[start] for start in starts], dtype=np.intp)
-
-    rng.bit_generator.state = state
-    seedings = {}  # distinct chains, in order of first draw
-    for _ in range(restarts):
-        start = int(rng.integers(n))
-        chain = chains.get(start)
-        if chain is None:
-            # d holds the distances to every seed of the chain so far
-            chain, d = ties.get(start) or (
-                (start,), _point_distances(coordinates, start))
-            tied = False
-            while True:
-                # RNG tie-breaking among (near-)farthest points
-                candidates = (d >= d.max() * (1.0 - 1e-12)).nonzero()[0]
-                tied |= len(candidates) > 1
-                chain += (int(candidates[rng.integers(len(candidates))]),)
-                if len(chain) == k:
-                    break
-                d = np.minimum(d, _point_distances(coordinates, chain[-1]))
-            if not tied:
-                chains[start] = chain
-        seedings[chain] = None
-    return np.array(list(seedings), dtype=np.intp)
+            far = d >= d.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+            seeds = np.column_stack([seeds, far.argmax(axis=1)])
+        blocks.append(seeds)
+    return np.concatenate(blocks)
 
 
 def _lloyd(points, centers, max_iter):
@@ -369,15 +337,6 @@ def _square_distances(coordinates, centers):
         np.subtract(coordinates[l], centers[..., l, None], out=diff)
         d2 += np.multiply(diff, diff, out=diff)
     return d2
-
-
-def _point_distances(coordinates, i):
-    """Squared distances (n,) from the points, as (d, n) coordinates, to
-    point i, with coordinates added in index order as _square_distances
-    adds them, in fewer numpy calls for one point."""
-    squares = coordinates - coordinates[:, i, None]
-    squares *= squares
-    return sum(squares[1:], squares[0])
 
 
 def _update_centers(points, d2, labels):

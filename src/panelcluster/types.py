@@ -232,6 +232,8 @@ class EstimateTable:
         self.betas = np.atleast_2d(np.asarray(self.betas, dtype=float))
         self.sigmas = np.asarray(self.sigmas, dtype=float)
         n, p = self.betas.shape
+        if p < 1:
+            raise ParseError("betas must have at least one coefficient")
         if len(self.ids) != len(set(self.ids)):
             raise ParseError("estimate ids must be unique")
         if len(self.ids) != n or self.sigmas.shape != (n, p, p):
@@ -263,7 +265,8 @@ class EstimateTable:
                 return self.sigmas / self.weights[:, None, None]
         if self.scale == ALREADY_SCALED:
             return self.sigmas
-        if not isinstance(T, (int, np.integer)) or T < 1:
+        if (not isinstance(T, (int, np.integer)) or isinstance(T, bool)
+                or T < 1):
             raise ValueError(f"per_observation estimates without weights "
                              f"need T, an integer >= 1; got T={T!r}")
         return self.sigmas / T

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import warnings
 from dataclasses import fields
@@ -849,6 +850,29 @@ def run_simulate(tmp_path, config, name="cfg"):
     out = tmp_path / f"{name}.out.json"
     code = main(["simulate", str(cfg), "--out", str(out)])
     return code, out
+
+
+# sha256 prefixes of the reference simulate payloads: n = 9, T = 40 runs and
+# n = 60, T = [40, 80] grids, 3 reps at seed 7 with selection on. They hold
+# labels, match scores and G_hat, not raw floats, so they do not depend on
+# the last bits of BLAS.
+REFERENCE_PAYLOADS = [
+    ("model1", 9, "3c831945"), ("model2", 9, "ef033381"),
+    ("model3", 9, "1e9dcb0a"), ("model4", 9, "14ccb79d"),
+    ("logistic", 9, "37aa3cf5"), ("model1", 60, "0c341cd4"),
+    ("model3", 60, "6a5af585"), ("logistic", 60, "a14a43a3")]
+
+
+@pytest.mark.parametrize("model, n, prefix", REFERENCE_PAYLOADS,
+                         ids=[f"{m}-n{n}" for m, n, _ in REFERENCE_PAYLOADS])
+def test_reference_simulate_payloads_hash_as_recorded(tmp_path, capsys,
+                                                      model, n, prefix):
+    code, out = run_simulate(tmp_path, {
+        "model": model, "n": n, "T": 40 if n == 9 else [40, 80], "reps": 3,
+        "seed": 7, "select_groups": True,
+        "methods": ["spectral", "kmeans_raw"]})
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:8] == prefix
 
 
 def test_simulate_grid_runs_each_point_as_its_scalar_config(tmp_path, capsys):

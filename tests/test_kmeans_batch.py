@@ -36,7 +36,7 @@ def reference_farthest_point_seed(points, k, rng):
             [np.sum((points - points[i]) ** 2, axis=1) for i in seeds], axis=0)
         cutoff = d.max() * (1.0 - 1e-12)
         candidates = np.flatnonzero(d >= cutoff)
-        seeds.append(rng.choice(candidates))
+        seeds.append(candidates[0])
     return np.array(seeds)
 
 
@@ -281,13 +281,18 @@ def assert_same_seeding(points, k, restarts, seed):
     return seeds, set(starts.tolist())
 
 
-def test_an_early_tie_shifts_the_later_starts():
-    # the first start, 50, is as far from 0 as from 100: its tie draws,
-    # so the restarts after it start elsewhere than the batch's draws
+def test_a_tie_takes_the_first_farthest_point_and_draws_nothing():
+    # start 50 is as far from 0 as from 100 and takes 0, the first of them;
+    # the starts are those of one integers call, and no tie draws
     points = np.arange(101.0)[:, None]
-    seeds, starts = assert_same_seeding(points, 2, 8, seed=10)
-    assert seeds[0, 0] == 50
-    assert set(seeds[:, 0].tolist()) - starts
+    draws = np.random.Generator(np.random.Philox(key=10))
+    starts = draws.integers(101, size=8).tolist()
+    rng = np.random.Generator(np.random.Philox(key=10))
+    seeds = spectral._farthest_point_seeds(points, 2, 8, rng)
+    assert seeds[0].tolist() == [50, 0]
+    assert seeds[:, 0].tolist() == list(dict.fromkeys(starts))
+    np.testing.assert_array_equal(rng.random(4), draws.random(4))
+    assert_same_seeding(points, 2, 8, seed=10)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7])
@@ -313,6 +318,21 @@ def test_identical_point_groups_tie_every_chain_at_its_first_step(k):
     assert ((d2 == d2.max(axis=1, keepdims=True)).sum(axis=1) > 1).all()
     for seed in range(5):
         assert_same_seeding(points, k, 50, seed)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_seedings_ignore_the_last_bits_of_the_distances(k):
+    points = np.repeat(np.eye(4), [8, 5, 9, 8], axis=0)
+    for seed in range(5):
+        exact = spectral._farthest_point_seeds(
+            points, k, 50, np.random.Generator(np.random.Philox(key=seed)))
+        for noise_seed in (1, 2):
+            noise = np.random.default_rng(noise_seed).normal(
+                scale=1e-15, size=points.shape)
+            noisy = spectral._farthest_point_seeds(
+                points + noise, k, 50,
+                np.random.Generator(np.random.Philox(key=seed)))
+            np.testing.assert_array_equal(noisy, exact)
 
 
 @pytest.mark.parametrize("k, bad, message", [

@@ -55,6 +55,11 @@ def test_rejects_zero_based_labels():
         average_match([0, 1], [1, 1])
 
 
+def test_rejects_empty_labelings():
+    with pytest.raises(ValueError, match="^labelings must not be empty$"):
+        average_match([], [])
+
+
 def test_rejects_length_mismatch():
     with pytest.raises(ValueError):
         average_match([1, 2], [1, 2, 3])

@@ -24,6 +24,7 @@ from panelcluster.types import (
     EstimateTable,
     NonPositiveCombined,
     NotSymmetric,
+    ParseError,
     validate_covariance,
 )
 
@@ -156,7 +157,7 @@ def test_weights_require_per_observation_scale():
         scalar_table(1.0, weights=np.array([4.0, 4.0]), scale=ALREADY_SCALED)
 
 
-@pytest.mark.parametrize("T", [None, 0, -5, 2.5])
+@pytest.mark.parametrize("T", [None, 0, -5, 2.5, True])
 def test_per_observation_variances_require_integer_T(T):
     with pytest.raises(ValueError, match=f"T={T!r}"):
         scalar_table(1.0).variances(T)
@@ -391,9 +392,10 @@ def test_dissimilarity_rejects_non_finite_sigmas_before_eigh(monkeypatch,
     (np.zeros(3), np.ones((3, 1, 1))),
     (np.zeros((3, 2)), np.ones((3, 1, 1))),
     (np.zeros((3, 1)), np.ones((2, 1, 1))),
+    (np.zeros((3, 0)), np.zeros((3, 0, 0))),
 ])
 def test_dissimilarity_rejects_mismatched_shapes(betas, sigmas):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^estimates must be"):
         build_dissimilarity(betas, sigmas)
 
 
@@ -612,6 +614,12 @@ def test_kmeans_duplicated_dataset_same_centers():
 def test_kmeans_rejects_too_many_clusters():
     with pytest.raises(ValueError):
         kmeans(np.zeros((2, 1)), 3)
+
+
+def test_kmeans_rejects_zero_width_points():
+    with pytest.raises(ValueError, match="^points must have at least one "
+                                         "coordinate$"):
+        kmeans(np.zeros((5, 0)), 2)
 
 
 def test_kmeans_rejects_zero_restarts():
@@ -875,6 +883,12 @@ def test_spectral_cluster_rejects_G_outside_1_to_n(G):
 def test_validate_covariance_rejects_a_non_square_matrix(sigma):
     with pytest.raises(NotSymmetric, match="^covariance must be square$"):
         validate_covariance(sigma)
+
+
+def test_estimate_table_rejects_zero_width_betas():
+    with pytest.raises(ParseError, match="^betas must have at least one "
+                                         "coefficient$"):
+        EstimateTable(["a", "b"], np.zeros((2, 0)), np.zeros((2, 0, 0)))
 
 
 def test_estimate_table_rejects_duplicate_ids():
