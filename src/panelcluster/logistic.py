@@ -14,14 +14,12 @@ from .types import (
     SingularDesign,
     SingularHessian,
     UncertaintyEstimate,
+    blocks,
     ill_conditioned,
 )
 
 # declare divergence (perfect separation) when the iterate leaves this ball
 DIVERGENCE_NORM = 30.0
-# design entries (rows x T x k) one Newton chunk holds, which bounds its
-# working set as quantile.IP_CHUNK_ENTRIES does for the interior point
-NEWTON_CHUNK_ENTRIES = 2 ** 16
 # halvings of a Newton step before it is taken at 0.5 ** MAX_HALVINGS
 MAX_HALVINGS = 50
 # a converged fit is separated when every outcome is predicted within this
@@ -56,14 +54,14 @@ def fit_logistic(X, y) -> CoefficientEstimate:
 
     X is an (n, T, k) stack of designs with outcomes y (n, T); any other
     shape raises DimensionMismatch. Every row runs the same iterations
-    (_newton), in chunks of at most NEWTON_CHUNK_ENTRIES design entries. A
-    row fails with DegenerateOutcome when its y is constant or has an
-    outcome other than 0 or 1 (NaN included), SingularDesign when its X is
-    not finite or rank deficient, PerfectSeparation when its outcomes are
-    separated or its iterate diverges, and NonConvergence when its gradient
-    is not within GRADIENT_TOL after MAX_ITER steps. gamma is (n, k) with
-    the failed rows read 0, failed maps each failed row to its error, and
-    iterations sums the steps of the other rows.
+    (_newton), in blocks of rows (types.blocks) of T * k design entries
+    each. A row fails with DegenerateOutcome when its y is constant or has
+    an outcome other than 0 or 1 (NaN included), SingularDesign when its X
+    is not finite or rank deficient, PerfectSeparation when its outcomes
+    are separated or its iterate diverges, and NonConvergence when its
+    gradient is not within GRADIENT_TOL after MAX_ITER steps. gamma is
+    (n, k) with the failed rows read 0, failed maps each failed row to its
+    error, and iterations sums the steps of the other rows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -88,9 +86,8 @@ def fit_logistic(X, y) -> CoefficientEstimate:
     rows = rows[~deficient]
     gamma = np.zeros((n, k))
     iterations = 0
-    step = max(1, NEWTON_CHUNK_ENTRIES // (T * k))
-    for start in range(0, len(rows), step):
-        chunk = rows[start:start + step]
+    for block in blocks(len(rows), T * k):
+        chunk = rows[block]
         gamma[chunk], steps, errors = _newton(X[chunk], y[chunk], MAX_ITER,
                                               GRADIENT_TOL)
         iterations += steps

@@ -9,13 +9,14 @@ from .types import MatchScore
 
 
 def _confusion(truth, estimate):
-    truth = np.asarray(truth, dtype=int)
-    estimate = np.asarray(estimate, dtype=int)
-    if truth.shape != estimate.shape:
-        raise ValueError("labelings must have equal length")
+    truth, estimate = np.asarray(truth), np.asarray(estimate)
+    if truth.ndim != 1 or truth.shape != estimate.shape:
+        raise ValueError("labelings must be 1-D and of equal length")
     if not truth.size:
         raise ValueError("labelings must not be empty")
-    if truth.min(initial=1) < 1 or estimate.min(initial=1) < 1:
+    # an integer dtype, so that no float label is truncated into a match
+    if not all(np.issubdtype(a.dtype, np.integer) and a.min() >= 1
+               for a in (truth, estimate)):
         raise ValueError("labels must be 1-based positive integers")
     # compact each labeling to the labels it uses: the table then has one
     # row or column per used label, whatever their values
@@ -35,8 +36,7 @@ def average_match(truth, estimate) -> MatchScore:
     """
     counts = _confusion(truth, estimate)
     rows, cols = linear_sum_assignment(counts, maximize=True)
-    n = len(np.asarray(truth))
-    average = float(counts[rows, cols].sum() / n)
+    average = float(counts[rows, cols].sum() / counts.sum())
     return MatchScore(perfect=average == 1.0, average=average)
 
 

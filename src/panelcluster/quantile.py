@@ -30,6 +30,8 @@ from .types import (
     SingularB,
     SingularDesign,
     UncertaintyEstimate,
+    blocks,
+    check_count,
     ill_conditioned,
 )
 
@@ -39,9 +41,6 @@ DENSITY_DENOM_FLOOR = 1e-6
 # the Hall-Sheather bandwidth is that of a (1 - alpha) confidence interval
 HALL_SHEATHER_ALPHA = 0.05
 
-# design entries (problems x T x k) one interior-point chunk holds, which
-# bounds its working set as spectral.PAIR_CHUNK_ENTRIES does for pairs
-IP_CHUNK_ENTRIES = 2 ** 16
 # iterations after which a problem is purified wherever it stands
 IP_MAX_ITER = 50
 # a problem stops once its duality gap is below IP_GAP_TOL * T * max|y|
@@ -109,6 +108,7 @@ def hall_sheather_bandwidth(T: int, tau: float) -> float:
     """Hall-Sheather bandwidth for the difference-quotient density estimate,
     clipped so tau +/- d_T stays inside (0.01, 0.99); tau itself must lie
     inside (0.01, 0.99), or no positive bandwidth exists."""
+    check_count("T", T)
     if T < 10:
         raise ValueError("bandwidth rule requires T >= 10")
     if not 0.01 < tau < 0.99:
@@ -126,8 +126,8 @@ def hall_sheather_bandwidth(T: int, tau: float) -> float:
 
 def fit_quantile(X, y, tau):
     """Minimize the average check loss of each design of a stack at each
-    level: X (n, T, k), y (n, T) and tau a 1-D sequence of L levels in
-    (0, 1); any other shape raises DimensionMismatch. All L n fits run as
+    level: X (n, T, k), y (n, T) and tau a 1-D sequence of L >= 1 levels
+    in (0, 1); any other shape raises DimensionMismatch. All L n fits run as
     one batched solve (_fit_stack). Returns gammas (L, n, k), certified
     (L, n), the fits that pass the subgradient certificate, and failed,
     {row: EstimationError} of the rows that cannot be fit (SingularDesign
@@ -136,11 +136,9 @@ def fit_quantile(X, y, tau):
     at every level.
     """
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    levels = np.asarray(tau, dtype=float)
-    if X.ndim != 3 or y.shape != X.shape[:2] or levels.ndim != 1:
-        raise DimensionMismatch("design/response/levels shape mismatch")
-    if not np.all((0.0 < levels) & (levels < 1.0)):
-        raise ValueError("tau must lie in (0, 1)")
+    if X.ndim != 3 or y.shape != X.shape[:2]:
+        raise DimensionMismatch("design/response shape mismatch")
+    levels = _levels(tau)
     n, _, k = X.shape
     finite = np.isfinite(X).all(axis=(1, 2))
     failed = {int(i): SingularDesign("design matrix has non-finite entries")
@@ -168,6 +166,18 @@ def fit_quantile(X, y, tau):
     return gammas, certified, failed
 
 
+def _levels(tau):
+    """tau as an (L,) array of one or more levels in (0, 1)."""
+    levels = np.asarray(tau, dtype=float)
+    if levels.ndim != 1:
+        raise DimensionMismatch("tau must be a sequence of levels")
+    if not levels.size:
+        raise ValueError("tau must hold at least one level")
+    if not np.all((0.0 < levels) & (levels < 1.0)):
+        raise ValueError("tau must lie in (0, 1)")
+    return levels
+
+
 def fit_quantile_bundle(X, y, tau: float) -> QuantileFitBundle:
     """Fit at tau and tau +/- d_T, d_T the Hall-Sheather bandwidth, by one
     fit_quantile call on the (n, T, k) stack X with responses y (n, T).
@@ -191,24 +201,22 @@ def fit_quantile_bundle(X, y, tau: float) -> QuantileFitBundle:
 def _fit_stack(X, y, rows, taus):
     """Quantile fits of problems (X[rows[j]], y[rows[j]], taus[j]).
 
-    Chunks of at most IP_CHUNK_ENTRIES design entries run the batched
-    interior point, and each fit is purified to its vertex. The vertex is
-    kept if it passes the subgradient certificate (at CERT_TOL); otherwise
-    the interior-point fit is kept, which at the centre of a tied face has a
-    zero score, and is certified only if it passes in turn. Returns gammas
-    (m, k), certificates (m,) and {problem: NonConvergence} of the chunks
-    whose interior point met an exactly singular normal matrix (they read
-    0). Every problem's arithmetic is independent of the others, so a fit is
-    the same in any stack.
+    Blocks of problems (types.blocks) of T * k design entries each run the
+    batched interior point, and each fit is purified to its vertex. The
+    vertex is kept if it passes the subgradient certificate (at CERT_TOL);
+    otherwise the interior-point fit is kept, which at the centre of a tied
+    face has a zero score, and is certified only if it passes in turn.
+    Returns gammas (m, k), certificates (m,) and {problem: NonConvergence}
+    of the blocks whose interior point met an exactly singular normal
+    matrix (they read 0). Every problem's arithmetic is independent of the
+    others, so a fit is the same in any stack.
     """
     m = len(rows)
     T, k = X.shape[1:]
     gammas = np.zeros((m, k))
     certified = np.zeros(m, dtype=bool)
     errors = {}
-    step = max(1, IP_CHUNK_ENTRIES // (T * k))
-    for start in range(0, m, step):
-        chunk = slice(start, start + step)
+    for chunk in blocks(m, T * k):
         Xc, yc, tc = X[rows[chunk]], y[rows[chunk]], taus[chunk]
         A = _Stack(Xc)
         try:
@@ -216,7 +224,7 @@ def _fit_stack(X, y, rows, taus):
             vertex = _purify(A, yc, fit)
         except np.linalg.LinAlgError as exc:
             failure = NonConvergence(f"interior point failed: {exc}")
-            errors.update(dict.fromkeys(range(start, start + len(yc)), failure))
+            errors.update(dict.fromkeys(range(m)[chunk], failure))
             continue
         ok = subgradient_certificate(Xc, yc, vertex, tc, CERT_TOL)
         back = ~ok
@@ -515,8 +523,8 @@ class PooledQuantileFit:
 def fit_pooled_quantile(y, x, tau) -> PooledQuantileFit:
     """Minimize the pooled check loss over (alpha_1..alpha_n, beta).
 
-    y has shape (n, T); x has shape (n, T, p); tau is a sequence of L levels
-    (anything else raises DimensionMismatch). With p = 0 the problem
+    y has shape (n, T); x has shape (n, T, p); tau is a sequence of L >= 1
+    levels (anything else raises DimensionMismatch). With p = 0 the problem
     separates into n intercept-only fits solved in closed form. Otherwise
     the levels run as one stack in the batched interior point on the pooled
     design (_fit_pooled_levels). Raises SingularDesign when a covariate is
@@ -530,11 +538,7 @@ def fit_pooled_quantile(y, x, tau) -> PooledQuantileFit:
     y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
     n, T = y.shape
     p = x.shape[2] if x.ndim == 3 else 0
-    levels = np.asarray(tau, dtype=float)
-    if levels.ndim != 1:
-        raise DimensionMismatch("tau must be a sequence of levels")
-    if not np.all((0.0 < levels) & (levels < 1.0)):
-        raise ValueError("tau must lie in (0, 1)")
+    levels = _levels(tau)
     if n * T < n + p + 1:
         raise SingularDesign("too few observations for the pooled fit")
     if not np.isfinite(x).all():
@@ -600,6 +604,8 @@ def intercept_variance(alpha_plus, alpha_minus, tau: float,
     returns their (n, 1, 1) variances, which EstimateTable checks once; a
     variance that overflows reads inf, without a warning.
     """
+    if not np.isfinite(d_T):
+        raise ValueError("bandwidth must be finite")
     if d_T <= 0:
         raise ValueError("bandwidth must be positive")
     with np.errstate(over="ignore"):

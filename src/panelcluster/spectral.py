@@ -7,6 +7,7 @@ import numbers
 import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 
+from . import types
 from .types import (
     DimensionMismatch,
     EigenFailure,
@@ -16,12 +17,6 @@ from .types import (
 )
 
 EIGENGAP_DENOM_GUARD = 1e-12
-
-# Matrix entries per block: pairs per block of rows in build_dissimilarity,
-# and entries per block of rows in the other passes over an n x n array. One
-# unchunked eigh batch raised peak memory by ~5 MB at n=300 for no gain in
-# speed; row blocks keep every temporary far below the n x n array.
-PAIR_CHUNK_ENTRIES = 2 ** 15
 
 # Size from which the Laplacian spectrum is partial, by ARPACK's Lanczos
 # (eigsh); below it LAPACK solves the whole spectrum. On the Laplacians of
@@ -33,10 +28,6 @@ PAIR_CHUNK_ENTRIES = 2 ** 15
 # 2.1-2.6 ms).
 KRYLOV_MIN_N = 200
 
-# Entries of kmeans' per-chunk working set, ~n * (k + d) per restart: every
-# restart of a small-n call runs in one chunk, and a large-n call holds a
-# few restarts at a time.
-KMEANS_CHUNK_ENTRIES = 2 ** 17
 # Lloyd iterations after which a restart stops wherever it stands
 LLOYD_MAX_ITER = 300
 
@@ -135,11 +126,10 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
     # over rows, not over a short last axis
     columns = betas.T.copy()
     V = np.zeros((n, n))
-    chunk = max(1, PAIR_CHUNK_ENTRIES // s ** 2)
     # the inputs are finite, so only an overflow can make V non-finite
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for start, stop in _upper_row_blocks(n, chunk):
+            for start, stop in _upper_row_blocks(n, s ** 2):
                 i, j = np.triu_indices(stop - start, 1, n - start)
                 i += start
                 j += start
@@ -149,14 +139,15 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
     except FloatingPointError as exc:
         raise ValueError(f"non-finite dissimilarity: {exc}") from None
     # the lower triangle is zero, so adding the transpose mirrors exactly
-    for start, stop in _row_blocks(n):
-        V[start:, start:stop] += V[start:stop, start:].T
+    for rows in types.blocks(n, n):
+        V[rows.start:, rows] += V[rows, rows.start:].T
     return V
 
 
-def _upper_row_blocks(n, chunk):
+def _upper_row_blocks(n, size):
     """(start, stop) blocks of whole rows of the strict upper triangle of an
-    n x n matrix, each of at most `chunk` pairs or of one row."""
+    n x n matrix, each of one row or of at most BLOCK_ENTRIES // size pairs."""
+    chunk = max(1, types.BLOCK_ENTRIES // size)
     start = 0
     while start < n - 1:
         stop, pairs = start + 1, n - 1 - start
@@ -167,14 +158,6 @@ def _upper_row_blocks(n, chunk):
         start = stop
 
 
-def _row_blocks(n):
-    """(start, stop) blocks of whole rows of an n x n matrix, each of about
-    PAIR_CHUNK_ENTRIES entries."""
-    rows = max(1, PAIR_CHUNK_ENTRIES // max(n, 1))
-    for start in range(0, n, rows):
-        yield start, min(start + rows, n)
-
-
 def _check_dissimilarity(V) -> np.ndarray:
     """V as a float array, checked to be a square, finite, non-negative
     and symmetric dissimilarity with a zero diagonal, a block of rows at a
@@ -183,8 +166,8 @@ def _check_dissimilarity(V) -> np.ndarray:
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise DimensionMismatch("dissimilarity matrix must be square")
     negative, largest, asymmetry = False, 0.0, 0.0
-    for start, stop in _row_blocks(len(V)):
-        rows = V[start:stop]
+    for block in types.blocks(len(V), len(V)):
+        rows = V[block]
         if not np.isfinite(rows).all():
             raise ValueError("dissimilarity contains non-finite entries")
         negative = negative or bool((rows < 0).any())
@@ -192,8 +175,8 @@ def _check_dissimilarity(V) -> np.ndarray:
         # against the rows above, whose entries are known finite; once an
         # entry is negative, the difference could overflow and is not needed
         if not negative:
-            asymmetry = max(asymmetry, np.abs(V[start:stop, :stop]
-                                              - V[:stop, start:stop].T).max())
+            asymmetry = max(asymmetry, np.abs(V[block, :block.stop]
+                                              - V[:block.stop, block].T).max())
     if negative:
         raise ValueError("dissimilarity entries must be non-negative")
     if np.abs(np.diag(V)).max(initial=0.0) > 0:
@@ -211,12 +194,6 @@ def _check_seed(seed):
                          f"got {seed!r}")
 
 
-def _check_count(name, value):
-    """Reject a count that is not an integer (a bool is not one)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
     """Lloyd iterations with greedy farthest-point seeding.
 
@@ -232,8 +209,8 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
-    _check_count("k", k)
-    _check_count("restarts", restarts)
+    types.check_count("k", k)
+    types.check_count("restarts", restarts)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n} (the number of points), "
                          f"got {k}")
@@ -248,9 +225,8 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
     seeds = _farthest_point_seeds(points, k, restarts, rng)
 
     best = None
-    chunk = max(1, KMEANS_CHUNK_ENTRIES // (n * (k + d)))
-    for start in range(0, len(seeds), chunk):
-        centers = points[seeds[start:start + chunk]]
+    for block in types.blocks(len(seeds), n * (k + d)):
+        centers = points[seeds[block]]
         labels, objectives = _lloyd(points, centers, LLOYD_MAX_ITER)
         i = objectives.argmin()
         if best is None or objectives[i] < best[2]:
@@ -266,24 +242,22 @@ def _farthest_point_seeds(points, k, restarts, rng):
     first point whose distance lies within a relative 1e-12 of the
     farthest, so a chain is a function of its start, whatever the last bits
     of its distances. The chains of the distinct starts are walked
-    together, a block of at most PAIR_CHUNK_ENTRIES // n distance rows at a
-    time.
+    together, a block (types.blocks) of n-entry distance rows at a time.
     """
     n = len(points)
     coordinates = points.T.copy()
     starts = list(dict.fromkeys(rng.integers(n, size=restarts).tolist()))
-    rows = max(1, PAIR_CHUNK_ENTRIES // n)
-    blocks = []
-    for lo in range(0, len(starts), rows):
-        seeds = np.array(starts[lo:lo + rows], dtype=np.intp)[:, None]
+    chains = []
+    for block in types.blocks(len(starts), n):
+        seeds = np.array(starts[block], dtype=np.intp)[:, None]
         d = np.full((len(seeds), n), np.inf)
         for _ in range(1, k):
             np.minimum(d, _square_distances(coordinates, points[seeds[:, -1]]),
                        out=d)
             far = d >= d.max(axis=1, keepdims=True) * (1.0 - 1e-12)
             seeds = np.column_stack([seeds, far.argmax(axis=1)])
-        blocks.append(seeds)
-    return np.concatenate(blocks)
+        chains.append(seeds)
+    return np.concatenate(chains)
 
 
 def _lloyd(points, centers, max_iter):
@@ -386,11 +360,11 @@ def _laplacian(V: np.ndarray, shrink: float = 1.0) -> np.ndarray:
     L *= inv_sqrt_d[:, None]
     L *= inv_sqrt_d[None, :]
     np.fill_diagonal(L, inv_sqrt_d * (degrees - 1.0) * inv_sqrt_d)
-    for start, stop in _row_blocks(len(L)):
-        upper = L[start:stop, start:]
-        upper += L[start:, start:stop].T
+    for rows in types.blocks(len(L), len(L)):
+        upper = L[rows, rows.start:]
+        upper += L[rows.start:, rows].T
         upper *= 0.5
-        L[start:, start:stop] = upper.T
+        L[rows.start:, rows] = upper.T
     return L
 
 
@@ -430,7 +404,7 @@ def spectral_cluster(V, G: int, seed: int = 0,
     """
     V = _check_dissimilarity(V)
     n = V.shape[0]
-    _check_count("G", G)
+    types.check_count("G", G)
     if not 1 <= G <= n:
         raise ValueError("G must lie in 1..n")
     _check_seed(seed)
@@ -452,9 +426,10 @@ def select_num_groups(V, T: int, G_max: int = 10) -> GroupCountSelection:
     """
     V = _check_dissimilarity(V)
     n = V.shape[0]
+    types.check_count("T", T)
     if n < 3 or T < 2:
         raise ValueError("selection requires n >= 3 and T >= 2")
-    _check_count("G_max", G_max)
+    types.check_count("G_max", G_max)
     if G_max < 1:
         raise ValueError(f"G_max must be >= 1, got {G_max}")
     limit = min(G_max, n - 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,6 +11,24 @@ import numpy as np
 SYMMETRY_RTOL = 1e-10
 # largest condition number of a matrix an estimator inverts or solves with
 MAX_CONDITION = 1e12
+# Array entries a block of batched work holds (see blocks). One block of all
+# pairs cost ~5 MB at n = 300 and one of all k-means restarts 50 MiB at
+# n = 10,000; 2**16 made the CLI benchmark's clustering slower and larger.
+BLOCK_ENTRIES = 2 ** 15
+
+
+def blocks(count: int, size: int) -> list:
+    """The slices of range(count), in order, each of at most BLOCK_ENTRIES
+    // size items of `size` array entries, and of at least one item."""
+    step = max(1, BLOCK_ENTRIES // max(size, 1))
+    return [slice(start, min(start + step, count))
+            for start in range(0, count, step)]
+
+
+def check_count(name, value):
+    """Reject a count that is not an integer (a bool is not one)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def ill_conditioned(S: np.ndarray) -> np.ndarray:
@@ -182,8 +201,8 @@ def _reject(bad: np.ndarray, error: type, message: str) -> None:
 
 
 def validate_covariance(sigma: np.ndarray) -> None:
-    """Check that sigma, one (s, s) matrix or an (..., s, s) stack, holds
-    finite, symmetric, positive semidefinite covariances.
+    """Check that sigma, one (s, s) matrix or an (..., s, s) stack with
+    s >= 1, holds finite, symmetric, positive semidefinite covariances.
 
     The error carries `index`, the flat stack position of the first bad
     matrix. Finiteness is checked before any eigendecomposition.
@@ -191,6 +210,8 @@ def validate_covariance(sigma: np.ndarray) -> None:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2]:
         raise NotSymmetric("covariance must be square")
+    if not sigma.shape[-1]:
+        raise DimensionMismatch("covariance must be at least 1 x 1")
     S = sigma.reshape(-1, *sigma.shape[-2:])
     _reject(~np.isfinite(S).all(axis=(1, 2)), ValueError,
             "covariance has non-finite entries")

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import warnings
 from dataclasses import fields
 
@@ -303,6 +304,18 @@ def test_estimate_table_names_non_finite_covariance_row():
         EstimateTable(["a", "b"], np.zeros((2, 1)), sigmas)
 
 
+@pytest.mark.parametrize("betas,sigmas", [
+    (np.zeros((2, 2)), np.stack([np.eye(3)] * 2)),
+    (np.zeros((3, 1)), np.stack([np.eye(1)] * 2)),
+])
+def test_estimate_table_rejects_mismatched_shapes(betas, sigmas):
+    p = betas.shape[1]
+    with pytest.raises(ParseError, match=re.escape(
+            f"ids, betas and covariances must have shapes (n,), (n, {p}) "
+            f"and (n, {p}, {p})")):
+        EstimateTable(["a", "b"], betas, sigmas)
+
+
 def two_cluster_scalar_table(tmp_path):
     path = tmp_path / "two.csv"
     lines = ["# scale=already_scaled", "id,beta_1,se"]
@@ -550,6 +563,20 @@ def test_estimate_logistic_lists_dropped_individuals(tmp_path, capsys):
     assert "dropped u2: DegenerateOutcome" in printed
     table = read_estimates(out)
     assert "u2" not in table.ids
+
+
+def test_estimate_logistic_with_no_fittable_individual_exits_1(tmp_path,
+                                                               capsys):
+    panel, _ = gen_logistic(5, 40, seed=3)
+    panel.responses[:] = 1.0  # every outcome constant: no fit is possible
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(path), "--model", "logistic",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: no individual could be estimated\n"
+    assert not out.exists()
 
 
 def test_estimate_logistic_requires_binary_responses(tmp_path, capsys):

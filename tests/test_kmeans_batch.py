@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from panelcluster import simulation, spectral
+from panelcluster import simulation, spectral, types
 from panelcluster.simulation import SimulationConfig, run_rep
 
 
@@ -165,8 +165,7 @@ def test_ragged_last_chunk_with_the_best_restart_in_a_later_chunk(
     rng = np.random.default_rng(5)
     points = np.round(rng.normal(size=(40, 2)) * 2, 1)
     k, per_chunk = 4, 3
-    monkeypatch.setattr(spectral, "KMEANS_CHUNK_ENTRIES",
-                        per_chunk * 40 * (k + 2))
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", per_chunk * 40 * (k + 2))
     rng = np.random.Generator(np.random.Philox(key=5))
     seeds = np.array([reference_farthest_point_seed(points, k, rng)
                       for _ in range(50)])
@@ -199,7 +198,7 @@ def test_tied_best_restarts_in_separate_chunks_keep_the_first(monkeypatch):
     # the four corners of a square split left/right or top/bottom at the
     # same objective; one restart per chunk
     points = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-    monkeypatch.setattr(spectral, "KMEANS_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", 1)
     rng = np.random.Generator(np.random.Philox(key=0))
     partitions = {tuple(reference_lloyd(
         points, points[reference_farthest_point_seed(points, 2, rng)],
@@ -303,7 +302,7 @@ def test_seeding_in_several_blocks_of_starts(monkeypatch, kind, rows):
               "grid": np.round(rng.normal(size=(40, 2))),
               "line": np.arange(41.0)[:, None]}[kind]
     # blocks of `rows` starts
-    monkeypatch.setattr(spectral, "PAIR_CHUNK_ENTRIES", rows * len(points))
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", rows * len(points))
     for k in (1, 2, 4):
         for seed in range(6):
             assert_same_seeding(points, k, 25, seed)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from panelcluster import logistic, simulation
+from panelcluster import logistic, simulation, types
 from panelcluster.logistic import fit_logistic, logistic_covariance
 from panelcluster.simulation import (
     SimulationConfig,
@@ -278,7 +278,7 @@ def test_ragged_last_chunk_gives_the_same_stack(monkeypatch):
     whole = fit_logistic(X, Y)
     whole_unc = logistic_covariance(X, whole)
     n, T, k = X.shape
-    monkeypatch.setattr(logistic, "NEWTON_CHUNK_ENTRIES", 7 * T * k)
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", 7 * T * k)
     assert n % 7  # the last chunk is ragged
     est = fit_logistic(X, Y)
     unc = logistic_covariance(X, est)

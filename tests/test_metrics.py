@@ -60,6 +60,24 @@ def test_rejects_empty_labelings():
         average_match([], [])
 
 
+@pytest.mark.parametrize("truth,estimate", [
+    ([1.5, 2.0, 1.0], [1, 2, 1]),  # int() would truncate 1.5 to a match
+    ([1, 2, 1], [1.0, 2.0, 1.0]),
+    ([True, False], [1, 2]),
+])
+def test_rejects_labels_that_are_not_integers(truth, estimate):
+    with pytest.raises(ValueError,
+                       match="^labels must be 1-based positive integers$"):
+        average_match(truth, estimate)
+
+
+@pytest.mark.parametrize("labels", [[[1, 2]], [[1], [2]], 1])
+def test_rejects_labelings_that_are_not_1d(labels):
+    with pytest.raises(ValueError,
+                       match="^labelings must be 1-D and of equal length$"):
+        average_match(labels, labels)
+
+
 def test_rejects_length_mismatch():
     with pytest.raises(ValueError):
         average_match([1, 2], [1, 2, 3])

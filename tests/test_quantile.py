@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelcluster import quantile
+from panelcluster import quantile, types
 from panelcluster.quantile import (
     check_loss,
     fit_pooled_quantile,
@@ -351,7 +351,7 @@ def test_stack_chunks_do_not_change_fits(monkeypatch):
     X, y = model1_stack()
     whole = fit_quantile_bundle(X, y, 0.5)
     # 5 problems per chunk: 36 fits in 8 chunks, the last one ragged
-    monkeypatch.setattr(quantile, "IP_CHUNK_ENTRIES", 5 * X.shape[1] * 3)
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", 5 * X.shape[1] * 3)
     chunked = fit_quantile_bundle(X, y, 0.5)
     for level in ("center", "upper", "lower"):
         assert np.array_equal(getattr(whole, level).gamma,
@@ -569,7 +569,7 @@ def test_singular_normal_matrix_fails_the_chunk_as_nonconvergence(
     monkeypatch.setattr(quantile, "_interior_point", singular_with_row_j)
     # 5 problems per chunk: the centre fits of rows 5..9 share a chunk with
     # row 7's, which meets a singular normal matrix
-    monkeypatch.setattr(quantile, "IP_CHUNK_ENTRIES", 5 * X.shape[1] * 3)
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", 5 * X.shape[1] * 3)
     bundle = fit_quantile_bundle(X, y, 0.5)
     hit = [5, 6, 7, 8, 9]
     assert sorted(bundle.failed) == hit
@@ -781,6 +781,22 @@ def test_stacked_engine_matches_enumeration_on_criterion_5d_instances():
      SingularDesign, "too few observations for the pooled fit"),
     (lambda X, y: intercept_variance(y[:, 0], y[:, 1], 0.5, 0.0), ValueError,
      "bandwidth must be positive"),
+    (lambda X, y: intercept_variance(y[:, 0], y[:, 1], 0.5, np.nan),
+     ValueError, "bandwidth must be finite"),
+    (lambda X, y: intercept_variance(y[:, 0], y[:, 1], 0.5, np.inf),
+     ValueError, "bandwidth must be finite"),
+    (lambda X, y: fit_quantile(X, y, []), ValueError,
+     "tau must hold at least one level"),
+    (lambda X, y: fit_pooled_quantile(y, X[:, :, 1:], []), ValueError,
+     "tau must hold at least one level"),
+    (lambda X, y: fit_pooled_quantile(y, X[:, :, :0], []), ValueError,
+     "tau must hold at least one level"),
+    (lambda X, y: hall_sheather_bandwidth(12.5, 0.5), ValueError,
+     "T must be an integer, got 12.5"),
+    (lambda X, y: hall_sheather_bandwidth("50", 0.5), ValueError,
+     "T must be an integer, got '50'"),
+    (lambda X, y: hall_sheather_bandwidth(True, 0.5), ValueError,
+     "T must be an integer, got True"),
 ])
 def test_quantile_inputs_are_checked(call, error, message):
     X, y = model1_stack(n=3, T=20)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from panelcluster import spectral
+from panelcluster import spectral, types
 from panelcluster.cli import main
 from panelcluster.spectral import (
     _laplacian,
@@ -235,9 +235,9 @@ def test_batched_dissimilarity_equals_pairwise_loop(monkeypatch, s, scale,
                                                      weighted):
     # 7 140 pairs in row blocks of at most 1024 / s**2 pairs, or of one
     # longer row (s = 3): 8, 33 and 79 blocks, the last ragged
-    monkeypatch.setattr(spectral, "PAIR_CHUNK_ENTRIES", 2 ** 10)
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", 2 ** 10)
     n = 120
-    assert len(list(spectral._upper_row_blocks(n, 2 ** 10 // s ** 2))) > 1
+    assert len(list(spectral._upper_row_blocks(n, s ** 2))) > 1
     betas, sigmas = random_estimates(n, s, seed=10 * s + weighted)
     weights = (np.random.default_rng(s).integers(20, 200, size=n)
                .astype(float) if weighted else None)
@@ -249,8 +249,7 @@ def test_batched_dissimilarity_equals_pairwise_loop(monkeypatch, s, scale,
 
 def test_batched_dissimilarity_equals_pairwise_loop_at_default_chunk():
     n = 300  # 44 850 pairs: six row blocks at s = 2
-    assert len(list(spectral._upper_row_blocks(
-        n, spectral.PAIR_CHUNK_ENTRIES // 4))) == 6
+    assert len(list(spectral._upper_row_blocks(n, 2 ** 2))) == 6
     betas, sigmas = random_estimates(n, 2, seed=3)
     table = EstimateTable(list(range(n)), betas, sigmas)
     V = build_dissimilarity(table.betas, table.variances(120))
@@ -259,8 +258,10 @@ def test_batched_dissimilarity_equals_pairwise_loop_at_default_chunk():
 
 @pytest.mark.parametrize("n,chunk", [(1, 5), (2, 1), (9, 1), (9, 8),
                                      (9, 36), (9, 100), (300, 8192)])
-def test_upper_row_blocks_cover_each_row_once(n, chunk):
-    blocks = list(spectral._upper_row_blocks(n, chunk))
+def test_upper_row_blocks_cover_each_row_once(monkeypatch, n, chunk):
+    # blocks of at most `chunk` pairs of one entry each
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", chunk)
+    blocks = list(spectral._upper_row_blocks(n, 1))
     # consecutive, from row 0 to row n - 2, the last with a pair
     bounds = [0] + [stop for _, stop in blocks]
     assert [start for start, _ in blocks] == bounds[:-1]
@@ -273,7 +274,7 @@ def test_upper_row_blocks_cover_each_row_once(n, chunk):
 
 
 def test_negative_combined_in_last_chunk_is_rejected(monkeypatch):
-    monkeypatch.setattr(spectral, "PAIR_CHUNK_ENTRIES", 2 ** 8)
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", 2 ** 8)
     n = 40  # 780 pairs in row blocks of <= 64; only the last is negative
     betas, sigmas = random_estimates(n, 2, seed=5)
     sigmas[:] = 10.0 * np.eye(2)
@@ -661,6 +662,7 @@ COUNT_CALLS = {
                                       restarts=bad),
     "G": lambda V, bad: spectral_cluster(V, bad),
     "G_max": lambda V, bad: select_num_groups(V, 30, bad),
+    "T": lambda V, bad: select_num_groups(V, bad),
 }
 
 
@@ -848,7 +850,7 @@ def test_spectral_layer_holds_one_n_by_n_working_matrix():
 def test_dissimilarity_check_finds_entries_in_any_row_block(kind, error,
                                                             message, row, col):
     V, _ = block_dissimilarity([150, 150], across=3.0)  # three row blocks
-    assert len(list(spectral._row_blocks(300))) == 3
+    assert len(types.blocks(300, 300)) == 3
     if kind == "diagonal":
         row = col
     V[row, col] = {"nan": np.nan, "negative": -1.0, "asymmetric": 4.0,
@@ -883,6 +885,26 @@ def test_spectral_cluster_rejects_G_outside_1_to_n(G):
 def test_validate_covariance_rejects_a_non_square_matrix(sigma):
     with pytest.raises(NotSymmetric, match="^covariance must be square$"):
         validate_covariance(sigma)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 0, 0)])
+def test_validate_covariance_rejects_a_zero_width(shape):
+    with pytest.raises(DimensionMismatch,
+                       match=r"^covariance must be at least 1 x 1$"):
+        validate_covariance(np.zeros(shape))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_validate_covariance_accepts_an_empty_stack(s):
+    validate_covariance(np.zeros((0, s, s)))
+
+
+def test_blocks_cover_range_in_order_within_the_budget(monkeypatch):
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", 10)
+    assert types.blocks(7, 3) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    # an item larger than the budget still makes a block of one
+    assert types.blocks(2, 11) == [slice(0, 1), slice(1, 2)]
+    assert types.blocks(0, 3) == []
 
 
 def test_estimate_table_rejects_zero_width_betas():
