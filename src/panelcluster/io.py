@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,6 +24,8 @@ FORMAT_VERSION = "1"
 # the bounds a _cell may require beyond finiteness
 _RULES = {"": lambda v: True, "> 0": lambda v: v > 0,
           ">= 0": lambda v: v >= 0}
+# the rule of each estimate-table column that has one
+_COLUMN_RULES = {"se": ">= 0", "weight": "> 0"}
 
 
 def _cell(fields, idx, col, row, ident, rule=""):
@@ -139,31 +142,22 @@ def read_estimates(path) -> EstimateTable:
             raise ParseError(f"missing covariance columns: {missing}")
         cov_cols = tri_names
     has_weight = "weight" in header
-    upper = [(i, j) for i in range(p) for j in range(i, p)]
+    columns = [*beta_cols, *cov_cols] + ["weight"] * has_weight
 
-    ids, betas, sigmas, weights = [], [], [], []
-    seen = set()
-    for rownum, fields, ident in _data_rows(rows, idx):
-        if ident in seen:
-            raise ParseError(f"row {rownum} (id={ident}): duplicate id")
-        seen.add(ident)
-        ids.append(ident)
-        betas.append([_cell(fields, idx, c, rownum, ident) for c in beta_cols])
-        if use_se:
-            se = _cell(fields, idx, "se", rownum, ident, ">= 0")
-            try:
-                sigmas.append([[se ** 2]])
-            except OverflowError:
-                raise ParseError(f"row {rownum} (id={ident}), column 'se': "
-                                 f"its square overflows") from None
-        else:
-            sigma = np.zeros((p, p))
-            for (i, j), col in zip(upper, tri_names):
-                sigma[i, j] = sigma[j, i] = _cell(fields, idx, col, rownum,
-                                                  ident)
-            sigmas.append(sigma)
-        if has_weight:
-            weights.append(_cell(fields, idx, "weight", rownum, ident, "> 0"))
+    records = [fields for fields in rows[1:] if fields]
+    if not records:
+        raise ParseError("estimate table has no data rows")
+    ids = [fields[0] for fields in records]
+    cells = _table_cells(records, ids, idx, columns)
+    if cells is None:
+        _raise_first_fault(rows, idx, columns)
+    if use_se:
+        sigmas = cells[:, p:p + 1, None]
+    else:
+        upper = [(i, j) for i in range(p) for j in range(i, p)]
+        sigmas = np.empty((len(ids), p, p))
+        for k, (i, j) in enumerate(upper, start=p):
+            sigmas[:, i, j] = sigmas[:, j, i] = cells[:, k]
 
     d_T = meta.get("d_T")
     if d_T is not None:
@@ -174,10 +168,64 @@ def read_estimates(path) -> EstimateTable:
         if not math.isfinite(d_T):
             raise ParseError(f"metadata key 'd_T' must be a finite number, "
                              f"got {meta['d_T']!r}")
-    return EstimateTable(ids, np.array(betas), sigmas,
+    return EstimateTable(ids, cells[:, :p].copy(), sigmas,
                          scale=meta.get("scale", PER_OBSERVATION),
-                         weights=np.array(weights) if has_weight else None,
+                         weights=cells[:, -1].copy() if has_weight else None,
                          d_T=d_T)
+
+
+def _table_cells(records, ids, idx, columns):
+    """The (n, len(columns)) float cells of the named columns of an
+    estimate table's non-blank data rows (ids, their first fields), parsed
+    in one call, with the `se` column squared; or None if some row has a
+    fault for _raise_first_fault to name.
+
+    numpy parses a str cell as float() does. The square is Python's
+    se ** 2 (C pow), not numpy's, which multiplies and can round the last
+    bit differently.
+    """
+    if (len(set(ids)) != len(ids)
+            or any(len(fields) != len(idx) for fields in records)):
+        return None
+    try:
+        cells = np.array(list(map(itemgetter(*map(idx.get, columns)),
+                                  records)), dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(cells).all():
+        return None
+    for k, col in enumerate(columns):
+        if not np.all(_RULES[_COLUMN_RULES.get(col, "")](cells[:, k])):
+            return None
+    if "se" in columns:
+        k = columns.index("se")
+        try:
+            cells[:, k] = [se ** 2 for se in cells[:, k].tolist()]
+        except OverflowError:
+            return None
+    return cells
+
+
+def _raise_first_fault(rows, idx, columns):
+    """Walk an estimate table's data rows in order and raise the ParseError
+    of the first fault: a row of the wrong length, a repeated id, a cell
+    that is not a finite number meeting its column's rule, or an `se`
+    whose square overflows."""
+    seen = set()
+    for rownum, fields, ident in _data_rows(rows, idx):
+        if ident in seen:
+            raise ParseError(f"row {rownum} (id={ident}): duplicate id")
+        seen.add(ident)
+        for col in columns:
+            value = _cell(fields, idx, col, rownum, ident,
+                          _COLUMN_RULES.get(col, ""))
+            if col == "se":
+                try:
+                    value ** 2
+                except OverflowError:
+                    raise ParseError(f"row {rownum} (id={ident}), column "
+                                     f"'se': its square overflows") from None
+    raise AssertionError("no fault in an estimate table whose cells failed")
 
 
 def read_panel_csv(path):

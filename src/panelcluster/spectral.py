@@ -37,40 +37,69 @@ def _whiten(S: np.ndarray, d: np.ndarray) -> np.ndarray:
     matrix S_k of an (m, s, s) stack and column d_k of an (s, m) array;
     returns the (s, m) whitened columns.
 
-    S is eigendecomposed in closed form for s <= 2 and by LAPACK eigh for
-    s >= 3; only its lower triangle is read, as eigh reads it. Eigenvalues
-    are floored at 1e-10 * max(eigenvalue) so that semi-definite inputs
-    produce a finite result; one below -1e-10 * max(eigenvalue) raises
-    NonPositiveCombined.
+    Only the lower triangle of S is read, as eigh reads it: its entries
+    are whitened by _whiten_entries, the kernel of build_dissimilarity.
     """
-    s = d.shape[0]
+    rows, cols = np.tril_indices(d.shape[0])
+    return np.stack(_whiten_entries([S[:, r, c] for r, c in zip(rows, cols)],
+                                    list(d)))
+
+
+def _whiten_entries(S, d):
+    """S_k^(-1/2) d_k for m symmetric s x s matrices S_k, given as the (m,)
+    arrays of their lower-triangle entries in row-major order (a for s = 1;
+    a, b, c for [[a, b], [b, c]]), and the s (m,) arrays of coordinates d;
+    returns the s (m,) arrays of whitened coordinates.
+
+    The matrices are eigendecomposed in closed form for s <= 2 and by
+    LAPACK eigh for s >= 3. Eigenvalues are floored at
+    1e-10 * max(eigenvalue) so that semi-definite inputs produce a finite
+    result; one below -1e-10 * max(eigenvalue) raises NonPositiveCombined.
+    """
+    s = len(d)
     if s == 1:
-        eigvals = S[:, 0]
-    elif s == 2:
-        eigvals, x, y = _eigh_2x2(S)
-    else:
-        eigvals, Q = np.linalg.eigh(S)
-    norm = np.maximum(eigvals[:, -1], 1e-300)
-    negative = eigvals[:, 0] < -1e-10 * norm
+        (a,), (d0,) = S, d
+        return [np.maximum(a, _eigen_floor(a, a)) ** -0.5 * d0]
+    if s == 2:
+        return _whiten_2x2(*S, *d)
+    # eigh reads the lower triangle; the upper one is filled for clarity
+    stack = np.empty((len(d[0]), s, s))
+    for r, c, entry in zip(*np.tril_indices(s), S):
+        stack[:, r, c] = stack[:, c, r] = entry
+    eigvals, Q = np.linalg.eigh(stack)
+    floor = _eigen_floor(eigvals[:, 0], eigvals[:, -1])
+    inv_sqrt = np.maximum(eigvals, floor[:, None]) ** -0.5
+    whitener = (Q * inv_sqrt[:, None, :]) @ Q.swapaxes(1, 2)
+    return list((whitener @ np.stack(d).T[:, :, None])[:, :, 0].T)
+
+
+def _eigen_floor(smallest, largest):
+    """The eigenvalue floor 1e-10 * max(largest, 1e-300) of each matrix of
+    a stack, from its (m,) smallest and largest eigenvalues; a smallest one
+    below minus the floor raises NonPositiveCombined, naming the first."""
+    norm = np.maximum(largest, 1e-300)
+    negative = smallest < -1e-10 * norm
     if negative.any():
         raise NonPositiveCombined(f"matrix has negative eigenvalue "
-                                  f"{eigvals[negative.argmax(), 0]:.3e}")
-    inv_sqrt = np.maximum(eigvals, 1e-10 * norm[:, None]) ** -0.5
-    if s == 1:
-        return inv_sqrt.T * d
-    if s == 2:
-        # coordinates in the eigenbasis (-y, x), (x, y), scaled, rotated back
-        low = inv_sqrt[:, 0] * (x * d[1] - y * d[0])
-        high = inv_sqrt[:, 1] * (x * d[0] + y * d[1])
-        return np.stack([x * high - y * low, y * high + x * low])
-    whitener = (Q * inv_sqrt[:, None, :]) @ Q.swapaxes(1, 2)
-    return (whitener @ d.T[:, :, None])[:, :, 0].T
+                                  f"{smallest[negative.argmax()]:.3e}")
+    return 1e-10 * norm
 
 
-def _eigh_2x2(S):
-    """Eigendecomposition of an (m, 2, 2) stack of symmetric matrices,
-    from the lower triangle: the ascending eigenvalues (m, 2) and the
-    components x, y (m,) of the unit eigenvector (x, y) of the larger one.
+def _whiten_2x2(a, b, c, d0, d1):
+    """_whiten_entries for s = 2: the whitened coordinates of (d0, d1) by
+    [[a, b], [b, c]]^(-1/2), in the closed-form eigenbasis of _eigh_2x2."""
+    low, high, x, y = _eigh_2x2(a, b, c)
+    floor = _eigen_floor(low, high)
+    # coordinates in the eigenbasis (-y, x), (x, y), scaled, rotated back
+    low = np.maximum(low, floor) ** -0.5 * (x * d1 - y * d0)
+    high = np.maximum(high, floor) ** -0.5 * (x * d0 + y * d1)
+    return [x * high - y * low, y * high + x * low]
+
+
+def _eigh_2x2(a, b, c):
+    """Eigendecomposition of the symmetric matrices [[a, b], [b, c]] of
+    (m,) entries: the smaller and larger eigenvalues and the components
+    x, y of the unit eigenvector (x, y) of the larger one, four (m,) arrays.
 
     Each matrix is first divided by its largest entry, so the determinant
     neither overflows nor underflows. The larger eigenvalue comes from the
@@ -78,7 +107,6 @@ def _eigh_2x2(S):
     cancels. A diagonal matrix keeps its diagonal entries as eigenvalues
     and a unit vector as eigenvector, as eigh does.
     """
-    a, b, c = S[:, 0, 0], S[:, 1, 0], S[:, 1, 1]
     scale = np.maximum(np.maximum(np.abs(a), np.abs(c)),
                        np.maximum(np.abs(b), 1e-300))
     a_, b_, c_ = a / scale, b / scale, c / scale
@@ -89,9 +117,8 @@ def _eigh_2x2(S):
     bottom = np.divide(a_ * c_ - b_ * b_, top, out=mean - root,
                        where=mean > 0)
     diagonal = b == 0
-    eigvals = np.stack([np.where(diagonal, np.minimum(a, c), bottom * scale),
-                        np.where(diagonal, np.maximum(a, c), top * scale)],
-                       axis=1)
+    low = np.where(diagonal, np.minimum(a, c), bottom * scale)
+    high = np.where(diagonal, np.maximum(a, c), top * scale)
     # the eigenvector of top from the row of S - top * I that does not
     # cancel; a multiple of the identity takes (1, 0)
     upper = half >= 0
@@ -100,7 +127,7 @@ def _eigh_2x2(S):
     length = np.hypot(x, y)
     identity = length == 0
     x[identity], length[identity] = 1.0, 1.0
-    return eigvals, x / length, y / length
+    return low, high, x / length, y / length
 
 
 def build_dissimilarity(estimates, variances) -> np.ndarray:
@@ -110,6 +137,11 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
     Var(beta_i), e.g. EstimateTable.variances(T), checked by
     validate_covariance. A pair is whitened by (Var_i + Var_j)^(-1/2).
     Returns the symmetric (n, n) dissimilarity V.
+
+    Each pair i < j (never i = i, whose doubled variance can overflow
+    where no pair does) is gathered from (n,) arrays, one per coefficient
+    and per lower-triangle variance entry, a block of whole rows of pairs
+    at a time, and whitened by _whiten_entries.
     """
     betas = np.asarray(estimates, dtype=float)
     variances = np.asarray(variances, dtype=float)
@@ -122,9 +154,8 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
     validate_covariance(variances)
     n, s = betas.shape
 
-    # differences are taken in (s, m) columns, so that the sup-norm reduces
-    # over rows, not over a short last axis
-    columns = betas.T.copy()
+    columns = list(betas.T.copy())
+    entries = [variances[:, r, c].copy() for r, c in zip(*np.tril_indices(s))]
     V = np.zeros((n, n))
     # the inputs are finite, so only an overflow can make V non-finite
     try:
@@ -133,8 +164,8 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
                 i, j = np.triu_indices(stop - start, 1, n - start)
                 i += start
                 j += start
-                whitened = _whiten(variances[i] + variances[j],
-                                   columns[:, i] - columns[:, j])
+                whitened = _whiten_entries([e[i] + e[j] for e in entries],
+                                           [x[i] - x[j] for x in columns])
                 V[i, j] = np.abs(whitened).max(axis=0)
     except FloatingPointError as exc:
         raise ValueError(f"non-finite dissimilarity: {exc}") from None

@@ -279,15 +279,17 @@ class EstimateTable:
         """Var(beta_i) of every row, an (n, s, s) stack: sigmas / weights
         when there is a weight column, sigmas / T under per_observation
         scale (T an integer >= 1) and sigmas as given when already_scaled.
+        A T that is given is checked to be an integer whichever is used.
         """
+        if T is not None:
+            check_count("T", T)
         if self.weights is not None:
             # an overflow to inf is left to validate_covariance downstream
             with np.errstate(over="ignore"):
                 return self.sigmas / self.weights[:, None, None]
         if self.scale == ALREADY_SCALED:
             return self.sigmas
-        if (not isinstance(T, (int, np.integer)) or isinstance(T, bool)
-                or T < 1):
+        if T is None or T < 1:
             raise ValueError(f"per_observation estimates without weights "
                              f"need T, an integer >= 1; got T={T!r}")
         return self.sigmas / T

@@ -176,6 +176,19 @@ def test_read_panel_roundtrip(tmp_path):
     assert [f.name for f in fields(back)] == ["covariates", "responses"]
 
 
+@pytest.mark.parametrize("body", ["", "\n\n\n"],
+                         ids=["header-only", "blank-rows"])
+def test_estimate_table_without_data_rows_is_named(tmp_path, capsys, body):
+    path = tmp_path / "empty.csv"
+    path.write_text("# scale=per_observation\nid,beta_1,se\n" + body)
+    with pytest.raises(ParseError, match="^estimate table has no data rows$"):
+        read_estimates(path)
+    assert main(["cluster", str(path), "--groups", "1",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: estimate table has no data rows\n")
+
+
 def test_read_panel_rejects_header_only_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("id,t,y,x_1\n")
@@ -900,6 +913,58 @@ def test_reference_simulate_payloads_hash_as_recorded(tmp_path, capsys,
         "methods": ["spectral", "kmeans_raw"]})
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:8] == prefix
+
+
+def write_cluster_tables(tmp_path, n, s, se=False, T=120, seed=11):
+    """A table shaped as the benchmark's CLI table (four group centres,
+    two close pairs far apart; per-observation covariances, betas drawn
+    with Var sigma / T), in `se` form for s = 1, and its truth file."""
+    rng = np.random.default_rng(seed)
+    centres = np.array([0.1, 0.2, 3.0, 3.1])
+    groups = rng.integers(0, 4, n)
+    columns = ["se"] if se else [f"c_{i + 1}{j + 1}" for i in range(s)
+                                 for j in range(i, s)]
+    rows = ["# format_version=1\n# scale=per_observation\n"
+            + ",".join(["id", *(f"beta_{k + 1}" for k in range(s)),
+                        *columns]) + "\n"]
+    for i, g in enumerate(groups):
+        A = rng.standard_normal((s, s))
+        sigma = 0.1 * (0.5 * np.eye(s) + 0.25 * A @ A.T)
+        beta = centres[g] + np.linalg.cholesky(sigma / T) @ \
+            rng.standard_normal(s)
+        cov = ([np.sqrt(sigma[0, 0])] if se else
+               [sigma[r, c] for r in range(s) for c in range(r, s)])
+        rows.append(",".join([f"u{i:04d}", *(format(v, ".17g")
+                                             for v in (*beta, *cov))]) + "\n")
+    table, truth = tmp_path / "table.csv", tmp_path / "truth.csv"
+    table.write_text("".join(rows))
+    truth.write_text("id,label\n" + "".join(
+        f"u{i:04d},{g + 1}\n" for i, g in enumerate(groups)))
+    return table, truth
+
+
+# sha256 prefixes of the `cluster --select-g` reports on the tables of
+# write_cluster_tables, without the input path. They hold the selection's
+# eigenvalues and ratios, so they pin V, the whole dissimilarity, through
+# the CLI.
+REFERENCE_CLUSTER_REPORTS = [(300, 2, False, "68005d4e"),
+                             (120, 1, True, "2d451fb3"),
+                             (120, 3, False, "bf6afbc4")]
+
+
+@pytest.mark.parametrize("n, s, se, prefix", REFERENCE_CLUSTER_REPORTS,
+                         ids=[f"n{n}-s{s}" + "-se" * se
+                              for n, s, se, _ in REFERENCE_CLUSTER_REPORTS])
+def test_reference_cluster_reports_hash_as_recorded(tmp_path, capsys, n, s,
+                                                    se, prefix):
+    table, truth = write_cluster_tables(tmp_path, n, s, se)
+    out = tmp_path / "report.json"
+    assert main(["cluster", str(table), "--select-g", "--t-periods", "120",
+                 "--truth", str(truth), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"].pop("estimates_csv") == str(table)
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest()[:8] == prefix
 
 
 def test_simulate_grid_runs_each_point_as_its_scalar_config(tmp_path, capsys):

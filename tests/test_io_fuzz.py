@@ -2,15 +2,21 @@
 CLI exits 0, 1 (bad input) or 2 (numerical failure) and never lets an
 exception escape."""
 
+import csv
+import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from panelcluster.cli import main
+from panelcluster.io import read_estimates
 from panelcluster.simulation import PANEL_MODELS
+from panelcluster.types import EstimateTable, ParseError
 
 FUZZ = settings(max_examples=100, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -94,3 +100,124 @@ def test_read_truth_fuzz(tmp_path, text):
                                 ("hi1", 10.0))))
     run(tmp_path, text,
         ["cluster", str(est), "--groups", "2", "--truth", None])
+
+
+# cells that float() reads or rejects in ways a parser might not
+UNUSUAL_CELLS = [" 1.5 ", "1_0", "١٢", "nan", "-inf", "1e400", "1e-400",
+                 "0x10", "", "1,5", "-0", "1e200"]
+FLOAT_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(
+        lambda v: format(v, ".17g")),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(UNUSUAL_CELLS))
+# variance cells that mostly make a valid table; 2.759 ** 2 (C pow) and
+# 2.759 * 2.759 differ in the last bit
+VARIANCE = {"c_11": ["1", "2.5"], "c_12": ["0", "0.5", "-0.25"],
+            "c_22": ["1", "2.5"], "se": ["0", "0.1", "3", "2.759"],
+            "weight": ["1", "50", "2.5"]}
+
+
+def row_by_row(rows, columns):
+    """ids, betas, sigmas and weights of an estimate table's CSV rows (the
+    header first), each cell read by float() and checked in turn, or the
+    ParseError of the first bad row: the reference the one-call parse of
+    read_estimates must match."""
+    idx = {name: k for k, name in enumerate(rows[0])}
+    p = sum(col.startswith("beta_") for col in columns)
+    ids, betas, sigmas, weights = [], [], [], []
+    for rownum, fields in enumerate(rows[1:], start=2):
+        if not fields:
+            continue
+        if len(fields) != len(idx):
+            raise ParseError(f"row {rownum}: expected {len(idx)} fields, "
+                             f"got {len(fields)}")
+        ident = fields[0]
+        if ident in ids:
+            raise ParseError(f"row {rownum} (id={ident}): duplicate id")
+        ids.append(ident)
+        values = []
+        for col in columns:
+            rule = {"se": ">= 0", "weight": "> 0"}.get(col, "")
+            where = f"row {rownum} (id={ident}), column {col!r}"
+            try:
+                value = float(fields[idx[col]])
+            except ValueError:
+                raise ParseError(f"{where}: not a number") from None
+            bounded = {"": True, ">= 0": value >= 0, "> 0": value > 0}
+            if not (math.isfinite(value) and bounded[rule]):
+                raise ParseError(f"{where}: must be finite"
+                                 + (f" and {rule}" if rule else ""))
+            if col == "se":
+                try:
+                    value = value ** 2
+                except OverflowError:
+                    raise ParseError(f"{where}: its square overflows") \
+                        from None
+            values.append(value)
+        betas.append(values[:p])
+        sigma = np.zeros((p, p))
+        for (i, j), value in zip([(i, j) for i in range(p)
+                                  for j in range(i, p)], values[p:]):
+            sigma[i, j] = sigma[j, i] = value
+        sigmas.append(sigma)
+        if "weight" in columns:
+            weights.append(values[-1])
+    if not ids:
+        raise ParseError("estimate table has no data rows")
+    return EstimateTable(ids, np.array(betas), sigmas,
+                         weights=np.array(weights) if weights else None)
+
+
+def estimate_rows(columns):
+    """Data rows for `columns`: an id (unique, or drawn from two that
+    repeat) and each cell a valid variance, any finite float written with
+    .17g or repr, or an unusual cell; now and then short or blank."""
+    cell = {col: st.one_of(st.sampled_from(VARIANCE[col]), FLOAT_CELL)
+            if col in VARIANCE else FLOAT_CELL for col in columns}
+    row = st.tuples(st.sampled_from([None, None, None, "a", "b"]),
+                    st.tuples(*cell.values()),
+                    st.sampled_from(["full"] * 8 + ["short", "blank"]))
+    return st.lists(row, max_size=6).map(lambda drawn: [
+        [] if shape == "blank" else
+        [ident or f"u{k}", *cells][:len(columns) + (shape == "full")]
+        for k, (ident, cells, shape) in enumerate(drawn)])
+
+
+@settings(FUZZ, max_examples=200)
+@given(data=st.data(), se=st.booleans(), weighted=st.booleans())
+def test_one_call_parse_reads_cells_as_float_does(tmp_path, data, se,
+                                                   weighted):
+    columns = (["beta_1", "se"] if se else
+               ["beta_1", "beta_2", "c_11", "c_12", "c_22"])
+    columns += ["weight"] * weighted
+    rows = [["id", *columns], *data.draw(estimate_rows(columns))]
+    path = Path(tempfile.mkdtemp(dir=tmp_path)) / "table.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("# scale=per_observation\n")
+        csv.writer(fh).writerows(rows)
+    try:
+        expected = row_by_row(rows, columns)
+    except ParseError as exc:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+            read_estimates(path)
+        return
+    table = read_estimates(path)
+    assert table.ids == expected.ids
+    for name in ("betas", "sigmas", "weights"):
+        got, want = getattr(table, name), getattr(expected, name)
+        assert (got is None) == (want is None)
+        if want is not None:
+            # bit for bit, so -0.0 and 0.0 differ
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_se_is_squared_as_python_squares_it(tmp_path):
+    # numpy's ** 2 multiplies; 2.759 * 2.759 is one bit off 2.759 ** 2
+    ses = ["2.759", "4.536", "0.1", "1e-200", "-0"]
+    assert 2.759 * 2.759 != 2.759 ** 2
+    path = tmp_path / "se.csv"
+    path.write_text("id,beta_1,se\n" + "".join(
+        f"u{k},0,{se}\n" for k, se in enumerate(ses)))
+    assert read_estimates(path).sigmas.ravel().tolist() == [
+        float(se) ** 2 for se in ses]

@@ -157,10 +157,25 @@ def test_weights_require_per_observation_scale():
         scalar_table(1.0, weights=np.array([4.0, 4.0]), scale=ALREADY_SCALED)
 
 
-@pytest.mark.parametrize("T", [None, 0, -5, 2.5, True])
-def test_per_observation_variances_require_integer_T(T):
-    with pytest.raises(ValueError, match=f"T={T!r}"):
+@pytest.mark.parametrize("T,message", [
+    (None, "T=None"), (0, "T=0"), (-5, "T=-5"),
+    (2.5, "T must be an integer, got 2.5"),
+    (True, "T must be an integer, got True")])
+def test_per_observation_variances_require_integer_T(T, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         scalar_table(1.0).variances(T)
+
+
+@pytest.mark.parametrize("table", [
+    scalar_table(1.0), scalar_table(1.0, scale=ALREADY_SCALED),
+    scalar_table(1.0, weights=np.array([4.0, 4.0]))])
+def test_a_given_T_is_checked_as_selection_checks_it(table):
+    # the same words as select_num_groups, whether or not T is used
+    message = "^T must be an integer, got 2.5$"
+    with pytest.raises(ValueError, match=message):
+        table.variances(2.5)
+    with pytest.raises(ValueError, match=message):
+        select_num_groups(np.zeros((3, 3)), 2.5)
 
 
 def scaled_sigmas(sigmas, T, scale, weights=None):
@@ -281,6 +296,37 @@ def test_negative_combined_in_last_chunk_is_rejected(monkeypatch):
     sigmas[-2:] = -0.5 * np.eye(2)
     with pytest.raises(NonPositiveCombined):
         build_dissimilarity(betas, sigmas)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_negative_pair_in_last_row_block_names_the_first(monkeypatch, s):
+    # PSD variances never sum to a negative pair, so let unchecked ones
+    # through: the kernel must raise in the last block, for its first
+    # negative pair, (37, 38) of combined variance -1.1 I, not -1.2 I or
+    # -1.3 I
+    monkeypatch.setattr(types, "BLOCK_ENTRIES", 2 ** 8)
+    monkeypatch.setattr(spectral, "validate_covariance", lambda S: None)
+    n = 40
+    assert list(spectral._upper_row_blocks(n, s ** 2))[-1][0] <= 37
+    sigmas = np.array([10.0 * np.eye(s)] * n)
+    sigmas[-3:] = np.array([-0.5, -0.6, -0.7])[:, None, None] * np.eye(s)
+    betas = np.random.default_rng(6).normal(size=(n, s))
+    with pytest.raises(NonPositiveCombined,
+                       match="^matrix has negative eigenvalue -1.100e\\+00$"):
+        build_dissimilarity(betas, sigmas)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_only_pairs_i_below_j_are_whitened(s):
+    # Var_0 + Var_0 = 2e308 I overflows, Var_0 + Var_j does not: a pair
+    # (0, 0) would make the build fail
+    n = 30
+    betas, sigmas = random_estimates(n, s, seed=20 + s)
+    sigmas[0] = 1e308 * np.eye(s)
+    V = build_dissimilarity(betas, sigmas)
+    assert np.array_equal(V, reference_dissimilarity(
+        betas, sigmas, None, ALREADY_SCALED, whiten=_whiten))
+    assert (V[0, 1:] > 0).all() and (V[0, 1:] < 1e-150).all()
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
