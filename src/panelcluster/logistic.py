@@ -15,7 +15,9 @@ from .types import (
     SingularHessian,
     UncertaintyEstimate,
     blocks,
+    check_stack,
     ill_conditioned,
+    screen_rows,
 )
 
 # declare divergence (perfect separation) when the iterate leaves this ball
@@ -63,51 +65,39 @@ def fit_logistic(X, y) -> CoefficientEstimate:
     (n, k) with the failed rows read 0, failed maps each failed row to its
     error, and iterations sums the steps of the other rows.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 3 or y.shape != X.shape[:2]:
-        raise DimensionMismatch("design/response shape mismatch")
+    X, y = check_stack(X, y)
     n, T, k = X.shape
-    # NaN fails both comparisons, so a non-finite outcome is invalid too
-    invalid = ~np.all((y == 0.0) | (y == 1.0), axis=1)
-    constant = ~invalid & (y.min(axis=1) == y.max(axis=1))
-    nonfinite = ~invalid & ~constant & ~np.isfinite(X).all(axis=(1, 2))
-    failed = {}
-    for bad, error, message in (
-            (invalid, DegenerateOutcome, "outcomes must be 0 or 1"),
-            (constant, DegenerateOutcome,
-             "response is constant; drop this individual"),
-            (nonfinite, SingularDesign, "design matrix has non-finite entries")):
-        failed.update({int(i): error(message) for i in np.flatnonzero(bad)})
-    rows = np.flatnonzero(~invalid & ~constant & ~nonfinite)
-    deficient = np.linalg.matrix_rank(X[rows]) < k
-    failed.update({int(i): SingularDesign("design matrix is rank deficient")
-                   for i in rows[deficient]})
-    rows = rows[~deficient]
+    rows, failed = screen_rows(X, [
+        # NaN fails both comparisons, so a non-finite outcome is invalid too
+        (~np.all((y == 0.0) | (y == 1.0), axis=1), DegenerateOutcome,
+         "outcomes must be 0 or 1"),
+        (y.min(axis=1) == y.max(axis=1), DegenerateOutcome,
+         "response is constant; drop this individual"),
+        (~np.isfinite(X).all(axis=(1, 2)), SingularDesign,
+         "design matrix has non-finite entries")])
     gamma = np.zeros((n, k))
     iterations = 0
     for block in blocks(len(rows), T * k):
         chunk = rows[block]
-        gamma[chunk], steps, errors = _newton(X[chunk], y[chunk], MAX_ITER,
-                                              GRADIENT_TOL)
+        gamma[chunk], steps, errors = _newton(X[chunk], y[chunk])
         iterations += steps
         failed.update({int(chunk[j]): exc for j, exc in errors.items()})
     return CoefficientEstimate(gamma, converged=not failed,
                                iterations=iterations, failed=failed)
 
 
-def _newton(X, y, max_iter, tol):
+def _newton(X, y):
     """Damped Newton iterations of a stack: X (m, T, k), y (m, T).
 
     Each row starts at 0 and steps by H^{-1} g, halving the step up to
     MAX_HALVINGS times until the likelihood does not fall; only the rows
     still halving evaluate it again. A row leaves the working set once its
-    gradient is within tol or it fails (PerfectSeparation), and fails with
-    NonConvergence if its gradient is not within tol after max_iter steps.
-    Returns the iterates (m, k) of the converged rows (the failed rows read
-    0), the steps those rows took in sum, and {row: EstimationError} of the
-    failed rows. Every row's arithmetic is independent of the others, so a
-    fit is the same in any stack.
+    gradient is within GRADIENT_TOL or it fails (PerfectSeparation), and
+    fails with NonConvergence if its gradient is not within GRADIENT_TOL
+    after MAX_ITER steps. Returns the iterates (m, k) of the converged rows
+    (the failed rows read 0), the steps those rows took in sum, and
+    {row: EstimationError} of the failed rows. Every row's arithmetic is
+    independent of the others, so a fit is the same in any stack.
     """
     m, T, k = X.shape
     gamma_out = np.zeros((m, k))
@@ -116,11 +106,11 @@ def _newton(X, y, max_iter, tol):
     active = np.arange(m)
     gamma = np.zeros((m, k))
     ll = log_likelihood(X, y, gamma)
-    for it in range(max_iter + 1):  # it: the steps taken so far
+    for it in range(MAX_ITER + 1):  # it: the steps taken so far
         mu = _probabilities(X, gamma)
         residual = y - mu
         grad = (X.swapaxes(1, 2) @ residual[..., None])[..., 0] / T
-        done = np.abs(grad).max(axis=1) <= tol
+        done = np.abs(grad).max(axis=1) <= GRADIENT_TOL
         # the separation test reuses the probabilities of this iterate
         separated = done & (np.abs(residual).max(axis=1) < SEPARATION_MARGIN)
         finished = done & ~separated
@@ -129,9 +119,9 @@ def _newton(X, y, max_iter, tol):
         errors.update({int(j): PerfectSeparation(
             "all outcomes fitted exactly; outcomes are separable")
             for j in active[separated]})
-        if it == max_iter:
+        if it == MAX_ITER:
             errors.update({int(j): NonConvergence(
-                f"Newton iterations did not converge in {max_iter} steps")
+                f"Newton iterations did not converge in {MAX_ITER} steps")
                 for j in active[~done]})
             break
         hess = _weighted_gram(X, mu * (1.0 - mu))

@@ -32,7 +32,9 @@ from .types import (
     UncertaintyEstimate,
     blocks,
     check_count,
+    check_stack,
     ill_conditioned,
+    screen_rows,
 )
 
 # a difference-quotient denominator below this has crossed: its observation
@@ -74,7 +76,7 @@ def lower_sample_quantile(y, tau):
     return np.take_along_axis(ys, index[..., None], axis=-1)[..., 0]
 
 
-def subgradient_certificate(X, y, gamma, tau, tol: float = 1e-6):
+def subgradient_certificate(X, y, gamma, tau, tol: float = CERT_TOL):
     """Optimality check: per column j the score must be dominated by the
     interpolated observations, |sum_t x_tj (tau - 1{r_t < 0})| <=
     sum_{t: r_t = 0} |x_tj| + tol. A residual counts as zero when
@@ -135,22 +137,14 @@ def fit_quantile(X, y, tau):
     non-finite response, NonConvergence), which read 0 and are uncertified
     at every level.
     """
-    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    if X.ndim != 3 or y.shape != X.shape[:2]:
-        raise DimensionMismatch("design/response shape mismatch")
+    X, y = check_stack(X, y)
     levels = _levels(tau)
     n, _, k = X.shape
-    finite = np.isfinite(X).all(axis=(1, 2))
-    failed = {int(i): SingularDesign("design matrix has non-finite entries")
-              for i in np.flatnonzero(~finite)}
-    bad_y = finite & ~np.isfinite(y).all(axis=1)
-    failed.update({int(i): DegenerateOutcome("response has non-finite entries")
-                   for i in np.flatnonzero(bad_y)})
-    rows = np.flatnonzero(finite & ~bad_y)
-    deficient = np.linalg.matrix_rank(X[rows]) < k
-    failed.update({int(i): SingularDesign("design matrix is rank deficient")
-                   for i in rows[deficient]})
-    rows = rows[~deficient]
+    rows, failed = screen_rows(X, [
+        (~np.isfinite(X).all(axis=(1, 2)), SingularDesign,
+         "design matrix has non-finite entries"),
+        (~np.isfinite(y).all(axis=1), DegenerateOutcome,
+         "response has non-finite entries")])
     gammas = np.zeros((len(levels), n, k))
     certified = np.zeros((len(levels), n), dtype=bool)
     if len(rows):
@@ -184,9 +178,8 @@ def fit_quantile_bundle(X, y, tau: float) -> QuantileFitBundle:
     bundle.failed is fit_quantile's, plus NonConvergence for each other row
     whose three fits do not all pass the certificate; those rows read 0 at
     every level. Each level's converged holds when all its rows pass."""
-    if np.ndim(X) != 3 or np.shape(y) != np.shape(X)[:2]:
-        raise DimensionMismatch("design/response shape mismatch")
-    d_T = hall_sheather_bandwidth(np.shape(X)[1], tau)
+    X, y = check_stack(X, y)
+    d_T = hall_sheather_bandwidth(X.shape[1], tau)
     levels = (tau, tau + d_T, tau - d_T)
     gammas, certified, failed = fit_quantile(X, y, levels)
     for i in np.flatnonzero(~certified.all(axis=0)):
@@ -217,8 +210,8 @@ def _fit_stack(X, y, rows, taus):
     certified = np.zeros(m, dtype=bool)
     errors = {}
     for chunk in blocks(m, T * k):
-        Xc, yc, tc = X[rows[chunk]], y[rows[chunk]], taus[chunk]
-        A = _Stack(Xc)
+        A = _Stack(X[rows[chunk]])
+        yc, tc = y[rows[chunk]], taus[chunk]
         try:
             fit = _interior_point(A, yc, tc)
             vertex = _purify(A, yc, fit)
@@ -226,11 +219,11 @@ def _fit_stack(X, y, rows, taus):
             failure = NonConvergence(f"interior point failed: {exc}")
             errors.update(dict.fromkeys(range(m)[chunk], failure))
             continue
-        ok = subgradient_certificate(Xc, yc, vertex, tc, CERT_TOL)
+        ok = _certified(A, yc, vertex, tc, CERT_TOL)
         back = ~ok
         vertex[back] = fit[back]
-        ok[back] = subgradient_certificate(Xc[back], yc[back], fit[back],
-                                           tc[back], CERT_TOL)
+        ok[back] = _certified(A.take(back), yc[back], fit[back], tc[back],
+                              CERT_TOL)
         gammas[chunk], certified[chunk] = vertex, ok
     return gammas, certified, errors
 
@@ -256,11 +249,10 @@ class _Stack:
         """X'a of each problem: (m, T) -> (m, k)."""
         return (a[:, None, :] @ self.X)[:, 0]
 
-    def solver(self, d=None):
-        """Solver of X' diag(d) X u = rhs; d None is the plain Gram X'X."""
+    def solver(self, d):
+        """Solver of X' diag(d) X u = rhs, d (m, T) or (1, T)."""
         X = self.X
-        normal = (X.swapaxes(1, 2) @ X if d is None
-                  else (X * d[..., None]).swapaxes(1, 2) @ X)
+        normal = (X * d[..., None]).swapaxes(1, 2) @ X
         return lambda rhs: np.linalg.solve(normal, rhs[..., None])[..., 0]
 
     def basis(self, h):
@@ -306,10 +298,8 @@ class _Pooled:
         sums = a.reshape(len(a), self.n, self.T).sum(axis=2)
         return np.concatenate([sums, a @ self.flat], axis=1)
 
-    def solver(self, d=None):
+    def solver(self, d):
         n, T = self.n, self.T
-        if d is None:
-            d = np.ones((1, n * T))
         D = d.reshape(len(d), n, T).sum(axis=2)
         B = (d.reshape(len(d), n, T, 1) * self.x).sum(axis=2)
         BD = B / D[..., None]
@@ -394,7 +384,7 @@ def _interior_point(A, y, tau):
     b = A.tmul(x)
     # dual start: least squares multipliers, with z - w = c - X lambda split
     # into its positive and negative parts, both lifted off zero
-    lam = A.solver()(A.tmul(c))
+    lam = A.solver(np.ones((1, N)))(A.tmul(c))
     r = c - A.mul(lam)
     tol = np.abs(y).max(axis=1)
     tol = IP_GAP_TOL * np.where(tol > 0.0, tol, 1.0)
@@ -523,21 +513,21 @@ class PooledQuantileFit:
 def fit_pooled_quantile(y, x, tau) -> PooledQuantileFit:
     """Minimize the pooled check loss over (alpha_1..alpha_n, beta).
 
-    y has shape (n, T); x has shape (n, T, p); tau is a sequence of L >= 1
-    levels (anything else raises DimensionMismatch). With p = 0 the problem
-    separates into n intercept-only fits solved in closed form. Otherwise
-    the levels run as one stack in the batched interior point on the pooled
-    design (_fit_pooled_levels). Raises SingularDesign when a covariate is
-    not finite or collinear with the intercepts (the covariates' deviations
-    from each individual's first period are rank deficient),
-    DegenerateOutcome (naming the first individual) when a response is not
-    finite, and NonConvergence when the interior point meets an exactly
-    singular normal matrix or a level fails the subgradient certificate
-    (tolerance CERT_TOL * n), so a returned fit has converged=True.
+    y is (n, T), x (n, T, p) with p >= 0 and tau a sequence of L >= 1
+    levels (any other shape raises DimensionMismatch). With p = 0 the
+    problem separates into n intercept-only fits solved in closed form.
+    Otherwise the levels run as one stack in the batched interior point on
+    the pooled design (_fit_pooled_levels). Raises SingularDesign when a
+    covariate is not finite or collinear with the intercepts (the
+    covariates' deviations from each individual's first period are rank
+    deficient), DegenerateOutcome (naming the first individual) when a
+    response is not finite, and NonConvergence when the interior point
+    meets an exactly singular normal matrix or a level fails the
+    subgradient certificate (tolerance CERT_TOL * n), so a returned fit has
+    converged=True.
     """
-    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-    n, T = y.shape
-    p = x.shape[2] if x.ndim == 3 else 0
+    x, y = check_stack(x, y)
+    n, T, p = x.shape
     levels = _levels(tau)
     if n * T < n + p + 1:
         raise SingularDesign("too few observations for the pooled fit")

@@ -31,6 +31,32 @@ def check_count(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_stack(X, y):
+    """X, an (n, T, k) stack of designs, and its responses y (n, T) as float
+    arrays; any other shape raises DimensionMismatch."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    if X.ndim != 3 or y.shape != X.shape[:2]:
+        raise DimensionMismatch("design/response shape mismatch")
+    return X, y
+
+
+def screen_rows(X, faults):
+    """The rows of the (n, T, k) design stack X that can be fit, and
+    {row: EstimationError} of the others: a row fails with the first of the
+    (mask (n,), error class, message) faults it is in, and a row in none of
+    them with SingularDesign if its design is rank deficient (the rank is
+    computed for those rows only)."""
+    failed = {}
+    for mask, error, message in faults:
+        for i in np.flatnonzero(mask):
+            failed.setdefault(int(i), error(message))
+    rows = np.setdiff1d(np.arange(len(X)), list(failed))
+    deficient = np.linalg.matrix_rank(X[rows]) < X.shape[2]
+    failed.update({int(i): SingularDesign("design matrix is rank deficient")
+                   for i in rows[deficient]})
+    return rows[~deficient], failed
+
+
 def ill_conditioned(S: np.ndarray) -> np.ndarray:
     """Whether each symmetric matrix of an (m, k, k) stack has a condition
     number above MAX_CONDITION, read from one eigvalsh (the lower triangle)

@@ -170,7 +170,7 @@ def test_ragged_last_chunk_with_the_best_restart_in_a_later_chunk(
     seeds = np.array([reference_farthest_point_seed(points, k, rng)
                       for _ in range(50)])
     distinct = np.unique(seeds, axis=0)
-    _, objectives = spectral._lloyd(points, points[distinct], 300)
+    _, objectives = spectral._lloyd(points, points[distinct])
     first_best = min(
         r for r in range(50)
         if reference_lloyd(points, points[seeds[r]], 300)[2]
@@ -210,7 +210,7 @@ def test_tied_best_restarts_in_separate_chunks_keep_the_first(monkeypatch):
 
 @pytest.mark.parametrize("max_iter", [1, 300])
 def test_stacked_lloyd_repairs_in_cluster_order_next_to_a_plain_restart(
-        max_iter):
+        monkeypatch, max_iter):
     points = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
     centers = np.array([
         # cluster 0 is empty; its promoted point leaves cluster 1 before
@@ -219,7 +219,8 @@ def test_stacked_lloyd_repairs_in_cluster_order_next_to_a_plain_restart(
         [[0.0, 0.0], [10.0, 0.0], [11.0, 0.0]],
     ])
     reference = [reference_lloyd(points, c.copy(), max_iter) for c in centers]
-    labels, objectives = spectral._lloyd(points, centers, max_iter)
+    monkeypatch.setattr(spectral, "LLOYD_MAX_ITER", max_iter)
+    labels, objectives = spectral._lloyd(points, centers)
     for r, (ref_labels, ref_centers, ref_objective) in enumerate(reference):
         np.testing.assert_array_equal(labels[r], ref_labels)
         np.testing.assert_array_equal(centers[r], ref_centers)

@@ -229,6 +229,29 @@ def test_invalid_outcome_fails_its_row_alone():
         i: type(e) for i, e in clean.failed.items() if i in others}
 
 
+def test_row_faults_fail_in_precedence_order():
+    # invalid outcome, then constant outcome, then non-finite design, and
+    # the rank only of the rows that pass all three
+    panel, _ = gen_logistic(10, 60, 7)
+    X, Y = panel.designs.copy(), panel.responses.copy()
+    Y[1, 0], X[1, 0, 1] = 2.0, np.nan
+    Y[2] = 2.0  # constant and invalid
+    Y[3], X[3, 0, 2] = 1.0, np.inf
+    X[5, 0, 1] = np.nan
+    X[6, :, 2] = 2.0 * X[6, :, 1]
+    Y[8], X[8, :, 2] = 0.0, X[8, :, 1]  # constant and rank deficient
+    invalid = (DegenerateOutcome, "outcomes must be 0 or 1")
+    constant = (DegenerateOutcome,
+                "response is constant; drop this individual")
+    failed = fit_logistic(X, Y).failed
+    assert {i: (type(failed[i]), str(failed[i]))
+            for i in (1, 2, 3, 5, 6, 8)} == {
+        1: invalid, 2: invalid, 3: constant,
+        5: (SingularDesign, "design matrix has non-finite entries"),
+        6: (SingularDesign, "design matrix is rank deficient"),
+        8: constant}
+
+
 def spoil_halvings(real):
     """A log-likelihood that reads -inf away from gamma = 0 for designs
     whose first entry is 7, so every halving of their first step fails."""

@@ -254,9 +254,10 @@ def test_structured_products_match_the_dense_design():
     d = rng.uniform(0.1, 2.0, size=(2, n * T))
     assert np.allclose(A.mul(lam), lam @ Z.T, rtol=0, atol=1e-13)
     assert np.allclose(A.tmul(a), a @ Z, rtol=0, atol=1e-13)
-    for weights in (d, None):
-        w = np.ones((2, n * T)) if weights is None else weights
-        dense = np.linalg.solve((Z.T * w[:, None]) @ Z, lam[..., None])[..., 0]
+    # the interior point's least-squares start solves with unit weights
+    for weights in (d, np.ones((1, n * T))):
+        dense = np.linalg.solve((Z.T * weights[:, None]) @ Z,
+                                lam[..., None])[..., 0]
         assert np.allclose(A.solver(weights)(lam), dense, rtol=1e-10)
     # a basis row per individual plus p more: solves as the dense Z_h does
     h = np.sort(np.concatenate([np.arange(n) * T + 3, [1, 2 * T + 5]]))

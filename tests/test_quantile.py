@@ -552,6 +552,31 @@ def test_one_design_is_rejected():
         hk_covariance(bundle, X[0])
     with pytest.raises(DimensionMismatch):
         fit_pooled_quantile(y, X[..., 1:], 0.5)
+    # x must be (n, T, p) for the (n, T) responses: no shape is read as p = 0
+    for y_bad, x_bad in ((y, X[:, :, 1]), (y, np.ones(5)),
+                         (y, X[:, :30, 1:]), (y[0], X[..., 1:])):
+        with pytest.raises(DimensionMismatch,
+                           match="^design/response shape mismatch$"):
+            fit_pooled_quantile(y_bad, x_bad, [0.5])
+
+
+def test_row_faults_fail_in_precedence_order():
+    # non-finite design, then non-finite response, and the rank only of the
+    # rows that pass both
+    X, y = model1_stack()
+    X[2, 0, 1], y[2, 0] = np.nan, np.inf
+    y[4, 3] = np.nan
+    X[6, :, 2] = 2.0 * X[6, :, 1]
+    X[8, :, 2], y[8, 0] = X[8, :, 1], np.nan
+    response = (DegenerateOutcome, "response has non-finite entries")
+    gammas, certified, failed = fit_quantile(X, y, [0.5])
+    assert {i: (type(e), str(e)) for i, e in failed.items()} == {
+        2: (SingularDesign, "design matrix has non-finite entries"),
+        4: response,
+        6: (SingularDesign, "design matrix is rank deficient"),
+        8: response}
+    assert not gammas[:, list(failed)].any()
+    assert not certified[:, list(failed)].any()
 
 
 def test_singular_normal_matrix_fails_the_chunk_as_nonconvergence(

@@ -287,15 +287,15 @@ def test_quantile_rep_drops_a_failed_fit(monkeypatch):
 
 
 def test_quantile_fit_failing_its_certificate_is_dropped(monkeypatch):
-    certificate = quantile.subgradient_certificate
+    certified = quantile._certified
     panel, _ = gen_model1(9, 40, "normal", seed=4)
     failing = panel.responses[5]
 
-    def failing_for_row_5(X, y, gamma, tau, tol=1e-6):
-        ok = certificate(X, y, gamma, tau, tol)
-        return ok & ~(np.asarray(y) == failing).all(axis=-1)
+    def failing_for_row_5(A, y, gamma, tau, tol):
+        ok = certified(A, y, gamma, tau, tol)
+        return ok & ~(y == failing).all(axis=-1)
 
-    monkeypatch.setattr(quantile, "subgradient_certificate", failing_for_row_5)
+    monkeypatch.setattr(quantile, "_certified", failing_for_row_5)
     ids = [f"u{i}" for i in range(9)]
     table = simulation.estimate_panel(panel, "qr-slopes", ids=ids)
     assert table.dropped == [("u5", "NonConvergence")]

@@ -8,7 +8,7 @@ from panelcluster import spectral, types
 from panelcluster.cli import main
 from panelcluster.spectral import (
     _laplacian,
-    _whiten,
+    _whiten_entries,
     build_dissimilarity,
     kmeans,
     select_num_groups,
@@ -42,17 +42,26 @@ def eigh_inverse_sqrt_stack(S):
     return (Q * floored[:, None, :] ** -0.5) @ Q.swapaxes(1, 2)
 
 
+def whiten_stack(S, d):
+    """S_k^(-1/2) d_k for each matrix S_k of an (m, s, s) stack and column
+    d_k of an (s, m) array, by _whiten_entries on the lower-triangle
+    entries of S; returns the (s, m) whitened columns."""
+    rows, cols = np.tril_indices(d.shape[0])
+    return np.stack(_whiten_entries([S[:, r, c] for r, c in zip(rows, cols)],
+                                    list(d)))
+
+
 def inverse_sqrt_stack(S):
-    """S^(-1/2) for each matrix of an (m, s, s) stack by _whiten: column k
-    whitens the k-th unit vector."""
+    """S^(-1/2) for each matrix of an (m, s, s) stack by whiten_stack:
+    column k whitens the k-th unit vector."""
     m, s, _ = S.shape
-    return np.stack([_whiten(S, np.broadcast_to(unit[:, None], (s, m))).T
+    return np.stack([whiten_stack(S, np.broadcast_to(unit[:, None], (s, m))).T
                      for unit in np.eye(s)], axis=2)
 
 
 def checked_inverse_sqrt(S):
     """The checked inverse square root of one matrix: validate_covariance,
-    then _whiten on a stack of one, as build_dissimilarity checks its
+    then whiten_stack on a stack of one, as build_dissimilarity checks its
     variances and whitens each pair."""
     validate_covariance(S)
     return inverse_sqrt_stack(S[None])[0]
@@ -78,7 +87,7 @@ def test_inverse_sqrt_rejects_negative_eigenvalue():
     with pytest.raises(NonPositiveCombined):
         validate_covariance(np.diag([1.0, -1e-9]))
     with pytest.raises(NonPositiveCombined):
-        _whiten(np.diag([1.0, -1e-9])[None], np.ones((2, 1)))
+        whiten_stack(np.diag([1.0, -1e-9])[None], np.ones((2, 1)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -189,8 +198,9 @@ def scaled_sigmas(sigmas, T, scale, weights=None):
 def reference_dissimilarity(betas, sigmas, T, scale, weights=None,
                             whiten=None):
     """The pairwise loop that build_dissimilarity batches: whiten(S, d)
-    whitens one pair, by default as the eigh path did. With whiten=_whiten
-    the batched version must reproduce it bit for bit."""
+    whitens one pair, by default as the eigh path did. With
+    whiten=whiten_stack the batched version must reproduce it bit for
+    bit."""
     n = len(betas)
     scaled = scaled_sigmas(sigmas, T, scale, weights)
     if whiten is None:
@@ -207,11 +217,12 @@ def reference_dissimilarity(betas, sigmas, T, scale, weights=None,
 
 
 def assert_matches_pairwise_loops(V, betas, sigmas, T, scale, weights=None):
-    """V equals the pairwise loop of _whiten bit for bit, and the eigh
+    """V equals the pairwise loop of whiten_stack bit for bit, and the eigh
     loop bit for bit for s = 1 and s >= 3. The 2 x 2 closed form rounds
     differently: for s = 2 it agrees within 1e-13 of |S^(-1/2)| |d|."""
     args = betas, sigmas, T, scale, weights
-    assert np.array_equal(V, reference_dissimilarity(*args, whiten=_whiten))
+    assert np.array_equal(V, reference_dissimilarity(*args,
+                                                     whiten=whiten_stack))
     eigh_V = reference_dissimilarity(*args)
     if betas.shape[1] != 2:
         assert np.array_equal(V, eigh_V)
@@ -325,7 +336,7 @@ def test_only_pairs_i_below_j_are_whitened(s):
     sigmas[0] = 1e308 * np.eye(s)
     V = build_dissimilarity(betas, sigmas)
     assert np.array_equal(V, reference_dissimilarity(
-        betas, sigmas, None, ALREADY_SCALED, whiten=_whiten))
+        betas, sigmas, None, ALREADY_SCALED, whiten=whiten_stack))
     assert (V[0, 1:] > 0).all() and (V[0, 1:] < 1e-150).all()
 
 
@@ -337,7 +348,7 @@ def test_inverse_sqrt_stack_rejects_negative_last_matrix(s):
     stack = np.array([(k + 1.0) * np.eye(s) for k in range(m)])
     stack[-1, -1, -1] = -0.5
     with pytest.raises(NonPositiveCombined):
-        _whiten(stack, np.ones((s, m)))
+        whiten_stack(stack, np.ones((s, m)))
     out = inverse_sqrt_stack(stack[:-1])
     assert np.allclose(out, np.array([np.eye(s) / np.sqrt(k + 1.0)
                                       for k in range(m - 1)]))
@@ -372,10 +383,6 @@ def test_closed_form_matches_eigh_within_1e_13(case):
     expected = eigh_inverse_sqrt_stack(S)
     error = np.abs(inverse_sqrt_stack(S) - expected).max(axis=(1, 2))
     assert (error <= 1e-13 * np.abs(expected).max(axis=(1, 2))).all()
-    # only the lower triangle is read, as eigh reads it
-    lower = np.tril(S) + np.tril(S, -1).swapaxes(1, 2)
-    d = np.random.default_rng(1).normal(size=(2, len(S)))
-    assert np.array_equal(_whiten(S, d), _whiten(lower, d))
 
 
 def test_closed_form_is_exact_on_diagonal_matrices():
@@ -389,7 +396,7 @@ def test_closed_form_is_exact_on_diagonal_matrices():
     S = np.zeros((60, 2, 2))
     S[:, 0, 0], S[:, 1, 1] = entries.T
     d = rng.normal(size=(60, 2))
-    whitened = _whiten(S, d.T).T
+    whitened = whiten_stack(S, d.T).T
     assert np.array_equal(
         whitened, (eigh_inverse_sqrt_stack(S) @ d[:, :, None])[:, :, 0])
     unfloored = np.r_[0:20, 35:60]
@@ -407,7 +414,7 @@ def test_closed_form_rejects_the_matrix_eigh_rejects(s):
         eigh_inverse_sqrt_stack(S)
     with pytest.raises(NonPositiveCombined,
                        match=re.escape(str(expected.value))):
-        _whiten(S, np.ones((s, 50)))
+        whiten_stack(S, np.ones((s, 50)))
 
 
 NON_FINITE_COVARIANCES = [[[np.nan]], [[1.0, np.inf], [np.inf, 1.0]]]
