@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .types import (
     MAX_CONDITION,
@@ -76,7 +75,7 @@ def lower_sample_quantile(y, tau):
     return np.take_along_axis(ys, index[..., None], axis=-1)[..., 0]
 
 
-def subgradient_certificate(X, y, gamma, tau, tol: float = CERT_TOL):
+def subgradient_certificate(X, y, gamma, tau, tol: float | None = None):
     """Optimality check: per column j the score must be dominated by the
     interpolated observations, |sum_t x_tj (tau - 1{r_t < 0})| <=
     sum_{t: r_t = 0} |x_tj| + tol. A residual counts as zero when
@@ -85,7 +84,10 @@ def subgradient_certificate(X, y, gamma, tau, tol: float = CERT_TOL):
 
     X is one (T, k) design (returns a bool) or an (m, T, k) stack with y
     (m, T), gamma (m, k) and tau a scalar or (m,) (returns an (m,) mask).
+    Without `tol`, CERT_TOL as it stands at the call.
     """
+    if tol is None:
+        tol = CERT_TOL
     X, y, gamma = (np.asarray(a, dtype=float) for a in (X, y, gamma))
     single = X.ndim == 2
     if single:
@@ -116,6 +118,8 @@ def hall_sheather_bandwidth(T: int, tau: float) -> float:
     if not 0.01 < tau < 0.99:
         raise ValueError(f"tau={tau:g} must lie in (0.01, 0.99): the "
                          "Hall-Sheather bandwidth keeps tau +/- d_T inside it")
+    from scipy.special import ndtri  # loaded by the first call, not on import
+
     z = ndtri(1.0 - HALL_SHEATHER_ALPHA / 2.0)
     q = ndtri(tau)
     # the normal density on a one-element array, as scipy.stats evaluates it

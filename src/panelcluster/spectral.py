@@ -5,7 +5,6 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from . import types
 from .types import (
@@ -392,6 +391,15 @@ def _laplacian(V: np.ndarray, shrink: float = 1.0) -> np.ndarray:
     return L
 
 
+def eigsh(A, k, **kwargs):
+    """scipy.sparse.linalg.eigsh(A, k, **kwargs), with scipy.sparse.linalg
+    loaded by the first call, so a run that never reaches KRYLOV_MIN_N
+    never loads it."""
+    from scipy.sparse.linalg import eigsh
+
+    return eigsh(A, k, **kwargs)
+
+
 def _smallest_eigen(L, k: int, vectors: bool):
     """The k smallest eigenvalues of the normalized Laplacian L, ascending,
     and their (n, k) eigenvectors if `vectors` (else None); L is consumed.
@@ -402,14 +410,19 @@ def _smallest_eigen(L, k: int, vectors: bool):
     cannot solve, LAPACK solves the whole spectrum.
     """
     n = len(L)
-    try:
-        if n < KRYLOV_MIN_N or k >= n:
+    if n < KRYLOV_MIN_N or k >= n:
+        try:
             if not vectors:
                 return np.linalg.eigvalsh(L)[:k], None
             eigvals, eigvecs = np.linalg.eigh(L)
             return eigvals[:k], eigvecs[:, :k]
-        np.negative(L, out=L)
-        L.flat[::n + 1] += 1.0
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(str(exc)) from exc
+    from scipy.sparse.linalg import ArpackError
+
+    np.negative(L, out=L)
+    L.flat[::n + 1] += 1.0
+    try:
         found = eigsh(L, k, which="LA", tol=0, v0=np.full(n, n ** -0.5),
                       return_eigenvectors=vectors)
     except (np.linalg.LinAlgError, ArpackError) as exc:

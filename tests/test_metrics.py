@@ -1,12 +1,17 @@
 import dataclasses
 import itertools
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.optimize import linear_sum_assignment
 
+from panelcluster import metrics
 from panelcluster.metrics import average_match, perfect_match
 
 
@@ -131,3 +136,66 @@ def test_assignment_equals_exhaustive_enumeration(seed):
     estimate[:G] = rng.permutation(np.arange(1, G + 1))
     score = average_match(truth, estimate)
     assert score.average == pytest.approx(enumeration_match(truth, estimate, G))
+
+
+def scipy_total(counts):
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    return int(counts[rows, cols].sum())
+
+
+# entries of 0..3: zero rows and columns and tied optima are common
+@given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, max_side=8),
+              elements=st.integers(0, 3)))
+@settings(max_examples=300)
+def test_assignment_total_equals_scipy(counts):
+    best = scipy_total(counts)
+    assert metrics._assignment_total(counts) == best
+    assert metrics._assignment_total(counts.T) == best
+
+
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), min_size=1,
+                max_size=40),
+       st.permutations(range(1, 9)), st.booleans())
+@settings(max_examples=300)
+def test_match_score_equals_scipy(pairs, perm, relabel):
+    truth, estimate = np.array(pairs).T
+    if relabel:  # a bijective relabeling of the truth matches perfectly
+        estimate = np.array(perm)[truth - 1]
+    counts = np.zeros((9, 9), dtype=int)  # padded with empty labels
+    np.add.at(counts, (truth, estimate), 1)
+    best = scipy_total(counts)
+    for a, b in ((truth, estimate), (estimate, truth)):
+        score = average_match(a, b)
+        assert score.average == float(best / len(truth))
+        assert score.perfect == (best == len(truth))
+    assert score.perfect or not relabel
+
+
+def test_one_truth_label_per_individual_against_four_estimate_labels():
+    # a (5000, 4) table: padded to a square it held 25 million counts
+    n = 5000
+    truth, estimate = np.arange(1, n + 1), np.arange(n) % 4 + 1
+    assert metrics._confusion(truth, estimate).shape == (n, 4)
+    tracemalloc.start()
+    try:
+        score = average_match(truth, estimate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert score.average == 4 / n and not score.perfect
+    assert peak < n * n  # bytes; an (n, n) table of counts takes 8 n^2
+
+
+def test_square_tables_in_the_hundreds_equal_scipy():
+    # the slow case, O(G^3) in pure Python: on uniform random labels
+    # (n = 10 G, 2 shared vCPUs) the solver took 32 ms at G = 300 (scipy
+    # 2.8 ms) and 0.68 s at G = 1000 (scipy 43 ms)
+    rng = np.random.default_rng(3)
+    truth, estimate = rng.integers(1, 301, (2, 3000))
+    counts = metrics._confusion(truth, estimate)
+    assert counts.shape == (300, 300)
+    start = time.perf_counter()
+    total = metrics._assignment_total(counts)
+    elapsed = time.perf_counter() - start
+    assert total == scipy_total(counts)
+    assert elapsed < 5.0

@@ -1,8 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +101,16 @@ def test_subgradient_certificate_on_an_all_zero_response():
                                        0.5)
 
 
+def test_default_tolerance_is_read_at_each_call(monkeypatch):
+    # one step below the median of 0..7 the score is 1, with no residual at
+    # zero: it passes only a tolerance of at least 1
+    X, y = np.ones((8, 1)), np.arange(8.0)
+    assert subgradient_certificate(X, y, np.array([3.5]), 0.5)
+    assert not subgradient_certificate(X, y, np.array([2.5]), 0.5)
+    monkeypatch.setattr(quantile, "CERT_TOL", 1.5)
+    assert subgradient_certificate(X, y, np.array([2.5]), 0.5)
+
+
 def test_residual_sign_counts():
     rng = np.random.default_rng(5)
     T, s = 40, 3
@@ -163,17 +169,6 @@ def test_hall_sheather_equals_the_scipy_stats_formula():
             d = T ** (-1.0 / 3.0) * z ** (2.0 / 3.0) * shape ** (1.0 / 3.0)
             assert hall_sheather_bandwidth(T, tau) == min(d, tau - 0.01,
                                                           0.99 - tau)
-
-
-def test_package_import_does_not_load_scipy_stats():
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import sys, panelcluster, panelcluster.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
 
 
 def test_hk_location_model_matches_asymptotic_variance():
