@@ -284,7 +284,9 @@ def read_truth(path, ids):
             label = int(fields[idx["label"]])
         except ValueError:
             label = 0
-        # the match score builds a label x label table: bound the labels
+        # n individuals fall into at most n groups, so a label above n is
+        # no group; the bound also keeps labels within int64, so np.array
+        # below makes the integer array the match score requires
         if not 1 <= label <= len(ids):
             raise ParseError(f"row {rownum} (id={ident}), column 'label': "
                              f"not an integer in 1..{len(ids)}")

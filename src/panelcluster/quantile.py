@@ -151,16 +151,15 @@ def fit_quantile(X, y, tau):
          "response has non-finite entries")])
     gammas = np.zeros((len(levels), n, k))
     certified = np.zeros((len(levels), n), dtype=bool)
-    if len(rows):
-        problems = np.tile(rows, len(levels))
-        gamma, ok, errors = _fit_stack(X, y, problems,
-                                       np.repeat(levels, len(rows)))
-        gammas[:, rows] = gamma.reshape(len(levels), len(rows), k)
-        certified[:, rows] = ok.reshape(len(levels), len(rows))
-        for problem, exc in errors.items():
-            failed.setdefault(int(problems[problem]), exc)
-        gammas[:, list(failed)] = 0.0
-        certified[:, list(failed)] = False
+    problems = np.tile(rows, len(levels))
+    gamma, ok, errors = _fit_stack(X, y, problems,
+                                   np.repeat(levels, len(rows)))
+    gammas[:, rows] = gamma.reshape(len(levels), len(rows), k)
+    certified[:, rows] = ok.reshape(len(levels), len(rows))
+    for problem, exc in errors.items():
+        failed.setdefault(int(problems[problem]), exc)
+    gammas[:, list(failed)] = 0.0
+    certified[:, list(failed)] = False
     return gammas, certified, failed
 
 

@@ -11,7 +11,7 @@ from .types import (
     DimensionMismatch,
     EigenFailure,
     GroupCountSelection,
-    NonPositiveCombined,
+    eigen_floor,
     validate_covariance,
 )
 
@@ -39,14 +39,14 @@ def _whiten_entries(S, d):
     s (m,) arrays of whitened coordinates.
 
     The matrices are eigendecomposed in closed form for s <= 2 and by
-    LAPACK eigh for s >= 3. Eigenvalues are floored at
-    1e-10 * max(eigenvalue) so that semi-definite inputs produce a finite
-    result; one below -1e-10 * max(eigenvalue) raises NonPositiveCombined.
+    LAPACK eigh for s >= 3. Eigenvalues are floored by types.eigen_floor
+    (1e-10 of the largest) so that semi-definite inputs produce a finite
+    result; one below minus the floor raises NonPositiveCombined.
     """
     s = len(d)
     if s == 1:
         (a,), (d0,) = S, d
-        return [np.maximum(a, _eigen_floor(a, a)) ** -0.5 * d0]
+        return [np.maximum(a, eigen_floor(a, a)) ** -0.5 * d0]
     if s == 2:
         return _whiten_2x2(*S, *d)
     # eigh reads the lower triangle; the upper one is filled for clarity
@@ -54,29 +54,17 @@ def _whiten_entries(S, d):
     for r, c, entry in zip(*np.tril_indices(s), S):
         stack[:, r, c] = stack[:, c, r] = entry
     eigvals, Q = np.linalg.eigh(stack)
-    floor = _eigen_floor(eigvals[:, 0], eigvals[:, -1])
+    floor = eigen_floor(eigvals[:, 0], eigvals[:, -1])
     inv_sqrt = np.maximum(eigvals, floor[:, None]) ** -0.5
     whitener = (Q * inv_sqrt[:, None, :]) @ Q.swapaxes(1, 2)
     return list((whitener @ np.stack(d).T[:, :, None])[:, :, 0].T)
-
-
-def _eigen_floor(smallest, largest):
-    """The eigenvalue floor 1e-10 * max(largest, 1e-300) of each matrix of
-    a stack, from its (m,) smallest and largest eigenvalues; a smallest one
-    below minus the floor raises NonPositiveCombined, naming the first."""
-    norm = np.maximum(largest, 1e-300)
-    negative = smallest < -1e-10 * norm
-    if negative.any():
-        raise NonPositiveCombined(f"matrix has negative eigenvalue "
-                                  f"{smallest[negative.argmax()]:.3e}")
-    return 1e-10 * norm
 
 
 def _whiten_2x2(a, b, c, d0, d1):
     """_whiten_entries for s = 2: the whitened coordinates of (d0, d1) by
     [[a, b], [b, c]]^(-1/2), in the closed-form eigenbasis of _eigh_2x2."""
     low, high, x, y = _eigh_2x2(a, b, c)
-    floor = _eigen_floor(low, high)
+    floor = eigen_floor(low, high)
     # coordinates in the eigenbasis (-y, x), (x, y), scaled, rotated back
     low = np.maximum(low, floor) ** -0.5 * (x * d1 - y * d0)
     high = np.maximum(high, floor) ** -0.5 * (x * d0 + y * d1)
@@ -157,6 +145,7 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
     except FloatingPointError as exc:
         raise ValueError(f"non-finite dissimilarity: {exc}") from None
     # the lower triangle is zero, so adding the transpose mirrors exactly
+    # (V[i, j] = V[j, i] in the loop: 245 -> 257 ms at n = 2000, not kept)
     for rows in types.blocks(n, n):
         V[rows.start:, rows] += V[rows, rows.start:].T
     return V
@@ -182,29 +171,24 @@ def _upper_row_blocks(n, size):
 
 def _check_dissimilarity(V) -> np.ndarray:
     """V as a float array, checked to be a square, finite, non-negative
-    and symmetric dissimilarity with a zero diagonal, a block of rows at a
-    time."""
+    and symmetric dissimilarity with a zero diagonal: finiteness and sign
+    from V's extremes, which a NaN or an infinity reaches, then symmetry a
+    block of rows at a time, where no difference of entries overflows."""
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise DimensionMismatch("dissimilarity matrix must be square")
-    negative, largest, asymmetry = False, 0.0, 0.0
-    for block in types.blocks(len(V), len(V)):
-        rows = V[block]
-        if not np.isfinite(rows).all():
-            raise ValueError("dissimilarity contains non-finite entries")
-        negative = negative or bool((rows < 0).any())
-        largest = max(largest, rows.max())
-        # against the rows above, whose entries are known finite; once an
-        # entry is negative, the difference could overflow and is not needed
-        if not negative:
-            asymmetry = max(asymmetry, np.abs(V[block, :block.stop]
-                                              - V[:block.stop, block].T).max())
-    if negative:
+    smallest, largest = V.min(initial=0.0), V.max(initial=0.0)
+    if not np.isfinite([smallest, largest]).all():
+        raise ValueError("dissimilarity contains non-finite entries")
+    if smallest < 0:
         raise ValueError("dissimilarity entries must be non-negative")
-    if np.abs(np.diag(V)).max(initial=0.0) > 0:
+    if np.diag(V).any():
         raise ValueError("dissimilarity diagonal must be zero")
-    if asymmetry > 1e-12 * max(largest, 1.0):
-        raise ValueError("dissimilarity must be symmetric")
+    tolerance = 1e-12 * max(largest, 1.0)
+    for block in types.blocks(len(V), len(V)):
+        if np.abs(V[block, :block.stop]
+                  - V[:block.stop, block].T).max() > tolerance:
+            raise ValueError("dissimilarity must be symmetric")
     return V
 
 
@@ -311,6 +295,7 @@ def _assign(points, centers):
     to the first center, as with argmin.
     """
     d2 = _square_distances(points.T.copy(), centers)
+    # argmin over the centre axis: same labels, 6-26% slower, not kept
     labels = np.zeros((d2.shape[0], d2.shape[2]), dtype=np.intp)
     nearest = d2[:, 0].copy()
     for j in range(1, d2.shape[1]):

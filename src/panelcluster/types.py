@@ -248,11 +248,20 @@ def validate_covariance(sigma: np.ndarray) -> None:
     _reject(asymmetry > 0.5 * SYMMETRY_RTOL * scale,
             NotSymmetric, "covariance is not symmetric")
     eigvals = np.linalg.eigvalsh(half + half_T)
-    norm = np.maximum(np.abs(eigvals).max(axis=1), 1e-300)
-    negative = eigvals[:, 0] < -1e-10 * norm
-    smallest = eigvals[negative.argmax(), 0] if negative.any() else 0.0
-    _reject(negative, NonPositiveCombined,
-            f"covariance has negative eigenvalue {smallest:.3e}")
+    eigen_floor(eigvals[:, 0], eigvals[:, -1])
+
+
+def eigen_floor(smallest: np.ndarray, largest: np.ndarray) -> np.ndarray:
+    """The floor 1e-10 * max(largest, -smallest, 1e-300) of each matrix of
+    a stack, from its (m,) smallest and largest eigenvalues: the one rule of
+    validate_covariance and the pair whitening. A smallest eigenvalue below
+    minus the floor raises NonPositiveCombined; its `index` is the first."""
+    norm = np.maximum(np.maximum(largest, -smallest), 1e-300)
+    negative = smallest < -1e-10 * norm
+    if negative.any():
+        _reject(negative, NonPositiveCombined, f"matrix has negative "
+                f"eigenvalue {smallest[negative.argmax()]:.3e}")
+    return 1e-10 * norm
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 
@@ -42,13 +43,19 @@ def eigh_inverse_sqrt_stack(S):
     return (Q * floored[:, None, :] ** -0.5) @ Q.swapaxes(1, 2)
 
 
+@functools.cache
+def lower_triangle(s):
+    """The (row, column) pairs of the lower triangle of an s x s matrix in
+    row-major order, the order _whiten_entries reads; made once per s."""
+    return list(zip(*np.tril_indices(s)))
+
+
 def whiten_stack(S, d):
     """S_k^(-1/2) d_k for each matrix S_k of an (m, s, s) stack and column
     d_k of an (s, m) array, by _whiten_entries on the lower-triangle
     entries of S; returns the (s, m) whitened columns."""
-    rows, cols = np.tril_indices(d.shape[0])
-    return np.stack(_whiten_entries([S[:, r, c] for r, c in zip(rows, cols)],
-                                    list(d)))
+    return np.stack(_whiten_entries(
+        [S[:, r, c] for r, c in lower_triangle(d.shape[0])], list(d)))
 
 
 def inverse_sqrt_stack(S):
@@ -206,11 +213,13 @@ def reference_dissimilarity(betas, sigmas, T, scale, weights=None,
     if whiten is None:
         def whiten(S, d):
             return eigh_inverse_sqrt_stack(S)[0] @ d
+    # every pair's combined covariance, checked in one call, in loop order
+    first, second = np.triu_indices(n, 1)
+    validate_covariance(scaled[first] + scaled[second])
     V = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             S = scaled[i] + scaled[j]
-            validate_covariance(S)
             whitened = whiten(S[None], (betas[i] - betas[j])[:, None])
             V[i, j] = V[j, i] = np.abs(whitened).max()
     return V
@@ -402,6 +411,57 @@ def test_closed_form_is_exact_on_diagonal_matrices():
     unfloored = np.r_[0:20, 35:60]
     assert np.array_equal(whitened[unfloored],
                           entries[unfloored] ** -0.5 * d[unfloored])
+
+
+def floor_cases():
+    """Diagonal 1 x 1 and 2 x 2 matrices with one eigenvalue at and around
+    the rejection threshold -1e-10 |largest|, for largest eigenvalues down
+    to subnormal, zero and negative ones: 168 matrices."""
+    cases = []
+    for largest in [1.0, 1e-200, 1e-305, 1e-320, 0.0, -1.0, -1e-320]:
+        for factor in [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e20]:
+            smallest = factor * 1e-10 * abs(largest)
+            cases += [np.diag([smallest]), np.diag([smallest, largest]),
+                      np.diag([largest, smallest])]
+    return cases
+
+
+def rejects(check, *args):
+    """Whether check(*args) raises NonPositiveCombined."""
+    try:
+        check(*args)
+    except NonPositiveCombined:
+        return True
+    return False
+
+
+def test_covariance_check_and_pair_kernel_apply_one_floor():
+    # Diagonal matrices, where eigvalsh and the closed form both read the
+    # exact eigenvalues. A rotated matrix at the threshold is no test of the
+    # rule: rotated by 0.3 rad, the closed form reads the smallest
+    # eigenvalue as -1.00000016e-10 and eigvalsh as -9.99999944e-11, a
+    # difference of rounding only.
+    disagree = []
+    for S in floor_cases():
+        s = len(S)
+        entries = [S[r, c][None] for r, c in lower_triangle(s)]
+        if (rejects(validate_covariance, S)
+                != rejects(_whiten_entries, entries, list(np.ones((s, 1))))):
+            disagree.append(np.diag(S))
+    assert disagree == []
+
+
+def test_one_floor_rejects_with_the_stack_position():
+    with pytest.raises(NonPositiveCombined,
+                       match="^matrix has negative eigenvalue -2.000e-09$"
+                       ) as raised:
+        types.eigen_floor(np.array([0.0, -1e-11, -2e-9, -3e-9]),
+                          np.ones(4))
+    assert raised.value.index == 2
+    with pytest.raises(ParseError, match=r"^row 1 \(id=b\): matrix has "
+                       r"negative eigenvalue -1\.000e-09$"):
+        EstimateTable(["a", "b"], np.zeros((2, 2)),
+                      np.array([np.eye(2), np.diag([1.0, -1e-9])]))
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -924,6 +984,14 @@ def test_dissimilarity_check_reports_non_finite_before_negative():
     V[0, 1], V[1, 0] = -1.7e308, 1.7e308  # the difference would overflow
     with pytest.raises(ValueError, match="non-negative"):
         spectral._check_dissimilarity(V)
+
+
+def test_dissimilarity_check_holds_no_n_by_n_temporary():
+    # V's extremes are reductions and the triangles are compared a block
+    # of rows at a time: the traced peak read 0.0165 of V's bytes
+    n = 2000
+    V, _ = block_dissimilarity([n // 2, n // 2], across=3.0)
+    assert traced_peak(spectral._check_dissimilarity, V) <= 0.05 * V.nbytes
 
 
 @pytest.mark.parametrize("G", [0, 4])
