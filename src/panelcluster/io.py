@@ -168,10 +168,20 @@ def read_estimates(path) -> EstimateTable:
         if not math.isfinite(d_T):
             raise ParseError(f"metadata key 'd_T' must be a finite number, "
                              f"got {meta['d_T']!r}")
-    return EstimateTable(ids, cells[:, :p].copy(), sigmas,
-                         scale=meta.get("scale", PER_OBSERVATION),
-                         weights=cells[:, -1].copy() if has_weight else None,
-                         d_T=d_T)
+    try:
+        return EstimateTable(ids, cells[:, :p].copy(), sigmas,
+                             scale=meta.get("scale", PER_OBSERVATION),
+                             weights=cells[:, -1].copy() if has_weight
+                             else None, d_T=d_T)
+    except ParseError as exc:
+        # a covariance error names its row by position; name it by the CSV
+        # row number, as a cell error does
+        cause = exc.__cause__
+        if cause is None:
+            raise
+        rownums = [r for r, fields in enumerate(rows[1:], start=2) if fields]
+        raise ParseError(f"row {rownums[cause.index]} (id={ids[cause.index]})"
+                         f": {cause}") from cause
 
 
 def _table_cells(records, ids, idx, columns):

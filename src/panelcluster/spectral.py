@@ -7,13 +7,8 @@ import numbers
 import numpy as np
 
 from . import types
-from .types import (
-    DimensionMismatch,
-    EigenFailure,
-    GroupCountSelection,
-    eigen_floor,
-    validate_covariance,
-)
+from .types import (DimensionMismatch, EigenFailure, GroupCountSelection,
+                    eigen_floor, validate_covariance)
 
 EIGENGAP_DENOM_GUARD = 1e-12
 
@@ -39,9 +34,9 @@ def _whiten_entries(S, d):
     s (m,) arrays of whitened coordinates.
 
     The matrices are eigendecomposed in closed form for s <= 2 and by
-    LAPACK eigh for s >= 3. Eigenvalues are floored by types.eigen_floor
-    (1e-10 of the largest) so that semi-definite inputs produce a finite
-    result; one below minus the floor raises NonPositiveCombined.
+    LAPACK eigh for s >= 3. Every eigenvalue is raised to at least
+    types.eigen_floor (1e-10 of the largest), so a singular or slightly
+    negative matrix gives a finite result; nothing is rejected here.
     """
     s = len(d)
     if s == 1:
@@ -110,7 +105,8 @@ def build_dissimilarity(estimates, variances) -> np.ndarray:
 
     estimates: (n, s) finite coefficient vectors; variances: their (n, s, s)
     Var(beta_i), e.g. EstimateTable.variances(T), checked by
-    validate_covariance. A pair is whitened by (Var_i + Var_j)^(-1/2).
+    validate_covariance. A pair is whitened by (Var_i + Var_j)^(-1/2), with
+    its eigenvalues floored (types.eigen_floor), never rejected.
     Returns the symmetric (n, n) dissimilarity V.
 
     Each pair i < j (never i = i, whose doubled variance can overflow
@@ -213,7 +209,9 @@ def kmeans(points, k: int, restarts: int = 50, seed: int = 0):
     from its center. Returns (labels, centers, objective) with 0-based
     labels.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise DimensionMismatch("points must be an (n, d) array")
     n, d = points.shape
     types.check_count("k", k)
     types.check_count("restarts", restarts)

@@ -109,7 +109,7 @@ class NonFiniteCovariance(EstimationError):
 
 
 class NonPositiveCombined(EstimationError):
-    """A combined covariance has a negative eigenvalue beyond tolerance."""
+    """A covariance has an eigenvalue below minus its eigen_floor."""
 
 
 class NotSymmetric(ValueError):
@@ -228,7 +228,8 @@ def _reject(bad: np.ndarray, error: type, message: str) -> None:
 
 def validate_covariance(sigma: np.ndarray) -> None:
     """Check that sigma, one (s, s) matrix or an (..., s, s) stack with
-    s >= 1, holds finite, symmetric, positive semidefinite covariances.
+    s >= 1, holds finite, symmetric, positive semidefinite covariances, by
+    each one's own scale (SYMMETRY_RTOL, eigen_floor); nothing else rejects.
 
     The error carries `index`, the flat stack position of the first bad
     matrix. Finiteness is checked before any eigendecomposition.
@@ -243,25 +244,21 @@ def validate_covariance(sigma: np.ndarray) -> None:
             "covariance has non-finite entries")
     half = 0.5 * S  # halved first, so no difference or sum overflows
     half_T = half.swapaxes(1, 2)
-    scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
     asymmetry = np.abs(half - half_T).max(axis=(1, 2))
-    _reject(asymmetry > 0.5 * SYMMETRY_RTOL * scale,
+    _reject(asymmetry > 0.5 * SYMMETRY_RTOL * np.abs(S).max(axis=(1, 2)),
             NotSymmetric, "covariance is not symmetric")
     eigvals = np.linalg.eigvalsh(half + half_T)
-    eigen_floor(eigvals[:, 0], eigvals[:, -1])
+    negative = eigvals[:, 0] < -eigen_floor(eigvals[:, 0], eigvals[:, -1])
+    if negative.any():
+        _reject(negative, NonPositiveCombined, f"matrix has negative "
+                f"eigenvalue {eigvals[negative.argmax(), 0]:.3e}")
 
 
 def eigen_floor(smallest: np.ndarray, largest: np.ndarray) -> np.ndarray:
-    """The floor 1e-10 * max(largest, -smallest, 1e-300) of each matrix of
-    a stack, from its (m,) smallest and largest eigenvalues: the one rule of
-    validate_covariance and the pair whitening. A smallest eigenvalue below
-    minus the floor raises NonPositiveCombined; its `index` is the first."""
-    norm = np.maximum(np.maximum(largest, -smallest), 1e-300)
-    negative = smallest < -1e-10 * norm
-    if negative.any():
-        _reject(negative, NonPositiveCombined, f"matrix has negative "
-                f"eigenvalue {smallest[negative.argmax()]:.3e}")
-    return 1e-10 * norm
+    """1e-10 * max(largest, -smallest, 1e-300), the floor of each matrix of
+    a stack from its (m,) extreme eigenvalues: validate_covariance rejects
+    a smallest eigenvalue below minus it, the pair whitening floors at it."""
+    return 1e-10 * np.maximum(np.maximum(largest, -smallest), 1e-300)
 
 
 @dataclass
@@ -285,8 +282,10 @@ class EstimateTable:
     dropped: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.betas = np.atleast_2d(np.asarray(self.betas, dtype=float))
+        self.betas = np.asarray(self.betas, dtype=float)
         self.sigmas = np.asarray(self.sigmas, dtype=float)
+        if self.betas.ndim != 2:
+            raise DimensionMismatch("betas must be an (n, s) array")
         n, p = self.betas.shape
         if p < 1:
             raise ParseError("betas must have at least one coefficient")
@@ -295,11 +294,6 @@ class EstimateTable:
         if len(self.ids) != n or self.sigmas.shape != (n, p, p):
             raise ParseError(f"ids, betas and covariances must have shapes "
                              f"(n,), (n, {p}) and (n, {p}, {p})")
-        try:
-            validate_covariance(self.sigmas)
-        except (ValueError, EstimationError) as exc:
-            row = exc.index
-            raise ParseError(f"row {row} (id={self.ids[row]}): {exc}") from exc
         if self.scale not in (PER_OBSERVATION, ALREADY_SCALED):
             raise ParseError(f"unknown scale {self.scale!r}")
         if self.weights is not None:
@@ -309,6 +303,15 @@ class EstimateTable:
             if self.weights.shape != (n,) or not (
                     np.isfinite(self.weights) & (self.weights > 0)).all():
                 raise ParseError("weights must be n values, finite and > 0")
+        try:
+            validate_covariance(self.sigmas)
+            if self.weights is not None:
+                with np.errstate(over="ignore"):
+                    _reject(~np.isfinite(self.variances()).all(axis=(1, 2)),
+                            ValueError, "covariance / weight overflows")
+        except (ValueError, EstimationError) as exc:
+            row = exc.index  # read_estimates maps it to the CSV row number
+            raise ParseError(f"row {row} (id={self.ids[row]}): {exc}") from exc
 
     def variances(self, T: int | None = None) -> np.ndarray:
         """Var(beta_i) of every row, an (n, s, s) stack: sigmas / weights
@@ -319,9 +322,7 @@ class EstimateTable:
         if T is not None:
             check_count("T", T)
         if self.weights is not None:
-            # an overflow to inf is left to validate_covariance downstream
-            with np.errstate(over="ignore"):
-                return self.sigmas / self.weights[:, None, None]
+            return self.sigmas / self.weights[:, None, None]
         if self.scale == ALREADY_SCALED:
             return self.sigmas
         if T is None or T < 1:

@@ -317,6 +317,42 @@ def test_estimate_table_names_non_finite_covariance_row():
         EstimateTable(["a", "b"], np.zeros((2, 1)), sigmas)
 
 
+@pytest.mark.parametrize("blank", [False, True], ids=["dense", "blank-line"])
+@pytest.mark.parametrize("beta_2,c_22,message", [
+    ("1", "-1e-6", ": matrix has negative eigenvalue -1.000e-06"),
+    ("x", "1", ", column 'beta_2': not a number")],
+    ids=["covariance", "cell"])
+def test_a_csv_line_has_one_row_number(tmp_path, capsys, blank, beta_2,
+                                       c_22, message):
+    # a covariance error names the CSV row number a cell error names: the
+    # header is row 1, and a blank line is a row
+    path = tmp_path / "est.csv"
+    path.write_text("# scale=already_scaled\nid,beta_1,beta_2,c_11,c_12,"
+                    "c_22\na,0,0,1,0,1\n" + "\n" * blank
+                    + f"b,1,{beta_2},1,0,{c_22}\n")
+    assert main(["cluster", str(path), "--groups", "2",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    row = 4 if blank else 3
+    assert capsys.readouterr().err == f"error: row {row} (id=b){message}\n"
+
+
+def test_an_overflowing_weighted_variance_names_its_row(tmp_path, capsys,
+                                                        monkeypatch):
+    from panelcluster import cli
+
+    def no_pairs(*args):
+        raise AssertionError("pairs formed")
+
+    monkeypatch.setattr(cli, "build_dissimilarity", no_pairs)
+    path = tmp_path / "est.csv"
+    path.write_text("# scale=per_observation\nid,beta_1,c_11,weight\n"
+                    "a,0.0,1e300,1\nb,1.0,1e300,1e-20\nc,2.0,1,1\n")
+    assert main(["cluster", str(path), "--groups", "2",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == ("error: row 3 (id=b): covariance / "
+                                       "weight overflows\n")
+
+
 @pytest.mark.parametrize("betas,sigmas", [
     (np.zeros((2, 2)), np.stack([np.eye(3)] * 2)),
     (np.zeros((3, 1)), np.stack([np.eye(1)] * 2)),
@@ -965,6 +1001,28 @@ def test_reference_cluster_reports_hash_as_recorded(tmp_path, capsys, n, s,
     assert report["config"].pop("estimates_csv") == str(table)
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
     assert digest.hexdigest()[:8] == prefix
+
+
+# sha256 prefixes of the `estimate` tables of seeded panels, the same with
+# one BLAS thread: they pin every written coefficient and covariance to the
+# last bit.
+REFERENCE_ESTIMATES = [
+    ("logistic", lambda: gen_logistic(90, 100, 5), "0.5", "ec8acbf2"),
+    ("qr-slopes", lambda: gen_model1(90, 60, "t3", 5), "0.5", "ce6756a5"),
+    ("qr-slopes", lambda: gen_model1(90, 60, "t3", 5), "0.3", "8073cc68"),
+    ("qr-pooled", lambda: gen_model3(60, 60, "normal", 5), "0.5", "26a87f94")]
+
+
+@pytest.mark.parametrize("model, gen, tau, prefix", REFERENCE_ESTIMATES,
+                         ids=[f"{m}-tau{t}" for m, _, t, _ in
+                              REFERENCE_ESTIMATES])
+def test_reference_estimate_tables_hash_as_recorded(tmp_path, capsys, model,
+                                                    gen, tau, prefix):
+    path, out = tmp_path / "panel.csv", tmp_path / "est.csv"
+    write_panel(path, gen()[0])
+    assert main(["estimate", str(path), "--model", model, "--tau", tau,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:8] == prefix
 
 
 def test_simulate_grid_runs_each_point_as_its_scalar_config(tmp_path, capsys):

@@ -120,14 +120,16 @@ VARIANCE = {"c_11": ["1", "2.5"], "c_12": ["0", "0.5", "-0.25"],
 def row_by_row(rows, columns):
     """ids, betas, sigmas and weights of an estimate table's CSV rows (the
     header first), each cell read by float() and checked in turn, or the
-    ParseError of the first bad row: the reference the one-call parse of
-    read_estimates must match."""
+    ParseError of the first bad row, numbered as its CSV row (the header is
+    row 1): the reference the one-call parse of read_estimates must
+    match."""
     idx = {name: k for k, name in enumerate(rows[0])}
     p = sum(col.startswith("beta_") for col in columns)
-    ids, betas, sigmas, weights = [], [], [], []
+    ids, betas, sigmas, weights, rownums = [], [], [], [], []
     for rownum, fields in enumerate(rows[1:], start=2):
         if not fields:
             continue
+        rownums.append(rownum)
         if len(fields) != len(idx):
             raise ParseError(f"row {rownum}: expected {len(idx)} fields, "
                              f"got {len(fields)}")
@@ -164,8 +166,14 @@ def row_by_row(rows, columns):
             weights.append(values[-1])
     if not ids:
         raise ParseError("estimate table has no data rows")
-    return EstimateTable(ids, np.array(betas), sigmas,
-                         weights=np.array(weights) if weights else None)
+    try:
+        return EstimateTable(ids, np.array(betas), sigmas,
+                             weights=np.array(weights) if weights else None)
+    except ParseError as exc:
+        # the table names a covariance's row by its position among the rows
+        raise ParseError(re.sub(r"^row (\d+)",
+                                lambda m: f"row {rownums[int(m[1])]}",
+                                str(exc))) from None
 
 
 def estimate_rows(columns):

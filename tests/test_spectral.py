@@ -1,4 +1,5 @@
 import functools
+import json
 import re
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 from panelcluster import spectral, types
 from panelcluster.cli import main
+from panelcluster.io import read_estimates
 from panelcluster.spectral import (
     _laplacian,
     _whiten_entries,
@@ -32,13 +34,11 @@ from panelcluster.types import (
 
 def eigh_inverse_sqrt_stack(S):
     """The eigh path for every s, as build_dissimilarity whitened before
-    the closed form for s <= 2: the reference for the closed form."""
+    the closed form for s <= 2: the reference for the closed form. Every
+    eigenvalue is floored at 1e-10 * max(largest, -smallest, 1e-300), the
+    floor of types.eigen_floor, and nothing is rejected."""
     eigvals, Q = np.linalg.eigh(S)
-    norm = np.maximum(eigvals[:, -1], 1e-300)
-    negative = eigvals[:, 0] < -1e-10 * norm
-    if negative.any():
-        raise NonPositiveCombined(f"matrix has negative eigenvalue "
-                                  f"{eigvals[negative.argmax(), 0]:.3e}")
+    norm = np.maximum(np.maximum(eigvals[:, -1], -eigvals[:, 0]), 1e-300)
     floored = np.maximum(eigvals, 1e-10 * norm[:, None])
     return (Q * floored[:, None, :] ** -0.5) @ Q.swapaxes(1, 2)
 
@@ -91,10 +91,12 @@ def test_inverse_sqrt_floors_small_eigenvalues(small):
 
 
 def test_inverse_sqrt_rejects_negative_eigenvalue():
+    # the check rejects; the kernel, given the matrix unchecked, floors
+    # -1e-9 at 1e-10 * 1
     with pytest.raises(NonPositiveCombined):
-        validate_covariance(np.diag([1.0, -1e-9]))
-    with pytest.raises(NonPositiveCombined):
-        whiten_stack(np.diag([1.0, -1e-9])[None], np.ones((2, 1)))
+        checked_inverse_sqrt(np.diag([1.0, -1e-9]))
+    whitened = whiten_stack(np.diag([1.0, -1e-9])[None], np.ones((2, 1)))
+    assert np.array_equal(whitened[:, 0], [1.0, 1e-10 ** -0.5])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -109,6 +111,14 @@ def test_inverse_sqrt_reconstruction(seed):
 def test_inverse_sqrt_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         validate_covariance(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e12])
+def test_asymmetry_is_judged_by_the_matrix_own_scale(scale):
+    # the same relative asymmetry is rejected below unit scale as above it
+    with pytest.raises(NotSymmetric):
+        validate_covariance(scale * np.array([[1e-12, 1e-11],
+                                              [-1e-11, 1e-12]]))
 
 
 def test_dissimilarity_zero_for_equal_betas():
@@ -213,9 +223,9 @@ def reference_dissimilarity(betas, sigmas, T, scale, weights=None,
     if whiten is None:
         def whiten(S, d):
             return eigh_inverse_sqrt_stack(S)[0] @ d
-    # every pair's combined covariance, checked in one call, in loop order
-    first, second = np.triu_indices(n, 1)
-    validate_covariance(scaled[first] + scaled[second])
+    # the variances are checked, as build_dissimilarity checks them; their
+    # pairs are whitened unchecked
+    validate_covariance(scaled)
     V = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -319,11 +329,12 @@ def test_negative_combined_in_last_chunk_is_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_negative_pair_in_last_row_block_names_the_first(monkeypatch, s):
-    # PSD variances never sum to a negative pair, so let unchecked ones
-    # through: the kernel must raise in the last block, for its first
-    # negative pair, (37, 38) of combined variance -1.1 I, not -1.2 I or
-    # -1.3 I
+def test_negative_pairs_in_last_row_block_are_floored(monkeypatch, s):
+    # Checked variances can sum to a pair up to about twice its floor below
+    # zero (see the p3 table below); let unchecked ones through to reach
+    # any negative pair: the kernel floors the last block's pairs (37, 38),
+    # (37, 39) and (38, 39), of combined variance -1.1 I, -1.2 I and
+    # -1.3 I, as the floored eigh reference does, and rejects nothing
     monkeypatch.setattr(types, "BLOCK_ENTRIES", 2 ** 8)
     monkeypatch.setattr(spectral, "validate_covariance", lambda S: None)
     n = 40
@@ -331,9 +342,15 @@ def test_negative_pair_in_last_row_block_names_the_first(monkeypatch, s):
     sigmas = np.array([10.0 * np.eye(s)] * n)
     sigmas[-3:] = np.array([-0.5, -0.6, -0.7])[:, None, None] * np.eye(s)
     betas = np.random.default_rng(6).normal(size=(n, s))
-    with pytest.raises(NonPositiveCombined,
-                       match="^matrix has negative eigenvalue -1.100e\\+00$"):
-        build_dissimilarity(betas, sigmas)
+    V = build_dissimilarity(betas, sigmas)
+    i, j = np.triu_indices(n, 1)
+    S = sigmas[i] + sigmas[j]
+    assert (S[:, 0, 0] < 0).sum() == 3
+    expected = eigh_inverse_sqrt_stack(S) @ (betas[i] - betas[j])[:, :, None]
+    # multiples of I, whose closed form is exact: equal for every s
+    assert np.array_equal(V[i, j], np.abs(expected).max(axis=(1, 2)))
+    assert V[38, 39] == np.abs(betas[38] - betas[39]).max() * (
+        1e-10 * 1.3) ** -0.5
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -350,17 +367,60 @@ def test_only_pairs_i_below_j_are_whitened(s):
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_inverse_sqrt_stack_rejects_negative_last_matrix(s):
-    # PSD-checked variances sum to PSD matrices, so build_dissimilarity
-    # reaches this branch only through rounding; test the stack directly
+def test_inverse_sqrt_stack_floors_negative_last_matrix(s):
+    # the check rejects the last matrix, by its position; the kernel floors
+    # its eigenvalue -0.5 at 1e-10 of the largest |eigenvalue|, 7 (0.5 for
+    # s = 1), and leaves the others as they are
     m = 7
     stack = np.array([(k + 1.0) * np.eye(s) for k in range(m)])
     stack[-1, -1, -1] = -0.5
-    with pytest.raises(NonPositiveCombined):
-        whiten_stack(stack, np.ones((s, m)))
-    out = inverse_sqrt_stack(stack[:-1])
-    assert np.allclose(out, np.array([np.eye(s) / np.sqrt(k + 1.0)
-                                      for k in range(m - 1)]))
+    with pytest.raises(NonPositiveCombined) as raised:
+        validate_covariance(stack)
+    assert raised.value.index == m - 1
+    out = inverse_sqrt_stack(stack)
+    assert np.allclose(out[:-1], np.array([np.eye(s) / np.sqrt(k + 1.0)
+                                           for k in range(m - 1)]))
+    last = np.full(s, 7.0 ** -0.5)
+    last[-1] = (1e-10 * (7.0 if s > 1 else 0.5)) ** -0.5
+    assert np.allclose(out[-1], np.diag(last))
+
+
+# Six individuals at s = 3, every variance accepted by validate_covariance;
+# the pair (u4, u5) sums to diag(1, 1, -1.8e-10), below minus its floor
+# 1e-10, which the pair whitening floors.
+P3_TABLE = """# scale=already_scaled
+id,beta_1,beta_2,beta_3,c_11,c_12,c_13,c_22,c_23,c_33
+u0,0.0,0,0,1.0,0.0,0.0,1.0,0.0,1.0
+u1,1.0,0,0,1.0,0.0,0.0,1.0,0.0,1.0
+u2,2.0,0,0,1.0,0.0,0.0,1.0,0.0,1.0
+u3,3.0,0,0,1.0,0.0,0.0,1.0,0.0,1.0
+u4,4.0,0,0,1.0,0.0,0.0,0.0,0.0,-9e-11
+u5,5.0,0,0,0.0,0.0,0.0,1.0,0.0,-9e-11
+"""
+
+
+def test_accepted_variances_whose_pair_is_negative_are_floored(tmp_path):
+    path = tmp_path / "p3.csv"
+    path.write_text(P3_TABLE)
+    table = read_estimates(path)
+    V = build_dissimilarity(table.betas, table.variances())
+    S = table.sigmas[4] + table.sigmas[5]
+    assert np.linalg.eigvalsh(S)[0] < -1e-10
+    d = table.betas[4] - table.betas[5]
+    assert V[4, 5] == np.abs(eigh_inverse_sqrt_stack(S[None])[0] @ d).max()
+    assert_matches_pairwise_loops(V, table.betas, table.sigmas, None,
+                                  ALREADY_SCALED)
+
+
+def test_cluster_runs_on_accepted_variances_whose_pair_is_negative(
+        tmp_path, capsys):
+    path, out = tmp_path / "p3.csv", tmp_path / "report.json"
+    path.write_text(P3_TABLE)
+    assert main(["cluster", str(path), "--groups", "2",
+                 "--out", str(out)]) == 0
+    labels = json.loads(out.read_text())["labels"]
+    assert labels["u0"] == labels["u1"] == labels["u2"]
+    assert labels["u3"] == labels["u4"] == labels["u5"] != labels["u0"]
 
 
 def closed_form_cases():
@@ -373,10 +433,11 @@ def closed_form_cases():
     B = B + B.swapaxes(1, 2)
     near = rng.uniform(0.1, 10.0, (m, 1, 1)) * (
         np.eye(2) + 10.0 ** rng.uniform(-15.0, -9.0, (m, 1, 1)) * B)
-    # the upper triangle off by up to 0.9 of what validate_covariance admits
+    # the upper triangle off by up to 0.9 of what validate_covariance admits,
+    # SYMMETRY_RTOL of the largest |entry|
     asymmetric = spd.copy()
     asymmetric[:, 0, 1] += (0.9 * SYMMETRY_RTOL * rng.uniform(-1.0, 1.0, m)
-                            * np.maximum(np.abs(spd).max(axis=(1, 2)), 1.0))
+                            * np.abs(spd).max(axis=(1, 2)))
     return {"spd": spd, "rank_one": u * u.swapaxes(1, 2), "near_equal": near,
             "scaled_1e-150": 1e-150 * spd, "scaled_1e150": 1e150 * spd,
             # unscaled, a * c - b * b underflows or overflows
@@ -440,24 +501,33 @@ def test_covariance_check_and_pair_kernel_apply_one_floor():
     # exact eigenvalues. A rotated matrix at the threshold is no test of the
     # rule: rotated by 0.3 rad, the closed form reads the smallest
     # eigenvalue as -1.00000016e-10 and eigvalsh as -9.99999944e-11, a
-    # difference of rounding only.
+    # difference of rounding only. The check rejects a smallest eigenvalue
+    # below minus the floor; the kernel rejects nothing and raises every
+    # eigenvalue to the floor.
     disagree = []
     for S in floor_cases():
-        s = len(S)
+        s, diagonal = len(S), np.diag(S)
+        floor = types.eigen_floor(diagonal.min(keepdims=True),
+                                  diagonal.max(keepdims=True))
         entries = [S[r, c][None] for r, c in lower_triangle(s)]
-        if (rejects(validate_covariance, S)
-                != rejects(_whiten_entries, entries, list(np.ones((s, 1))))):
-            disagree.append(np.diag(S))
+        whitened = _whiten_entries(entries, list(np.ones((s, 1))))
+        if (rejects(validate_covariance, S) != (diagonal.min() < -floor[0])
+                or not np.array_equal(np.concatenate(whitened),
+                                      np.maximum(diagonal, floor) ** -0.5)):
+            disagree.append(diagonal)
     assert disagree == []
 
 
 def test_one_floor_rejects_with_the_stack_position():
+    smallest = np.array([0.0, -1e-11, -2e-9, -3e-9])
     with pytest.raises(NonPositiveCombined,
                        match="^matrix has negative eigenvalue -2.000e-09$"
                        ) as raised:
-        types.eigen_floor(np.array([0.0, -1e-11, -2e-9, -3e-9]),
-                          np.ones(4))
+        validate_covariance(np.array([np.diag([1.0, x]) for x in smallest]))
     assert raised.value.index == 2
+    # the floor itself raises nothing
+    assert np.array_equal(types.eigen_floor(smallest, np.ones(4)),
+                          np.full(4, 1e-10))
     with pytest.raises(ParseError, match=r"^row 1 \(id=b\): matrix has "
                        r"negative eigenvalue -1\.000e-09$"):
         EstimateTable(["a", "b"], np.zeros((2, 2)),
@@ -465,16 +535,21 @@ def test_one_floor_rejects_with_the_stack_position():
 
 
 @pytest.mark.parametrize("s", [1, 2])
-def test_closed_form_rejects_the_matrix_eigh_rejects(s):
+def test_closed_form_floors_the_matrix_eigh_floors(s):
+    # the check names the first negative matrix; the closed form floors
+    # both as the eigh reference does, within 1e-13 of its largest entry
     rng = np.random.default_rng(16)
     A = rng.normal(size=(50, s, s))
     S = A @ A.swapaxes(1, 2) + 0.1 * np.eye(s)
     S[[17, 31], -1, -1] = [-0.25, -3.0]
-    with pytest.raises(NonPositiveCombined) as expected:
-        eigh_inverse_sqrt_stack(S)
-    with pytest.raises(NonPositiveCombined,
-                       match=re.escape(str(expected.value))):
-        whiten_stack(S, np.ones((s, 50)))
+    smallest = np.linalg.eigvalsh(S[17])[0]
+    with pytest.raises(NonPositiveCombined, match=re.escape(
+            f"matrix has negative eigenvalue {smallest:.3e}")) as raised:
+        validate_covariance(S)
+    assert raised.value.index == 17
+    expected = eigh_inverse_sqrt_stack(S)
+    error = np.abs(inverse_sqrt_stack(S) - expected).max(axis=(1, 2))
+    assert (error <= 1e-13 * np.abs(expected).max(axis=(1, 2))).all()
 
 
 NON_FINITE_COVARIANCES = [[[np.nan]], [[1.0, np.inf], [np.inf, 1.0]]]
@@ -687,10 +762,12 @@ def test_validate_covariance_halves_before_it_sums():
         validate_covariance(np.array([[1.0, 1e308], [-1e308, 1.0]]))
 
 
-def test_weighted_variances_overflowing_are_rejected_downstream():
-    table = scalar_table(1e308, weights=np.array([0.5, 1.0]))
-    with pytest.raises(ValueError, match="non-finite"):
-        build_dissimilarity(table.betas, table.variances())
+def test_weighted_variances_overflowing_are_rejected_by_the_table():
+    # 1e308 / 0.5 overflows: the table is not built, so no overflow can
+    # reach variances() or the dissimilarity
+    with pytest.raises(ParseError, match=r"^row 0 \(id=a\): covariance / "
+                                         r"weight overflows$"):
+        scalar_table(1e308, weights=np.array([0.5, 1.0]))
 
 
 def test_select_num_groups_accepts_a_huge_finite_dissimilarity():
@@ -728,6 +805,18 @@ def test_kmeans_duplicated_dataset_same_centers():
 def test_kmeans_rejects_too_many_clusters():
     with pytest.raises(ValueError):
         kmeans(np.zeros((2, 1)), 3)
+
+
+def test_kmeans_rejects_a_one_dimensional_array():
+    # n values are not one point of n coordinates
+    with pytest.raises(DimensionMismatch, match="^points must be an"):
+        kmeans(np.arange(6.0), 2)
+
+
+def test_estimate_table_rejects_one_dimensional_betas():
+    with pytest.raises(DimensionMismatch, match="^betas must be an"):
+        EstimateTable(["a", "b", "c"], np.array([0.0, 1.0, 2.0]),
+                      np.ones((3, 1, 1)))
 
 
 def test_kmeans_rejects_zero_width_points():
