@@ -42,12 +42,26 @@ def _cell(fields, idx, col, row, ident, rule=""):
     raise ParseError(f"row {row} (id={ident}), column {col!r}: {problem}")
 
 
+def _numbered_rows(lines, skipped=0):
+    """(line, fields) of each CSV record of `lines`, a blank line being the
+    record [], and line the 1-based line of the file the record starts on,
+    `skipped` lines of the file coming before `lines` (a quoted cell may
+    span lines)."""
+    reader = csv.reader(lines)
+    rows, start = [], skipped + 1
+    for fields in reader:
+        rows.append((start, fields))
+        start = skipped + reader.line_num + 1
+    return rows
+
+
 def _header(rows, what):
-    """The stripped header row of a CSV file's rows and the column index of
-    each name; an empty file or a name given twice is a ParseError."""
+    """The stripped header of a CSV file's numbered rows and the column
+    index of each name; an empty file or a name given twice is a
+    ParseError."""
     if not rows:
         raise ParseError(f"empty {what}")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     idx = {}
     for col, name in enumerate(header):
         if name in idx:
@@ -57,9 +71,10 @@ def _header(rows, what):
 
 
 def _data_rows(rows, idx):
-    """(row number, fields, id) of each non-blank row after the header, once
-    it has one field per header column (idx, the header's column index)."""
-    for rownum, fields in enumerate(rows[1:], start=2):
+    """(line, fields, id) of each non-blank numbered row after the header,
+    once it has one field per header column (idx, the header's column
+    index)."""
+    for rownum, fields in rows[1:]:
         if not fields:
             continue
         if len(fields) != len(idx):
@@ -110,7 +125,7 @@ def read_estimates(path) -> EstimateTable:
     for line in lines[:head]:
         key, _, value = line[1:].strip().partition("=")
         meta[key.strip()] = value.strip()
-    rows = list(csv.reader(lines[head:]))
+    rows = _numbered_rows(lines[head:], head)
     version = meta.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ParseError(f"metadata key 'format_version' must be "
@@ -144,7 +159,7 @@ def read_estimates(path) -> EstimateTable:
     has_weight = "weight" in header
     columns = [*beta_cols, *cov_cols] + ["weight"] * has_weight
 
-    records = [fields for fields in rows[1:] if fields]
+    records = [fields for _, fields in rows[1:] if fields]
     if not records:
         raise ParseError("estimate table has no data rows")
     ids = [fields[0] for fields in records]
@@ -174,12 +189,12 @@ def read_estimates(path) -> EstimateTable:
                              weights=cells[:, -1].copy() if has_weight
                              else None, d_T=d_T)
     except ParseError as exc:
-        # a covariance error names its row by position; name it by the CSV
-        # row number, as a cell error does
+        # a covariance error names its row by position; name it by its line
+        # in the file, as a cell error does
         cause = exc.__cause__
         if cause is None:
             raise
-        rownums = [r for r, fields in enumerate(rows[1:], start=2) if fields]
+        rownums = [line for line, fields in rows[1:] if fields]
         raise ParseError(f"row {rownums[cause.index]} (id={ids[cause.index]})"
                          f": {cause}") from cause
 
@@ -245,7 +260,7 @@ def read_panel_csv(path):
     the panel must be balanced; returns (ids, PanelDataset).
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = _numbered_rows(fh)
     header, idx = _header(rows, "panel file")
     for required in ("id", "t", "y"):
         if required not in idx:
@@ -282,7 +297,7 @@ def read_truth(path, ids):
     """Read a truth CSV (columns id,label; integer labels in 1..len(ids),
     one row per id) and return the labels of `ids` in that order."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = _numbered_rows(fh)
     _, idx = _header(rows, "truth file")
     if "id" not in idx or "label" not in idx:
         raise ParseError("truth file needs columns id,label")

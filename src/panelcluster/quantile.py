@@ -14,6 +14,7 @@ fails the certificate is reported, a pooled level raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,16 +119,63 @@ def hall_sheather_bandwidth(T: int, tau: float) -> float:
     if not 0.01 < tau < 0.99:
         raise ValueError(f"tau={tau:g} must lie in (0.01, 0.99): the "
                          "Hall-Sheather bandwidth keeps tau +/- d_T inside it")
-    from scipy.special import ndtri  # loaded by the first call, not on import
-
-    z = ndtri(1.0 - HALL_SHEATHER_ALPHA / 2.0)
-    q = ndtri(tau)
+    z = _ndtri(1.0 - HALL_SHEATHER_ALPHA / 2.0)
+    q = _ndtri(tau)
     # the normal density on a one-element array, as scipy.stats evaluates it
     # (numpy's array exp can differ from the scalar one in the last bit)
     density = (np.exp(-np.array([q]) ** 2 / 2.0) / np.sqrt(2.0 * np.pi))[0]
     d = T ** (-1.0 / 3.0) * z ** (2.0 / 3.0) * (
         1.5 * density ** 2 / (2.0 * q ** 2 + 1.0)) ** (1.0 / 3.0)
     return float(min(d, tau - 0.01, 0.99 - tau))
+
+
+# Cephes ndtri (Moshier), as scipy.special.ndtri evaluates it: the
+# rational approximations in |p - 1/2| <= 1/2 - e^-2 (P0/Q0) and, in the
+# tails down to p = e^-32, in 1/x with x = sqrt(-2 log p) (P1/Q1); each Q
+# leads with the monic 1.0 that Cephes' p1evl implies
+_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+
+def _polevl(x, coef):
+    """Horner evaluation of the polynomial with coefficients `coef`, the
+    highest power first, in Cephes' order of operations."""
+    value = coef[0]
+    for c in coef[1:]:
+        value = value * x + c
+    return value
+
+
+def _ndtri(p):
+    """The standard normal quantile of p, bit for bit scipy.special.ndtri,
+    for e^-32 < p < 1 - e^-32 (about 1.3e-14 from either end); the
+    bandwidth calls it only at tau in (0.01, 0.99) and at 1 - alpha / 2."""
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * 2.50662827463100050242  # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    x = x - math.log(x) / x - z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    return x if upper else -x
 
 
 def fit_quantile(X, y, tau):

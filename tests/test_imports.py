@@ -1,6 +1,6 @@
-"""Each scipy subpackage is loaded only on the path that uses it: none on
-import, on a logistic batch or on a cluster below KRYLOV_MIN_N;
-scipy.special on a quantile batch; scipy.sparse.linalg on a Krylov solve.
+"""scipy is loaded only on the path that uses it, scipy.sparse.linalg on a
+Krylov solve: none on import, on a logistic batch, on a cluster below
+KRYLOV_MIN_N, on a quantile batch or on a quantile `estimate`.
 
 Each check runs in a fresh interpreter: inside the test session scipy is
 already loaded by other test modules.
@@ -60,13 +60,26 @@ assert cli.main(["cluster", "est.csv", "--select-g", "--t-periods", "100",
     assert scipy_modules_after(code, tmp_path) == set()
 
 
-def test_quantile_batch_loads_only_scipy_special(tmp_path):
+def test_quantile_batches_and_estimates_load_no_scipy(tmp_path):
     code = """
-from panelcluster import simulation
-simulation.run_batch(simulation.SimulationConfig(model="model1", n=30, T=40,
-                                                 reps=1))
+import csv
+from panelcluster import cli, simulation
+for model in ("model1", "model3"):
+    simulation.run_batch(simulation.SimulationConfig(model=model, n=30, T=40,
+                                                     reps=1))
+panel, _ = simulation.gen_model1(6, 30, "normal", 0)
+with open("panel.csv", "w", newline="") as fh:
+    w = csv.writer(fh)
+    w.writerow(["id", "t", "y", "x_1", "x_2"])
+    for i in range(6):
+        for t in range(30):
+            w.writerow([f"u{i}", t, panel.responses[i, t],
+                        *panel.covariates[i, t]])
+for model in ("qr-slopes", "qr-pooled"):
+    assert cli.main(["estimate", "panel.csv", "--model", model,
+                     "--out", f"est_{model}.csv"]) == 0
 """
-    assert subpackages(scipy_modules_after(code, tmp_path)) == {"special"}
+    assert scipy_modules_after(code, tmp_path) == set()
 
 
 def test_krylov_solve_loads_scipy_sparse_linalg(tmp_path):

@@ -161,8 +161,9 @@ def test_cluster_names_the_row_of_a_duplicate_id(tmp_path, capsys):
     code = main(["cluster", str(path), "--groups", "2",
                  "--out", str(tmp_path / "r.json")])
     assert code == 1
+    # the second unit0000 is on line 5, after the metadata line and header
     assert capsys.readouterr().err == (
-        "error: row 4 (id=unit0000): duplicate id\n")
+        "error: row 5 (id=unit0000): duplicate id\n")
 
 
 def test_read_panel_roundtrip(tmp_path):
@@ -324,16 +325,37 @@ def test_estimate_table_names_non_finite_covariance_row():
     ids=["covariance", "cell"])
 def test_a_csv_line_has_one_row_number(tmp_path, capsys, blank, beta_2,
                                        c_22, message):
-    # a covariance error names the CSV row number a cell error names: the
-    # header is row 1, and a blank line is a row
+    # a covariance error names the line of the file a cell error names:
+    # the metadata line is line 1, and a blank line counts
     path = tmp_path / "est.csv"
     path.write_text("# scale=already_scaled\nid,beta_1,beta_2,c_11,c_12,"
                     "c_22\na,0,0,1,0,1\n" + "\n" * blank
                     + f"b,1,{beta_2},1,0,{c_22}\n")
     assert main(["cluster", str(path), "--groups", "2",
                  "--out", str(tmp_path / "r.json")]) == 1
-    row = 4 if blank else 3
+    row = 5 if blank else 4
     assert capsys.readouterr().err == f"error: row {row} (id=b){message}\n"
+
+
+@pytest.mark.parametrize("meta", [0, 1, 3])
+@pytest.mark.parametrize("row,message", [
+    ("a,2,1", " (id=a): duplicate id"),
+    ("c,x,1", " (id=c), column 'beta_1': not a number"),
+    ("c,2", ": expected 3 fields, got 2"),
+    ("c,2,-1", " (id=c): matrix has negative eigenvalue -1.000e+00"),
+])
+def test_an_estimate_table_error_names_its_line_in_the_file(tmp_path, meta,
+                                                            row, message):
+    # the metadata lines come first, then the header, then the data rows;
+    # b's quoted id spans two lines, so the bad row starts on line meta + 5
+    metadata = ["# format_version=1", "# scale=already_scaled",
+                "# d_T=0.1"][:meta]
+    path = tmp_path / "est.csv"
+    path.write_text("\n".join([*metadata, "id,beta_1,c_11", "a,0,1",
+                               '"b', 'b",1,1', row]) + "\n")
+    with pytest.raises(ParseError) as info:
+        read_estimates(path)
+    assert str(info.value) == f"row {meta + 5}{message}"
 
 
 def test_an_overflowing_weighted_variance_names_its_row(tmp_path, capsys,
@@ -349,7 +371,7 @@ def test_an_overflowing_weighted_variance_names_its_row(tmp_path, capsys,
                     "a,0.0,1e300,1\nb,1.0,1e300,1e-20\nc,2.0,1,1\n")
     assert main(["cluster", str(path), "--groups", "2",
                  "--out", str(tmp_path / "r.json")]) == 1
-    assert capsys.readouterr().err == ("error: row 3 (id=b): covariance / "
+    assert capsys.readouterr().err == ("error: row 4 (id=b): covariance / "
                                        "weight overflows\n")
 
 

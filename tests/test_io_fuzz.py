@@ -117,16 +117,16 @@ VARIANCE = {"c_11": ["1", "2.5"], "c_12": ["0", "0.5", "-0.25"],
             "weight": ["1", "50", "2.5"]}
 
 
-def row_by_row(rows, columns):
+def row_by_row(rows, columns, header_line):
     """ids, betas, sigmas and weights of an estimate table's CSV rows (the
-    header first), each cell read by float() and checked in turn, or the
-    ParseError of the first bad row, numbered as its CSV row (the header is
-    row 1): the reference the one-call parse of read_estimates must
-    match."""
+    header first, on line `header_line` of the file, each row on one
+    line), each cell read by float() and checked in turn, or the ParseError
+    of the first bad row, numbered by its line in the file: the reference
+    the one-call parse of read_estimates must match."""
     idx = {name: k for k, name in enumerate(rows[0])}
     p = sum(col.startswith("beta_") for col in columns)
     ids, betas, sigmas, weights, rownums = [], [], [], [], []
-    for rownum, fields in enumerate(rows[1:], start=2):
+    for rownum, fields in enumerate(rows[1:], start=header_line + 1):
         if not fields:
             continue
         rownums.append(rownum)
@@ -204,7 +204,7 @@ def test_one_call_parse_reads_cells_as_float_does(tmp_path, data, se,
         fh.write("# scale=per_observation\n")
         csv.writer(fh).writerows(rows)
     try:
-        expected = row_by_row(rows, columns)
+        expected = row_by_row(rows, columns, header_line=2)
     except ParseError as exc:
         with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
             read_estimates(path)

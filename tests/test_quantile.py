@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelcluster import quantile, types
 from panelcluster.quantile import (
@@ -169,6 +171,39 @@ def test_hall_sheather_equals_the_scipy_stats_formula():
             d = T ** (-1.0 / 3.0) * z ** (2.0 / 3.0) * shape ** (1.0 / 3.0)
             assert hall_sheather_bandwidth(T, tau) == min(d, tau - 0.01,
                                                           0.99 - tau)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_ndtri_is_scipy_ndtri_on_the_bandwidth_grid():
+    from scipy.special import ndtri
+
+    for p in [*np.arange(0.0105, 0.99, 5e-4).tolist(), 0.975]:
+        assert same_bits(quantile._ndtri(p), ndtri(p)), p
+
+
+@pytest.mark.parametrize("switch", [quantile._EXP_M2,
+                                    1.0 - quantile._EXP_M2])
+def test_ndtri_is_scipy_ndtri_beside_each_branch_switch(switch):
+    from scipy.special import ndtri
+
+    below = above = switch
+    points = [switch]
+    for _ in range(4):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+        points += [below, above]
+    for p in points:
+        assert same_bits(quantile._ndtri(float(p)), ndtri(p)), p
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.01, 0.99, exclude_min=True, exclude_max=True))
+def test_ndtri_is_scipy_ndtri_at_any_level(p):
+    from scipy.special import ndtri
+
+    assert same_bits(quantile._ndtri(p), ndtri(p))
 
 
 def test_hk_location_model_matches_asymptotic_variance():
