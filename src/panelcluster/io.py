@@ -28,17 +28,20 @@ _RULES = {"": lambda v: True, "> 0": lambda v: v > 0,
 _COLUMN_RULES = {"se": ">= 0", "weight": "> 0"}
 
 
-def _cell(fields, idx, col, row, ident, rule=""):
-    """Column `col` of a CSV row as a finite float that also meets `rule`
-    ("> 0" or ">= 0"); a bad cell is a ParseError naming its row, id and
-    column."""
+def _cell(fields, idx, col, row, ident):
+    """Column `col` of a CSV row as a finite float that also meets its
+    column's rule, an `se` squared; a bad cell, or an `se` whose square
+    overflows, is a ParseError naming its row, id and column."""
+    rule = _COLUMN_RULES.get(col, "")
     try:
         value = float(fields[idx[col]])
         if math.isfinite(value) and _RULES[rule](value):
-            return value
+            return value ** 2 if col == "se" else value
         problem = "must be finite" + (f" and {rule}" if rule else "")
     except ValueError:
         problem = "not a number"
+    except OverflowError:
+        problem = "its square overflows"
     raise ParseError(f"row {row} (id={ident}), column {col!r}: {problem}")
 
 
@@ -159,13 +162,9 @@ def read_estimates(path) -> EstimateTable:
     has_weight = "weight" in header
     columns = [*beta_cols, *cov_cols] + ["weight"] * has_weight
 
-    records = [fields for _, fields in rows[1:] if fields]
-    if not records:
+    lines, ids, cells = _parse_rows(rows, idx, columns)
+    if not ids:
         raise ParseError("estimate table has no data rows")
-    ids = [fields[0] for fields in records]
-    cells = _table_cells(records, ids, idx, columns)
-    if cells is None:
-        _raise_first_fault(rows, idx, columns)
     if use_se:
         sigmas = cells[:, p:p + 1, None]
     else:
@@ -194,70 +193,66 @@ def read_estimates(path) -> EstimateTable:
         cause = exc.__cause__
         if cause is None:
             raise
-        rownums = [line for line, fields in rows[1:] if fields]
-        raise ParseError(f"row {rownums[cause.index]} (id={ids[cause.index]})"
+        raise ParseError(f"row {lines[cause.index]} (id={ids[cause.index]})"
                          f": {cause}") from cause
 
 
-def _table_cells(records, ids, idx, columns):
-    """The (n, len(columns)) float cells of the named columns of an
-    estimate table's non-blank data rows (ids, their first fields), parsed
-    in one call, with the `se` column squared; or None if some row has a
-    fault for _raise_first_fault to name.
+def _parse_rows(rows, idx, columns, key=None):
+    """The line numbers, ids and (m, len(columns)) float cells of the m
+    non-blank data rows of a CSV file's numbered rows (idx, the header's
+    column index), with an `se` column squared. Every cell must be a finite
+    number meeting its column's rule, and no id may repeat, or, given a key
+    column, no (id, key) pair; the first fault is a ParseError.
 
-    numpy parses a str cell as float() does. The square is Python's
-    se ** 2 (C pow), not numpy's, which multiplies and can round the last
-    bit differently.
+    numpy parses a str cell as float() does, so the cells are parsed in one
+    call and checked as whole columns; only on a fault are the rows walked,
+    checking in turn each row's length, its key cell, the repeated key and
+    its other cells in column order. The square is Python's se ** 2 (C
+    pow), not numpy's, which multiplies and can round the last bit
+    differently.
     """
-    if (len(set(ids)) != len(ids)
-            or any(len(fields) != len(idx) for fields in records)):
-        return None
+    records = [fields for _, fields in rows[1:] if fields]
+    lines = [line for line, fields in rows[1:] if fields]
     try:
+        if any(len(fields) != len(idx) for fields in records):
+            raise ValueError("a row of the wrong length")
+        ids = [fields[idx["id"]] for fields in records]
         cells = np.array(list(map(itemgetter(*map(idx.get, columns)),
-                                  records)), dtype=float)
-    except ValueError:
-        return None
-    if not np.isfinite(cells).all():
-        return None
-    for k, col in enumerate(columns):
-        if not np.all(_RULES[_COLUMN_RULES.get(col, "")](cells[:, k])):
-            return None
-    if "se" in columns:
-        k = columns.index("se")
-        try:
-            cells[:, k] = [se ** 2 for se in cells[:, k].tolist()]
-        except OverflowError:
-            return None
-    return cells
-
-
-def _raise_first_fault(rows, idx, columns):
-    """Walk an estimate table's data rows in order and raise the ParseError
-    of the first fault: a row of the wrong length, a repeated id, a cell
-    that is not a finite number meeting its column's rule, or an `se`
-    whose square overflows."""
+                                  records)),
+                         dtype=float).reshape(len(records), len(columns))
+        keys = ids if key is None else list(
+            zip(ids, cells[:, columns.index(key)].tolist()))
+        if (np.isfinite(cells).all() and len(set(keys)) == len(keys)
+                and all(np.all(_RULES[_COLUMN_RULES.get(col, "")](cells[:, k]))
+                        for k, col in enumerate(columns))):
+            if "se" in columns:
+                k = columns.index("se")
+                cells[:, k] = [se ** 2 for se in cells[:, k].tolist()]
+            return lines, ids, cells
+    except (ValueError, OverflowError):
+        pass
     seen = set()
-    for rownum, fields, ident in _data_rows(rows, idx):
-        if ident in seen:
-            raise ParseError(f"row {rownum} (id={ident}): duplicate id")
-        seen.add(ident)
+    for line, fields, ident in _data_rows(rows, idx):
+        if key is None:
+            keyed, fault = ident, ": duplicate id"
+        else:
+            keyed = ident, _cell(fields, idx, key, line, ident)
+            fault = f", column {key!r}: duplicate period {fields[idx[key]]}"
+        if keyed in seen:
+            raise ParseError(f"row {line} (id={ident}){fault}")
+        seen.add(keyed)
         for col in columns:
-            value = _cell(fields, idx, col, rownum, ident,
-                          _COLUMN_RULES.get(col, ""))
-            if col == "se":
-                try:
-                    value ** 2
-                except OverflowError:
-                    raise ParseError(f"row {rownum} (id={ident}), column "
-                                     f"'se': its square overflows") from None
-    raise AssertionError("no fault in an estimate table whose cells failed")
+            if col != key:
+                _cell(fields, idx, col, line, ident)
+    raise AssertionError("no fault in data rows whose cells failed")
 
 
 def read_panel_csv(path):
     """Read a long-format panel (id, t, y, x_1..x_p) into a PanelDataset.
 
     Every t, y and x_k cell must be finite, each (id, t) must occur once and
-    the panel must be balanced; returns (ids, PanelDataset).
+    the panel must be balanced; returns (ids, PanelDataset), the ids in
+    order of first appearance and each id's rows ordered by t.
     """
     with open(path, newline="") as fh:
         rows = _numbered_rows(fh)
@@ -265,32 +260,32 @@ def read_panel_csv(path):
     for required in ("id", "t", "y"):
         if required not in idx:
             raise ParseError(f"panel header must contain column {required!r}")
-    x_cols = [h for h in header if h.startswith("x_")]
-    for col in x_cols:
+    by_number = {}
+    for col in (h for h in header if h.startswith("x_")):
         if not col[2:].isdecimal():
             raise ParseError(f"panel column {col!r} is not x_<integer>")
-    x_cols.sort(key=lambda h: int(h[2:]))
+        other = by_number.setdefault(int(col[2:]), col)
+        if other != col:
+            raise ParseError(f"panel columns {other!r} and {col!r} both "
+                             f"name covariate {int(col[2:])}")
+    x_cols = [by_number[k] for k in sorted(by_number)]
 
-    per_id: dict = {}  # id -> {t: (y, [x_1..x_p])}, ids in order of appearance
-    for rownum, fields, ident in _data_rows(rows, idx):
-        t, y, *xs = (_cell(fields, idx, col, rownum, ident)
-                     for col in ("t", "y", *x_cols))
-        periods = per_id.setdefault(ident, {})
-        if t in periods:
-            raise ParseError(f"row {rownum} (id={ident}), column 't': "
-                             f"duplicate period {fields[idx['t']]}")
-        periods[t] = (y, xs)
-
-    if not per_id:
+    _, ids, cells = _parse_rows(rows, idx, ["t", "y", *x_cols], key="t")
+    if not ids:
         raise ParseError("panel has no data rows")
-    lengths = {len(v) for v in per_id.values()}
-    if len(lengths) != 1:
-        raise ParseError("panel is unbalanced: per-id observation counts differ")
-    obs = [periods[t] for periods in per_id.values() for t in sorted(periods)]
-    shape = (len(per_id), lengths.pop())
-    return list(per_id), PanelDataset(
-        np.reshape([xs for _, xs in obs], (*shape, len(x_cols))),
-        np.reshape([y for y, _ in obs], shape))
+    first = {}  # id -> its position in order of first appearance
+    order = [first.setdefault(ident, len(first)) for ident in ids]
+    counts = np.bincount(order)
+    uneven = np.flatnonzero(counts != counts[0])
+    if uneven.size:
+        odd = list(first)[uneven[0]]
+        raise ParseError(f"panel is unbalanced: per-id observation counts "
+                         f"differ (id={odd} has {counts[uneven[0]]} rows, "
+                         f"id={ids[0]} has {counts[0]})")
+    cells = cells[np.lexsort((cells[:, 0], order))].reshape(
+        len(first), counts[0], -1)
+    return list(first), PanelDataset(cells[..., 2:].copy(),
+                                     cells[..., 1].copy())
 
 
 def read_truth(path, ids):

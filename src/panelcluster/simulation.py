@@ -279,8 +279,12 @@ def estimate_panel(panel: PanelDataset, model: str, tau: float = 0.5,
         raise DimensionMismatch("one id per individual required")
     if model not in PANEL_MODELS:
         raise ValueError(f"unknown model {model!r}")
-    if model == "logistic" and not np.isin(panel.responses, (0.0, 1.0)).all():
-        raise ValueError("logistic model requires a binary panel")
+    if model == "logistic":
+        binary = np.isin(panel.responses, (0.0, 1.0)).all(axis=1)
+        if not binary.all():
+            raise ValueError("logistic model requires a binary panel: "
+                             f"individual {ids[binary.argmin()]} has an "
+                             "outcome other than 0 or 1")
     if model != "qr-pooled" and panel.p == 0:
         raise ValueError(f"model {model!r} fits slopes: it needs x_k columns")
     d_T = None if model == "logistic" else hall_sheather_bandwidth(panel.T, tau)

@@ -204,12 +204,42 @@ def test_read_panel_rejects_unbalanced(tmp_path):
         read_panel_csv(path)
 
 
+def test_unbalanced_panel_names_the_first_uneven_id(tmp_path):
+    path = tmp_path / "unbalanced.csv"
+    path.write_text("id,t,y,x_1\na,0,1,0\nb,0,1,0\na,1,0,0\nc,1,0,0\n"
+                    "b,1,0,0\n")
+    with pytest.raises(ParseError, match=re.escape(
+            "panel is unbalanced: per-id observation counts differ "
+            "(id=c has 1 rows, id=a has 2)")):
+        read_panel_csv(path)
+
+
+def test_panel_periods_in_any_order_read_the_same(tmp_path):
+    panel, _ = gen_model1(3, 5, "normal", seed=1)
+    ordered = tmp_path / "ordered.csv"
+    ids = write_panel(ordered, panel)
+    lines = ordered.read_text().splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.csv"
+    # periods reversed, individuals interleaved
+    shuffled.write_text(lines[0] + "".join(
+        lines[1 + i * 5 + t] for t in reversed(range(5)) for i in range(3)))
+    want_ids, want = read_panel_csv(ordered)
+    got_ids, got = read_panel_csv(shuffled)
+    assert got_ids == want_ids == ids
+    assert got.covariates.tobytes() == want.covariates.tobytes()
+    assert got.responses.tobytes() == want.responses.tobytes()
+    assert got.covariates.flags.c_contiguous
+    assert got.responses.flags.c_contiguous
+
+
 @pytest.mark.parametrize("row,message", [
     ("b,1,nan,0.5", "row 4 (id=b), column 'y': must be finite"),
     ("b,1,inf,0.5", "row 4 (id=b), column 'y': must be finite"),
     ("b,1,1.0,-inf", "row 4 (id=b), column 'x_1': must be finite"),
     ("b,1,1.0,oops", "row 4 (id=b), column 'x_1': not a number"),
     ("b,0,1.0,0.5", "row 4 (id=b), column 't': duplicate period 0"),
+    # a row's (id, t) is checked before its other cells
+    ("b,0,oops,0.5", "row 4 (id=b), column 't': duplicate period 0"),
     ("b,1,1.0", "row 4: expected 4 fields, got 3"),
 ])
 def test_estimate_names_bad_panel_cell(tmp_path, capsys, row, message):
@@ -285,6 +315,26 @@ def test_panel_rejects_x_column_without_integer(tmp_path, capsys, column):
     err = capsys.readouterr().err
     assert f"panel column {column!r} is not x_<integer>" in err
     assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("columns,first,second", [
+    ("x_1,x_01", "x_1", "x_01"),
+    ("x_02,x_1,x_2", "x_02", "x_2"),
+])
+def test_panel_rejects_two_x_columns_with_one_number(tmp_path, capsys,
+                                                     columns, first, second):
+    path = tmp_path / "panel.csv"
+    xs = ",0" * len(columns.split(","))
+    path.write_text(f"id,t,y,{columns}\n" + "".join(
+        f"{i},{t},{t}{xs}\n" for i in "ab" for t in range(3)))
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(path), "--model", "qr-slopes",
+                 "--out", str(out)]) == 1
+    number = int(first[2:])
+    assert capsys.readouterr().err == (
+        f"error: panel columns {first!r} and {second!r} both name "
+        f"covariate {number}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model", ["logistic", "qr-slopes"])
@@ -664,6 +714,25 @@ def test_estimate_logistic_requires_binary_responses(tmp_path, capsys):
                  "--out", str(tmp_path / "est.csv")]) == 1
     assert "error: logistic model requires a binary panel" in \
         capsys.readouterr().err
+
+
+def test_binary_panel_error_names_the_first_individual(tmp_path, capsys):
+    from panelcluster.simulation import estimate_panel
+
+    panel, _ = gen_logistic(5, 40, seed=3)
+    panel.responses[3, 7] = 2.0
+    panel.responses[4, 0] = -1.0
+    with pytest.raises(ValueError, match=re.escape(
+            "logistic model requires a binary panel: individual 3 has an "
+            "outcome other than 0 or 1")):
+        estimate_panel(panel, "logistic")
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    assert main(["estimate", str(path), "--model", "logistic",
+                 "--out", str(tmp_path / "est.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: logistic model requires a binary panel: individual u3 has "
+        "an outcome other than 0 or 1\n")
 
 
 @pytest.mark.parametrize("gen,model", [(gen_model1, "qr-slopes"),

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from panelcluster.cli import main
-from panelcluster.io import read_estimates
+from panelcluster.io import read_estimates, read_panel_csv
 from panelcluster.simulation import PANEL_MODELS
 from panelcluster.types import EstimateTable, ParseError
 
@@ -229,3 +229,120 @@ def test_se_is_squared_as_python_squares_it(tmp_path):
         f"u{k},0,{se}\n" for k, se in enumerate(ses)))
     assert read_estimates(path).sigmas.ravel().tolist() == [
         float(se) ** 2 for se in ses]
+
+
+def panel_row_by_row(rows):
+    """ids, covariates and responses of a panel's CSV rows (the header
+    first, on line 1 of the file, each row on one line), each row checked
+    in turn (its length, its t, its (id, t) pair, then its other cells in
+    column order, each read by float()), or the ParseError of the first
+    bad row: the reference the one-call parse of read_panel_csv must
+    match."""
+    idx = {name: k for k, name in enumerate(rows[0])}
+    x_cols = sorted((col for col in idx if col.startswith("x_")),
+                    key=lambda col: int(col[2:]))
+    per_id = {}  # id -> {t: (y, [x_1..x_p])}, ids in order of appearance
+    for rownum, fields in enumerate(rows[1:], start=2):
+        if not fields:
+            continue
+        if len(fields) != len(idx):
+            raise ParseError(f"row {rownum}: expected {len(idx)} fields, "
+                             f"got {len(fields)}")
+        ident = fields[idx["id"]]
+
+        def cell(col):
+            where = f"row {rownum} (id={ident}), column {col!r}"
+            try:
+                value = float(fields[idx[col]])
+            except ValueError:
+                raise ParseError(f"{where}: not a number") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{where}: must be finite")
+            return value
+
+        t = cell("t")
+        periods = per_id.setdefault(ident, {})
+        if t in periods:
+            raise ParseError(f"row {rownum} (id={ident}), column 't': "
+                             f"duplicate period {fields[idx['t']]}")
+        y, *xs = [cell(col) for col in ("y", *x_cols)]
+        periods[t] = (y, xs)
+    if not per_id:
+        raise ParseError("panel has no data rows")
+    (first, T), *others = [(ident, len(v)) for ident, v in per_id.items()]
+    for ident, count in others:
+        if count != T:
+            raise ParseError(f"panel is unbalanced: per-id observation "
+                             f"counts differ (id={ident} has {count} rows, "
+                             f"id={first} has {T})")
+    obs = [periods[t] for periods in per_id.values() for t in sorted(periods)]
+    return (list(per_id),
+            np.reshape([xs for _, xs in obs], (len(per_id), T, len(x_cols))),
+            np.reshape([y for y, _ in obs], (len(per_id), T)))
+
+
+# ids that csv.writer quotes, and one that starts like a comment
+PANEL_IDS = ["a", "b,c", 'say "d"', "#e"]
+PANEL_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), FLOAT_CELL)
+
+
+def reads_finite(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def period_cell(t, clean):
+    """A t cell holding period t as float() reads it, now and then written
+    as -0 (a duplicate of 0); unless clean, now and then a cell that is no
+    finite number."""
+    return st.sampled_from([str(t)] * 4 + [f"{t}.0", f" {t} ", f"{t}e0"]
+                           + ["-0"] * (t == 0) + ["nan", "x"] * (not clean))
+
+
+@settings(FUZZ, max_examples=200)
+@given(data=st.data(), n=st.integers(1, len(PANEL_IDS)), T=st.integers(1, 3),
+       p=st.integers(0, 2), clean=st.booleans())
+def test_one_call_panel_parse_reads_cells_as_float_does(tmp_path, data, n,
+                                                        T, p, clean):
+    header = data.draw(st.permutations(
+        ["id", "t", "y", *(f"x_{k + 1}" for k in range(p))]))
+    cell = PANEL_CELL.filter(reads_finite) if clean else PANEL_CELL
+    records = []
+    for ident in PANEL_IDS[:n]:
+        # each period once, or one left out (unbalanced) or given twice
+        shape = data.draw(st.sampled_from(["all"] * 3 + ["drop"] * 2
+                                          + ["twice"]))
+        periods = list(range(T))
+        periods = (periods[1:] if shape == "drop" else
+                   periods + [data.draw(st.sampled_from(periods))]
+                   if shape == "twice" else periods)
+        for t in periods:
+            record = {"id": ident, "t": data.draw(period_cell(t, clean))}
+            record.update({col: data.draw(cell)
+                           for col in header if col not in record})
+            records.append([record[col] for col in header])
+    # periods shuffled and individuals interleaved; blank or short rows
+    rows = data.draw(st.permutations(records))
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(0, len(rows)))
+        rows.insert(k, data.draw(st.sampled_from(
+            [[]] * 3 + ([rows[k][:-1]] if k < len(rows) else []))))
+    rows = [header, *rows]
+    path = Path(tempfile.mkdtemp(dir=tmp_path)) / "panel.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    try:
+        want_ids, *want = panel_row_by_row(rows)
+    except ParseError as exc:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+            read_panel_csv(path)
+        return
+    ids, panel = read_panel_csv(path)
+    assert ids == want_ids
+    for got, expected in zip((panel.covariates, panel.responses), want):
+        # bit for bit, so -0.0 and 0.0 differ
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
