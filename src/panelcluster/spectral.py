@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -12,15 +13,31 @@ from .types import (DimensionMismatch, EigenFailure, GroupCountSelection,
 
 EIGENGAP_DENOM_GUARD = 1e-12
 
-# Size from which the Laplacian spectrum is partial, by ARPACK's Lanczos
-# (eigsh); below it LAPACK solves the whole spectrum. On the Laplacians of
-# CLI-shaped tables with 4 groups and with 1 (T = 120, two BLAS threads),
-# eigsh for 4 vectors and for 11 values took 1.2 and 1.5 ms at n = 40
-# against 0.2-0.3 and 0.13 ms for eigh and eigvalsh; at n = 160 eigvalsh
-# still won on one group (1.7 against 2.4 ms); n = 200 is the first size
-# where eigsh won or tied both (1.6 against 5.3 ms, 1.6-2.6 against
-# 2.1-2.6 ms).
-KRYLOV_MIN_N = 200
+# Size from which the Laplacian spectrum is partial, by block Lanczos
+# (_block_lanczos); below it LAPACK solves the whole spectrum. On the
+# Laplacians of CLI-shaped tables with 4 groups and with 1 (T = 120, one
+# and two BLAS threads, min of 15), block Lanczos won the 4 vectors from
+# n = 160 on, but at n = 220 eigvalsh still won the 11 values on 4 groups
+# (1.8-1.9 against 2.1 ms); n = 240 is the first size where it won all
+# four solves (vectors 1.2-1.4 against 3.2-4.6 ms, values 1.8-2.1 against
+# 2.0-2.3 ms).
+KRYLOV_MIN_N = 240
+
+# Block Lanczos: blocks of min(k, KRYLOV_BLOCK) vectors. A block of b finds
+# an eigenvalue repeated up to b times from its start, and one repeated
+# more often only through rounding: on four disconnected groups (n = 1000,
+# 4 vectors) b = 4 took 9 blocks and b = 2 took 32. On CLI-shaped tables
+# b = 3 and 4 were the fastest at n = 5000 and 10,000 (11 values at
+# 10,000: 1.08 s at b = 4, 1.26 s at b = 2, ARPACK 1.62 s); at n = 300
+# b = 2, 3 and 4 were within the noise of each other.
+KRYLOV_BLOCK = 4
+# Blocks after which a solve that has not converged fails: CLI-shaped
+# tables take 13 (4 vectors) and 19 (11 values), the four disconnected
+# groups up to 79 (11 values, n = 1000)
+KRYLOV_MAX_BLOCKS = 100
+# Residual bound ||M y - mu y|| that every returned Ritz pair meets
+# (M = I - L, ||M|| <= 1), so each eigenvalue is within it of M's
+KRYLOV_TOL = 1e-12
 
 # Lloyd iterations after which a restart stops wherever it stands
 LLOYD_MAX_ITER = 300
@@ -374,23 +391,13 @@ def _laplacian(V: np.ndarray, shrink: float = 1.0) -> np.ndarray:
     return L
 
 
-def eigsh(A, k, **kwargs):
-    """scipy.sparse.linalg.eigsh(A, k, **kwargs), with scipy.sparse.linalg
-    loaded by the first call, so a run that never reaches KRYLOV_MIN_N
-    never loads it."""
-    from scipy.sparse.linalg import eigsh
-
-    return eigsh(A, k, **kwargs)
-
-
 def _smallest_eigen(L, k: int, vectors: bool):
     """The k smallest eigenvalues of the normalized Laplacian L, ascending,
     and their (n, k) eigenvectors if `vectors` (else None); L is consumed.
 
-    From KRYLOV_MIN_N on, ARPACK's Lanczos finds the k largest eigenvalues
-    of I - L, formed in place, from the fixed start vector n^(-1/2) 1, so
-    reruns give the same result; below it, or when k >= n, which ARPACK
-    cannot solve, LAPACK solves the whole spectrum.
+    From KRYLOV_MIN_N on, a block Lanczos (_block_lanczos) finds the k
+    largest eigenvalues of I - L, formed in place; below it, or when
+    k >= n, LAPACK solves the whole spectrum.
     """
     n = len(L)
     if n < KRYLOV_MIN_N or k >= n:
@@ -401,20 +408,86 @@ def _smallest_eigen(L, k: int, vectors: bool):
             return eigvals[:k], eigvecs[:, :k]
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(str(exc)) from exc
-    from scipy.sparse.linalg import ArpackError
-
     np.negative(L, out=L)
     L.flat[::n + 1] += 1.0
     try:
-        found = eigsh(L, k, which="LA", tol=0, v0=np.full(n, n ** -0.5),
-                      return_eigenvectors=vectors)
-    except (np.linalg.LinAlgError, ArpackError) as exc:
+        mu, eigvecs = _block_lanczos(L, k, vectors)
+    except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    if not vectors:
-        return np.sort(1.0 - found), None
-    mu, eigvecs = found
-    order = np.argsort(mu)[::-1]
-    return 1.0 - mu[order], eigvecs[:, order]
+    return 1.0 - mu, eigvecs
+
+
+def _block_lanczos(M, k, vectors):
+    """The k largest eigenvalues of the symmetric n x n matrix M, with
+    ||M|| <= 1, descending, and their (n, k) Ritz vectors if `vectors`
+    (else None), by block Lanczos (Golub and Underwood 1977) with full
+    reorthogonalization.
+
+    The basis starts from the first b = min(k, KRYLOV_BLOCK) cosine columns
+    cos(pi c (i + 1/2) / n), so a rerun repeats bit for bit. Each block of
+    products M Q_j is orthogonalized twice against the whole basis, whose
+    coefficients fill the projected matrix T column by column, and the QR
+    of what is left gives the next block Q_{j+1} and the coupling B_j.
+    So M Q = Q T + Q_{j+1} B_j E_j', and a Ritz pair (mu, Q s) of the
+    lower triangle of T has the residual ||B_j s_j||, s_j the rows of s on
+    the last block. The solve returns once the k largest Ritz pairs all
+    have a residual of at most KRYLOV_TOL; a basis of all n columns is
+    exact. The residuals need an eigh of T, so they are checked only where
+    their fall since the last check predicts the tolerance to be near.
+    After KRYLOV_MAX_BLOCKS blocks, or at k > KRYLOV_MAX_BLOCKS * b, it
+    raises EigenFailure. The basis and T hold at most
+    min(n, KRYLOV_MAX_BLOCKS * b) columns.
+    """
+    n = len(M)
+    b = min(k, KRYLOV_BLOCK)
+    width = min(n, KRYLOV_MAX_BLOCKS * b)
+    basis = np.empty((width, n))  # orthonormal rows
+    T = np.zeros((width, width))
+    start = np.cos(np.outer(np.arange(b), np.arange(0.5, n) * (np.pi / n)))
+    basis[:b] = start / np.linalg.norm(start, axis=1)[:, None]
+    lo, hi, blocks, check, previous = 0, b, 1, 1, None
+    while True:
+        Q = basis[:hi]
+        W = basis[lo:hi] @ M  # M is symmetric: the products, as rows
+        H = Q @ W.T
+        W -= H.T @ Q
+        again = Q @ W.T
+        W -= again.T @ Q
+        T[:hi, lo:hi] = H + again
+        if hi < n:
+            following, B = np.linalg.qr(W.T)
+            if np.abs(np.diagonal(B)).min() < 1e-8:
+                # the products were (nearly) in the basis: the directions
+                # QR made of their rounding are orthogonalized again
+                following -= Q.T @ (Q @ following)
+                following -= Q.T @ (Q @ following)
+                following, R = np.linalg.qr(following)
+                B = R @ B
+        if hi >= k and (blocks >= check or hi == width):
+            mu, S = np.linalg.eigh(T[:hi, :hi])
+            S = S[:, :-k - 1:-1]
+            residual = (np.linalg.norm(B @ S[lo:hi], axis=0).max()
+                        if hi < n else 0.0)
+            if residual <= KRYLOV_TOL:
+                return mu[:-k - 1:-1], Q.T @ S if vectors else None
+            # next: 3/4 of the way to the block where the residual, falling
+            # at its rate since the last check, meets the tolerance (the
+            # fall speeds up as the basis grows); while it does not fall,
+            # at twice the blocks
+            ahead = blocks
+            if previous is not None and residual < previous[1]:
+                since, last = previous
+                fall = math.log(last / residual) / (blocks - since)
+                ahead = min(ahead, max(1, int(
+                    0.75 * math.log(residual / KRYLOV_TOL) / fall)))
+            previous, check = (blocks, residual), blocks + ahead
+        if hi == width:
+            raise EigenFailure(f"block Lanczos did not converge in {blocks} "
+                               f"blocks of {b} vectors")
+        grow = min(b, width - hi)
+        basis[hi:hi + grow] = following[:, :grow].T
+        T[hi:hi + grow, lo:hi] = B[:grow]
+        lo, hi, blocks = hi, hi + grow, blocks + 1
 
 
 def spectral_cluster(V, G: int, seed: int = 0,

@@ -1,9 +1,10 @@
-"""scipy is loaded only on the path that uses it, scipy.sparse.linalg on a
-Krylov solve: none on import, on a logistic batch, on a cluster below
-KRYLOV_MIN_N, on a quantile batch or on a quantile `estimate`.
+"""The package loads no scipy module: none on import, on a logistic batch,
+on a cluster below or from KRYLOV_MIN_N (block Lanczos, numpy alone), on a
+quantile batch or on a quantile `estimate`; and every command completes in
+an interpreter where scipy cannot be imported.
 
 Each check runs in a fresh interpreter: inside the test session scipy is
-already loaded by other test modules.
+already loaded by other test modules, which use it as a reference.
 """
 
 import os
@@ -16,25 +17,35 @@ from panelcluster import spectral
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def scipy_modules_after(code, cwd):
-    """The scipy modules a fresh interpreter holds after running `code`
-    (its stdout is discarded)."""
-    probe = ("import contextlib, io, sys\n"
+def scipy_modules_after(code, cwd, setup=""):
+    """The scipy modules a fresh interpreter holds after running `setup`,
+    then `code` (whose stdout is discarded); a failure fails the test."""
+    probe = (setup + "import contextlib, io, sys\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              + "".join(f"    {line}\n" for line in code.splitlines())
              + "print(*sorted(m for m in sys.modules "
                "if m == 'scipy' or m.startswith('scipy.')))\n")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True, cwd=cwd,
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, cwd=cwd,
                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.returncode == 0, out.stderr
     return set(out.stdout.split())
 
 
-def subpackages(modules):
-    """The public scipy subpackages among `modules`."""
-    names = {m.split(".")[1] for m in modules if m.startswith("scipy.")}
-    return {name for name in names
-            if not name.startswith("_") and name != "version"}
+def write_cluster_files(cwd, n):
+    """est.csv, an n-row estimate table around four centres, and its
+    truth.csv."""
+    (cwd / "est.csv").write_text(
+        "# scale=already_scaled\nid,beta_1,se\n" + "".join(
+            f"u{i},{0.1 * (i % 4) + 0.001 * i},0.01\n" for i in range(n)))
+    (cwd / "truth.csv").write_text("id,label\n" + "".join(
+        f"u{i},{i % 4 + 1}\n" for i in range(n)))
+
+
+SELECT_G = """
+assert cli.main(["cluster", "est.csv", "--select-g", "--t-periods", "100",
+                 "--truth", "truth.csv", "--out", "report.json"]) == 0
+"""
 
 
 def test_package_import_loads_no_scipy(tmp_path):
@@ -43,20 +54,13 @@ def test_package_import_loads_no_scipy(tmp_path):
 
 
 def test_logistic_batch_and_small_cluster_load_no_scipy(tmp_path):
-    n = spectral.KRYLOV_MIN_N - 1
-    (tmp_path / "est.csv").write_text(
-        "# scale=already_scaled\nid,beta_1,se\n" + "".join(
-            f"u{i},{0.1 * (i % 4) + 0.001 * i},0.01\n" for i in range(n)))
-    (tmp_path / "truth.csv").write_text("id,label\n" + "".join(
-        f"u{i},{i % 4 + 1}\n" for i in range(n)))
+    write_cluster_files(tmp_path, spectral.KRYLOV_MIN_N - 1)
     code = """
 from panelcluster import cli, simulation
 simulation.run_batch(simulation.SimulationConfig(
     model="logistic", n=30, T=40, reps=1, methods=simulation.METHODS,
     select_groups=True))
-assert cli.main(["cluster", "est.csv", "--select-g", "--t-periods", "100",
-                 "--truth", "truth.csv", "--out", "report.json"]) == 0
-"""
+""" + SELECT_G
     assert scipy_modules_after(code, tmp_path) == set()
 
 
@@ -82,13 +86,42 @@ for model in ("qr-slopes", "qr-pooled"):
     assert scipy_modules_after(code, tmp_path) == set()
 
 
-def test_krylov_solve_loads_scipy_sparse_linalg(tmp_path):
-    code = f"""
-import numpy as np
-from panelcluster import spectral
-x = np.linspace(0.0, 1.0, {spectral.KRYLOV_MIN_N})
-spectral.spectral_cluster(np.abs(x[:, None] - x), 3)
+def test_krylov_cluster_loads_no_scipy(tmp_path):
+    write_cluster_files(tmp_path, spectral.KRYLOV_MIN_N)
+    code = """
+from panelcluster import cli, spectral
+solves = []
+solve = spectral._block_lanczos
+spectral._block_lanczos = lambda *args: solves.append(args[1]) or solve(*args)
+""" + SELECT_G + """
+assert solves[0] == 11 and len(solves) == 2, solves
 """
-    loaded = scipy_modules_after(code, tmp_path)
-    assert "scipy.sparse.linalg" in loaded
-    assert not subpackages(loaded) & {"optimize", "special", "stats"}
+    assert scipy_modules_after(code, tmp_path) == set()
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
+    write_cluster_files(tmp_path, 300)
+    code = """
+import csv, json
+from panelcluster import cli, simulation
+with open("cfg.json", "w") as fh:
+    json.dump({"model": "model1", "n": 9, "T": 40, "reps": 1, "seed": 7,
+               "select_groups": True}, fh)
+assert cli.main(["simulate", "cfg.json", "--out", "sim.json"]) == 0
+panels = {"qr-slopes": simulation.gen_model1(6, 30, "normal", 0),
+          "qr-pooled": simulation.gen_model3(6, 30, "normal", 0),
+          "logistic": simulation.gen_logistic(6, 60, seed=0)}
+for model, (panel, _) in panels.items():
+    n, T, p = panel.covariates.shape
+    with open("panel.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "t", "y", *(f"x_{k + 1}" for k in range(p))])
+        for i in range(n):
+            for t in range(T):
+                w.writerow([f"u{i}", t, panel.responses[i, t],
+                            *panel.covariates[i, t]])
+    assert cli.main(["estimate", "panel.csv", "--model", model,
+                     "--out", f"est_{model}.csv"]) == 0
+""" + SELECT_G
+    blocked = 'import sys\nsys.modules["scipy"] = None\n'
+    assert scipy_modules_after(code, tmp_path, setup=blocked) == {"scipy"}

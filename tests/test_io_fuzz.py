@@ -302,7 +302,9 @@ def period_cell(t, clean):
                            + ["-0"] * (t == 0) + ["nan", "x"] * (not clean))
 
 
-@settings(FUZZ, max_examples=200)
+# one failure reported, not every distinct one: on a broken io.py eight
+# distinct failures took 175-185 s to shrink, one 28-33 s
+@settings(FUZZ, max_examples=200, report_multiple_bugs=False)
 @given(data=st.data(), n=st.integers(1, len(PANEL_IDS)), T=st.integers(1, 3),
        p=st.integers(0, 2), clean=st.booleans())
 def test_one_call_panel_parse_reads_cells_as_float_does(tmp_path, data, n,
@@ -310,6 +312,7 @@ def test_one_call_panel_parse_reads_cells_as_float_does(tmp_path, data, n,
     header = data.draw(st.permutations(
         ["id", "t", "y", *(f"x_{k + 1}" for k in range(p))]))
     cell = PANEL_CELL.filter(reads_finite) if clean else PANEL_CELL
+    others = [col for col in header if col not in ("id", "t")]
     records = []
     for ident in PANEL_IDS[:n]:
         # each period once, or one left out (unbalanced) or given twice
@@ -320,9 +323,10 @@ def test_one_call_panel_parse_reads_cells_as_float_does(tmp_path, data, n,
                    periods + [data.draw(st.sampled_from(periods))]
                    if shape == "twice" else periods)
         for t in periods:
-            record = {"id": ident, "t": data.draw(period_cell(t, clean))}
-            record.update({col: data.draw(cell)
-                           for col in header if col not in record})
+            # the record's cells in one draw
+            t_cell, *cells = data.draw(st.tuples(
+                period_cell(t, clean), *[cell] * len(others)))
+            record = {"id": ident, "t": t_cell, **dict(zip(others, cells))}
             records.append([record[col] for col in header])
     # periods shuffled and individuals interleaved; blank or short rows
     rows = data.draw(st.permutations(records))

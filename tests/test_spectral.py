@@ -906,42 +906,42 @@ def clustered_dissimilarity(n, seed):
     return build_dissimilarity(betas, variances), truth
 
 
-def forbid_arpack(monkeypatch):
+def forbid_lanczos(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("eigsh called")
-    monkeypatch.setattr(spectral, "eigsh", fail)
+        raise AssertionError("block Lanczos called")
+    monkeypatch.setattr(spectral, "_block_lanczos", fail)
 
 
 def both_paths(monkeypatch, n, solve):
-    """solve() by ARPACK, then by LAPACK with eigsh forbidden."""
-    assert n >= spectral.KRYLOV_MIN_N
-    arpack = solve()
+    """solve() by block Lanczos, then by LAPACK with Lanczos forbidden."""
+    monkeypatch.setattr(spectral, "KRYLOV_MIN_N", n)
+    lanczos = solve()
     monkeypatch.setattr(spectral, "KRYLOV_MIN_N", n + 1)
-    forbid_arpack(monkeypatch)
-    return arpack, solve()
+    forbid_lanczos(monkeypatch)
+    return lanczos, solve()
 
 
 @pytest.mark.parametrize("n,seed", [(200, 1), (500, 2), (1000, 3)])
-def test_arpack_and_lapack_agree_on_clustered_tables(monkeypatch, n, seed):
+def test_lanczos_and_lapack_agree_on_clustered_tables(monkeypatch, n, seed):
     V, truth = clustered_dissimilarity(n, seed)
 
     def solve():
         return (select_num_groups(V, T=120),
                 [spectral_cluster(V, G, seed=seed) for G in (2, 3, 4)])
 
-    (arpack, arpack_labels), (lapack, lapack_labels) = both_paths(
+    (lanczos, lanczos_labels), (lapack, lapack_labels) = both_paths(
         monkeypatch, n, solve)
-    assert arpack.G_hat == lapack.G_hat == 4
-    assert len(arpack.lambda_tilde) == len(lapack.lambda_tilde) == 11
-    assert len(arpack.ratios) == len(lapack.ratios) == 10
-    assert np.abs(arpack.lambda_tilde - lapack.lambda_tilde).max() < 1e-12
-    for a, b in zip(arpack_labels, lapack_labels):
+    assert lanczos.G_hat == lapack.G_hat == 4
+    assert len(lanczos.lambda_tilde) == len(lapack.lambda_tilde) == 11
+    assert len(lanczos.ratios) == len(lapack.ratios) == 10
+    assert np.abs(lanczos.lambda_tilde - lapack.lambda_tilde).max() < 1e-12
+    for a, b in zip(lanczos_labels, lapack_labels):
         assert np.array_equal(a, b)
-    assert average_match(truth, arpack_labels[2]).average > 0.9
+    assert average_match(truth, lanczos_labels[2]).average > 0.9
 
 
-def test_arpack_reruns_are_bit_identical():
-    # a fixed start vector: the cluster report of a rerun is byte-identical
+def test_lanczos_reruns_are_bit_identical():
+    # fixed start columns: the cluster report of a rerun is byte-identical
     V, _ = clustered_dissimilarity(spectral.KRYLOV_MIN_N, seed=8)
     first, second = (spectral._smallest_eigen(spectral._laplacian(V), 4, True)
                      for _ in range(2))
@@ -951,16 +951,83 @@ def test_arpack_reruns_are_bit_identical():
                           select_num_groups(V, T=120).lambda_tilde)
 
 
-def test_below_krylov_min_n_never_calls_arpack(monkeypatch):
-    forbid_arpack(monkeypatch)
+def identity_minus_laplacian(V, shrink=1.0):
+    M = spectral._laplacian(V, shrink)
+    np.negative(M, out=M)
+    M.flat[::len(M) + 1] += 1.0
+    return M
+
+
+def disconnected_dissimilarity():
+    """V of four groups (60, 50, 50 and 40 rows) whose affinity exp(-V)
+    underflows to exactly 0 between groups, and the 1-based groups."""
+    rng = np.random.default_rng(6)
+    V, truth = block_dissimilarity([60, 50, 50, 40], across=800.0)
+    within = np.abs(rng.normal(size=V.shape))
+    within = np.triu(within, 1) + np.triu(within, 1).T
+    V = np.where(V == 0.0, within, V)
+    np.fill_diagonal(V, 0.0)
+    return V, truth
+
+
+@pytest.mark.parametrize("case", ["clustered", "disconnected"])
+@pytest.mark.parametrize("k,shrink", [(1, 1.0), (4, 1.0), (11, 0.4)])
+def test_lanczos_ritz_pairs_meet_the_residual_tolerance(case, k, shrink):
+    if case == "clustered":
+        V, _ = clustered_dissimilarity(300, seed=9)
+    else:
+        V, _ = disconnected_dissimilarity()
+    M = identity_minus_laplacian(V, shrink)
+    mu, Z = spectral._block_lanczos(M, k, vectors=True)
+    assert np.all(np.diff(mu) <= 0)
+    assert np.abs(Z.T @ Z - np.eye(k)).max() < 1e-12
+    residuals = np.linalg.norm(M @ Z - Z * mu, axis=0)
+    assert residuals.max() <= spectral.KRYLOV_TOL
+    assert np.abs(mu - np.linalg.eigvalsh(M)[::-1][:k]).max() < 1e-12
+    values, none = spectral._block_lanczos(M, k, vectors=False)
+    assert none is None and np.array_equal(values, mu)
+
+
+def test_lanczos_values_are_arpacks():
+    # the partial solver the package used before: eigsh on I - L from the
+    # start vector n^(-1/2) 1, to machine precision
+    from scipy.sparse.linalg import eigsh
+
+    V, _ = clustered_dissimilarity(500, seed=2)
+    for k, shrink in ((4, 1.0), (11, 0.4)):
+        M = identity_minus_laplacian(V, shrink)
+        arpack = eigsh(M, k, which="LA", tol=0, v0=np.full(500, 500 ** -0.5),
+                       return_eigenvectors=False)
+        mu, _ = spectral._block_lanczos(M, k, vectors=False)
+        assert np.abs(mu - np.sort(arpack)[::-1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("across", [0.0, 1e4])
+def test_lanczos_finds_the_spectrum_past_an_invariant_krylov_space(across):
+    # 150 pairs, each pair at distance 0: M = I - L has the eigenvalues 1
+    # and 0 (across = 1e4, no affinity between pairs) or 1 once and the
+    # rest near 0 (across = 0), so the first blocks span an invariant
+    # subspace and the products after them are rounding. Those directions
+    # are orthogonalized again; without that the basis lost orthogonality
+    # and the values were off by 8.5e3.
+    V, _ = block_dissimilarity([2] * 150, across=across)
+    M = identity_minus_laplacian(V)
+    for k in (4, 11):
+        mu, Z = spectral._block_lanczos(M, k, vectors=True)
+        assert np.abs(Z.T @ Z - np.eye(k)).max() < 1e-12
+        assert np.abs(mu - np.linalg.eigvalsh(M)[::-1][:k]).max() < 1e-12
+
+
+def test_below_krylov_min_n_never_calls_lanczos(monkeypatch):
+    forbid_lanczos(monkeypatch)
     V, _ = clustered_dissimilarity(spectral.KRYLOV_MIN_N - 1, seed=4)
     assert select_num_groups(V, T=120).G_hat == 4
     spectral_cluster(V, 4)
 
 
-def test_k_too_large_for_arpack_falls_back_to_lapack(monkeypatch):
+def test_k_too_large_for_lanczos_falls_back_to_lapack(monkeypatch):
     monkeypatch.setattr(spectral, "KRYLOV_MIN_N", 2)
-    forbid_arpack(monkeypatch)
+    forbid_lanczos(monkeypatch)
     V, _ = block_dissimilarity([3, 4, 5], across=30.0)
     # k = n: all n eigenvectors, and all n values when G_max >= n - 1
     assert sorted(spectral_cluster(V, 12)) == list(range(1, 13))
@@ -968,17 +1035,15 @@ def test_k_too_large_for_arpack_falls_back_to_lapack(monkeypatch):
     assert len(selection.lambda_tilde) == 12 and selection.G_hat == 3
 
 
-def test_arpack_non_convergence_is_an_eigen_failure(monkeypatch, tmp_path,
-                                                    capsys):
-    # one restart of a k + 1 vector Lanczos basis cannot converge to tol=0
-    eigsh = spectral.eigsh
-    monkeypatch.setattr(spectral, "eigsh", lambda A, k, **kwargs: eigsh(
-        A, k, maxiter=1, ncv=k + 1, **kwargs))
+def test_lanczos_non_convergence_is_an_eigen_failure(monkeypatch, tmp_path,
+                                                     capsys):
+    # two blocks of at most 4 vectors cannot reach a residual of 1e-12
+    monkeypatch.setattr(spectral, "KRYLOV_MAX_BLOCKS", 2)
     monkeypatch.setattr(spectral, "KRYLOV_MIN_N", 2)
     V, _ = clustered_dissimilarity(60, seed=5)
-    with pytest.raises(EigenFailure, match="ARPACK"):
+    with pytest.raises(EigenFailure, match="block Lanczos"):
         spectral_cluster(V, 4)
-    with pytest.raises(EigenFailure, match="ARPACK"):
+    with pytest.raises(EigenFailure, match="block Lanczos"):
         select_num_groups(V, T=120)
 
     est = tmp_path / "est.csv"
@@ -995,30 +1060,23 @@ def test_arpack_non_convergence_is_an_eigen_failure(monkeypatch, tmp_path,
 def test_disconnected_affinity_selects_the_same_g_on_both_paths(monkeypatch):
     # exp(-V) underflows to exactly 0 between the 4 groups (V > 745), so
     # lambda_1..lambda_4 = 0. Any basis of that eigenspace is a valid
-    # answer, and ARPACK and LAPACK pick different ones: G_hat and the
-    # labels at G = 4 agree, but at G = 2 and 3 the two paths merge
-    # different groups (here 110/90 against 150/50 rows at G = 2). Each
-    # path keeps every group whole.
-    sizes = [60, 50, 50, 40]
-    rng = np.random.default_rng(6)
-    V, truth = block_dissimilarity(sizes, across=800.0)
-    within = np.abs(rng.normal(size=V.shape))
-    within = np.triu(within, 1) + np.triu(within, 1).T
-    V = np.where(V == 0.0, within, V)
-    np.fill_diagonal(V, 0.0)
+    # answer, and block Lanczos and LAPACK may pick different ones: G_hat
+    # and the labels at G = 4 agree, but at G = 2 and 3 the two paths may
+    # merge different groups. Each path keeps every group whole.
+    V, truth = disconnected_dissimilarity()
 
     def solve():
         return (select_num_groups(V, T=120),
                 [spectral_cluster(V, G) for G in (2, 3, 4)])
 
-    (arpack, arpack_labels), (lapack, lapack_labels) = both_paths(
+    (lanczos, lanczos_labels), (lapack, lapack_labels) = both_paths(
         monkeypatch, len(V), solve)
-    assert arpack.G_hat == lapack.G_hat == 4
-    assert np.abs(arpack.lambda_tilde[:4] - 1.0).max() < 1e-12
-    assert np.abs(arpack.lambda_tilde - lapack.lambda_tilde).max() < 1e-12
-    assert np.array_equal(arpack_labels[2], lapack_labels[2])
-    assert perfect_match(truth, arpack_labels[2])
-    for labels in arpack_labels + lapack_labels:
+    assert lanczos.G_hat == lapack.G_hat == 4
+    assert np.abs(lanczos.lambda_tilde[:4] - 1.0).max() < 1e-12
+    assert np.abs(lanczos.lambda_tilde - lapack.lambda_tilde).max() < 1e-12
+    assert np.array_equal(lanczos_labels[2], lapack_labels[2])
+    assert perfect_match(truth, lanczos_labels[2])
+    for labels in lanczos_labels + lapack_labels:
         assert all(len(set(labels[truth == g])) == 1 for g in range(1, 5))
 
 
@@ -1036,7 +1094,9 @@ def test_spectral_layer_holds_one_n_by_n_working_matrix():
     # V itself, or the Laplacian, and row-block temporaries: no second
     # n x n array. The index pairs and V + V.T, the shrunk V and L.T, and
     # L.T held the traced peaks at 3.0, 3.0 and 2.0 V; they read 1.06, 1.03
-    # and 1.02 V with row blocks and ARPACK.
+    # and 1.02 V with row blocks and ARPACK, and 1.06, 1.25 and 1.25 V with
+    # block Lanczos, whose basis and projected matrix are sized for
+    # KRYLOV_MAX_BLOCKS blocks of 4 (400 x 2000 and 400 x 400 floats).
     n = 2000
     betas, variances, _ = clustered_table(n, seed=7)
     budget = 2.25 * n * n * 8
