@@ -85,7 +85,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     table = read_estimates(args.estimates_csv)
     n = table.n
     if args.select_g and n < 3:
@@ -157,7 +157,7 @@ def cmd_cluster(args) -> int:
     if selection is not None:
         print(f"selected G = {G}")
     print(f"report written to {args.out} "
-          f"({time.time() - started:.2f}s)")
+          f"({time.perf_counter() - started:.2f}s)")
     return 0
 
 

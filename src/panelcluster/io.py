@@ -124,10 +124,15 @@ def read_estimates(path) -> EstimateTable:
     # metadata ends at the header: a later line is data, whatever its id
     head = next((i for i, line in enumerate(lines)
                  if not line.startswith("#")), len(lines))
-    meta = {}
-    for line in lines[:head]:
+    # a key the reader reads may be given once; other `#` lines are free
+    meta, where = {}, {}
+    for number, line in enumerate(lines[:head], start=1):
         key, _, value = line[1:].strip().partition("=")
-        meta[key.strip()] = value.strip()
+        key = key.strip()
+        if key in where and key in ("format_version", "scale", "d_T"):
+            raise ParseError(f"metadata key {key!r} given twice, on lines "
+                             f"{where[key]} and {number}")
+        meta[key], where[key] = value.strip(), number
     rows = _numbered_rows(lines[head:], head)
     version = meta.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:

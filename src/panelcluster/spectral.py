@@ -13,9 +13,9 @@ from .types import (DimensionMismatch, EigenFailure, GroupCountSelection,
 
 EIGENGAP_DENOM_GUARD = 1e-12
 
-# Size from which the Laplacian spectrum is partial, by block Lanczos
-# (_block_lanczos); below it LAPACK solves the whole spectrum. On the
-# Laplacians of CLI-shaped tables with 4 groups and with 1 (T = 120, one
+# Size from which the spectrum of the normalized affinity is partial, by
+# block Lanczos (_block_lanczos); below it LAPACK solves the whole
+# spectrum. On CLI-shaped tables with 4 groups and with 1 (T = 120, one
 # and two BLAS threads, min of 15), block Lanczos won the 4 vectors from
 # n = 160 on, but at n = 220 eigvalsh still won the 11 values on 4 groups
 # (1.8-1.9 against 2.1 ms); n = 240 is the first size where it won all
@@ -35,8 +35,8 @@ KRYLOV_BLOCK = 4
 # tables take 13 (4 vectors) and 19 (11 values), the four disconnected
 # groups up to 79 (11 values, n = 1000)
 KRYLOV_MAX_BLOCKS = 100
-# Residual bound ||M y - mu y|| that every returned Ritz pair meets
-# (M = I - L, ||M|| <= 1), so each eigenvalue is within it of M's
+# Residual bound ||N y - mu y|| that every returned Ritz pair meets
+# (N the normalized affinity, ||N|| <= 1): each value is within it of N's
 KRYLOV_TOL = 1e-12
 
 # Lloyd iterations after which a restart stops wherever it stands
@@ -365,63 +365,49 @@ def _update_centers(points, d2, labels):
     return centers
 
 
-def _laplacian(V: np.ndarray, shrink: float = 1.0) -> np.ndarray:
-    """Symmetric normalized Laplacian of the affinity exp(-shrink * V),
-    unit diagonal.
+def _affinity(V: np.ndarray, shrink: float = 1.0) -> np.ndarray:
+    """Normalized affinity N = D^{-1/2} A D^{-1/2} = I - L of A =
+    exp(-shrink * V), D = diag(A 1), L the normalized Laplacian.
 
-    L = I - D^{-1/2} A D^{-1/2}, formed in place in the affinity array and
-    symmetrized a block of rows at a time, as (L + L.T) * 0.5 entry by entry.
-    An entry whose shrink * V overflows gets affinity exp(-inf) = 0.
+    Formed in place in the affinity array and symmetrized a block of rows
+    at a time, as (N + N.T) * 0.5 entry by entry. V's diagonal is zero, so
+    A's is 1; an entry whose shrink * V overflows gets affinity 0.
     """
     with np.errstate(over="ignore"):
-        L = np.multiply(V, -shrink)
-    np.exp(L, out=L)
-    np.fill_diagonal(L, 1.0)
-    degrees = L.sum(axis=1)
-    inv_sqrt_d = degrees ** -0.5
-    np.negative(L, out=L)
-    L *= inv_sqrt_d[:, None]
-    L *= inv_sqrt_d[None, :]
-    np.fill_diagonal(L, inv_sqrt_d * (degrees - 1.0) * inv_sqrt_d)
-    for rows in types.blocks(len(L), len(L)):
-        upper = L[rows, rows.start:]
-        upper += L[rows.start:, rows].T
+        N = np.multiply(V, -shrink)
+    np.exp(N, out=N)
+    inv_sqrt_d = N.sum(axis=1) ** -0.5
+    N *= inv_sqrt_d[:, None]
+    N *= inv_sqrt_d[None, :]
+    for rows in types.blocks(len(N), len(N)):
+        upper = N[rows, rows.start:]
+        upper += N[rows.start:, rows].T
         upper *= 0.5
-        L[rows.start:, rows] = upper.T
-    return L
+        N[rows.start:, rows] = upper.T
+    return N
 
 
-def _smallest_eigen(L, k: int, vectors: bool):
-    """The k smallest eigenvalues of the normalized Laplacian L, ascending,
-    and their (n, k) eigenvectors if `vectors` (else None); L is consumed.
-
-    From KRYLOV_MIN_N on, a block Lanczos (_block_lanczos) finds the k
-    largest eigenvalues of I - L, formed in place; below it, or when
-    k >= n, LAPACK solves the whole spectrum.
-    """
-    n = len(L)
-    if n < KRYLOV_MIN_N or k >= n:
-        try:
-            if not vectors:
-                return np.linalg.eigvalsh(L)[:k], None
-            eigvals, eigvecs = np.linalg.eigh(L)
-            return eigvals[:k], eigvecs[:, :k]
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(str(exc)) from exc
-    np.negative(L, out=L)
-    L.flat[::n + 1] += 1.0
+def _top_eigen(N, k: int, vectors: bool):
+    """The k largest eigenvalues of the normalized affinity N, descending,
+    and their (n, k) eigenvectors if `vectors` (else None): by LAPACK
+    below KRYLOV_MIN_N or when k >= n, else by block Lanczos."""
+    n = len(N)
     try:
-        mu, eigvecs = _block_lanczos(L, k, vectors)
+        if n >= KRYLOV_MIN_N and k < n:
+            return _block_lanczos(N, k, vectors)
+        if not vectors:
+            return np.linalg.eigvalsh(N)[:-k - 1:-1], None
+        eigvals, eigvecs = np.linalg.eigh(N)
+        return eigvals[:-k - 1:-1], eigvecs[:, :-k - 1:-1]
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    return 1.0 - mu, eigvecs
 
 
 def _block_lanczos(M, k, vectors):
-    """The k largest eigenvalues of the symmetric n x n matrix M, with
-    ||M|| <= 1, descending, and their (n, k) Ritz vectors if `vectors`
-    (else None), by block Lanczos (Golub and Underwood 1977) with full
-    reorthogonalization.
+    """The k largest eigenvalues of the symmetric n x n matrix M with
+    ||M|| <= 1 (the normalized affinity N), descending, and their (n, k)
+    Ritz vectors if `vectors` (else None), by block Lanczos (Golub and
+    Underwood 1977) with full reorthogonalization.
 
     The basis starts from the first b = min(k, KRYLOV_BLOCK) cosine columns
     cos(pi c (i + 1/2) / n), so a rerun repeats bit for bit. Each block of
@@ -493,7 +479,8 @@ def _block_lanczos(M, k, vectors):
 def spectral_cluster(V, G: int, seed: int = 0,
                      restarts: int = 50) -> np.ndarray:
     """Normalized-Laplacian spectral clustering of the (n, n)
-    dissimilarity V into G groups; returns the (n,) labels, 1-based.
+    dissimilarity V into G groups, on the G leading eigenvectors of the
+    normalized affinity N = I - L; returns the (n,) labels, 1-based.
     """
     V = _check_dissimilarity(V)
     n = V.shape[0]
@@ -501,7 +488,7 @@ def spectral_cluster(V, G: int, seed: int = 0,
     if not 1 <= G <= n:
         raise ValueError("G must lie in 1..n")
     _check_seed(seed)
-    _, Z = _smallest_eigen(_laplacian(V), G, vectors=True)
+    _, Z = _top_eigen(_affinity(V), G, vectors=True)
     row_norms = np.linalg.norm(Z, axis=1)
     U = Z / np.maximum(row_norms, 1e-300)[:, None]
     labels0, _, _ = kmeans(U, G, restarts=restarts, seed=seed)
@@ -509,13 +496,13 @@ def spectral_cluster(V, G: int, seed: int = 0,
 
 
 def select_num_groups(V, T: int, G_max: int = 10) -> GroupCountSelection:
-    """Relative eigen-gap heuristic on the scaled Laplacian.
+    """Relative eigen-gap heuristic on the scaled normalized affinity.
 
-    The dissimilarity is shrunk by 2 / sqrt(log n * log T), the first
-    limit + 1 eigenvalues of its Laplacian are flipped to
-    lambda_tilde = 1 - lambda, where limit = min(G_max, n - 1), and the
-    selected group count maximizes |gap| / max(next value, guard) over the
-    limit ratios, g = 1..limit.
+    The dissimilarity is shrunk by 2 / sqrt(log n * log T); lambda_tilde
+    are the limit + 1 largest eigenvalues of its normalized affinity
+    N = I - L (1 - lambda, lambda L's smallest), where
+    limit = min(G_max, n - 1), and the selected group count maximizes
+    |gap| / max(next value, guard) over the limit ratios, g = 1..limit.
     """
     V = _check_dissimilarity(V)
     n = V.shape[0]
@@ -527,9 +514,8 @@ def select_num_groups(V, T: int, G_max: int = 10) -> GroupCountSelection:
         raise ValueError(f"G_max must be >= 1, got {G_max}")
     limit = min(G_max, n - 1)
     shrink = 2.0 / np.sqrt(np.log(n) * np.log(T))
-    eigvals, _ = _smallest_eigen(_laplacian(V, shrink), limit + 1,
+    lambda_tilde, _ = _top_eigen(_affinity(V, shrink), limit + 1,
                                  vectors=False)
-    lambda_tilde = 1.0 - eigvals
     gaps = np.abs(np.diff(lambda_tilde))
     ratios = gaps / np.maximum(lambda_tilde[1:], EIGENGAP_DENOM_GUARD)
     G_hat = int(np.argmax(ratios)) + 1

@@ -21,7 +21,7 @@ from panelcluster.quantile import (
 )
 from panelcluster.simulation import SimulationConfig, run_batch
 from panelcluster.spectral import (
-    _laplacian,
+    _affinity,
     build_dissimilarity,
     kmeans,
     select_num_groups,
@@ -137,18 +137,21 @@ def test_criterion_6_perfect_recovery_at_large_T(model2_t400):
 
 
 def test_criterion_5_laplacian_spectrum_and_block_multiplicity():
+    def laplacian(V):  # L = I - N
+        return np.eye(len(V)) - _affinity(V)
+
     rng = np.random.default_rng(0)
     ok = True
     for _ in range(20):
         M = np.abs(rng.normal(size=(12, 12)))
         V = np.triu(M, 1) + np.triu(M, 1).T
-        eig = np.linalg.eigvalsh(_laplacian(V))
+        eig = np.linalg.eigvalsh(laplacian(V))
         ok &= eig.min() > -1e-8 and eig.max() < 2 + 1e-8
     V = np.full((12, 12), 1e4)
     for block in (slice(0, 3), slice(3, 7), slice(7, 12)):
         V[block, block] = 0.0
     np.fill_diagonal(V, 0.0)
-    eig = np.sort(np.linalg.eigvalsh(_laplacian(V)))
+    eig = np.sort(np.linalg.eigvalsh(laplacian(V)))
     ok &= np.abs(eig[:3]).max() < 1e-10
     ok &= np.abs(eig[3:] - 1.0).max() < 1e-10
     check("5a Laplacian spectrum in [0,2]; zero eigenvalue multiplicity = "

@@ -531,6 +531,16 @@ def test_cluster_rejects_bad_weight(tmp_path, capsys, weight):
     pytest.param("# format_version=99\n", "b,1,1", [],
                  "metadata key 'format_version' must be 1, got '99'",
                  id="format-version-99"),
+    # a key the reader reads may be given once; a bare `#` and a comment
+    # may repeat
+    *(pytest.param(f"# {key}={first}\n#\n# a comment\n#\n# a comment\n"
+                   f"# {key}={second}\n", "b,1,1", [],
+                   f"metadata key {key!r} given twice, on lines 1 and 6",
+                   id=f"{key}-twice")
+      for key, first, second in [("format_version", "1", "1"),
+                                 ("scale", "already_scaled",
+                                  "per_observation"),
+                                 ("d_T", "0.1", "0.2")]),
     pytest.param("", "b,1,1", ["--t-periods", "0"], "--t-periods: ", id="T-0"),
     pytest.param("", "b,1,1", ["--t-periods", "-5"], "got T=-5", id="T-neg"),
     # T is not read for these tables, but a given --t-periods is checked
@@ -1075,10 +1085,15 @@ def write_cluster_tables(tmp_path, n, s, se=False, T=120, seed=11):
 # eigenvalues and ratios, so they pin V, the whole dissimilarity, through
 # the CLI. The n = 300 report is solved by block Lanczos: its lambda_tilde
 # and ratios moved by at most 1.5e-15 and 4.9e-15 from ARPACK's (prefix
-# 68005d4e), with the labels, G, G_hat and scores unchanged.
-REFERENCE_CLUSTER_REPORTS = [(300, 2, False, "df27c6aa"),
-                             (120, 1, True, "2d451fb3"),
-                             (120, 3, False, "bf6afbc4")]
+# 68005d4e), with the labels, G, G_hat and scores unchanged. All three
+# moved again when the spectrum was solved on the normalized affinity N
+# itself, not on a Laplacian L flipped back to I - L (prefixes df27c6aa,
+# 2d451fb3, bf6afbc4): N's diagonal is 1 / d_i, not 1 - (d_i - 1) / d_i,
+# so lambda_tilde moved by at most 1.4e-15 and the ratios by at most
+# 2.3e-14, with the labels, G, G_hat and scores unchanged.
+REFERENCE_CLUSTER_REPORTS = [(300, 2, False, "57902067"),
+                             (120, 1, True, "f5dc6538"),
+                             (120, 3, False, "dd63282a")]
 
 
 @pytest.mark.parametrize("n, s, se, prefix", REFERENCE_CLUSTER_REPORTS,

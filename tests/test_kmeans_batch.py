@@ -1,4 +1,4 @@
-"""The batched k-means and the in-place Laplacian against the per-restart
+"""The batched k-means and the in-place affinity against the per-restart
 reference formulas they replaced."""
 
 import re
@@ -84,13 +84,11 @@ def reference_assign(points, centers):
     return d2, d2.argmin(axis=2), d2.min(axis=2).sum(axis=1)
 
 
-def reference_laplacian(V):
+def reference_affinity(V):
     A = np.exp(-V)
-    np.fill_diagonal(A, 1.0)
-    degrees = A.sum(axis=1)
-    inv_sqrt_d = degrees ** -0.5
-    L = inv_sqrt_d[:, None] * (np.diag(degrees) - A) * inv_sqrt_d[None, :]
-    return 0.5 * (L + L.T)
+    inv_sqrt_d = A.sum(axis=1) ** -0.5
+    N = inv_sqrt_d[:, None] * A * inv_sqrt_d[None, :]
+    return 0.5 * (N + N.T)
 
 
 def assert_same_kmeans(points, k, restarts, seed):
@@ -375,16 +373,16 @@ def test_assign_equals_per_center_reference(d, rounded):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_in_place_laplacian_equals_reference_formula(seed):
+def test_in_place_affinity_equals_reference_formula(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 401))
     V = np.abs(rng.normal(scale=10.0 ** rng.integers(-2, 3), size=(n, n)))
     V = np.triu(V, 1)
     V = V + V.T
-    assert np.array_equal(spectral._laplacian(V), reference_laplacian(V))
+    assert np.array_equal(spectral._affinity(V), reference_affinity(V))
     # the shrink of selection, and one whose product overflows to inf
     V[0, -1] = V[-1, 0] = 1e308
     with np.errstate(over="ignore"):
         for shrink in (2.0 / np.sqrt(np.log(300) * np.log(120)), 2.0):
-            assert np.array_equal(spectral._laplacian(V, shrink),
-                                  reference_laplacian(shrink * V))
+            assert np.array_equal(spectral._affinity(V, shrink),
+                                  reference_affinity(shrink * V))

@@ -10,7 +10,7 @@ from panelcluster import spectral, types
 from panelcluster.cli import main
 from panelcluster.io import read_estimates
 from panelcluster.spectral import (
-    _laplacian,
+    _affinity,
     _whiten_entries,
     build_dissimilarity,
     kmeans,
@@ -604,6 +604,11 @@ def block_dissimilarity(sizes, across=50.0):
     return V, np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
 
+def laplacian(V):
+    """The normalized Laplacian L = I - N of V's affinity."""
+    return np.eye(len(V)) - _affinity(V)
+
+
 def test_spectral_single_group():
     V, _ = block_dissimilarity([4])
     labels = spectral_cluster(V, 1)
@@ -614,7 +619,7 @@ def test_spectral_recovers_two_blocks():
     V, truth = block_dissimilarity([5, 5])
     labels = spectral_cluster(V, 2)
     assert perfect_match(truth, labels)
-    eigenvalues = np.linalg.eigvalsh(_laplacian(V))
+    eigenvalues = np.linalg.eigvalsh(laplacian(V))
     assert eigenvalues.min() > -1e-8
     assert eigenvalues.max() < 2 + 1e-8
 
@@ -652,7 +657,7 @@ def test_laplacian_zero_multiplicity_on_exact_blocks():
     # block-diagonal: eigenvalue 0 with multiplicity = number of blocks,
     # all remaining eigenvalues 1
     V, _ = block_dissimilarity([3, 4, 5], across=1e4)
-    eigvals = np.sort(np.linalg.eigvalsh(_laplacian(V)))
+    eigvals = np.sort(np.linalg.eigvalsh(laplacian(V)))
     assert np.abs(eigvals[:3]).max() < 1e-10
     assert np.abs(eigvals[3:] - 1.0).max() < 1e-10
 
@@ -906,6 +911,13 @@ def clustered_dissimilarity(n, seed):
     return build_dissimilarity(betas, variances), truth
 
 
+def assert_top_eigenvalues(lambda_tilde):
+    """lambda_tilde are N's top eigenvalues: non-increasing from N's
+    largest, 1, whose eigenvector is proportional to sqrt(d)."""
+    assert (np.all(np.diff(lambda_tilde) <= 0)
+            and abs(lambda_tilde[0] - 1.0) <= 1e-12), lambda_tilde
+
+
 def forbid_lanczos(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("block Lanczos called")
@@ -935,6 +947,8 @@ def test_lanczos_and_lapack_agree_on_clustered_tables(monkeypatch, n, seed):
     assert len(lanczos.lambda_tilde) == len(lapack.lambda_tilde) == 11
     assert len(lanczos.ratios) == len(lapack.ratios) == 10
     assert np.abs(lanczos.lambda_tilde - lapack.lambda_tilde).max() < 1e-12
+    for selection in (lanczos, lapack):
+        assert_top_eigenvalues(selection.lambda_tilde)
     for a, b in zip(lanczos_labels, lapack_labels):
         assert np.array_equal(a, b)
     assert average_match(truth, lanczos_labels[2]).average > 0.9
@@ -943,19 +957,12 @@ def test_lanczos_and_lapack_agree_on_clustered_tables(monkeypatch, n, seed):
 def test_lanczos_reruns_are_bit_identical():
     # fixed start columns: the cluster report of a rerun is byte-identical
     V, _ = clustered_dissimilarity(spectral.KRYLOV_MIN_N, seed=8)
-    first, second = (spectral._smallest_eigen(spectral._laplacian(V), 4, True)
+    first, second = (spectral._top_eigen(spectral._affinity(V), 4, True)
                      for _ in range(2))
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
     assert np.array_equal(select_num_groups(V, T=120).lambda_tilde,
                           select_num_groups(V, T=120).lambda_tilde)
-
-
-def identity_minus_laplacian(V, shrink=1.0):
-    M = spectral._laplacian(V, shrink)
-    np.negative(M, out=M)
-    M.flat[::len(M) + 1] += 1.0
-    return M
 
 
 def disconnected_dissimilarity():
@@ -977,51 +984,55 @@ def test_lanczos_ritz_pairs_meet_the_residual_tolerance(case, k, shrink):
         V, _ = clustered_dissimilarity(300, seed=9)
     else:
         V, _ = disconnected_dissimilarity()
-    M = identity_minus_laplacian(V, shrink)
-    mu, Z = spectral._block_lanczos(M, k, vectors=True)
+    N = spectral._affinity(V, shrink)
+    mu, Z = spectral._block_lanczos(N, k, vectors=True)
     assert np.all(np.diff(mu) <= 0)
     assert np.abs(Z.T @ Z - np.eye(k)).max() < 1e-12
-    residuals = np.linalg.norm(M @ Z - Z * mu, axis=0)
+    residuals = np.linalg.norm(N @ Z - Z * mu, axis=0)
     assert residuals.max() <= spectral.KRYLOV_TOL
-    assert np.abs(mu - np.linalg.eigvalsh(M)[::-1][:k]).max() < 1e-12
-    values, none = spectral._block_lanczos(M, k, vectors=False)
+    assert np.abs(mu - np.linalg.eigvalsh(N)[::-1][:k]).max() < 1e-12
+    values, none = spectral._block_lanczos(N, k, vectors=False)
     assert none is None and np.array_equal(values, mu)
 
 
 def test_lanczos_values_are_arpacks():
-    # the partial solver the package used before: eigsh on I - L from the
-    # start vector n^(-1/2) 1, to machine precision
+    # the partial solver the package used before: eigsh on N = I - L from
+    # the start vector n^(-1/2) 1, to machine precision
     from scipy.sparse.linalg import eigsh
 
     V, _ = clustered_dissimilarity(500, seed=2)
     for k, shrink in ((4, 1.0), (11, 0.4)):
-        M = identity_minus_laplacian(V, shrink)
-        arpack = eigsh(M, k, which="LA", tol=0, v0=np.full(500, 500 ** -0.5),
+        N = spectral._affinity(V, shrink)
+        arpack = eigsh(N, k, which="LA", tol=0, v0=np.full(500, 500 ** -0.5),
                        return_eigenvectors=False)
-        mu, _ = spectral._block_lanczos(M, k, vectors=False)
+        mu, _ = spectral._block_lanczos(N, k, vectors=False)
         assert np.abs(mu - np.sort(arpack)[::-1]).max() < 1e-12
 
 
 @pytest.mark.parametrize("across", [0.0, 1e4])
 def test_lanczos_finds_the_spectrum_past_an_invariant_krylov_space(across):
-    # 150 pairs, each pair at distance 0: M = I - L has the eigenvalues 1
+    # 150 pairs, each pair at distance 0: N = I - L has the eigenvalues 1
     # and 0 (across = 1e4, no affinity between pairs) or 1 once and the
     # rest near 0 (across = 0), so the first blocks span an invariant
     # subspace and the products after them are rounding. Those directions
     # are orthogonalized again; without that the basis lost orthogonality
     # and the values were off by 8.5e3.
     V, _ = block_dissimilarity([2] * 150, across=across)
-    M = identity_minus_laplacian(V)
+    N = spectral._affinity(V)
     for k in (4, 11):
-        mu, Z = spectral._block_lanczos(M, k, vectors=True)
+        mu, Z = spectral._block_lanczos(N, k, vectors=True)
         assert np.abs(Z.T @ Z - np.eye(k)).max() < 1e-12
-        assert np.abs(mu - np.linalg.eigvalsh(M)[::-1][:k]).max() < 1e-12
+        assert np.abs(mu - np.linalg.eigvalsh(N)[::-1][:k]).max() < 1e-12
 
 
 def test_below_krylov_min_n_never_calls_lanczos(monkeypatch):
     forbid_lanczos(monkeypatch)
     V, _ = clustered_dissimilarity(spectral.KRYLOV_MIN_N - 1, seed=4)
-    assert select_num_groups(V, T=120).G_hat == 4
+    selection = select_num_groups(V, T=120)
+    assert selection.G_hat == 4
+    # only LAPACK runs here: no second path would catch a reversed or
+    # shifted slice of its ascending spectrum
+    assert_top_eigenvalues(selection.lambda_tilde)
     spectral_cluster(V, 4)
 
 
@@ -1091,7 +1102,7 @@ def traced_peak(fn, *args, **kwargs):
 
 
 def test_spectral_layer_holds_one_n_by_n_working_matrix():
-    # V itself, or the Laplacian, and row-block temporaries: no second
+    # V itself, or the affinity N, and row-block temporaries: no second
     # n x n array. The index pairs and V + V.T, the shrunk V and L.T, and
     # L.T held the traced peaks at 3.0, 3.0 and 2.0 V; they read 1.06, 1.03
     # and 1.02 V with row blocks and ARPACK, and 1.06, 1.25 and 1.25 V with
