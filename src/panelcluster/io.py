@@ -124,14 +124,20 @@ def read_estimates(path) -> EstimateTable:
     # metadata ends at the header: a later line is data, whatever its id
     head = next((i for i, line in enumerate(lines)
                  if not line.startswith("#")), len(lines))
-    # a key the reader reads may be given once; other `#` lines are free
+    # a key the reader reads may be given once, and any other `key=value`
+    # line is a misspelling that would be silently ignored; other `#`
+    # lines, such as comments, are free
     meta, where = {}, {}
     for number, line in enumerate(lines[:head], start=1):
-        key, _, value = line[1:].strip().partition("=")
+        key, eq, value = line[1:].strip().partition("=")
         key = key.strip()
-        if key in where and key in ("format_version", "scale", "d_T"):
-            raise ParseError(f"metadata key {key!r} given twice, on lines "
-                             f"{where[key]} and {number}")
+        if key in ("format_version", "scale", "d_T"):
+            if key in where:
+                raise ParseError(f"metadata key {key!r} given twice, on "
+                                 f"lines {where[key]} and {number}")
+        elif eq and key.isidentifier():
+            raise ParseError(f"unknown metadata key {key!r} on line {number};"
+                             f" the keys are format_version, scale and d_T")
         meta[key], where[key] = value.strip(), number
     rows = _numbered_rows(lines[head:], head)
     version = meta.get("format_version", FORMAT_VERSION)

@@ -10,8 +10,13 @@ sqrt(chi-square(3) / 3).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import numbers
+import os
+import pickle
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -405,12 +410,132 @@ def run_rep(config: SimulationConfig, rep: int) -> RepResult:
 
 
 def run_batch(config: SimulationConfig) -> SimulationResult:
-    """Run all repetitions and aggregate table-style summaries."""
+    """Run all repetitions and aggregate table-style summaries.
+
+    The repetitions run on one BLAS thread per process, in up to
+    min(reps, CPUs this process may run on) processes (`_run_reps`). The
+    result, and any error raised, are those of a serial run."""
     result = SimulationResult(config)
-    for rep in range(config.reps):
-        result.reps.append(run_rep(config, rep))
+    with _one_blas_thread() as pinned:
+        result.reps = _run_reps(config, pinned)
     result.aggregates = aggregate(config, result.reps)
     return result
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set numpy's bundled OpenBLAS (under `numpy.libs`) to one thread for
+    the block, then back to its previous count; yields whether it could.
+    Without that library or its thread setter it changes nothing."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for set_name, get_name in (
+                ("scipy_openblas_set_num_threads64_",
+                 "scipy_openblas_get_num_threads64_"),
+                ("openblas_set_num_threads", "openblas_get_num_threads")):
+            setter = getattr(dll, set_name, None)
+            getter = getattr(dll, get_name, None)
+            if setter is None or getter is None:
+                continue
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            before = getter()
+            setter(1)
+            try:
+                yield True
+            finally:
+                setter(before)
+            return
+    yield False
+
+
+def _run_reps(config, pinned):
+    """The batch's RepResults in rep order. Worker w of `workers` runs
+    reps w, w + workers, ... and stops at its first error. The parent runs
+    share 0 and forks one child per other share; a child pickles its
+    (rep, RepResult) pairs and its error into a pipe. The error raised is
+    the lowest failing rep's, so it is the one a serial run raises."""
+    workers = 1
+    # Linux only: sched_getaffinity exists there alone, and numpy's macOS
+    # BLAS (Accelerate) is not fork-safe; OpenBLAS stops its thread pool
+    # before a fork. Unpinned, each process keeps two BLAS threads whose
+    # idle spinning takes the other core, and a forked batch measured
+    # slower than a serial one.
+    if pinned and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(config.reps, len(os.sched_getaffinity(0)))
+    # one worker: nothing to share out, so nothing is forked
+    if workers == 1:
+        return [run_rep(config, rep) for rep in range(config.reps)]
+
+    shares = [range(w, config.reps, workers) for w in range(workers)]
+    children = {}  # pid -> (read end of its pipe, its share)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(config, share, write)
+            os.close(write)
+            children[pid] = (open(read, "rb"), share)
+        outcomes = [_run_share(config, shares[0])]
+        for pid, (pipe, share) in list(children.items()):
+            # read to the end before reaping: the output can exceed the
+            # pipe's buffer, and the child exits only once it is written
+            data = pipe.read()
+            pipe.close()
+            os.waitpid(pid, 0)
+            del children[pid]
+            if not data:
+                raise ChildProcessError(
+                    f"the worker running repetitions {list(share)} ended "
+                    f"without a result")
+            outcomes.append(pickle.loads(data))
+    finally:
+        if children:
+            import signal  # here only: a batch that ends well loads no module
+
+            for pid, (pipe, _) in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    done = sorted((pair for pairs, _ in outcomes for pair in pairs),
+                  key=lambda pair: pair[0])
+    return [result for _, result in done]
+
+
+def _run_share(config, reps):
+    """Run `reps` in order up to the first that raises; returns the
+    (rep, RepResult) pairs done and (rep, error) of that rep, or None."""
+    done = []
+    for rep in reps:
+        try:
+            done.append((rep, run_rep(config, rep)))
+        except Exception as exc:
+            return done, (rep, exc)
+    return done, None
+
+
+def _child(config, reps, write):
+    """A forked worker's whole life: run its share, pickle the outcome
+    into the pipe's write end, and leave without running the parent's
+    clean-up. Anything that stops it short writes nothing."""
+    code = 1
+    try:
+        data = pickle.dumps(_run_share(config, reps),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def aggregate(config: SimulationConfig, reps) -> dict:

@@ -421,14 +421,14 @@ def _block_lanczos(M, k, vectors):
     exact. The residuals need an eigh of T, so they are checked only where
     their fall since the last check predicts the tolerance to be near.
     After KRYLOV_MAX_BLOCKS blocks, or at k > KRYLOV_MAX_BLOCKS * b, it
-    raises EigenFailure. The basis and T hold at most
-    min(n, KRYLOV_MAX_BLOCKS * b) columns.
+    raises EigenFailure. The basis and T start at one block and double
+    as they fill, up to that cap of min(n, KRYLOV_MAX_BLOCKS * b) columns.
     """
     n = len(M)
     b = min(k, KRYLOV_BLOCK)
     width = min(n, KRYLOV_MAX_BLOCKS * b)
-    basis = np.empty((width, n))  # orthonormal rows
-    T = np.zeros((width, width))
+    basis = np.empty((b, n))  # orthonormal rows
+    T = np.zeros((b, b))
     start = np.cos(np.outer(np.arange(b), np.arange(0.5, n) * (np.pi / n)))
     basis[:b] = start / np.linalg.norm(start, axis=1)[:, None]
     lo, hi, blocks, check, previous = 0, b, 1, 1, None
@@ -471,6 +471,11 @@ def _block_lanczos(M, k, vectors):
             raise EigenFailure(f"block Lanczos did not converge in {blocks} "
                                f"blocks of {b} vectors")
         grow = min(b, width - hi)
+        if hi + grow > len(basis):
+            size = min(width, 2 * len(basis))
+            basis = np.concatenate([basis, np.empty((size - len(basis), n))])
+            T, grown = np.zeros((size, size)), T
+            T[:len(grown), :len(grown)] = grown
         basis[hi:hi + grow] = following[:, :grow].T
         T[hi:hi + grow, lo:hi] = B[:grow]
         lo, hi, blocks = hi, hi + grow, blocks + 1

@@ -541,6 +541,10 @@ def test_cluster_rejects_bad_weight(tmp_path, capsys, weight):
                                  ("scale", "already_scaled",
                                   "per_observation"),
                                  ("d_T", "0.1", "0.2")]),
+    # a `key=value` line with a key the reader does not read is a typo:
+    # `sclae` ignored would leave the table per_observation
+    pytest.param("# a comment\n# sclae=already_scaled\n", "b,1,1", [],
+                 "unknown metadata key 'sclae' on line 2", id="misspelled-key"),
     pytest.param("", "b,1,1", ["--t-periods", "0"], "--t-periods: ", id="T-0"),
     pytest.param("", "b,1,1", ["--t-periods", "-5"], "got T=-5", id="T-neg"),
     # T is not read for these tables, but a given --t-periods is checked
@@ -575,6 +579,16 @@ def test_cluster_rejects_bad_values_at_ingestion(tmp_path, capsys, meta, row,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_comment_lines_are_not_metadata_keys(tmp_path, capsys):
+    # no `=`, nothing before it, or not an identifier before it: a comment
+    path = tmp_path / "est.csv"
+    path.write_text("#\n# =\n# note: a=b\n# weight\n# made by hand\n"
+                    "# scale=already_scaled\nid,beta_1,se\na,0,1\nb,9,1\n")
+    assert main(["cluster", str(path), "--groups", "2",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert read_estimates(path).scale == "already_scaled"
 
 
 def test_cluster_accepts_the_largest_seed(tmp_path, capsys):
