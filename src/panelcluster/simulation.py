@@ -15,6 +15,7 @@ import ctypes
 import numbers
 import os
 import pickle
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -412,12 +413,12 @@ def run_rep(config: SimulationConfig, rep: int) -> RepResult:
 def run_batch(config: SimulationConfig) -> SimulationResult:
     """Run all repetitions and aggregate table-style summaries.
 
-    The repetitions run on one BLAS thread per process, in up to
-    min(reps, CPUs this process may run on) processes (`_run_reps`). The
-    result, and any error raised, are those of a serial run."""
+    The repetitions run in up to min(reps, CPUs this process may run on)
+    processes, each on one BLAS thread when there are several
+    (`_run_reps`). The result, and any error raised, are those of a serial
+    run."""
     result = SimulationResult(config)
-    with _one_blas_thread() as pinned:
-        result.reps = _run_reps(config, pinned)
+    result.reps = _run_reps(config)
     result.aggregates = aggregate(config, result.reps)
     return result
 
@@ -453,7 +454,7 @@ def _one_blas_thread():
     yield False
 
 
-def _run_reps(config, pinned):
+def _run_reps(config):
     """The batch's RepResults in rep order. Worker w of `workers` runs
     reps w, w + workers, ... and stops at its first error. The parent runs
     share 0 and forks one child per other share; a child pickles its
@@ -461,48 +462,55 @@ def _run_reps(config, pinned):
     the lowest failing rep's, so it is the one a serial run raises."""
     workers = 1
     # Linux only: sched_getaffinity exists there alone, and numpy's macOS
-    # BLAS (Accelerate) is not fork-safe; OpenBLAS stops its thread pool
-    # before a fork. Unpinned, each process keeps two BLAS threads whose
-    # idle spinning takes the other core, and a forked batch measured
-    # slower than a serial one.
-    if pinned and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    # BLAS (Accelerate) is not fork-safe. Python 3.12 and later warn when a
+    # process with threads forks, and OpenBLAS's pool is such threads; a
+    # warning turned into an error there would come after the fork, so
+    # batches stay in one process until that path has been run.
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and sys.version_info < (3, 12)):
         workers = min(config.reps, len(os.sched_getaffinity(0)))
-    # one worker: nothing to share out, so nothing is forked
-    if workers == 1:
-        return [run_rep(config, rep) for rep in range(config.reps)]
-
-    shares = [range(w, config.reps, workers) for w in range(workers)]
-    children = {}  # pid -> (read end of its pipe, its share)
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read)
-                _child(config, share, write)
-            os.close(write)
-            children[pid] = (open(read, "rb"), share)
-        outcomes = [_run_share(config, shares[0])]
-        for pid, (pipe, share) in list(children.items()):
-            # read to the end before reaping: the output can exceed the
-            # pipe's buffer, and the child exits only once it is written
-            data = pipe.read()
-            pipe.close()
-            os.waitpid(pid, 0)
-            del children[pid]
-            if not data:
-                raise ChildProcessError(
-                    f"the worker running repetitions {list(share)} ended "
-                    f"without a result")
-            outcomes.append(pickle.loads(data))
-    finally:
-        if children:
-            import signal  # here only: a batch that ends well loads no module
-
-            for pid, (pipe, _) in children.items():
+    with contextlib.ExitStack() as stack:
+        # Only forked workers are pinned: a batch in one process keeps the
+        # caller's BLAS threads. A forked batch whose processes keep two
+        # BLAS threads each, idle ones spinning on the other core, measured
+        # slower than a serial one, so without the pin nothing is forked.
+        if workers > 1 and not stack.enter_context(_one_blas_thread()):
+            workers = 1
+        shares = [range(w, config.reps, workers) for w in range(workers)]
+        children = {}  # pid -> (read end of its pipe, its share)
+        try:
+            for share in shares[1:]:
+                read, write = os.pipe()
+                pipe = open(read, "rb")
+                pid = os.fork()
+                if pid == 0:
+                    pipe.close()
+                    _child(config, share, write)
+                # recorded before anything else: whatever raises next, the
+                # clean-up below kills and reaps this child
+                children[pid] = (pipe, share)
+                os.close(write)
+            outcomes = [_run_share(config, shares[0])]
+            for pid, (pipe, share) in list(children.items()):
+                # read to the end before reaping: the output can exceed the
+                # pipe's buffer, and the child exits only once it is written
+                data = pipe.read()
                 pipe.close()
-                os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+                del children[pid]
+                if not data:
+                    raise ChildProcessError(
+                        f"the worker running repetitions {list(share)} "
+                        f"ended without a result")
+                outcomes.append(pickle.loads(data))
+        finally:
+            if children:
+                import signal  # here only: a batch that ends well loads none
+
+                for pid, (pipe, _) in children.items():
+                    pipe.close()
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -6,6 +6,7 @@ import contextlib
 import ctypes
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -38,9 +39,10 @@ def openblas_threads():
     return None
 
 
-needs_openblas = pytest.mark.skipif(
-    openblas_threads() is None,
-    reason="numpy's bundled OpenBLAS is not there: batches run serially")
+forks_batches = pytest.mark.skipif(
+    openblas_threads() is None or sys.version_info >= (3, 12),
+    reason="batches run serially without numpy's bundled OpenBLAS and on "
+           "Python 3.12 and later")
 
 
 def assert_no_child_left():
@@ -82,7 +84,7 @@ def config(model, reps, **kwargs):
                             restarts=5, select_groups=True, **kwargs)
 
 
-@needs_openblas
+@forks_batches
 @pytest.mark.parametrize("reps", [1, 2, 3, 5])
 @pytest.mark.parametrize("model", ["model1", "model3", "logistic", "model4"])
 def test_payload_is_byte_identical_to_one_worker(cpus, forks, model, reps):
@@ -115,7 +117,7 @@ def raised(config):
     return type(info.value), str(info.value)
 
 
-@needs_openblas
+@forks_batches
 @pytest.mark.parametrize("failing", [
     # with two workers the parent runs the even reps and a child the odd
     pytest.param([1], id="child"), pytest.param([2], id="parent"),
@@ -136,7 +138,7 @@ def test_error_is_the_lowest_failing_reps_as_in_a_serial_run(
     assert len(forks) == 1
 
 
-@needs_openblas
+@forks_batches
 def test_a_worker_that_dies_without_a_result_is_named(monkeypatch, cpus):
     run_rep = simulation.run_rep
 
@@ -153,7 +155,7 @@ def test_a_worker_that_dies_without_a_result_is_named(monkeypatch, cpus):
     assert_no_child_left()
 
 
-@needs_openblas
+@forks_batches
 def test_an_interrupted_batch_kills_its_workers(monkeypatch, cpus):
     run_rep = simulation.run_rep
 
@@ -172,10 +174,40 @@ def test_an_interrupted_batch_kills_its_workers(monkeypatch, cpus):
     assert_no_child_left()
 
 
-@needs_openblas
+@forks_batches
+def test_an_interrupt_right_after_a_fork_kills_that_worker(monkeypatch,
+                                                           cpus):
+    # Ctrl-C landing as the parent closes its copy of the pipe's write
+    # end, its first step after the fork, must not lose the child's pid
+    parent = os.getpid()
+    close = os.close
+    run_rep = simulation.run_rep
+
+    def interrupted_close(fd):
+        close(fd)
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+
+    def slow_in_a_child(config, rep):
+        if os.getpid() != parent:
+            time.sleep(60)  # only a kill ends it in time
+        return run_rep(config, rep)
+
+    monkeypatch.setattr(os, "close", interrupted_close)
+    monkeypatch.setattr(simulation, "run_rep", slow_in_a_child)
+    cpus(2)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(config("model1", 2))
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+
+
+@forks_batches
 @pytest.mark.parametrize("fails", [False, True])
-def test_blas_threads_are_one_in_a_batch_and_restored_after(monkeypatch,
-                                                            cpus, fails):
+@pytest.mark.parametrize("count", [1, 2])
+def test_blas_threads_are_one_in_a_forked_batch_and_restored_after(
+        monkeypatch, cpus, count, fails):
     get_threads, set_threads = openblas_threads()
     run_rep = simulation.run_rep
     seen = []
@@ -187,7 +219,7 @@ def test_blas_threads_are_one_in_a_batch_and_restored_after(monkeypatch,
         return run_rep(config, rep)
 
     monkeypatch.setattr(simulation, "run_rep", recording)
-    cpus(2)
+    cpus(count)
     before = get_threads()
     set_threads(2)
     try:
@@ -199,10 +231,12 @@ def test_blas_threads_are_one_in_a_batch_and_restored_after(monkeypatch,
         assert get_threads() == 2
     finally:
         set_threads(before)
-    assert seen == [1]  # the parent's rep; the child's is recorded there
+    # the reps the parent ran, the child's being recorded there; a batch
+    # that forks nothing keeps the caller's threads
+    assert set(seen) == {1 if count == 2 else 2}
 
 
-@needs_openblas
+@forks_batches
 @pytest.mark.parametrize("count", [1, 2, 3])
 @pytest.mark.parametrize("reps", [1, 2, 3, 5])
 def test_forks_never_exceed_the_cpus_minus_one(cpus, forks, count, reps):
@@ -212,7 +246,7 @@ def test_forks_never_exceed_the_cpus_minus_one(cpus, forks, count, reps):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("lacks", ["one-blas-thread", "fork"])
+@pytest.mark.parametrize("lacks", ["one-blas-thread", "fork", "python<3.12"])
 def test_a_batch_stays_in_one_process_without_what_forking_needs(
         monkeypatch, cpus, forks, lacks):
     cpus(1)
@@ -220,6 +254,8 @@ def test_a_batch_stays_in_one_process_without_what_forking_needs(
     cpus(2)
     if lacks == "fork":
         monkeypatch.delattr(os, "fork")
+    elif lacks == "python<3.12":
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0, "final", 0))
     else:
         monkeypatch.setattr(simulation, "_one_blas_thread",
                             lambda: contextlib.nullcontext(False))
