@@ -16,7 +16,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .types import PER_OBSERVATION, EstimateTable, PanelDataset, ParseError
+from .types import (ALREADY_SCALED, PER_OBSERVATION, EstimateTable,
+                    PanelDataset, ParseError)
 
 FORMAT_VERSION = "1"
 
@@ -143,7 +144,8 @@ def read_estimates(path) -> EstimateTable:
     version = meta.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ParseError(f"metadata key 'format_version' must be "
-                         f"{FORMAT_VERSION}, got {version!r}")
+                         f"{FORMAT_VERSION}, got {version!r} on line "
+                         f"{where['format_version']}")
     header, idx = _header(rows, "estimate table")
     if not header or header[0] != "id":
         raise ParseError("header row must start with 'id'")
@@ -192,10 +194,12 @@ def read_estimates(path) -> EstimateTable:
             d_T = math.nan
         if not math.isfinite(d_T):
             raise ParseError(f"metadata key 'd_T' must be a finite number, "
-                             f"got {meta['d_T']!r}")
+                             f"got {meta['d_T']!r} on line {where['d_T']}")
+    scale = meta.get("scale", PER_OBSERVATION)
+    if scale not in (PER_OBSERVATION, ALREADY_SCALED):
+        raise ParseError(f"unknown scale {scale!r} on line {where['scale']}")
     try:
-        return EstimateTable(ids, cells[:, :p].copy(), sigmas,
-                             scale=meta.get("scale", PER_OBSERVATION),
+        return EstimateTable(ids, cells[:, :p].copy(), sigmas, scale=scale,
                              weights=cells[:, -1].copy() if has_weight
                              else None, d_T=d_T)
     except ParseError as exc:

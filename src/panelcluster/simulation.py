@@ -10,7 +10,6 @@ sqrt(chi-square(3) / 3).
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import numbers
 import os
@@ -423,43 +422,33 @@ def run_batch(config: SimulationConfig) -> SimulationResult:
     return result
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Set numpy's bundled OpenBLAS (under `numpy.libs`) to one thread for
-    the block, then back to its previous count; yields whether it could.
-    Without that library or its thread setter it changes nothing."""
+def _openblas_threads():
+    """numpy's bundled OpenBLAS (under `numpy.libs`) thread getter and
+    setter, or None without that library or its thread functions."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")):
         try:
             dll = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for set_name, get_name in (
-                ("scipy_openblas_set_num_threads64_",
-                 "scipy_openblas_get_num_threads64_"),
-                ("openblas_set_num_threads", "openblas_get_num_threads")):
-            setter = getattr(dll, set_name, None)
-            getter = getattr(dll, get_name, None)
-            if setter is None or getter is None:
-                continue
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            before = getter()
-            setter(1)
-            try:
-                yield True
-            finally:
-                setter(before)
-            return
-    yield False
+        for names in (("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads", "openblas_set_num_threads")):
+            getter, setter = (getattr(dll, name, None) for name in names)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
 
 
 def _run_reps(config):
-    """The batch's RepResults in rep order. Worker w of `workers` runs
-    reps w, w + workers, ... and stops at its first error. The parent runs
-    share 0 and forks one child per other share; a child pickles its
-    (rep, RepResult) pairs and its error into a pipe. The error raised is
-    the lowest failing rep's, so it is the one a serial run raises."""
+    """The batch's RepResults in rep order. Worker w of `workers` runs the
+    reps in range(reps * w // workers, reps * (w + 1) // workers) up to its
+    first error. The parent runs block 0 and forks a child per other block,
+    which pickles its RepResults and its error into a pipe. The parent
+    reads the blocks in order and stops at the first error: block order is
+    rep order, so it is the lowest failing rep's, as in a serial run."""
     workers = 1
     # Linux only: sched_getaffinity exists there alone, and numpy's macOS
     # BLAS (Accelerate) is not fork-safe. Python 3.12 and later warn when a
@@ -469,75 +458,87 @@ def _run_reps(config):
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and sys.version_info < (3, 12)):
         workers = min(config.reps, len(os.sched_getaffinity(0)))
-    with contextlib.ExitStack() as stack:
-        # Only forked workers are pinned: a batch in one process keeps the
-        # caller's BLAS threads. A forked batch whose processes keep two
-        # BLAS threads each, idle ones spinning on the other core, measured
-        # slower than a serial one, so without the pin nothing is forked.
-        if workers > 1 and not stack.enter_context(_one_blas_thread()):
-            workers = 1
-        shares = [range(w, config.reps, workers) for w in range(workers)]
-        children = {}  # pid -> (read end of its pipe, its share)
-        try:
-            for share in shares[1:]:
-                read, write = os.pipe()
-                pipe = open(read, "rb")
+    # Only forked workers are pinned to one BLAS thread: a batch in one
+    # process keeps the caller's threads. A forked batch whose processes
+    # keep two BLAS threads each, idle ones spinning on the other core,
+    # measured slower than a serial one, so without the pin nothing forks.
+    blas = _openblas_threads() if workers > 1 else None
+    if blas is None:
+        workers = 1
+    else:
+        get_threads, set_threads = blas
+        threads = get_threads()
+        set_threads(1)
+    blocks = [range(config.reps * w // workers,
+                    config.reps * (w + 1) // workers) for w in range(workers)]
+    children = {}  # pid -> (read end of its pipe, its block), in block order
+    try:
+        for block in blocks[1:]:
+            read, write = os.pipe()
+            pipe = open(read, "rb")
+            try:
                 pid = os.fork()
-                if pid == 0:
-                    pipe.close()
-                    _child(config, share, write)
-                # recorded before anything else: whatever raises next, the
-                # clean-up below kills and reaps this child
-                children[pid] = (pipe, share)
-                os.close(write)
-            outcomes = [_run_share(config, shares[0])]
-            for pid, (pipe, share) in list(children.items()):
-                # read to the end before reaping: the output can exceed the
-                # pipe's buffer, and the child exits only once it is written
-                data = pipe.read()
+            except OSError:  # no child: the clean-up below does the rest
                 pipe.close()
+                os.close(write)
+                raise
+            if pid == 0:
+                pipe.close()
+                _child(config, block, write)
+            # recorded before anything else: whatever raises next, the
+            # clean-up below kills and reaps this child
+            children[pid] = (pipe, block)
+            os.close(write)
+        results, error = _run_block(config, blocks[0])
+        for pid, (pipe, block) in list(children.items()):
+            if error is not None:
+                break
+            # read to the end before reaping: the output can exceed the
+            # pipe's buffer, and the child exits only once it is written
+            data = pipe.read()
+            pipe.close()
+            os.waitpid(pid, 0)
+            del children[pid]
+            if not data:
+                raise ChildProcessError(
+                    f"the worker running repetitions {list(block)} "
+                    f"ended without a result")
+            done, error = pickle.loads(data)
+            results += done
+        if error is not None:
+            raise error
+        return results
+    finally:
+        if children:
+            import signal  # here only: a batch that ends well loads none
+
+            for pid, (pipe, _) in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-                del children[pid]
-                if not data:
-                    raise ChildProcessError(
-                        f"the worker running repetitions {list(share)} "
-                        f"ended without a result")
-                outcomes.append(pickle.loads(data))
-        finally:
-            if children:
-                import signal  # here only: a batch that ends well loads none
-
-                for pid, (pipe, _) in children.items():
-                    pipe.close()
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    done = sorted((pair for pairs, _ in outcomes for pair in pairs),
-                  key=lambda pair: pair[0])
-    return [result for _, result in done]
+        if blas is not None:
+            set_threads(threads)
 
 
-def _run_share(config, reps):
+def _run_block(config, reps):
     """Run `reps` in order up to the first that raises; returns the
-    (rep, RepResult) pairs done and (rep, error) of that rep, or None."""
+    RepResults done and that rep's error, or None."""
     done = []
     for rep in reps:
         try:
-            done.append((rep, run_rep(config, rep)))
+            done.append(run_rep(config, rep))
         except Exception as exc:
-            return done, (rep, exc)
+            return done, exc
     return done, None
 
 
 def _child(config, reps, write):
-    """A forked worker's whole life: run its share, pickle the outcome
+    """A forked worker's whole life: run its block, pickle the outcome
     into the pipe's write end, and leave without running the parent's
     clean-up. Anything that stops it short writes nothing."""
     code = 1
     try:
-        data = pickle.dumps(_run_share(config, reps),
+        data = pickle.dumps(_run_block(config, reps),
                             protocol=pickle.HIGHEST_PROTOCOL)
         with open(write, "wb") as fh:
             fh.write(data)

@@ -531,6 +531,20 @@ def test_cluster_rejects_bad_weight(tmp_path, capsys, weight):
     pytest.param("# format_version=99\n", "b,1,1", [],
                  "metadata key 'format_version' must be 1, got '99'",
                  id="format-version-99"),
+    # a bad metadata value names its line, after the comments before it
+    pytest.param("# a comment\n# d_T=abc\n", "b,1,1", [],
+                 "metadata key 'd_T' must be a finite number, got 'abc' on "
+                 "line 2", id="d_T-line"),
+    pytest.param("#\n# format_version=2\n", "b,1,1", [],
+                 "metadata key 'format_version' must be 1, got '2' on line 2",
+                 id="format_version-line"),
+    pytest.param("# d_T=0.1\n# scale=already_scaleded\n", "b,1,1", [],
+                 "unknown scale 'already_scaleded' on line 2",
+                 id="scale-unknown"),
+    # the table's own check, re-raised by the reader as it is
+    pytest.param("# scale=already_scaled\n", "b,1,1,50", [],
+                 "weights require per_observation scale",
+                 id="weight-already-scaled"),
     # a key the reader reads may be given once; a bare `#` and a comment
     # may repeat
     *(pytest.param(f"# {key}={first}\n#\n# a comment\n#\n# a comment\n"

@@ -2,8 +2,8 @@
 process may run on and each on one BLAS thread. Its payload and its errors
 must be those of a serial run, and no worker may outlive it."""
 
-import contextlib
 import ctypes
+import errno
 import json
 import os
 import sys
@@ -119,11 +119,11 @@ def raised(config):
 
 @forks_batches
 @pytest.mark.parametrize("failing", [
-    # with two workers the parent runs the even reps and a child the odd
-    pytest.param([1], id="child"), pytest.param([2], id="parent"),
-    pytest.param([3, 2], id="parent-lower"),
-    pytest.param([1, 4], id="child-lower"),
-    pytest.param([4, 3, 1, 0], id="both-first")])
+    # with two workers the parent runs reps 0 and 1, a child reps 2 to 4
+    pytest.param([3], id="child"), pytest.param([1], id="parent"),
+    pytest.param([3, 1], id="both"),
+    pytest.param([4, 2], id="child-twice"),
+    pytest.param([4, 3, 1, 0], id="both-twice")])
 def test_error_is_the_lowest_failing_reps_as_in_a_serial_run(
         monkeypatch, cpus, forks, failing):
     errors = {rep: (NonConvergence if rep % 2 else ValueError)(
@@ -150,9 +150,26 @@ def test_a_worker_that_dies_without_a_result_is_named(monkeypatch, cpus):
     monkeypatch.setattr(simulation, "run_rep", dying)
     cpus(2)
     with pytest.raises(ChildProcessError,
-                       match=r"repetitions \[1, 3\] ended without a result"):
+                       match=r"repetitions \[2, 3, 4\] ended without a result"):
         run_batch(config("model1", 5))
     assert_no_child_left()
+
+
+@forks_batches
+def test_a_parent_error_outranks_a_worker_that_dies(monkeypatch, cpus):
+    # rep 0 fails in the parent's block and rep 1 ends its child without a
+    # result: the serial run raises rep 0's error and never reaches rep 1
+    def failing(config, rep):
+        if rep == 1:
+            os._exit(3)
+        raise ValueError(f"repetition {rep} failed")
+
+    monkeypatch.setattr(simulation, "run_rep", failing)
+    cpus(1)
+    serial = raised(config("model1", 2))
+    assert serial == (ValueError, "repetition 0 failed")
+    cpus(2)
+    assert raised(config("model1", 2)) == serial
 
 
 @forks_batches
@@ -201,6 +218,34 @@ def test_an_interrupt_right_after_a_fork_kills_that_worker(monkeypatch,
         run_batch(config("model1", 2))
     assert time.perf_counter() - start < 30
     assert_no_child_left()
+
+
+@forks_batches
+def test_a_failed_fork_raises_and_leaves_nothing_open(monkeypatch, cpus):
+    get_threads, set_threads = openblas_threads()
+    fork = os.fork
+    calls = []
+
+    def second_fork_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    cpus(3)
+    before = get_threads()
+    set_threads(2)
+    try:
+        fds = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            run_batch(config("model1", 3))
+        assert set(os.listdir("/proc/self/fd")) == fds
+        assert_no_child_left()
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert len(calls) == 2
 
 
 @forks_batches
@@ -257,7 +302,6 @@ def test_a_batch_stays_in_one_process_without_what_forking_needs(
     elif lacks == "python<3.12":
         monkeypatch.setattr(sys, "version_info", (3, 12, 0, "final", 0))
     else:
-        monkeypatch.setattr(simulation, "_one_blas_thread",
-                            lambda: contextlib.nullcontext(False))
+        monkeypatch.setattr(simulation, "_openblas_threads", lambda: None)
     assert payload(config("model1", 3)) == serial
     assert forks == []

@@ -1068,6 +1068,34 @@ def test_lanczos_non_convergence_is_an_eigen_failure(monkeypatch, tmp_path,
         assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [12, spectral.KRYLOV_MIN_N])
+def test_a_failed_lapack_eigensolve_exits_2(monkeypatch, tmp_path, capsys,
+                                            n):
+    # LAPACK fails on the n x n affinity below KRYLOV_MIN_N, and on block
+    # Lanczos's projected matrix from it on; the covariance checks, which
+    # solve (n, s, s) stacks, still run
+    def failing_on_matrices(solve):
+        def solver(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(a, *args, **kwargs)
+        return solver
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            failing_on_matrices(getattr(np.linalg, name)))
+    est = tmp_path / "est.csv"
+    rows = [f"u{i},{0.1 * (i % 4) + 0.01 * i},0.01" for i in range(n)]
+    est.write_text("# scale=already_scaled\nid,beta_1,se\n"
+                   + "\n".join(rows) + "\n")
+    for flags in (["--groups", "2"], ["--select-g", "--t-periods", "100"]):
+        code = main(["cluster", str(est), *flags,
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert ("numerical failure: Eigenvalues did not converge"
+                in capsys.readouterr().err)
+
+
 def test_disconnected_affinity_selects_the_same_g_on_both_paths(monkeypatch):
     # exp(-V) underflows to exactly 0 between the 4 groups (V > 745), so
     # lambda_1..lambda_4 = 0. Any basis of that eigenspace is a valid
