@@ -10,13 +10,17 @@ sqrt(chi-square(3) / 3).
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import numbers
 import os
 import pickle
 import sys
+import threading
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,25 +45,30 @@ from .types import (
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
-MODEL_GROUPS = {
+# read-only, as are the _BETAS below: a kept batch worker (_run_reps) sees
+# a rebinding of a module name, not a change made in place
+MODEL_GROUPS = MappingProxyType({
     "logistic": 3,
     "model1": 3,
     "model2": 4,
     "model3": 3,
     "model4": 3,
-}
+})
 
 METHODS = ("spectral", "spectral_identity", "kmeans_raw")
 
 # per-individual estimators of estimate_panel
 PANEL_MODELS = ("logistic", "qr-slopes", "qr-pooled")
 
-_BETAS = {
+_BETAS = MappingProxyType({
     "logistic": np.array([[-4.0, 1.0], [0.0, 1.0], [4.0, 1.0]]),
     "model1": np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]]),
     "model2": np.array([[0.1, 0.1], [0.2, 0.2], [3.0, 3.0], [3.1, 3.1]]),
     "model4": np.array([[-5.0, 1.0], [0.0, 1.0], [3.0, 1.0]]),
-}
+})
+for _beta in _BETAS.values():
+    _beta.setflags(write=False)
+del _beta
 
 
 def splitmix64(x: int) -> int:
@@ -413,9 +422,9 @@ def run_batch(config: SimulationConfig) -> SimulationResult:
     """Run all repetitions and aggregate table-style summaries.
 
     The repetitions run in up to min(reps, CPUs this process may run on)
-    processes, each on one BLAS thread when there are several
-    (`_run_reps`). The result, and any error raised, are those of a serial
-    run."""
+    processes: the caller and workers it keeps for later batches, each
+    worker on one BLAS thread (`_run_reps`). The result, and any error
+    raised, are those of a serial run."""
     result = SimulationResult(config)
     result.reps = _run_reps(config)
     result.aggregates = aggregate(config, result.reps)
@@ -442,13 +451,23 @@ def _openblas_threads():
     return None
 
 
+class _Pool:
+    """The workers this process keeps for its later batches, and the lock a
+    batch holds while it uses them (one that finds it held runs alone)."""
+
+    lock = threading.Lock()
+    workers = []  # (pid, its task pipe's write end, its result pipe's read end)
+    state = None  # _snapshot() when the pool's first worker was forked
+
+
 def _run_reps(config):
     """The batch's RepResults in rep order. Worker w of `workers` runs the
     reps in range(reps * w // workers, reps * (w + 1) // workers) up to its
-    first error. The parent runs block 0 and forks a child per other block,
-    which pickles its RepResults and its error into a pipe. The parent
-    reads the blocks in order and stops at the first error: block order is
-    rep order, so it is the lowest failing rep's, as in a serial run."""
+    first error. The parent runs block 0 and sends each other block to a
+    kept worker (`_worker`), which pickles back its RepResults and its
+    error. The parent reads the blocks in order and stops at the first
+    error: block order is rep order, so it is the lowest failing rep's, as
+    in a serial run. Any raise retires the pool."""
     workers = 1
     # Linux only: sched_getaffinity exists there alone, and numpy's macOS
     # BLAS (Accelerate) is not fork-safe. Python 3.12 and later warn when a
@@ -463,61 +482,43 @@ def _run_reps(config):
     # keep two BLAS threads each, idle ones spinning on the other core,
     # measured slower than a serial one, so without the pin nothing forks.
     blas = _openblas_threads() if workers > 1 else None
-    if blas is None:
-        workers = 1
-    else:
+    pooled = blas is not None and _Pool.lock.acquire(blocking=False)
+    if pooled:
         get_threads, set_threads = blas
         threads = get_threads()
         set_threads(1)
+    else:
+        workers = 1
     blocks = [range(config.reps * w // workers,
                     config.reps * (w + 1) // workers) for w in range(workers)]
-    children = {}  # pid -> (read end of its pipe, its block), in block order
     try:
-        for block in blocks[1:]:
-            read, write = os.pipe()
-            pipe = open(read, "rb")
-            try:
-                pid = os.fork()
-            except OSError:  # no child: the clean-up below does the rest
-                pipe.close()
-                os.close(write)
-                raise
-            if pid == 0:
-                pipe.close()
-                _child(config, block, write)
-            # recorded before anything else: whatever raises next, the
-            # clean-up below kills and reaps this child
-            children[pid] = (pipe, block)
-            os.close(write)
+        if pooled:
+            _fill_pool(workers - 1)
+            for block, (_, task, _) in zip(blocks[1:], _Pool.workers):
+                pickle.dump((config, block), task, pickle.HIGHEST_PROTOCOL)
+                task.flush()
         results, error = _run_block(config, blocks[0])
-        for pid, (pipe, block) in list(children.items()):
+        for block, (_, _, pipe) in zip(blocks[1:], _Pool.workers):
             if error is not None:
                 break
-            # read to the end before reaping: the output can exceed the
-            # pipe's buffer, and the child exits only once it is written
-            data = pipe.read()
-            pipe.close()
-            os.waitpid(pid, 0)
-            del children[pid]
-            if not data:
+            try:
+                done, error = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # none, or cut short
                 raise ChildProcessError(
                     f"the worker running repetitions {list(block)} "
-                    f"ended without a result")
-            done, error = pickle.loads(data)
+                    f"ended without a result") from None
             results += done
         if error is not None:
             raise error
         return results
+    except BaseException:
+        if pooled:  # the workers may still be running their blocks
+            _retire()
+        raise
     finally:
-        if children:
-            import signal  # here only: a batch that ends well loads none
-
-            for pid, (pipe, _) in children.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        if blas is not None:
+        if pooled:
             set_threads(threads)
+            _Pool.lock.release()
 
 
 def _run_block(config, reps):
@@ -532,19 +533,97 @@ def _run_block(config, reps):
     return done, None
 
 
-def _child(config, reps, write):
-    """A forked worker's whole life: run its block, pickle the outcome
-    into the pipe's write end, and leave without running the parent's
-    clean-up. Anything that stops it short writes nothing."""
-    code = 1
+def _snapshot():
+    """(held, key): what a worker took from this process at its fork and a
+    rep reads. key has the ids of every loaded panelcluster module and of
+    its bindings, which held keeps alive so that no id is reused, then
+    numpy's error handling and the warning filters."""
+    held = [(module, dict(vars(module)))
+            for name, module in list(sys.modules.items())
+            if name.partition(".")[0] == __package__]
+    ids = [(id(module), list(names), list(map(id, names.values())))
+           for module, names in held]
+    return held, (ids, np.geterr(), warnings.filters[:])
+
+
+def _fill_pool(size):
+    """Make `size` workers forked from this process's present state ready,
+    retiring first a pool forked from another state or with an exited
+    worker (WNOWAIT leaves it unreaped: its pid cannot be reused)."""
+    state = _snapshot()
+    if _Pool.workers and (_Pool.state[1] != state[1] or any(
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            for pid, _, _ in _Pool.workers)):
+        _retire()
+    if not _Pool.workers:
+        _Pool.state = state
+        atexit.register(_retire)
+    while len(_Pool.workers) < size:
+        task_read, task_write = os.pipe()
+        result_read, result_write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no worker: the batch's clean-up does the rest
+            for fd in (task_read, task_write, result_read, result_write):
+                os.close(fd)
+            raise
+        if pid == 0:  # its siblings' pipes were closed by _forget_pool
+            os.close(task_write)
+            os.close(result_read)
+            _worker(open(task_read, "rb"), open(result_write, "wb"))
+        # recorded before anything else: whatever raises next, the batch's
+        # clean-up kills and reaps this worker
+        _Pool.workers.append(
+            (pid, open(task_write, "wb"), open(result_read, "rb")))
+        os.close(task_read)
+        os.close(result_write)
+
+
+def _worker(tasks, results):
+    """A worker's whole life: run each (config, block) read from its task
+    pipe and send back the block's outcome, until the pipe ends. Ctrl-C is
+    the parent's to act on. It leaves without running the parent's
+    clean-up; anything that stops it short sends no outcome."""
+    import signal  # here only: the parent loads it only to retire the pool
+
     try:
-        data = pickle.dumps(_run_block(config, reps),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        with open(write, "wb") as fh:
-            fh.write(data)
-        code = 0
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        while True:  # until the task pipe ends and pickle.load raises
+            outcome = _run_block(*pickle.load(tasks))
+            results.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+            results.flush()
     finally:
-        os._exit(code)
+        os._exit(0)
+
+
+def _retire():
+    """Kill and reap every worker and close its pipes: after a batch that
+    raised, when the pool is stale, and at exit."""
+    import signal
+
+    atexit.unregister(_retire)
+    try:
+        for pid, _, _ in _Pool.workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    finally:  # even if a wait fails, no reaped pid stays in the pool
+        _forget_pool()
+
+
+def _forget_pool():
+    """Close this process's ends of the pool's pipes and forget its workers.
+    A child forked from this process does only this: they are not its own."""
+    for _, task, result in _Pool.workers:
+        result.close()
+        try:
+            task.close()
+        except BrokenPipeError:  # a task left unsent to a worker that exited
+            pass
+    _Pool.workers.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def aggregate(config: SimulationConfig, reps) -> dict:

@@ -93,6 +93,17 @@ def test_gen_model4_equal_allocation_and_t3():
     assert np.isfinite(panel.responses).all()
 
 
+def test_the_tables_a_rep_reads_are_read_only():
+    # a kept batch worker sees a rebinding of these names, not an edit
+    with pytest.raises(TypeError):
+        simulation.MODEL_GROUPS["model1"] = 4
+    with pytest.raises(TypeError):
+        simulation._BETAS["model1"] = np.zeros((3, 2))
+    for betas in simulation._BETAS.values():
+        with pytest.raises(ValueError, match="read-only"):
+            betas[0, 0] = 1.0
+
+
 REFERENCE_BETAS = {
     "logistic": np.array([[-4.0, 1.0], [0.0, 1.0], [4.0, 1.0]]),
     "model1": np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]]),
